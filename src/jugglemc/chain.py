@@ -15,6 +15,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -376,53 +377,54 @@ def _internal_rows(P: ChainMatrix) -> list[dict]:
     return [{k: _to_internal(v) for k, v in row.items()} for row in P.rows]
 
 
-def _row_power(rows: Sequence[Mapping[int, object]], i: int, m: int) -> dict:
-    vec = {i: _to_internal(1)}
-    for _ in range(m):
-        nxt: dict[int, object] = {}
-        for j, w in vec.items():
-            for k, v in rows[j].items():
-                nxt[k] = nxt.get(k, 0) + w * v
-        vec = {k: v for k, v in nxt.items() if v != 0}
-    return vec
+def _power_ladder(P: ChainMatrix):
+    """Yield (cls, vecs) for k = 0, 1, 2, ...; row i of P^k is vecs[cls[i]].
 
-
-def _frozen(vec: dict) -> tuple:
-    return tuple(sorted(vec.items()))
+    Row i of P^k is sum_c (sum of P_ij over j in class c of level k-1) * vec_c,
+    built once per distinct lumped row; equal rows share a class. P has no
+    negative entry, so no sum cancels and the frozen rows hold no zeros.
+    """
+    if not P.exact:
+        raise ValueError("row powers need exact probabilities")
+    rows = _internal_rows(P)
+    cls = list(range(P.size))
+    vecs = [frozenset({(i, _to_internal(1))}) for i in range(P.size)]
+    while True:
+        yield cls, vecs
+        by_lumped, by_vec, next_cls = {}, {}, []
+        for row in rows:
+            lumped: dict = {}
+            for j, v in row.items():
+                lumped[cls[j]] = lumped.get(cls[j], 0) + v
+            key = frozenset(lumped.items())
+            if key not in by_lumped:
+                vec: dict = {}
+                for a, w in lumped.items():
+                    for k, x in vecs[a]:
+                        vec[k] = vec.get(k, 0) + w * x
+                by_lumped[key] = by_vec.setdefault(frozenset(vec.items()), len(by_vec))
+            next_cls.append(by_lumped[key])
+        cls, vecs = next_cls, list(by_vec)
 
 
 def ultrafast_check(P: ChainMatrix, m: int):
     """True iff all rows of P^m coincide; returns (flag, common row or None)."""
-    if not P.exact:
-        raise ValueError("ultrafast_check needs exact probabilities")
-    rows = _internal_rows(P)
-    first = _frozen(_row_power(rows, 0, m))
-    for i in range(1, P.size):
-        if _frozen(_row_power(rows, i, m)) != first:
-            return False, None
-    common = dict(first)
+    if m < 0:
+        raise ValueError(f"matrix power {m} is negative")
+    _, vecs = next(islice(_power_ladder(P), m, None))
+    if len(vecs) != 1:
+        return False, None
+    common = dict(vecs[0])
     weights = tuple(_to_fraction(common.get(j, 0)) for j in range(P.size))
     return True, Distribution(P.states, weights)
 
 
 def nilpotency_check(P: ChainMatrix, n: int) -> bool:
     """True iff P^(n+1) = P^n exactly (spectrum contained in {1, 0})."""
-    if not P.exact:
-        raise ValueError("nilpotency_check needs exact probabilities")
-    rows = _internal_rows(P)
-    distinct: set[tuple] = set()
-    for i in range(P.size):
-        distinct.add(_frozen(_row_power(rows, i, n)))
-    for row in distinct:
-        vec = dict(row)
-        nxt: dict[int, object] = {}
-        for j, w in vec.items():
-            for k, v in rows[j].items():
-                nxt[k] = nxt.get(k, 0) + w * v
-        nxt = {k: v for k, v in nxt.items() if v != 0}
-        if nxt != vec:
-            return False
-    return True
+    if n < 0:
+        raise ValueError(f"matrix power {n} is negative")
+    (cls_n, vecs_n), (cls_next, vecs_next) = islice(_power_ladder(P), n, n + 2)
+    return all(vecs_n[a] == vecs_next[b] for a, b in set(zip(cls_n, cls_next)))
 
 
 def total_variation(p: Distribution, q: Distribution):
@@ -517,6 +519,10 @@ def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: 
     Replica r uses seed mix64(seed + r), so replicas are independent and the
     whole run is reproducible.
     """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     sampler = _RowSampler(P)
     start_idx = P.index[start]
     counts = [0] * P.size

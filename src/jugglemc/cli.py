@@ -15,14 +15,15 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import islice
+from math import comb, factorial, isfinite
 from typing import Optional
 
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
-    ChainMatrix, Distribution, LumpingMap, chain_period, is_irreducible,
-    nilpotency_check, simulate, simulate_replicas, stationary_exact,
-    stationary_power, total_variation, ultrafast_check, verify_lumping,
+    ChainMatrix, Distribution, LumpingMap, _power_ladder, chain_period,
+    is_irreducible, nilpotency_check, simulate, simulate_replicas,
+    stationary_exact, stationary_power, total_variation, verify_lumping,
 )
 from .combinatorics import (
     ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
@@ -60,18 +61,25 @@ class ModelSpec:
 
 
 def _is_decimal(text: str) -> bool:
-    return "." in text or "e" in text.lower() or "inf" in text.lower()
+    text = text.lower()
+    return "." in text or "e" in text or "inf" in text or "nan" in text
 
 
 def _parse_weight(raw, backend: str):
     if isinstance(raw, float) or (isinstance(raw, str) and _is_decimal(raw)):
+        value = float(raw)
+        if not isfinite(value):
+            raise ValueError(f"weight {raw!r} is not a finite number")
         if backend == "exact":
             raise ValueError(
                 f"decimal weight {raw!r} is not exact; use --backend float"
             )
-        return float(raw)
-    value = Fraction(raw)
-    return float(value) if backend == "float" else value
+        return value
+    try:
+        value = Fraction(raw)
+        return float(value) if backend == "float" else value
+    except (ZeroDivisionError, OverflowError, TypeError):
+        raise ValueError(f"weight {raw!r} is not a finite number") from None
 
 
 def _int_list(raw) -> tuple:
@@ -83,6 +91,8 @@ def _int_list(raw) -> tuple:
 def _raw_list(raw) -> list:
     if isinstance(raw, str):
         return [x.strip() for x in raw.split(",")]
+    if not isinstance(raw, list):
+        raise ValueError(f"weights must be a list or comma-separated text, got {raw!r}")
     return list(raw)
 
 
@@ -152,6 +162,7 @@ def _validate(spec: ModelSpec):
         _need(spec.z is not None, "msjmc needs --z with n+1 weights")
         _need(len(spec.z) == spec.n + 1,
               f"z must hold n+1 = {spec.n + 1} weights, got {len(spec.z)}")
+        _need(spec.z[0] > 0, "msjmc needs z_1 > 0: y_1 = z_1 divides its rates")
     elif spec.model in ("add_drop", "annihilation", "overwriting"):
         _need(spec.n is not None and spec.T is not None,
               f"{spec.model} needs --n and --T")
@@ -162,6 +173,7 @@ def _validate(spec: ModelSpec):
         if spec.model == "add_drop":
             _need(spec.activities is not None and len(spec.activities) == spec.T,
                   f"add_drop needs --activities with T = {spec.T} entries")
+            _need(spec.z[0] > 0, "add_drop needs z_1 > 0: y_1 = z_1 divides its rates")
         else:
             _need(ParamSet(spec.z).normalized,
                   f"{spec.model} needs z summing to 1, got {sum(spec.z)}")
@@ -340,12 +352,10 @@ def cmd_stationary(spec: ModelSpec, args) -> int:
     return code
 
 
-def _base_m_probe(P: ChainMatrix, horizon: int):
-    for m in range(1, max(2 * horizon, 4) + 1):
-        ok, _ = ultrafast_check(P, m)
-        if ok:
-            return m
-    return None
+def _base_m_probe(P: ChainMatrix, limit: int):
+    """The least m in 1..limit with all rows of P^m equal, or None."""
+    levels = enumerate(islice(_power_ladder(P), 1, limit + 1), 1)
+    return next((m for m, (_, vecs) in levels if len(vecs) == 1), None)
 
 
 def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
@@ -398,12 +408,11 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
     checks.append(("enriched-to-base lumping", ok,
                    None if ok else f"counterexample {bad}"))
     masses = {s: weight(s, p) for s in Pt.states}
-    bad = None
-    for jcol, sj in enumerate(Pt.states):
-        acc = sum(masses[si] * Pt.entry(i, jcol) for i, si in enumerate(Pt.states))
-        if acc != masses[sj]:
-            bad = sj
-            break
+    inflow = [0] * Pt.size
+    for si, row in zip(Pt.states, Pt.rows):
+        for j, v in row.items():
+            inflow[j] += masses[si] * v
+    bad = next((sj for sj, acc in zip(Pt.states, inflow) if acc != masses[sj]), None)
     checks.append(("enriched product law is stationary", bad is None,
                    None if bad is None else f"counterexample {bad}"))
 
@@ -448,10 +457,11 @@ def cmd_verify(spec: ModelSpec, args) -> int:
     if "lumping" in suites:
         _lumping_checks(spec, P, checks)
     if "ultrafast" in suites:
-        m = _base_m_probe(P, horizon)
+        limit = max(2 * horizon, 4)
+        m = _base_m_probe(P, limit)
         checks.append(("ultrafast mixing", m is not None,
                        f"rows of P^{m} identical" if m is not None
-                       else f"no identical-row power up to {max(2 * horizon, 4)}"))
+                       else f"no identical-row power up to {limit}"))
     if "spectrum" in suites:
         flat = nilpotency_check(P, horizon)
         checks.append((f"spectrum in {{0, 1}} at horizon {horizon}", flat, None))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jugglemc import fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
     ChainMatrix,
     Distribution,
@@ -22,6 +23,8 @@ from jugglemc.chain import (
     ultrafast_check,
     verify_lumping,
 )
+from jugglemc.cli import _base_m_probe
+from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
 F = Fraction
@@ -202,6 +205,66 @@ def test_nilpotency_check():
     flat = build_matrix([0, 1], lambda s: {0: F(1, 3), 1: F(2, 3)})
     assert nilpotency_check(flat, 1)
     assert not nilpotency_check(two_state(F(1, 3), F(1, 5)), 1)
+
+
+def naive_row_powers(P: ChainMatrix, m: int) -> list[tuple]:
+    """Every row of P^m, each by its own m vector-matrix products."""
+    out = []
+    for i in range(P.size):
+        vec = {i: F(1)}
+        for _ in range(m):
+            nxt = {}
+            for j, w in vec.items():
+                for k, v in P.rows[j].items():
+                    nxt[k] = nxt.get(k, 0) + w * v
+            vec = nxt
+        out.append(tuple(vec.get(j, 0) for j in range(P.size)))
+    return out
+
+
+THIRDS = ParamSet((F(1, 2), F(1, 3), F(1, 6)))
+
+
+def ladder_chains():
+    yield two_state(F(1, 3), F(1, 5))
+    # every row of P^2 is (1/4, 1/4, 1/2), reached from distinct lumped rows
+    yield build_matrix([0, 1, 2], lambda s: (
+        {2: F(1)}, {0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)})[s])
+    yield msjmc.build_chain(TypeCounts((1, 1, 1)), ParamSet((F(1), F(2), F(1, 3), F(3))))
+    yield msjmc.build_chain(TypeCounts((2, 1)), ParamSet((F(1, 2), F(1), F(2), F(1))))
+    yield fluctuating.build_add_drop_chain(
+        2, 2, ParamSet((F(1), F(1, 2), F(2)), c=(F(1), F(3))))
+    yield fluctuating.build_annihilation_chain(2, 3, THIRDS)
+    yield overwriting.build_word_chain(2, 3, THIRDS)
+    yield overwriting.build_tableau_chain(2, 2, THIRDS)
+    yield overwriting.build_matrix_chain(2, 2, THIRDS)
+    yield overwriting.build_matrix_chain(3, 2, ParamSet((F(1, 4),) * 4))
+    yield jugglers.build_chain(2, 2, 2)
+
+
+def test_power_checks_match_naive_row_powers():
+    for P in ladder_chains():
+        rows = [naive_row_powers(P, m) for m in range(6)]
+        flat = [len(set(r)) == 1 for r in rows]
+        for m in range(5):
+            ok, common = ultrafast_check(P, m)
+            assert ok == flat[m], (P, m)
+            assert common is None if not ok else common.weights == rows[m][0]
+            assert nilpotency_check(P, m) == (rows[m + 1] == rows[m]), (P, m)
+        first = next((m for m in range(1, 5) if flat[m]), None)
+        assert _base_m_probe(P, 4) == first, P
+    # the reference must see both outcomes: two_state never freezes, the
+    # overwriting word chain freezes at its horizon
+    assert _base_m_probe(two_state(F(1, 3), F(1, 5)), 4) is None
+    assert _base_m_probe(overwriting.build_word_chain(2, 3, THIRDS), 4) == 2
+
+
+def test_power_checks_reject_negative_powers():
+    P = two_state(F(1, 3), F(1, 5))
+    with pytest.raises(ValueError):
+        ultrafast_check(P, -1)
+    with pytest.raises(ValueError):
+        nilpotency_check(P, -1)
 
 
 def test_power_checks_refuse_floats():

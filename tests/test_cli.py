@@ -140,7 +140,7 @@ def test_verify_overwriting_all(capsys):
         "--z", "1/2,1/4,1/4",
     ])
     assert code == 0
-    assert "PASS ultrafast mixing" in out
+    assert "PASS ultrafast mixing (rows of P^2 identical)" in out.splitlines()
     assert "FAIL" not in out
     assert out.splitlines()[-1].startswith("OK (")
 
@@ -156,8 +156,23 @@ def test_verify_reports_honest_failure(capsys):
     # explicitly requested ultrafast suite must come back negative
     code, out, _ = run(capsys, ["verify", "--suite", "ultrafast"] + MSJMC_ARGS)
     assert code == 2
-    assert "FAIL ultrafast mixing" in out
+    # the probe reaches max(2n, 4) = 6 for n = 3 balls
+    assert "FAIL ultrafast mixing (no identical-row power up to 6)" in out.splitlines()
     assert out.splitlines()[-1].startswith("FAILED (1 of")
+
+
+def test_verify_names_first_column_off_the_product_law(capsys, monkeypatch):
+    # with every enriched mass set to 1 the product law is stationary only
+    # where the column sum of the enriched matrix is 1
+    p = ParamSet((F(1, 2), F(1, 3), F(1, 6), F(1, 6)))
+    Pt = msjmc.build_enriched_chain(TypeCounts((1, 1, 1)), p)
+    first = next(s for j, s in enumerate(Pt.states)
+                 if sum(row.get(j, 0) for row in Pt.rows) != 1)
+    monkeypatch.setattr(msjmc, "enriched_stationary_weight", lambda s, p: F(1))
+    code, out, _ = run(capsys, ["verify", "--suite", "lumping"] + MSJMC_ARGS)
+    assert code == 2
+    assert (f"FAIL enriched product law is stationary (counterexample {first})"
+            in out.splitlines())
 
 
 def test_verify_rejects_inapplicable_suite(capsys):
@@ -242,7 +257,9 @@ def test_spec_file_input(capsys, tmp_path):
     assert out.splitlines()[0] == "# states: 3"
 
 
-def test_validation_errors_exit_one(capsys):
+def test_validation_errors_exit_one(capsys, tmp_path):
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(json.dumps({"model": "msjmc", "counts": "1,1", "z": 5}))
     cases = [
         ["enumerate", "--model", "msjmc", "--z", "1,1"],
         ["enumerate", "--model", "msjmc", "--counts", "1,1", "--z", "1"],
@@ -254,11 +271,24 @@ def test_validation_errors_exit_one(capsys):
          "--balls", "9"],
         ["matrix", "--model", "msjmc", "--counts", "1,1", "--backend", "exact",
          "--z", "0.5,0.25,0.25"],
+        ["enumerate", "--model", "msjmc", "--counts", "1,1", "--z", "1/0,1,1"],
+        ["stationary", "--model", "msjmc", "--counts", "1,1", "--z", "0,1/2,1/2"],
+        ["stationary", "--model", "add_drop", "--n", "1", "--T", "2",
+         "--z", "0,1", "--activities", "1,1"],
+        ["stationary", "--model", "msjmc", "--counts", "1,1", "--backend", "float",
+         "--z", "nan,1,1"],
+        ["stationary", "--model", "msjmc", "--counts", "1,1", "--backend", "float",
+         "--z", "inf,1,1"],
+        ["simulate", "--replicas", "0"] + MSJMC_ARGS,
+        ["simulate", "--replicas", "-2"] + MSJMC_ARGS,
+        ["simulate", "--replicas", "5", "--steps", "-3"] + MSJMC_ARGS,
+        ["enumerate", "--spec", str(bad_spec)],
     ]
     for argv in cases:
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 1, argv
-        assert "error:" in err
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_usage_errors_exit_one(capsys):
