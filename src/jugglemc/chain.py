@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -138,17 +138,19 @@ class LumpingMap:
         return self.mapping[state]
 
 
-def build_matrix(states: Sequence, transition_fn: Callable) -> ChainMatrix:
-    """Assemble a ChainMatrix from a per-state sparse transition function.
+def build_matrix(states: Sequence, successors: Callable) -> ChainMatrix:
+    """Assemble a ChainMatrix from a per-state successor generator.
 
-    transition_fn(state) must return a mapping successor-state -> probability;
-    successors outside `states` raise UnknownSuccessor, bad row sums RowSumError.
+    successors(state) yields (successor state, probability) pairs; a
+    successor yielded more than once gets the sum of its probabilities, added
+    in the order they come. Successors outside `states` raise
+    UnknownSuccessor, bad row sums RowSumError.
     """
     index = {s: i for i, s in enumerate(states)}
     rows = []
     for s in states:
         row = {}
-        for succ, v in transition_fn(s).items():
+        for succ, v in successors(s):
             j = index.get(succ)
             if j is None:
                 raise UnknownSuccessor(f"transition {s} -> {succ} leaves the state list")
@@ -444,24 +446,13 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class _RowSampler:
-    def __init__(self, P: ChainMatrix):
-        self.P = P
-        self._tables = {}
-
-    def __call__(self, i: int, rng: random.Random) -> int:
-        tab = self._tables.get(i)
-        if tab is None:
-            items = sorted(self.P.rows[i].items())
-            cum = []
-            acc = 0.0
-            for _, v in items:
-                acc += float(v)
-                cum.append(acc)
-            tab = ([j for j, _ in items], cum)
-            self._tables[i] = tab
-        succ, cum = tab
-        return succ[bisect_left(cum, rng.random() * cum[-1])]
+def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float]]]:
+    """Per row, the successors in index order and their running float sums."""
+    tables = []
+    for row in P.rows:
+        items = sorted(row.items())
+        tables.append(([j for j, _ in items], list(accumulate(float(v) for _, v in items))))
+    return tables
 
 
 def simulate(
@@ -483,11 +474,12 @@ def simulate(
         burn_in = steps // 10
     rng = random.Random(seed)
     if isinstance(chain, ChainMatrix):
-        sampler = _RowSampler(chain)
+        tables = _cumulative_rows(chain)
         pos = chain.index[start]
         path_idx = [pos]
         for _ in range(steps):
-            pos = sampler(pos, rng)
+            succ, cum = tables[pos]
+            pos = succ[bisect_left(cum, rng.random() * cum[-1])]
             path_idx.append(pos)
         trajectory = [chain.states[i] for i in path_idx]
         counts = [0] * chain.size
@@ -523,14 +515,15 @@ def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: 
         raise ValueError("replicas must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    sampler = _RowSampler(P)
+    tables = _cumulative_rows(P)
     start_idx = P.index[start]
     counts = [0] * P.size
     for r in range(replicas):
         rng = random.Random(_mix64(seed + r))
         pos = start_idx
         for _ in range(horizon):
-            pos = sampler(pos, rng)
+            succ, cum = tables[pos]
+            pos = succ[bisect_left(cum, rng.random() * cum[-1])]
         counts[pos] += 1
     weights = tuple(Fraction(c, replicas) for c in counts)
     return Distribution(P.states, weights)

@@ -82,10 +82,24 @@ def _parse_weight(raw, backend: str):
         raise ValueError(f"weight {raw!r} is not a finite number") from None
 
 
-def _int_list(raw) -> tuple:
+def _int(name: str, raw) -> int:
+    # int() alone would read JSON true as 1 and 2.9 as 2
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {raw!r}")
+
+
+def _int_list(name: str, raw) -> tuple:
     if isinstance(raw, str):
         raw = raw.split(",")
-    return tuple(int(x) for x in raw)
+    if not isinstance(raw, list):
+        raise ValueError(f"{name} must be a list of integers, got {raw!r}")
+    return tuple(_int(f"{name} entry", x) for x in raw)
 
 
 def _raw_list(raw) -> list:
@@ -137,13 +151,13 @@ def load_spec(args) -> ModelSpec:
         spec.activities = tuple(_parse_weight(x, backend) for x in _raw_list(raw_act))
 
     if pick("counts") is not None:
-        spec.counts = _int_list(pick("counts"))
+        spec.counts = _int_list("counts", pick("counts"))
     for name in ("n", "T", "r", "balls"):
         value = pick(name)
         if value is not None:
-            setattr(spec, name, int(value))
+            setattr(spec, name, _int(name, value))
     if model == "several_jugglers" and pick("c") is not None:
-        spec.c = int(pick("c"))
+        spec.c = _int("c", pick("c"))
 
     _validate(spec)
     return spec

@@ -9,14 +9,14 @@ sequence of the intermediate word, so the cascade code is shared verbatim.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
     complete_homogeneous, stat_E, stat_J
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, _check_enriched, apply_bump, bumping_sequences
+from .msjmc import EnrichedState, _check_enriched, apply_bump, bumping_sequences, \
+    _enriched_states, _enriched_update
 
 
 class InsertionChoice(NamedTuple):
@@ -141,18 +141,18 @@ def annihilation_stationary(w: Word, p: ParamSet):
     return acc
 
 
+def _word_chain(n, T, p, choices_fn, prob_fn) -> ChainMatrix:
+    def successors(w: Word):
+        for choice in choices_fn(w):
+            succ = apply_bump(intermediate_word(w, choice.j), choice.a)
+            yield succ, prob_fn(w, choice, p)
+
+    return build_matrix(enumerate_alphabet_words(n, T), successors)
+
+
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    states = enumerate_alphabet_words(n, T)
-
-    def row(w: Word):
-        out: dict[Word, object] = {}
-        for choice in insertion_choices(w):
-            succ = apply_bump(intermediate_word(w, choice.j), choice.a)
-            out[succ] = out.get(succ, 0) + add_drop_prob(w, choice, p)
-        return out
-
-    return build_matrix(states, row)
+    return _word_chain(n, T, p, insertion_choices, add_drop_prob)
 
 
 def annihilation_choices(w: Word) -> list[InsertionChoice]:
@@ -170,44 +170,20 @@ def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    states = enumerate_alphabet_words(n, T)
-
-    def row(w: Word):
-        out: dict[Word, object] = {}
-        for choice in annihilation_choices(w):
-            succ = apply_bump(intermediate_word(w, choice.j), choice.a)
-            out[succ] = out.get(succ, 0) + annihilation_prob(w, choice, p)
-        return out
-
-    return build_matrix(states, row)
+    return _word_chain(n, T, p, annihilation_choices, annihilation_prob)
 
 
 def enriched_fluctuating_step(s: EnrichedState, choice: InsertionChoice) -> EnrichedState:
     """Enriched update on the intermediate word: bumped slots restart at
     E_{w'}, the rest of the auxiliary word shifts left."""
     _check_enriched(s)
-    w, v = s
     j, a = choice
-    W = intermediate_word(w, j)
-    w2 = apply_bump(W, a)
-    filled = {cur - 1 for cur in a[1:]}
-    v2 = []
-    for i in range(1, w.n + 1):
-        if i in filled:
-            v2.append(stat_E(w2, i))
-        else:
-            v2.append(v[i])
-    return EnrichedState(w2, tuple(v2))
+    return _enriched_update(s.v, apply_bump(intermediate_word(s.w, j), a), a)
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
     """All (w, v) over the full alphabet state space, lexicographic."""
-    out = []
-    for w in enumerate_alphabet_words(n, T):
-        bounds = [stat_E(w, i) for i in range(1, n + 1)]
-        for v in product(*(range(1, b + 1) for b in bounds)):
-            out.append(EnrichedState(w, v))
-    return out
+    return _enriched_states(enumerate_alphabet_words(n, T))
 
 
 def enriched_add_drop_weight(s: EnrichedState, p: ParamSet):
@@ -238,14 +214,11 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
 def _enriched_chain(n, T, p, choices_fn, prob_fn) -> ChainMatrix:
     states = enumerate_enriched_words(n, T)
 
-    def row(s: EnrichedState):
-        out: dict[EnrichedState, object] = {}
+    def successors(s: EnrichedState):
         for choice in choices_fn(s.w):
-            succ = enriched_fluctuating_step(s, choice)
-            out[succ] = out.get(succ, 0) + prob_fn(s.w, choice, p)
-        return out
+            yield enriched_fluctuating_step(s, choice), prob_fn(s.w, choice, p)
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
 
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:

@@ -62,17 +62,6 @@ def drop_row(A: BallArray) -> BallArray:
     )
 
 
-def juggler_transition_prob(A: BallArray, B: BallArray) -> Fraction:
-    """Uniform rethrow: the caught balls go to distinct free cells."""
-    if (A.r, A.c, A.balls) != (B.r, B.c, B.balls):
-        raise ValueError("mismatched grids")
-    caught = A.row_count(A.r)
-    kept = drop_row(A)
-    if not kept.cells <= B.cells:
-        return Fraction(0)
-    return Fraction(1, comb(A.r * A.c - A.balls + caught, caught))
-
-
 def juggler_stationary_weight(A: BallArray) -> int:
     """Unnormalized stationary mass: prod_i (c i - balls above row i)
     falling row count of i."""
@@ -85,33 +74,17 @@ def juggler_stationary_weight(A: BallArray) -> int:
     return acc
 
 
-def count_arc_enrichments(A: BallArray) -> int:
-    """Brute-force count of the cross placements over one extra top row."""
-    sites = []
-    for i, j in sorted(A.cells):
-        sites.append([(a, b) for a in range(i) for b in range(1, A.c + 1)])
-
-    def rec(idx: int, used: frozenset) -> int:
-        if idx == len(sites):
-            return 1
-        return sum(
-            rec(idx + 1, used | {cell})
-            for cell in sites[idx]
-            if cell not in used
-        )
-
-    return rec(0, frozenset())
-
-
 def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
-    states = enumerate_arrays(r, c, balls)
+    """The caught balls land on each choice of distinct cells left free by
+    drop_row, every choice equally likely."""
+    grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
 
-    def row(A: BallArray):
-        out = {}
-        for B in states:
-            prob = juggler_transition_prob(A, B)
-            if prob:
-                out[B] = prob
-        return out
+    def successors(A: BallArray):
+        kept = drop_row(A).cells
+        free = [cell for cell in grid if cell not in kept]
+        caught = A.balls - len(kept)
+        prob = Fraction(1, comb(len(free), caught))
+        for landed in combinations(free, caught):
+            yield BallArray(r, c, kept.union(landed)), prob
 
-    return build_matrix(states, row)
+    return build_matrix(enumerate_arrays(r, c, balls), successors)

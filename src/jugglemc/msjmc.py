@@ -113,24 +113,25 @@ def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
     states = enumerate_multiset_words(counts)
 
-    def row(w: Word):
-        out: dict[Word, object] = {}
+    def successors(w: Word):
         for a in bumping_sequences(w):
-            succ = apply_bump(w, a)
-            out[succ] = out.get(succ, 0) + transition_prob(w, a, p)
-        return out
+            yield apply_bump(w, a), transition_prob(w, a, p)
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
+
+
+def _enriched_states(words) -> list[EnrichedState]:
+    """All (w, v) with 1 <= v_i <= E_w(i), in the order of the words, then v."""
+    return [
+        EnrichedState(w, v)
+        for w in words
+        for v in product(*(range(1, stat_E(w, i) + 1) for i in range(1, w.n + 1)))
+    ]
 
 
 def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
     """All (w, v) with 1 <= v_i <= E_w(i), lexicographic on (w, v)."""
-    out = []
-    for w in enumerate_multiset_words(counts):
-        bounds = [stat_E(w, i) for i in range(1, w.n + 1)]
-        for v in product(*(range(1, b + 1) for b in bounds)):
-            out.append(EnrichedState(w, v))
-    return out
+    return _enriched_states(enumerate_multiset_words(counts))
 
 
 def _check_enriched(s: EnrichedState):
@@ -142,21 +143,19 @@ def _check_enriched(s: EnrichedState):
             raise ValueError(f"v_{i} = {v[i - 1]} outside 1..E_w({i}) = {stat_E(w, i)}")
 
 
-def enriched_step(s: EnrichedState, a: tuple[int, ...]) -> EnrichedState:
-    """Deterministic enriched update: bumped slots restart at E_{w'}, the
-    rest of the auxiliary word shifts left with the balls."""
-    _check_enriched(s)
-    w, v = s
-    w2 = apply_bump(w, a)
-    n = w.n
+def _enriched_update(v: tuple[int, ...], w2: Word, a: tuple[int, ...]) -> EnrichedState:
+    """(w2, v') for the word w2 a bump along a produced: the bumped slots of
+    v' restart at E_{w2}, the other entries of v shift left with the balls."""
     filled = {cur - 1 for cur in a[1:]}
-    v2 = []
-    for i in range(1, n + 1):
-        if i in filled:
-            v2.append(stat_E(w2, i))
-        else:
-            v2.append(v[i])
-    return EnrichedState(w2, tuple(v2))
+    return EnrichedState(
+        w2, tuple(stat_E(w2, i) if i in filled else v[i] for i in range(1, w2.n + 1))
+    )
+
+
+def enriched_step(s: EnrichedState, a: tuple[int, ...]) -> EnrichedState:
+    """Deterministic enriched update of s along the bumping sequence a."""
+    _check_enriched(s)
+    return _enriched_update(s.v, apply_bump(s.w, a), a)
 
 
 def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
@@ -171,14 +170,11 @@ def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
     states = enumerate_enriched(counts)
 
-    def row(s: EnrichedState):
-        out: dict[EnrichedState, object] = {}
+    def successors(s: EnrichedState):
         for a in bumping_sequences(s.w):
-            succ = enriched_step(s, a)
-            out[succ] = out.get(succ, 0) + transition_prob(s.w, a, p)
-        return out
+            yield enriched_step(s, a), transition_prob(s.w, a, p)
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
 
 
 def reconstruct_predecessor(s_next: EnrichedState):

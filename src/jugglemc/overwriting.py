@@ -94,14 +94,11 @@ def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     states = enumerate_alphabet_words(n, T)
 
-    def row(w: Word):
-        out: dict[Word, object] = {}
+    def successors(w: Word):
         for B in overwrite_sequences(w):
-            succ = apply_overwrite(w, B)
-            out[succ] = out.get(succ, 0) + overwrite_prob(w, B, p)
-        return out
+            yield apply_overwrite(w, B), overwrite_prob(w, B, p)
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
 
 
 # ---------------------------------------------------------------- tableaux
@@ -298,10 +295,11 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     states = enumerate_tableaux(n, T)
 
-    def row(V: Tableau):
-        return {W: tableau_step_prob(V, W, p) for W in tableau_successors(V)}
+    def successors(V: Tableau):
+        for W in tableau_successors(V):
+            yield W, tableau_step_prob(V, W, p)
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
 
 
 def lump_tableau(V: Tableau) -> Word:
@@ -410,19 +408,19 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         raise NotNormalized("matrix chain needs z summing to 1")
     p.require_arity(n)
     states = enumerate_matrix_states(n, T)
-    columns = list(product(range(1, n + 2), repeat=T - 1))
+    # the fresh column's law is the same from every state
+    columns = []
+    for newcol in product(range(1, n + 2), repeat=T - 1):
+        prob = p.z_at(1) ** 0
+        for x in newcol:
+            prob = prob * p.z_at(x)
+        columns.append((newcol, prob))
 
-    def row(M: MatrixState):
-        out: dict[MatrixState, object] = {}
-        for newcol in columns:
-            prob = p.z_at(1) ** 0
-            for x in newcol:
-                prob = prob * p.z_at(x)
-            succ = matrix_step(M, newcol)
-            out[succ] = out.get(succ, 0) + prob
-        return out
+    def successors(M: MatrixState):
+        for newcol, prob in columns:
+            yield matrix_step(M, newcol), prob
 
-    return build_matrix(states, row)
+    return build_matrix(states, successors)
 
 
 def lump_matrix(M: MatrixState) -> Tableau:

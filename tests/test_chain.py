@@ -33,7 +33,7 @@ F = Fraction
 def two_state(p, q) -> ChainMatrix:
     return build_matrix(
         ["a", "b"],
-        lambda s: {"a": 1 - p, "b": p} if s == "a" else {"a": q, "b": 1 - q},
+        lambda s: ({"a": 1 - p, "b": p} if s == "a" else {"a": q, "b": 1 - q}).items(),
     )
 
 
@@ -49,17 +49,28 @@ def test_build_matrix_and_accessors():
 
 def test_build_matrix_rejects_bad_rows():
     with pytest.raises(RowSumError):
-        build_matrix(["a"], lambda s: {"a": F(1, 2)})
+        build_matrix(["a"], lambda s: {"a": F(1, 2)}.items())
     with pytest.raises(RowSumError):
-        build_matrix(["a", "b"], lambda s: {"a": F(3, 2), "b": F(-1, 2)})
+        build_matrix(["a", "b"], lambda s: {"a": F(3, 2), "b": F(-1, 2)}.items())
     with pytest.raises(UnknownSuccessor):
-        build_matrix(["a"], lambda s: {"elsewhere": F(1)})
+        build_matrix(["a"], lambda s: {"elsewhere": F(1)}.items())
     with pytest.raises(ValueError):
         ChainMatrix(["a", "a"], [{0: F(1)}, {0: F(1)}])
 
 
+def test_build_matrix_adds_repeated_successors():
+    P = build_matrix(["a", "b"], lambda s: [("a", F(1, 4)), ("b", F(1, 2)), ("a", F(1, 4))])
+    assert P.rows == ({0: F(1, 2), 1: F(1, 2)},) * 2
+    # floats add in the order they are yielded: 0.9999999999999999, where
+    # the sorted or reversed sum gives 1.0
+    P = build_matrix([0], lambda s: [(0, 0.2), (0, 0.7), (0, 0.1)])
+    assert P.rows == ({0: (0.2 + 0.7) + 0.1},) and P.rows[0][0] != 1.0
+    with pytest.raises(RowSumError):
+        build_matrix(["a"], lambda s: [("a", F(1, 2)), ("a", F(1, 4))])
+
+
 def test_float_rows_accepted_within_tolerance():
-    P = build_matrix([0, 1], lambda s: {0: 0.25, 1: 0.75})
+    P = build_matrix([0, 1], lambda s: {0: 0.25, 1: 0.75}.items())
     assert not P.exact
 
 
@@ -71,13 +82,13 @@ def test_stationary_exact_two_state():
 
 
 def test_stationary_exact_refuses_floats():
-    P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5})
+    P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5}.items())
     with pytest.raises(ValueError):
         stationary_exact(P)
 
 
 def test_stationary_exact_detects_reducible():
-    P = build_matrix([0, 1], lambda s: {s: F(1)})
+    P = build_matrix([0, 1], lambda s: {s: F(1)}.items())
     with pytest.raises(ReducibleChain):
         stationary_exact(P)
 
@@ -90,12 +101,12 @@ def test_stationary_power_agrees_with_exact():
 
 
 def test_irreducibility_and_period():
-    swap = build_matrix([0, 1], lambda s: {1 - s: F(1)})
+    swap = build_matrix([0, 1], lambda s: {1 - s: F(1)}.items())
     assert is_irreducible(swap)
     assert chain_period(swap) == 2
     lazy = two_state(F(1, 2), F(1, 2))
     assert chain_period(lazy) == 1
-    split = build_matrix([0, 1], lambda s: {s: F(1)})
+    split = build_matrix([0, 1], lambda s: {s: F(1)}.items())
     assert not is_irreducible(split)
     with pytest.raises(ReducibleChain):
         chain_period(split)
@@ -136,11 +147,12 @@ def lumpable_pair():
             1: {0: F(1, 2), 2: F(1, 8), 3: F(3, 8)},
             2: {0: F(2, 3), 1: F(1, 6), 2: F(1, 6)},
             3: {0: F(5, 6), 2: F(1, 12), 3: F(1, 12)},
-        }[s],
+        }[s].items(),
     )
     P = build_matrix(
         ["A", "B"],
-        lambda s: {"A": F(1, 2), "B": F(1, 2)} if s == "A" else {"A": F(5, 6), "B": F(1, 6)},
+        lambda s: ({"A": F(1, 2), "B": F(1, 2)} if s == "A"
+                   else {"A": F(5, 6), "B": F(1, 6)}).items(),
     )
     f = LumpingMap.from_function(lambda s: "A" if s < 2 else "B", [0, 1, 2, 3], ["A", "B"])
     return Pt, f, P
@@ -157,7 +169,8 @@ def test_verify_lumping_flags_corruption():
     Pt, f, _ = lumpable_pair()
     corrupted = build_matrix(
         ["A", "B"],
-        lambda s: {"A": F(1, 2), "B": F(1, 2)} if s == "A" else {"A": F(1, 6), "B": F(5, 6)},
+        lambda s: ({"A": F(1, 2), "B": F(1, 2)} if s == "A"
+                   else {"A": F(1, 6), "B": F(5, 6)}).items(),
     )
     ok, witness = verify_lumping(Pt, f, corrupted)
     assert not ok
@@ -192,7 +205,7 @@ def test_stationary_projects_through_lumping():
 
 def test_ultrafast_check():
     # both rows equal from the first power on
-    flat = build_matrix([0, 1], lambda s: {0: F(1, 3), 1: F(2, 3)})
+    flat = build_matrix([0, 1], lambda s: {0: F(1, 3), 1: F(2, 3)}.items())
     ok, common = ultrafast_check(flat, 1)
     assert ok
     assert common.weights == (F(1, 3), F(2, 3))
@@ -202,7 +215,7 @@ def test_ultrafast_check():
 
 
 def test_nilpotency_check():
-    flat = build_matrix([0, 1], lambda s: {0: F(1, 3), 1: F(2, 3)})
+    flat = build_matrix([0, 1], lambda s: {0: F(1, 3), 1: F(2, 3)}.items())
     assert nilpotency_check(flat, 1)
     assert not nilpotency_check(two_state(F(1, 3), F(1, 5)), 1)
 
@@ -229,7 +242,7 @@ def ladder_chains():
     yield two_state(F(1, 3), F(1, 5))
     # every row of P^2 is (1/4, 1/4, 1/2), reached from distinct lumped rows
     yield build_matrix([0, 1, 2], lambda s: (
-        {2: F(1)}, {0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)})[s])
+        {2: F(1)}, {0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)})[s].items())
     yield msjmc.build_chain(TypeCounts((1, 1, 1)), ParamSet((F(1), F(2), F(1, 3), F(3))))
     yield msjmc.build_chain(TypeCounts((2, 1)), ParamSet((F(1, 2), F(1), F(2), F(1))))
     yield fluctuating.build_add_drop_chain(
@@ -268,7 +281,7 @@ def test_power_checks_reject_negative_powers():
 
 
 def test_power_checks_refuse_floats():
-    P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5})
+    P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5}.items())
     with pytest.raises(ValueError):
         ultrafast_check(P, 1)
     with pytest.raises(ValueError):
@@ -315,6 +328,18 @@ def test_simulate_approaches_stationary():
     _, emp = simulate(P, "a", 60_000, seed=11)
     pi = stationary_exact(P).normalize()
     assert total_variation(emp, pi) < 0.02
+
+
+def test_seeded_runs_replay_pinned_values():
+    # the float row sums and the RNG draws fix every seeded output; these
+    # values must not move without a SPEC_VERSION bump
+    P = msjmc.build_chain(TypeCounts((1, 1, 1)), ParamSet((F(1), F(2), F(1, 3), F(3))))
+    traj, dist = simulate(P, P.states[0], 300, seed=7)
+    assert [P.index[s] for s in traj[:20]] == [
+        0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 1, 4, 0, 2, 0, 2, 1, 4]
+    assert dist.weights == tuple(F(c, 271) for c in (99, 23, 84, 31, 26, 8))
+    reps = simulate_replicas(P, P.states[0], horizon=3, replicas=60, seed=5)
+    assert reps.weights == tuple(F(c, 60) for c in (21, 4, 16, 5, 11, 3))
 
 
 def test_simulate_replicas():

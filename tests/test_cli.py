@@ -258,9 +258,20 @@ def test_spec_file_input(capsys, tmp_path):
 
 
 def test_validation_errors_exit_one(capsys, tmp_path):
-    bad_spec = tmp_path / "bad.json"
-    bad_spec.write_text(json.dumps({"model": "msjmc", "counts": "1,1", "z": 5}))
-    cases = [
+    bad_specs = [
+        {"model": "msjmc", "counts": "1,1", "z": 5},
+        {"model": "msjmc", "counts": [1, [1]], "z": "1,1,1"},
+        {"model": "msjmc", "counts": 3, "z": "1,1,1,1"},
+        {"model": "annihilation", "n": [2], "T": 2, "z": "1/3,1/3,1/3"},
+        {"model": "annihilation", "n": 2.9, "T": 2, "z": "1/3,1/3,1/3"},
+        {"model": "annihilation", "n": True, "T": 2, "z": "1/2,1/2"},
+    ]
+    spec_args = []
+    for k, data in enumerate(bad_specs):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(data))
+        spec_args.append(["enumerate", "--spec", str(path)])
+    cases = spec_args + [
         ["enumerate", "--model", "msjmc", "--z", "1,1"],
         ["enumerate", "--model", "msjmc", "--counts", "1,1", "--z", "1"],
         ["enumerate", "--model", "annihilation", "--n", "1", "--T", "2",
@@ -282,7 +293,6 @@ def test_validation_errors_exit_one(capsys, tmp_path):
         ["simulate", "--replicas", "0"] + MSJMC_ARGS,
         ["simulate", "--replicas", "-2"] + MSJMC_ARGS,
         ["simulate", "--replicas", "5", "--steps", "-3"] + MSJMC_ARGS,
-        ["enumerate", "--spec", str(bad_spec)],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)

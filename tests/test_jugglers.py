@@ -14,14 +14,39 @@ from jugglemc.chain import (
 from jugglemc.jugglers import (
     BallArray,
     build_chain,
-    count_arc_enrichments,
     drop_row,
     enumerate_arrays,
     juggler_stationary_weight,
-    juggler_transition_prob,
 )
 
 F = Fraction
+
+
+def count_arc_enrichments(A: BallArray) -> int:
+    """Brute-force count of the cross placements over one extra top row."""
+    sites = []
+    for i, j in sorted(A.cells):
+        sites.append([(a, b) for a in range(i) for b in range(1, A.c + 1)])
+
+    def rec(idx: int, used: frozenset) -> int:
+        if idx == len(sites):
+            return 1
+        return sum(
+            rec(idx + 1, used | {cell})
+            for cell in sites[idx]
+            if cell not in used
+        )
+
+    return rec(0, frozenset())
+
+
+def all_pairs_prob(A: BallArray, B: BallArray) -> Fraction:
+    """Reference rule, one pair of states at a time: B is reachable iff it
+    keeps every ball drop_row(A) kept, and all reachable B are equally likely."""
+    caught = A.row_count(A.r)
+    if not drop_row(A).cells <= B.cells:
+        return F(0)
+    return F(1, comb(A.r * A.c - A.balls + caught, caught))
 
 
 def test_ball_array_basics():
@@ -56,19 +81,29 @@ def test_drop_row():
 
 
 def test_transition_prob_rules():
+    P = build_chain(2, 2, 2)
     A = BallArray(2, 2, frozenset({(1, 1), (2, 1)}))
     kept = drop_row(A).cells
     # one ball to reinject into rc - l + A_r = 3 open cells
     for target in enumerate_arrays(2, 2, 2):
         want = F(1, 3) if kept <= target.cells else F(0)
-        assert juggler_transition_prob(A, target) == want
-    with pytest.raises(ValueError):
-        juggler_transition_prob(A, BallArray(2, 3, frozenset({(1, 1), (2, 1)})))
+        assert P.entry(P.index[A], P.index[target]) == want
 
 
 def test_no_throw_is_deterministic():
+    P = build_chain(2, 2, 2)
     A = BallArray(2, 2, frozenset({(1, 1), (1, 2)}))
-    assert juggler_transition_prob(A, drop_row(A)) == 1
+    assert P.rows[P.index[A]] == {P.index[drop_row(A)]: 1}
+
+
+def test_rethrows_match_all_pairs_rule():
+    for r in range(1, 10):
+        for c in range(1, 9 // r + 1):
+            for balls in range(r * c + 1):
+                P = build_chain(r, c, balls)
+                for A, row in zip(P.states, P.rows):
+                    want = {j: all_pairs_prob(A, B) for j, B in enumerate(P.states)}
+                    assert row == {j: v for j, v in want.items() if v}, (r, c, balls, A)
 
 
 # 6x6 matrix in the display order: both balls low, the four mixed states,
