@@ -2,11 +2,12 @@
 
 Matrices are stored sparsely (one dict per row, successor index -> probability)
 with a fixed state order, so model matrices are reproducible entry for entry.
-The exact stationary solver runs Gaussian elimination over rationals on the
-balance equations of P transposed, with the normalization row appended; it
-refuses chains whose nonzero pattern is not strongly connected. Internally the
-elimination works on gmpy2 rationals when available, Fractions otherwise; the
-returned distribution always holds Fractions.
+The exact stationary solver runs Gaussian elimination on the balance equations
+of P transposed, with the normalization row appended; it refuses chains whose
+nonzero pattern is not strongly connected. Each equation is scaled to integers
+and eliminated fraction-free on Python ints; the returned distribution holds
+Fractions. The row-power checks work on gmpy2 rationals when available,
+Fractions otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .combinatorics import FLOAT_TOL, is_exact
@@ -223,12 +224,17 @@ def _to_fraction(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def _solve_sparse(equations: list[dict], rhs: list, nvars: int):
-    """Exact sparse Gaussian elimination; returns the unique solution.
+def _solve_sparse(equations: list[dict], rhs: list[int], nvars: int) -> list[Fraction]:
+    """Exact fraction-free sparse elimination; returns the unique solution.
 
-    equations: dicts var -> coefficient. The system may contain one redundant
-    equation; it must reduce to 0 = 0. Pivots are chosen to limit fill-in
-    (fewest occupied rows for the variable, shortest row as tiebreak).
+    equations: dicts var -> integer coefficient, with integer right-hand
+    sides. The system may contain one redundant equation; it must reduce to
+    0 = 0. Pivots are chosen to limit fill-in (fewest occupied rows for the
+    variable, shortest row as tiebreak). Elimination is fraction-free, after
+    Bareiss (Math. Comp. 22, 1968): a row is updated by integer
+    cross-multiplication with the pivot row and then divided by the gcd of
+    its coefficients and right-hand side, which keeps entries small.
+    Fractions appear only in back-substitution.
     """
     col_rows: list[set[int]] = [set() for _ in range(nvars)]
     for r, eq in enumerate(equations):
@@ -254,7 +260,11 @@ def _solve_sparse(equations: list[dict], rhs: list, nvars: int):
             if r == pr or used[r]:
                 continue
             eq = equations[r]
-            factor = eq[pv] / pcoef
+            g = gcd(eq[pv], pcoef)
+            scale, factor = pcoef // g, eq[pv] // g
+            if scale != 1:
+                for v in eq:
+                    eq[v] *= scale
             for v, c in peq.items():
                 nv = eq.get(v, 0) - factor * c
                 if nv == 0:
@@ -265,7 +275,12 @@ def _solve_sparse(equations: list[dict], rhs: list, nvars: int):
                     if v not in eq:
                         col_rows[v].add(r)
                     eq[v] = nv
-            rhs[r] = rhs[r] - factor * rhs[pr]
+            rhs[r] = scale * rhs[r] - factor * rhs[pr]
+            content = gcd(rhs[r], *eq.values())
+            if content > 1:
+                for v in eq:
+                    eq[v] //= content
+                rhs[r] //= content
         # the pivot row leaves the working set
         for v in peq:
             col_rows[v].discard(pr)
@@ -274,12 +289,11 @@ def _solve_sparse(equations: list[dict], rhs: list, nvars: int):
             raise ReducibleChain("inconsistent balance equations")
     solution = [None] * nvars
     for pr, pv in reversed(order):
-        eq = equations[pr]
-        acc = rhs[pr]
-        for v, c in eq.items():
-            if v != pv:
-                acc = acc - c * solution[v]
-        solution[pv] = acc / eq[pv]
+        # one integer sum over the lcm of the known denominators
+        terms = [(c, solution[v]) for v, c in equations[pr].items() if v != pv]
+        d = lcm(*(x.denominator for _, x in terms))
+        num = rhs[pr] * d - sum(c * x.numerator * (d // x.denominator) for c, x in terms)
+        solution[pv] = Fraction(num, d * equations[pr][pv])
     return solution
 
 
@@ -293,21 +307,22 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
             "stationary distribution would not be unique"
         )
     n = P.size
-    one = _to_internal(1)
-    zero = one * 0
-    # balance equations (columns of P^T - I), then the normalization row
-    equations: list[dict] = [{j: -one} for j in range(n)]
+    # balance equations (columns of P^T - I), each scaled to coprime
+    # integers, then the normalization row
+    columns: list[dict] = [{j: -1} for j in range(n)]
     for i, row in enumerate(P.rows):
         for j, v in row.items():
-            eq = equations[j]
-            eq[i] = eq.get(i, zero) + _to_internal(v)
-            if eq[i] == 0:
-                del eq[i]
-    rhs = [zero] * n
-    equations.append({j: one for j in range(n)})
-    rhs.append(one)
-    sol = _solve_sparse(equations, rhs, n)
-    return Distribution(P.states, tuple(_to_fraction(x) for x in sol))
+            columns[j][i] = v - 1 if i == j else v
+    equations: list[dict] = []
+    for col in columns:
+        d = lcm(*(v.denominator for v in col.values()))
+        eq = {i: v.numerator * (d // v.denominator) for i, v in col.items() if v}
+        content = gcd(*eq.values())
+        equations.append({i: c // content for i, c in eq.items()})
+    rhs = [0] * n
+    equations.append({j: 1 for j in range(n)})
+    rhs.append(1)
+    return Distribution(P.states, tuple(_solve_sparse(equations, rhs, n)))
 
 
 def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000) -> Distribution:
@@ -466,12 +481,15 @@ def simulate(
 
     `chain` is a ChainMatrix or a callable sampler(state, rng) -> next state.
     The empirical distribution counts visits from `burn_in` on (default
-    steps // 10). Deterministic for a fixed seed.
+    steps // 10; at most `steps`, so the last state always counts).
+    Deterministic for a fixed seed.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if burn_in is None:
         burn_in = steps // 10
+    if not 0 <= burn_in <= steps:
+        raise ValueError(f"burn_in must be in 0..{steps}, got {burn_in}")
     rng = random.Random(seed)
     if isinstance(chain, ChainMatrix):
         tables = _cumulative_rows(chain)

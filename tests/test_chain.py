@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jugglemc import fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
@@ -89,6 +91,85 @@ def test_stationary_exact_refuses_floats():
 
 def test_stationary_exact_detects_reducible():
     P = build_matrix([0, 1], lambda s: {s: F(1)}.items())
+    with pytest.raises(ReducibleChain):
+        stationary_exact(P)
+
+
+@st.composite
+def rational_rows(draw, states: range, cycle: list) -> list[dict]:
+    """Rows for `states` with p/q entries on successors in `cycle`; each
+    state also moves to the state after it in `cycle`, so those states
+    form one communicating class."""
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    rows = []
+    for i in states:
+        succ = draw(st.sets(st.sampled_from(cycle), max_size=len(cycle)))
+        succ.add(cycle[(cycle.index(i) + 1) % len(cycle)])
+        w = {j: draw(weight) for j in sorted(succ)}
+        total = sum(w.values())
+        rows.append({j: x / total for j, x in w.items()})
+    return rows
+
+
+@st.composite
+def irreducible_chains(draw) -> ChainMatrix:
+    n = draw(st.integers(1, 7))
+    cycle = draw(st.permutations(range(n)))
+    return ChainMatrix(range(n), draw(rational_rows(range(n), cycle)))
+
+
+@st.composite
+def reducible_chains(draw) -> ChainMatrix:
+    """States k..n-1 never leave their block, so states 0..k-1 are transient."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    rows = draw(rational_rows(range(k), draw(st.permutations(range(n)))))
+    rows += draw(rational_rows(range(k, n), draw(st.permutations(range(k, n)))))
+    return ChainMatrix(range(n), rows)
+
+
+def gauss_jordan_stationary(P: ChainMatrix) -> tuple:
+    """Dense Fraction reference: balance equations of states 0..n-2 and the
+    normalization row, reduced to the identity."""
+    n = P.size
+    A = [[F(P.entry(i, j)) - (i == j) for i in range(n)] + [F(0)] for j in range(n - 1)]
+    A.append([F(1)] * (n + 1))
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return tuple(row[n] for row in A)
+
+
+# the normalization row is pivoted before the last variable here, so
+# back-substitution meets a nonzero right-hand side over known denominators
+PIVOTS_NORMALIZATION_EARLY = ChainMatrix(range(5), [
+    {2: F(1, 6), 3: F(2, 3), 4: F(1, 6)},
+    {0: F(1)},
+    {1: F(1)},
+    {2: F(1, 3), 3: F(2, 3)},
+    {0: F(1, 2), 3: F(1, 2)},
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(irreducible_chains())
+@example(PIVOTS_NORMALIZATION_EARLY)
+def test_stationary_exact_matches_dense_reference(P):
+    pi = stationary_exact(P)
+    assert pi.weights == gauss_jordan_stationary(P)
+    assert all(type(w) is Fraction for w in pi.weights)
+    assert sum(pi.weights) == 1
+    assert step_distribution(pi, P) == pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(reducible_chains())
+def test_stationary_exact_refuses_random_reducible_patterns(P):
     with pytest.raises(ReducibleChain):
         stationary_exact(P)
 
@@ -314,6 +395,18 @@ def test_simulate_burn_in_window():
     for s in traj[40:]:
         counts[s] += 1
     assert dist.weights == tuple(F(counts[s], 61) for s in P.states)
+    # burn_in = steps keeps the last state alone
+    traj, dist = simulate(P, "a", 100, seed=3, burn_in=100)
+    assert dist.as_dict()[traj[-1]] == 1
+
+
+@pytest.mark.parametrize("burn_in", [-1, 101])
+def test_simulate_rejects_burn_in_outside_steps(burn_in):
+    P = two_state(F(1, 3), F(1, 5))
+    sampler = lambda s, rng: "b" if s == "a" else "a"  # noqa: E731
+    for chain in (P, sampler):
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate(chain, "a", 100, seed=3, burn_in=burn_in)
 
 
 def test_simulate_zero_steps_is_point_mass():
