@@ -43,7 +43,6 @@ class ChainMatrix:
         exact = True
         for i, row in enumerate(rows):
             r = {}
-            total = 0
             for j, v in row.items():
                 if not 0 <= j < len(self.states):
                     raise UnknownSuccessor(f"row {i}: successor index {j}")
@@ -53,10 +52,16 @@ class ChainMatrix:
                     raise RowSumError(f"row {i}: negative probability {v}")
                 if v != 0:
                     r[j] = v
-                    total = total + v
-            if is_exact(total):
-                ok = total == 1
+            if all(map(is_exact, r.values())):
+                # one integer sum over the lcm of the denominators
+                d = lcm(*(v.denominator for v in r.values()))
+                num = sum(v.numerator * (d // v.denominator) for v in r.values())
+                ok = num == d
+                total = Fraction(num, d)
             else:
+                total = 0
+                for v in r.values():
+                    total = total + v
                 ok = abs(total - 1) <= FLOAT_TOL
             if not ok:
                 raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
@@ -155,7 +160,7 @@ def build_matrix(states: Sequence, successors: Callable) -> ChainMatrix:
             j = index.get(succ)
             if j is None:
                 raise UnknownSuccessor(f"transition {s} -> {succ} leaves the state list")
-            row[j] = row.get(j, 0) + v
+            row[j] = row[j] + v if j in row else v
         rows.append(row)
     return ChainMatrix(states, rows)
 

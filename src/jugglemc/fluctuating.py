@@ -3,25 +3,23 @@
 Ball counts fluctuate: a transition replaces the first letter by a fresh ball
 of type j (chosen by activities in the add-drop model, by cascading attempts
 in the annihilation model) and then runs the usual bumping cascade on the
-intermediate word j w^-. InsertionChoice packs (j, a) with a a bumping
-sequence of the intermediate word, so the cascade code is shared verbatim.
+intermediate word j w^-. Past position 1, j w^- agrees with w, so one J table
+of w serves every j: per word, the builders compute the insertion factors
+once (the add-drop normalizer, the annihilation failure factors) and walk
+the cascades from a(2) with msjmc's walk, multiplying each tail onto its
+insertion factor at the leaf.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import prod
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, stat_E, stat_J
+    complete_homogeneous, stat_E
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, _check_enriched, apply_bump, bumping_sequences, \
-    _enriched_states, _enriched_update
-
-
-class InsertionChoice(NamedTuple):
-    j: int
-    a: tuple[int, ...]
+from .msjmc import EnrichedState, apply_bump, _cascades, _enriched_states, \
+    _enriched_update, _j_table
 
 
 def intermediate_word(w: Word, j: int) -> Word:
@@ -31,37 +29,32 @@ def intermediate_word(w: Word, j: int) -> Word:
     return Word((j,) + w.drop_first(), w.T)
 
 
-def insertion_choices(w: Word) -> list[InsertionChoice]:
-    """All (j, a) pairs, j ascending, a lexicographic."""
-    out = []
-    for j in range(1, w.T + 1):
-        for a in bumping_sequences(intermediate_word(w, j)):
-            out.append(InsertionChoice(j, a))
-    return out
+def _insertions(w: Word, J: list, p: ParamSet, j: int, head):
+    """Yield (a, probability) for every bumping sequence a of j w^-,
+    lexicographically: head(z_{J(a(2), j)}) for the insertion step times the
+    cascade factors from a(2) on. J is _j_table(w), which agrees with the
+    table of j w^- from position 2 on."""
+    for a2 in range(2, w.n + 1):
+        if w.letters[a2 - 1] > j:
+            h = head(p.z[J[a2][j] - 1])
+            for a, tail in _cascades(w, J, p, (1, a2), None, "cascade factor"):
+                yield a, h * tail
+    yield (1, w.n + 1), head(p.z[0])
 
 
-def _cascade_tail(W: Word, a: tuple[int, ...], p: ParamSet):
-    """prod_{i=3}^k Q_{W,a}(i): the bumping factors after the insertion."""
-    acc = p.z_at(1) ** 0
-    for prev, cur in zip(a[1:], a[2:]):
-        t = W.letter(prev)
-        den = p.y_at(stat_J(W, prev, t))
-        if den == 0:
-            raise DegenerateParams(f"y_{stat_J(W, prev, t)} = 0 in a cascade factor")
-        acc = acc * p.z_at(stat_J(W, cur, t)) / den
-    return acc
-
-
-def add_drop_prob(w: Word, choice: InsertionChoice, p: ParamSet):
-    """c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)} times the cascade tail."""
+def _add_drop_moves(w: Word, p: ParamSet):
+    """(j w^-, a, probability) for every insertion type j and bumping
+    sequence a: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)} times the cascade."""
     if p.c is None or len(p.c) != w.T:
         raise ValueError(f"need {w.T} activities")
-    j, a = choice
-    W = intermediate_word(w, j)
-    den = sum(p.c_at(t) * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1))
+    J = _j_table(w)
+    den = sum(p.c[t - 1] * p.y[J[2][t] - 1] for t in range(1, w.T + 1))
     if den == 0:
         raise DegenerateParams("insertion normalizer is 0")
-    return p.c_at(j) * p.z_at(stat_J(W, a[1], j)) / den * _cascade_tail(W, a, p)
+    for j, cj in enumerate(p.c, 1):
+        W = intermediate_word(w, j)
+        for a, prob in _insertions(w, J, p, j, lambda x: cj * x / den):
+            yield W, a, prob
 
 
 def add_drop_stationary_weight(w: Word, p: ParamSet):
@@ -104,25 +97,17 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
     return total
 
 
-def annihilation_prob(w: Word, choice: InsertionChoice, p: ParamSet):
-    """Cascading attempts: types below j all fail, then j lands, then the
-    usual bumping tail; type T goes to the top with the leftover mass."""
-    if not p.normalized:
-        raise NotNormalized("annihilation model needs z summing to 1")
-    j, a = choice
-    T = w.T
-    W = intermediate_word(w, j)
-    if j == T:
-        if a != (1, w.n + 1):
-            raise ValueError("type T always lands at the top")
-        acc = p.z_at(1) ** 0
-        for t in range(1, T):
-            acc = acc * (1 - p.y_at(stat_J(W, 2, t)))
-        return acc
-    acc = p.z_at(stat_J(W, a[1], j))
-    for t in range(1, j):
-        acc = acc * (1 - p.y_at(stat_J(W, 2, t)))
-    return acc * _cascade_tail(W, a, p)
+def _annihilation_moves(w: Word, p: ParamSet):
+    """(j w^-, a, probability) with cascading attempts: types below j all
+    fail, with factors 1 - y_{J(2, t)}, then j lands and bumps; type T goes
+    to the top with the leftover mass."""
+    J = _j_table(w)
+    fails = [1 - p.y[J[2][t] - 1] for t in range(1, w.T)]
+    for j in range(1, w.T):
+        W = intermediate_word(w, j)
+        for a, prob in _insertions(w, J, p, j, lambda x: prod(fails[: j - 1], start=x)):
+            yield W, a, prob
+    yield intermediate_word(w, w.T), (1, w.n + 1), prod(fails, start=p.z_at(1) ** 0)
 
 
 def annihilation_stationary(w: Word, p: ParamSet):
@@ -141,44 +126,24 @@ def annihilation_stationary(w: Word, p: ParamSet):
     return acc
 
 
-def _word_chain(n, T, p, choices_fn, prob_fn) -> ChainMatrix:
+def _word_chain(n, T, p, moves) -> ChainMatrix:
     def successors(w: Word):
-        for choice in choices_fn(w):
-            succ = apply_bump(intermediate_word(w, choice.j), choice.a)
-            yield succ, prob_fn(w, choice, p)
+        for W, a, prob in moves(w, p):
+            yield apply_bump(W, a), prob
 
     return build_matrix(enumerate_alphabet_words(n, T), successors)
 
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _word_chain(n, T, p, insertion_choices, add_drop_prob)
-
-
-def annihilation_choices(w: Word) -> list[InsertionChoice]:
-    """The choices with nonzero annihilation probability: j < T freely,
-    j = T pinned to the plain top insertion."""
-    out = []
-    for j in range(1, w.T):
-        for a in bumping_sequences(intermediate_word(w, j)):
-            out.append(InsertionChoice(j, a))
-    out.append(InsertionChoice(w.T, (1, w.n + 1)))
-    return out
+    return _word_chain(n, T, p, _add_drop_moves)
 
 
 def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _word_chain(n, T, p, annihilation_choices, annihilation_prob)
-
-
-def enriched_fluctuating_step(s: EnrichedState, choice: InsertionChoice) -> EnrichedState:
-    """Enriched update on the intermediate word: bumped slots restart at
-    E_{w'}, the rest of the auxiliary word shifts left."""
-    _check_enriched(s)
-    j, a = choice
-    return _enriched_update(s.v, apply_bump(intermediate_word(s.w, j), a), a)
+    return _word_chain(n, T, p, _annihilation_moves)
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
@@ -211,23 +176,22 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
     return acc
 
 
-def _enriched_chain(n, T, p, choices_fn, prob_fn) -> ChainMatrix:
-    states = enumerate_enriched_words(n, T)
-
+def _enriched_chain(n, T, p, moves) -> ChainMatrix:
+    # the bumped slots restart at E_{w'}, the rest of v shifts left
     def successors(s: EnrichedState):
-        for choice in choices_fn(s.w):
-            yield enriched_fluctuating_step(s, choice), prob_fn(s.w, choice, p)
+        for W, a, prob in moves(s.w, p):
+            yield _enriched_update(s.v, apply_bump(W, a), a), prob
 
-    return build_matrix(states, successors)
+    return build_matrix(enumerate_enriched_words(n, T), successors)
 
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _enriched_chain(n, T, p, insertion_choices, add_drop_prob)
+    return _enriched_chain(n, T, p, _add_drop_moves)
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _enriched_chain(n, T, p, annihilation_choices, annihilation_prob)
+    return _enriched_chain(n, T, p, _annihilation_moves)

@@ -4,7 +4,11 @@ pairs, including exact predecessor reconstruction.
 
 States are words with fixed letter counts. A transition throws the ball at
 position 1 and bumps a chain of strictly heavier balls recorded by a bumping
-sequence a = (1 = a(1) < ... < a(k) = n+1).
+sequence a = (1 = a(1) < ... < a(k) = n+1). Its probability is the product
+of the bumping factors z_{J(a(i), t)} / y_{J(a(i-1), t)}, t the type of the
+ball at a(i-1). Sequences with a common prefix share that part of the
+product, so the builders enumerate them with one recursive walk per word
+over a table of J_w, carrying the running product down the recursion.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import NamedTuple
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, TypeCounts, Word, enumerate_multiset_words, \
-    complete_homogeneous, stat_E, stat_J
+    complete_homogeneous, stat_E
 from .errors import DegenerateParams, InconsistentState
 
 
@@ -26,26 +30,42 @@ class EnrichedState(NamedTuple):
         return f"{self.w}|{''.join(str(x) for x in self.v)}"
 
 
-def bumping_sequences(w: Word) -> list[tuple[int, ...]]:
-    """All bumping sequences for w, lexicographically ordered.
+def _j_table(w: Word) -> list:
+    """J[m][t] = J_w(m, t) for m = 1..n+1 and t = 0..T, from the top down."""
+    J = [[1] * (w.T + 1)]
+    for x in reversed(w.letters):
+        J.append([k + (x > t) for t, k in enumerate(J[-1])])
+    return [None] + J[::-1]
 
-    Entries are positions; letters along the sequence strictly increase, with
-    the sentinel w_{n+1} = +infinity closing every sequence.
+
+def _cascades(w: Word, J: list, p: ParamSet, a: tuple[int, ...], acc, what: str):
+    """Yield (a', probability) for every bumping sequence a' of w that
+    extends a, lexicographically.
+
+    The ball of type t at the last position of a lands on a heavier ball at
+    cur or at the top n+1; each step multiplies acc by z_{J(cur, t)} and
+    divides by y_{J(prev, t)}, in sequence order (acc None is the empty
+    product). J is _j_table(w); `what` names the denominator in errors.
     """
-    n = w.n
-    out: list[tuple[int, ...]] = []
+    prev = a[-1]
+    t = w.letters[prev - 1]
+    k = J[prev][t]
+    den = p.y[k - 1]
+    if den == 0:
+        raise DegenerateParams(f"y_{k} = 0 in a {what}")
+    z, n = p.z, w.n
+    for cur in range(prev + 1, n + 1):
+        if w.letters[cur - 1] > t:
+            f = z[J[cur][t] - 1]
+            step = f / den if acc is None else acc * f / den
+            yield from _cascades(w, J, p, a + (cur,), step, what)
+    # the sentinel: J(n+1, t) = 1
+    yield a + (n + 1,), z[0] / den if acc is None else acc * z[0] / den
 
-    def rec(prefix: list[int], letter: int):
-        for nxt in range(prefix[-1] + 1, n + 2):
-            if nxt == n + 1:
-                out.append(tuple(prefix) + (n + 1,))
-            elif w.letter(nxt) > letter:
-                prefix.append(nxt)
-                rec(prefix, w.letter(nxt))
-                prefix.pop()
 
-    rec([1], w.letter(1) if n else 0)
-    return out
+def _bumps(w: Word, p: ParamSet):
+    """(a, transition probability) for every bumping sequence a of w."""
+    return _cascades(w, _j_table(w), p, (1,), None, "transition denominator")
 
 
 def _check_bump(w: Word, a: tuple[int, ...]):
@@ -55,7 +75,7 @@ def _check_bump(w: Word, a: tuple[int, ...]):
     for prev, cur in zip(a, a[1:]):
         if cur <= prev:
             raise ValueError(f"positions must increase: {a}")
-        if cur <= n and w.letter(cur) <= w.letter(prev):
+        if cur <= n and w.letters[cur - 1] <= w.letters[prev - 1]:
             raise ValueError(f"letters must increase along {a}")
 
 
@@ -63,29 +83,10 @@ def apply_bump(w: Word, a: tuple[int, ...]) -> Word:
     """The word w^a: each bumped position a(l)-1 receives the previous
     ball of the sequence, everything else shifts one slot left."""
     _check_bump(w, a)
-    n = w.n
-    res: list = [None] * n
+    res = list(w.letters[1:]) + [None]
     for prev, cur in zip(a, a[1:]):
-        res[cur - 2] = w.letter(prev)
-    for i in range(1, n + 1):
-        if res[i - 1] is None:
-            res[i - 1] = w.letter(i + 1)
+        res[cur - 2] = w.letters[prev - 1]
     return Word(tuple(res), w.T)
-
-
-def transition_prob(w: Word, a: tuple[int, ...], p: ParamSet):
-    """prod_{i=2..k} z_{J(a(i), w_{a(i-1)})} / y_{J(a(i-1), w_{a(i-1)})}."""
-    _check_bump(w, a)
-    acc = p.z_at(1) ** 0
-    for prev, cur in zip(a, a[1:]):
-        t = w.letter(prev)
-        den = p.y_at(stat_J(w, prev, t))
-        if den == 0:
-            raise DegenerateParams(
-                f"y_{stat_J(w, prev, t)} = 0 in a transition denominator"
-            )
-        acc = acc * p.z_at(stat_J(w, cur, t)) / den
-    return acc
 
 
 def stationary_weight(w: Word, p: ParamSet):
@@ -114,8 +115,8 @@ def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     states = enumerate_multiset_words(counts)
 
     def successors(w: Word):
-        for a in bumping_sequences(w):
-            yield apply_bump(w, a), transition_prob(w, a, p)
+        for a, prob in _bumps(w, p):
+            yield apply_bump(w, a), prob
 
     return build_matrix(states, successors)
 
@@ -171,8 +172,8 @@ def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     states = enumerate_enriched(counts)
 
     def successors(s: EnrichedState):
-        for a in bumping_sequences(s.w):
-            yield enriched_step(s, a), transition_prob(s.w, a, p)
+        for a, prob in _bumps(s.w, p):
+            yield _enriched_update(s.v, apply_bump(s.w, a), a), prob
 
     return build_matrix(states, successors)
 

@@ -1,0 +1,183 @@
+"""The per-choice rule of the bumping-cascade chains, kept as the reference
+the builders are tested against.
+
+Every probability is derived from scratch for one (word, choice) pair with
+the paper's product of bumping factors, and every row is accumulated the way
+the builders did before they walked the cascades once per word.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from jugglemc.combinatorics import (
+    ParamSet,
+    TypeCounts,
+    Word,
+    enumerate_alphabet_words,
+    enumerate_multiset_words,
+    stat_E,
+    stat_J,
+)
+from jugglemc.errors import DegenerateParams, NotNormalized
+from jugglemc.fluctuating import enumerate_enriched_words, intermediate_word
+from jugglemc.msjmc import EnrichedState, _check_bump, apply_bump, enriched_step, \
+    enumerate_enriched
+
+
+class InsertionChoice(NamedTuple):
+    j: int
+    a: tuple[int, ...]
+
+
+def bumping_sequences(w: Word) -> list[tuple[int, ...]]:
+    """All bumping sequences for w, lexicographically ordered.
+
+    Entries are positions; letters along the sequence strictly increase, with
+    the sentinel w_{n+1} = +infinity closing every sequence.
+    """
+    n = w.n
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], letter: int):
+        for nxt in range(prefix[-1] + 1, n + 2):
+            if nxt == n + 1:
+                out.append(tuple(prefix) + (n + 1,))
+            elif w.letter(nxt) > letter:
+                prefix.append(nxt)
+                rec(prefix, w.letter(nxt))
+                prefix.pop()
+
+    rec([1], w.letter(1) if n else 0)
+    return out
+
+
+def transition_prob(w: Word, a: tuple[int, ...], p: ParamSet):
+    """prod_{i=2..k} z_{J(a(i), w_{a(i-1)})} / y_{J(a(i-1), w_{a(i-1)})}."""
+    _check_bump(w, a)
+    acc = p.z_at(1) ** 0
+    for prev, cur in zip(a, a[1:]):
+        t = w.letter(prev)
+        den = p.y_at(stat_J(w, prev, t))
+        if den == 0:
+            raise DegenerateParams(
+                f"y_{stat_J(w, prev, t)} = 0 in a transition denominator"
+            )
+        acc = acc * p.z_at(stat_J(w, cur, t)) / den
+    return acc
+
+
+def insertion_choices(w: Word) -> list[InsertionChoice]:
+    """All (j, a) pairs, j ascending, a lexicographic."""
+    out = []
+    for j in range(1, w.T + 1):
+        for a in bumping_sequences(intermediate_word(w, j)):
+            out.append(InsertionChoice(j, a))
+    return out
+
+
+def _cascade_tail(W: Word, a: tuple[int, ...], p: ParamSet):
+    """prod_{i=3}^k Q_{W,a}(i): the bumping factors after the insertion."""
+    acc = p.z_at(1) ** 0
+    for prev, cur in zip(a[1:], a[2:]):
+        t = W.letter(prev)
+        den = p.y_at(stat_J(W, prev, t))
+        if den == 0:
+            raise DegenerateParams(f"y_{stat_J(W, prev, t)} = 0 in a cascade factor")
+        acc = acc * p.z_at(stat_J(W, cur, t)) / den
+    return acc
+
+
+def add_drop_prob(w: Word, choice: InsertionChoice, p: ParamSet):
+    """c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)} times the cascade tail."""
+    if p.c is None or len(p.c) != w.T:
+        raise ValueError(f"need {w.T} activities")
+    j, a = choice
+    W = intermediate_word(w, j)
+    den = sum(p.c_at(t) * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1))
+    if den == 0:
+        raise DegenerateParams("insertion normalizer is 0")
+    return p.c_at(j) * p.z_at(stat_J(W, a[1], j)) / den * _cascade_tail(W, a, p)
+
+
+def annihilation_choices(w: Word) -> list[InsertionChoice]:
+    """The choices with nonzero annihilation probability: j < T freely,
+    j = T pinned to the plain top insertion."""
+    out = []
+    for j in range(1, w.T):
+        for a in bumping_sequences(intermediate_word(w, j)):
+            out.append(InsertionChoice(j, a))
+    out.append(InsertionChoice(w.T, (1, w.n + 1)))
+    return out
+
+
+def annihilation_prob(w: Word, choice: InsertionChoice, p: ParamSet):
+    """Cascading attempts: types below j all fail, then j lands, then the
+    usual bumping tail; type T goes to the top with the leftover mass."""
+    if not p.normalized:
+        raise NotNormalized("annihilation model needs z summing to 1")
+    j, a = choice
+    T = w.T
+    W = intermediate_word(w, j)
+    if j == T:
+        if a != (1, w.n + 1):
+            raise ValueError("type T always lands at the top")
+        acc = p.z_at(1) ** 0
+        for t in range(1, T):
+            acc = acc * (1 - p.y_at(stat_J(W, 2, t)))
+        return acc
+    acc = p.z_at(stat_J(W, a[1], j))
+    for t in range(1, j):
+        acc = acc * (1 - p.y_at(stat_J(W, 2, t)))
+    return acc * _cascade_tail(W, a, p)
+
+
+def enriched_fluctuating_step(s: EnrichedState, choice: InsertionChoice) -> EnrichedState:
+    """Enriched update on the intermediate word: bumped slots restart at
+    E_{w'}, the rest of the auxiliary word shifts left."""
+    j, a = choice
+    w2 = apply_bump(intermediate_word(s.w, j), a)
+    filled = {cur - 1 for cur in a[1:]}
+    return EnrichedState(
+        w2, tuple(stat_E(w2, i) if i in filled else s.v[i] for i in range(1, w2.n + 1))
+    )
+
+
+def _rows(states, moves) -> list[dict]:
+    """Rows as the builders accumulated them: a repeated successor adds to
+    0 + its first probability, and zero entries are dropped."""
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for s in states:
+        row: dict = {}
+        for succ, prob in moves(s):
+            j = index[succ]
+            row[j] = row.get(j, 0) + prob
+        rows.append({j: v for j, v in row.items() if v != 0})
+    return rows
+
+
+def msjmc_rows(counts: TypeCounts, p: ParamSet, enriched: bool = False) -> list[dict]:
+    if enriched:
+        return _rows(enumerate_enriched(counts), lambda s: (
+            (enriched_step(s, a), transition_prob(s.w, a, p)) for a in bumping_sequences(s.w)
+        ))
+    return _rows(enumerate_multiset_words(counts), lambda w: (
+        (apply_bump(w, a), transition_prob(w, a, p)) for a in bumping_sequences(w)
+    ))
+
+
+def fluctuating_rows(model: str, n: int, T: int, p: ParamSet,
+                     enriched: bool = False) -> list[dict]:
+    """Rows of the add_drop or annihilation chain (or its enriched cover)."""
+    choices, prob = {
+        "add_drop": (insertion_choices, add_drop_prob),
+        "annihilation": (annihilation_choices, annihilation_prob),
+    }[model]
+    if enriched:
+        return _rows(enumerate_enriched_words(n, T), lambda s: (
+            (enriched_fluctuating_step(s, ch), prob(s.w, ch, p)) for ch in choices(s.w)
+        ))
+    return _rows(enumerate_alphabet_words(n, T), lambda w: (
+        (apply_bump(intermediate_word(w, ch.j), ch.a), prob(w, ch, p)) for ch in choices(w)
+    ))

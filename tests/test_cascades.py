@@ -1,0 +1,106 @@
+"""The cascade walk behind the msjmc, add_drop and annihilation builders
+against the per-choice rule in cascade_reference: every row, plain and
+enriched, with exact and float weights, must hold the same successors in
+the same order with values of the same type and repr."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from jugglemc import fluctuating, msjmc
+from jugglemc.combinatorics import ParamSet, TypeCounts
+
+from cascade_reference import fluctuating_rows, msjmc_rows
+
+F = Fraction
+
+MSJMC_SHAPES = [
+    (1,), (2,), (1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3), (1, 1, 1), (2, 1, 1),
+    (1, 2, 1), (1, 1, 2), (3, 2), (1, 1, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),
+]
+WORD_SHAPES = [
+    (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4),
+    (3, 4), (4, 3), (5, 3),
+]
+BUILDERS = {
+    ("add_drop", False): fluctuating.build_add_drop_chain,
+    ("add_drop", True): fluctuating.build_enriched_add_drop_chain,
+    ("annihilation", False): fluctuating.build_annihilation_chain,
+    ("annihilation", True): fluctuating.build_enriched_annihilation_chain,
+}
+
+
+def assert_same_rows(P, want):
+    assert len(P.rows) == len(want)
+    for state, got, ref in zip(P.states, P.rows, want):
+        assert [(j, type(v), repr(v)) for j, v in got.items()] == [
+            (j, type(v), repr(v)) for j, v in ref.items()
+        ], state
+
+
+def check(model, shape, enriched, z, c=None):
+    p = ParamSet(z, c=c)
+    if model == "msjmc":
+        counts = TypeCounts(shape)
+        build = msjmc.build_enriched_chain if enriched else msjmc.build_chain
+        assert_same_rows(build(counts, p), msjmc_rows(counts, p, enriched))
+    else:
+        n, T = shape
+        P = BUILDERS[model, enriched](n, T, p)
+        assert_same_rows(P, fluctuating_rows(model, n, T, p, enriched))
+
+
+# every base chain; an enriched cover where it has at most 500 states, which
+# takes every shape of at most 81 base words but (2,1,1,1)
+SHAPES = [("msjmc", s, False) for s in MSJMC_SHAPES]
+SHAPES += [("msjmc", s, True) for s in MSJMC_SHAPES
+           if len(msjmc.enumerate_enriched(TypeCounts(s))) <= 500]
+SHAPES += [(m, s, e) for m in ("add_drop", "annihilation") for s in WORD_SHAPES
+           for e in (False, True) if not e or len(fluctuating.enumerate_enriched_words(*s)) <= 500]
+
+
+def _name(case):
+    model, shape, enriched = case
+    return "-".join([model, "x".join(map(str, shape))] + ["enriched"] * enriched)
+
+
+@pytest.mark.parametrize("model,shape,enriched", SHAPES, ids=map(_name, SHAPES))
+# no shrinking: the shape is fixed and the weights are already small, and
+# shrinking a float mismatch on the larger shapes takes minutes
+@settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_walk_matches_per_choice_rule(model, shape, enriched, data):
+    n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
+    # z_1 > 0; later weights may be 0
+    raw = [data.draw(st.integers(1, 9))]
+    raw += data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if model == "annihilation":
+        z = [F(x, sum(raw)) for x in raw]
+    else:
+        z = [F(x, data.draw(st.integers(1, 9))) for x in raw]
+    c = [F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) for _ in range(T)]
+    c = c if model == "add_drop" else None
+    check(model, shape, enriched, tuple(z), c and tuple(c))
+    check(model, shape, enriched, tuple(map(float, z)), c and tuple(map(float, c)))
+
+
+@pytest.mark.parametrize("case", [
+    # T = 1 and n = 1
+    ("msjmc", (1,), False, (F(1, 3), F(2, 3)), None),
+    ("msjmc", (1,), True, (0.25, 0.75), None),
+    ("add_drop", (1, 1), False, (F(2), F(3)), (F(5),)),
+    ("add_drop", (1, 1), True, (0.5, 2.0), (3.0,)),
+    ("annihilation", (1, 1), False, (F(1, 4), F(3, 4)), None),
+    ("annihilation", (1, 1), True, (0.25, 0.75), None),
+    ("annihilation", (4, 1), False, (F(1, 4), F(0), F(3, 4), F(0), F(0)), None),
+    # zeros in z beyond z_1 give zero products that rows drop
+    ("msjmc", (1, 1, 1), True, (F(1), F(0), F(0), F(2)), None),
+    ("msjmc", (2, 1, 1), False, (0.5, 0.0, 0.25, 0.0, 0.0), None),
+    ("add_drop", (3, 3), True, (F(1, 2), F(0), F(3), F(0)), (F(1), F(2), F(1, 3))),
+    ("annihilation", (3, 3), True, (F(1, 2), F(0), F(1, 2), F(0)), None),
+    ("annihilation", (2, 3), False, (0.5, 0.0, 0.5), None),
+])
+def test_walk_matches_per_choice_rule_pinned(case):
+    check(*case)

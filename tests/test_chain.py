@@ -76,6 +76,40 @@ def test_float_rows_accepted_within_tolerance():
     assert not P.exact
 
 
+def test_exact_row_check_is_one_integer_sum():
+    # coprime denominators near 10**12 and 10**9: the lcm is their product
+    big, small = 10**12 + 39, 10**9 + 7
+    rows = [
+        {0: F(1, big), 1: F(big - 1, big)},
+        {0: F(1, big), 1: F(1, small), 2: 1 - F(1, big) - F(1, small)},
+        {0: 1},
+        {2: F(1, 6), 0: 0, 1: F(5, 6)},
+    ]
+    P = ChainMatrix(range(4), rows)
+    assert P.exact
+    assert list(P.rows[3].items()) == [(2, F(1, 6)), (1, F(5, 6))]
+    assert [type(v) for v in P.rows[2].values()] == [int]
+    # a mix of int and Fraction entries
+    assert ChainMatrix(["a", "b"], [{0: 0, 1: F(1)}, {0: 1, 1: F(0)}]).exact
+    bad = [
+        ({0: F(1, big), 1: F(big - 2, big)}, f"row 0 (s) sums to {F(big - 1, big)}"),
+        ({0: F(1, big), 1: F(1, small), 2: 1 - F(1, small)}, f"row 0 (s) sums to {1 + F(1, big)}"),
+        ({}, "row 0 (s) sums to 0"),
+        ({0: 0}, "row 0 (s) sums to 0"),
+        ({0: 2}, "row 0 (s) sums to 2"),
+        ({0: F(3, 2), 1: F(-1, 2)}, "row 0: negative probability -1/2"),
+    ]
+    for row, text in bad:
+        with pytest.raises(RowSumError) as info:
+            ChainMatrix(["s", "t", "u"], [row, {1: 1}, {2: 1}])
+        assert str(info.value) == text
+    # float rows keep their summation order and the tolerance
+    P = ChainMatrix([0, 1], [{0: 0.1, 1: 0.9 - 1e-13}, {0: F(1, 2), 1: 0.5}])
+    assert not P.exact
+    with pytest.raises(RowSumError, match=r"^row 0 \(0\) sums to 0.9999999999$"):
+        ChainMatrix([0], [{0: 0.9999999999}])
+
+
 def test_stationary_exact_two_state():
     p, q = F(1, 3), F(1, 5)
     pi = stationary_exact(two_state(p, q)).normalize()

@@ -1,9 +1,13 @@
 """Command-line front end: spec handling, output formats, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jugglemc import msjmc
 from jugglemc.cli import main
@@ -132,6 +136,15 @@ def test_stationary_jugglers_proportions(capsys):
     doc = json.loads(out)
     values = sorted((rational(x) for x in doc["formula"]), reverse=True)
     assert values == [F(6, 19), F(3, 19), F(3, 19), F(3, 19), F(3, 19), F(1, 19)]
+
+
+def test_stationary_jugglers_float_backend(capsys):
+    # the chain is exact, the float formula is compared within tolerance
+    code, out, _ = run(capsys, ["stationary", "--backend", "float"] + JUGGLER_ARGS)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "EQUAL"
+    assert all(isinstance(x, float) for x in doc["formula"])
 
 
 def test_verify_overwriting_all(capsys):
@@ -301,6 +314,12 @@ def test_validation_errors_exit_one(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_zero_cascade_denominator_names_its_weight(capsys):
+    code, out, err = run(capsys, ["stationary", "--model", "annihilation", "--n", "2",
+                                  "--T", "3", "--z", "0,0,1"])
+    assert (code, out, err) == (1, "", "error: y_1 = 0 in a cascade factor\n")
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--model", "no_such_model"])
@@ -314,3 +333,81 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "# states: 6"
+
+
+WEIGHT_TEXTS = ["1", "0", "2", "1/2", "2/3", "-1", "0.5", "1e-3", "1/0", "x", "nan", "inf", ""]
+COUNTS_TEXTS = ["1", "3", "1,1", "2,1", "1,2", "1,1,1", "2,2", "0,1", "-1,2", "1,x", ""]
+
+
+@st.composite
+def argvs(draw):
+    """argv for every subcommand and model on shapes of at most ~64 states
+    (and enrichments of at most a few hundred), mixing good and bad values."""
+    small = st.integers(-1, 3)
+    command = draw(st.sampled_from(["enumerate", "matrix", "stationary", "verify", "simulate"]))
+    model = draw(st.sampled_from(["msjmc", "add_drop", "add-drop", "annihilation",
+                                  "overwriting", "several_jugglers"]))
+    argv = [command, "--model", model]
+    n = 0
+    if model == "msjmc":
+        counts = draw(st.sampled_from(COUNTS_TEXTS))
+        argv += ["--counts", counts]
+        n = sum(int(x) for x in counts.split(",") if x.lstrip("-").isdigit())
+    elif model == "several_jugglers":
+        argv += ["--r", str(draw(small)), "--c", str(draw(st.integers(-1, 2))),
+                 "--balls", str(draw(st.integers(-1, 7)))]
+    else:
+        n = draw(small)
+        T = draw(st.integers(0, 2 if n == 3 else 3))
+        argv += ["--n", str(n), "--T", str(T)]
+        if draw(st.booleans()):
+            argv += ["--activities", ",".join(["1", "2/3"][: max(T, 0)] + ["1"] * (T - 2))]
+        elif draw(st.booleans()):
+            acts = draw(st.lists(st.sampled_from(WEIGHT_TEXTS), max_size=4))
+            argv += ["--activities", ",".join(acts)]
+    size = n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if draw(st.booleans()):
+        # uniform weights sum to 1, which every model accepts
+        weights = [f"1/{size}"] * size if size > 0 else []
+    else:
+        weights = draw(st.lists(st.sampled_from(WEIGHT_TEXTS), min_size=max(size, 0),
+                                max_size=max(size, 0)))
+    if model != "several_jugglers" or draw(st.booleans()):
+        argv += ["--z", ",".join(weights)]
+    if draw(st.booleans()):
+        argv += ["--backend", draw(st.sampled_from(["exact", "float"]))]
+    if command == "matrix":
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "dot"]))]
+    elif command == "stationary":
+        argv += ["--method", draw(st.sampled_from(["formula", "solve", "both"]))]
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(
+            ["lumping", "ultrafast", "spectrum", "marginals", "all"]))]
+    elif command == "simulate":
+        argv += ["--steps", str(draw(st.integers(-2, 40))), "--seed", str(draw(small))]
+        if draw(st.booleans()):
+            argv += ["--replicas", str(draw(small))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage_error = False
+        except SystemExit as exc:  # argparse rejects the command line
+            code, usage_error = exc.code, True
+    assert code in (0, 1, 2), (argv, code)
+    err = err.getvalue()
+    if code == 1:
+        assert [line for line in err.splitlines() if "error:" in line], (argv, err)
+        if not usage_error:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert out.getvalue() == "", argv
+        else:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)

@@ -16,10 +16,7 @@ from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, sta
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import (
     add_drop_partition,
-    add_drop_prob,
     add_drop_stationary_weight,
-    annihilation_choices,
-    annihilation_prob,
     annihilation_stationary,
     build_add_drop_chain,
     build_annihilation_chain,
@@ -28,8 +25,14 @@ from jugglemc.fluctuating import (
     enriched_add_drop_weight,
     enriched_annihilation_weight,
     enumerate_enriched_words,
-    insertion_choices,
     intermediate_word,
+)
+
+from cascade_reference import (
+    add_drop_prob,
+    annihilation_choices,
+    annihilation_prob,
+    insertion_choices,
 )
 
 F = Fraction
@@ -244,6 +247,33 @@ def test_add_drop_degenerate_cascade():
     choice = [ch for ch in insertion_choices(w) if ch.a == (1, 2, 3)][0]
     with pytest.raises(DegenerateParams):
         add_drop_prob(w, choice, p)
+
+
+BUILDERS = {
+    "add_drop": (build_add_drop_chain, build_enriched_add_drop_chain),
+    "annihilation": (build_annihilation_chain, build_enriched_annihilation_chain),
+}
+
+
+@pytest.mark.parametrize("model,n,T,z,c,exc,text", [
+    # z_1 = 0 zeroes the normalizer of the first word 1...1 before any cascade
+    ("add_drop", 2, 2, (0, 1, 1), (1, 1), DegenerateParams, "insertion normalizer is 0"),
+    ("add_drop", 1, 3, (0, 1), (1, 2, 3), DegenerateParams, "insertion normalizer is 0"),
+    ("add_drop", 2, 2, (1, 1, 1), None, ValueError, "need 2 activities"),
+    ("add_drop", 2, 2, (1, 1, 1), (1, 1, 1), ValueError, "need 2 activities"),
+    ("add_drop", 2, 3, (1, 1, 1), (1, 1), ValueError, "need 3 activities"),
+    ("annihilation", 2, 3, (0, 0, 1), None, DegenerateParams, "y_1 = 0 in a cascade factor"),
+    ("annihilation", 3, 2, (0, F(1, 2), 0, F(1, 2)), None, DegenerateParams,
+     "y_1 = 0 in a cascade factor"),
+    ("annihilation", 2, 2, (F(1, 2), F(1, 2), F(1, 2)), None, NotNormalized,
+     "annihilation model needs z summing to 1"),
+])
+def test_builders_keep_error_texts(model, n, T, z, c, exc, text):
+    p = ParamSet(tuple(F(x) for x in z), c=None if c is None else tuple(F(x) for x in c))
+    for build in BUILDERS[model]:
+        with pytest.raises(exc) as info:
+            build(n, T, p)
+        assert str(info.value) == text
 
 
 def test_enumerate_enriched_words():

@@ -26,7 +26,6 @@ from jugglemc.msjmc import (
     apply_bump,
     build_chain,
     build_enriched_chain,
-    bumping_sequences,
     enriched_stationary_weight,
     enriched_step,
     enumerate_enriched,
@@ -34,8 +33,9 @@ from jugglemc.msjmc import (
     partition_function,
     reconstruct_predecessor,
     stationary_weight,
-    transition_prob,
 )
+
+from cascade_reference import bumping_sequences, transition_prob
 
 F = Fraction
 
@@ -99,6 +99,10 @@ def test_degenerate_params_raise():
     p = ParamSet((F(0), F(1), F(1)))
     with pytest.raises(DegenerateParams):
         transition_prob(w, (1, 2, 3), p)
+    # the builders reach the same error through their cascade walk
+    for build in (build_chain, build_enriched_chain):
+        with pytest.raises(DegenerateParams, match=r"^y_1 = 0 in a transition denominator$"):
+            build(TypeCounts((1, 1)), p)
 
 
 # 6x6 matrix on the words {123,132,213,231,312,321} and its left eigenvector.
