@@ -6,8 +6,8 @@ The exact stationary solver runs Gaussian elimination on the balance equations
 of P transposed, with the normalization row appended; it refuses chains whose
 nonzero pattern is not strongly connected. Each equation is scaled to integers
 and eliminated fraction-free on Python ints; the returned distribution holds
-Fractions. The row-power checks work on gmpy2 rationals when available,
-Fractions otherwise.
+Fractions. Row powers and lumping checks run on the integer matrix D·P, D
+the lcm of the entry denominators, and return Fractions.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .combinatorics import FLOAT_TOL, is_exact
 from .errors import ReducibleChain, RowSumError, UnknownSuccessor
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = None
+_mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
 
 
 class ChainMatrix:
@@ -216,19 +213,6 @@ def chain_period(P: ChainMatrix) -> int:
     return g
 
 
-def _to_internal(x):
-    if _mpq is not None:
-        f = Fraction(x)
-        return _mpq(f.numerator, f.denominator)
-    return Fraction(x)
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 def _solve_sparse(equations: list[dict], rhs: list[int], nvars: int) -> list[Fraction]:
     """Exact fraction-free sparse elimination; returns the unique solution.
 
@@ -364,25 +348,27 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
     """Check sum_{y in class b} Pt[x][y] = P[f(x)][b] for all x, b.
 
     Returns (True, None) or (False, counterexample) where the counterexample
-    is (enriched state, base state, class sum, expected entry).
+    is (enriched state, base state, class sum, expected entry). Exact chains
+    only: class sums of D·Pt are cross-multiplied with the entries of D·P.
     """
     for s in Pt.states:
         if s not in f.mapping:
             raise ValueError(f"lumping map undefined on {s}")
     if tuple(f.base_states) != P.states:
         raise ValueError("lumping map targets a different base state order")
+    Dt, D = _denominator(Pt), _denominator(P)
+    base_rows = _integer_rows(P, D)
     base_of = [P.index[f.mapping[s]] for s in Pt.states]
-    for x in range(Pt.size):
-        sums: dict[int, object] = {}
-        for y, v in Pt.rows[x].items():
+    for x, row in enumerate(_integer_rows(Pt, Dt)):
+        sums: dict[int, int] = {}
+        for y, v in row.items():
             b = base_of[y]
             sums[b] = sums.get(b, 0) + v
-        brow = P.rows[base_of[x]]
+        brow = base_rows[base_of[x]]
         for b in set(sums) | set(brow):
-            got = sums.get(b, 0)
-            want = brow.get(b, 0)
-            if got != want:
-                return False, (Pt.states[x], P.states[b], got, want)
+            if sums.get(b, 0) * D != brow.get(b, 0) * Dt:
+                got = sum((v for y, v in Pt.rows[x].items() if base_of[y] == b), 0)
+                return False, (Pt.states[x], P.states[b], got, P.rows[base_of[x]].get(b, 0))
     return True, None
 
 
@@ -394,23 +380,30 @@ def project_distribution(pi_t: Distribution, f: LumpingMap) -> Distribution:
     return Distribution(f.base_states, tuple(acc[b] for b in f.base_states))
 
 
-def _internal_rows(P: ChainMatrix) -> list[dict]:
-    # rationals converted once so repeated row products stay cheap
-    return [{k: _to_internal(v) for k, v in row.items()} for row in P.rows]
+def _denominator(P: ChainMatrix) -> int:
+    """D, the lcm of P's entry denominators, so that D·P is a matrix of ints."""
+    if not P.exact:
+        raise ValueError("row powers and lumping checks need exact probabilities")
+    return lcm(*(v.denominator for row in P.rows for v in row.values()))
+
+
+def _integer_rows(P: ChainMatrix, D: int) -> list[dict]:
+    """The rows of D·P, with P's keys in P's order."""
+    return [{j: v.numerator * (D // v.denominator) for j, v in row.items()} for row in P.rows]
 
 
 def _power_ladder(P: ChainMatrix):
-    """Yield (cls, vecs) for k = 0, 1, 2, ...; row i of P^k is vecs[cls[i]].
+    """Yield (cls, vecs) for k = 0, 1, 2, ...; row i of (D·P)^k is vecs[cls[i]],
+    D = _denominator(P).
 
-    Row i of P^k is sum_c (sum of P_ij over j in class c of level k-1) * vec_c,
-    built once per distinct lumped row; equal rows share a class. P has no
-    negative entry, so no sum cancels and the frozen rows hold no zeros.
+    Row i of (D·P)^k is sum_c (sum of (D·P)_ij over j in class c of level
+    k-1) * vec_c, built once per distinct lumped row; equal rows share a
+    class. P has no negative entry, so no sum cancels and the frozen rows of
+    (index, int) pairs hold no zeros.
     """
-    if not P.exact:
-        raise ValueError("row powers need exact probabilities")
-    rows = _internal_rows(P)
+    rows = _integer_rows(P, _denominator(P))
     cls = list(range(P.size))
-    vecs = [frozenset({(i, _to_internal(1))}) for i in range(P.size)]
+    vecs = [frozenset({(i, 1)}) for i in range(P.size)]
     while True:
         yield cls, vecs
         by_lumped, by_vec, next_cls = {}, {}, []
@@ -433,11 +426,12 @@ def ultrafast_check(P: ChainMatrix, m: int):
     """True iff all rows of P^m coincide; returns (flag, common row or None)."""
     if m < 0:
         raise ValueError(f"matrix power {m} is negative")
+    scale = _denominator(P) ** m
     _, vecs = next(islice(_power_ladder(P), m, None))
     if len(vecs) != 1:
         return False, None
     common = dict(vecs[0])
-    weights = tuple(_to_fraction(common.get(j, 0)) for j in range(P.size))
+    weights = tuple(Fraction(common.get(j, 0), scale) for j in range(P.size))
     return True, Distribution(P.states, weights)
 
 
@@ -445,8 +439,11 @@ def nilpotency_check(P: ChainMatrix, n: int) -> bool:
     """True iff P^(n+1) = P^n exactly (spectrum contained in {1, 0})."""
     if n < 0:
         raise ValueError(f"matrix power {n} is negative")
+    D = _denominator(P)
     (cls_n, vecs_n), (cls_next, vecs_next) = islice(_power_ladder(P), n, n + 2)
-    return all(vecs_n[a] == vecs_next[b] for a, b in set(zip(cls_n, cls_next)))
+    # (D·P)^(n+1) = D·(D·P)^n exactly when P^(n+1) = P^n
+    return all(frozenset((k, D * x) for k, x in vecs_n[a]) == vecs_next[b]
+               for a, b in set(zip(cls_n, cls_next)))
 
 
 def total_variation(p: Distribution, q: Distribution):

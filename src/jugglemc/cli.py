@@ -385,8 +385,8 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
               f"{VERIFY_STATE_CAP}")
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
-        ok, bad = verify_lumping(Pm, LumpingMap.from_function(
-            overwriting.lump_matrix, Pm.states, tabs), Pt)
+        to_tableau = LumpingMap.from_function(overwriting.lump_matrix, Pm.states, tabs)
+        ok, bad = verify_lumping(Pm, to_tableau, Pt)
         checks.append(("matrix-to-tableau lumping", ok,
                        None if ok else f"counterexample {bad}"))
         ok, bad = verify_lumping(Pt, LumpingMap.from_function(
@@ -395,7 +395,7 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
                        None if ok else f"counterexample {bad}"))
         fib = {V: Fraction(0) for V in tabs}
         for M in Pm.states:
-            fib[overwriting.lump_matrix(M)] += overwriting.matrix_stationary_weight(M, p)
+            fib[to_tableau(M)] += overwriting.matrix_stationary_weight(M, p)
         bad = next(
             (V for V in tabs if fib[V] != overwriting.tableau_stationary(V, p)), None
         )

@@ -18,8 +18,8 @@ from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
     complete_homogeneous, stat_E
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, apply_bump, _cascades, _enriched_states, \
-    _enriched_update, _j_table
+from .msjmc import EnrichedState, apply_bump, _cascades, _enriched_matrix, \
+    _enriched_states, _j_table
 
 
 def intermediate_word(w: Word, j: int) -> Word:
@@ -176,22 +176,14 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
     return acc
 
 
-def _enriched_chain(n, T, p, moves) -> ChainMatrix:
-    # the bumped slots restart at E_{w'}, the rest of v shifts left
-    def successors(s: EnrichedState):
-        for W, a, prob in moves(s.w, p):
-            yield _enriched_update(s.v, apply_bump(W, a), a), prob
-
-    return build_matrix(enumerate_enriched_words(n, T), successors)
-
-
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _enriched_chain(n, T, p, _add_drop_moves)
+    return _enriched_matrix(enumerate_enriched_words(n, T), lambda w: _add_drop_moves(w, p))
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _enriched_chain(n, T, p, _annihilation_moves)
+    return _enriched_matrix(enumerate_enriched_words(n, T),
+                            lambda w: _annihilation_moves(w, p))

@@ -13,6 +13,7 @@ over a table of J_w, carrying the running product down the recursion.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -167,15 +168,25 @@ def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     return acc
 
 
-def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
-    p.require_arity(counts.n)
-    states = enumerate_enriched(counts)
+def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
+    """build_matrix on enriched states, which come grouped by word: moves(w)
+    yields (W, a, probability), a a bumping sequence of the word W, and each
+    word's moves are walked once for all its v."""
+    @lru_cache(maxsize=1)
+    def word_moves(w: Word) -> list:
+        return [(apply_bump(W, a), a, prob) for W, a, prob in moves(w)]
 
     def successors(s: EnrichedState):
-        for a, prob in _bumps(s.w, p):
-            yield _enriched_update(s.v, apply_bump(s.w, a), a), prob
+        for w2, a, prob in word_moves(s.w):
+            yield _enriched_update(s.v, w2, a), prob
 
     return build_matrix(states, successors)
+
+
+def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
+    p.require_arity(counts.n)
+    return _enriched_matrix(enumerate_enriched(counts),
+                            lambda w: ((w, a, prob) for a, prob in _bumps(w, p)))
 
 
 def reconstruct_predecessor(s_next: EnrichedState):

@@ -299,6 +299,87 @@ def test_verify_lumping_rejects_mismatched_map():
         verify_lumping(Pt, undefined, P)
 
 
+def test_verify_lumping_refuses_floats():
+    Pt, f, P = lumpable_pair()
+    floats = build_matrix([0, 1, 2, 3], lambda s: {0: 0.5, 2: 0.5}.items())
+    with pytest.raises(ValueError):
+        verify_lumping(floats, f, P)
+    with pytest.raises(ValueError):
+        verify_lumping(Pt, f, build_matrix(["A", "B"], lambda s: {"A": 0.5, "B": 0.5}.items()))
+
+
+def reference_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
+    """verify_lumping by Fraction sums: the class sums of each row of Pt,
+    compared entry by entry with the row of P at f(x)."""
+    base_of = [P.index[f.mapping[s]] for s in Pt.states]
+    for x in range(Pt.size):
+        sums: dict = {}
+        for y, v in Pt.rows[x].items():
+            sums[base_of[y]] = sums.get(base_of[y], 0) + v
+        brow = P.rows[base_of[x]]
+        for b in set(sums) | set(brow):
+            if sums.get(b, 0) != brow.get(b, 0):
+                return False, (Pt.states[x], P.states[b], sums.get(b, 0), brow.get(b, 0))
+    return True, None
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@st.composite
+def lumping_cases(draw):
+    """(Pt, f, P, corrupted): Pt's rows split each entry P[f(x)][b] over class
+    b with p/q parts of coprime denominators; a corrupted Pt moves mass of
+    one entry into another class, which may empty a class or reach a class
+    that P's row does not."""
+    def split(mass, k):
+        # k positive parts summing to mass; a single part keeps its type
+        primes = draw(st.lists(st.sampled_from(PRIMES), min_size=k - 1, max_size=k - 1,
+                               unique=True))
+        parts = [mass * F(draw(st.integers(1, q - 1)), q * k) for q in primes]
+        return parts + [mass - sum(parts)]
+
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    states = [(b, i) for b, size in enumerate(sizes) for i in range(size)]
+    members = {b: [s for s in states if s[0] == b] for b in range(len(sizes))}
+    base_rows, rows = [], []
+    for a in range(len(sizes)):
+        support = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True))
+        base_rows.append(dict(zip(support, split(1, len(support)))))
+    for x in states:
+        row = {}
+        for b, mass in base_rows[x[0]].items():
+            chosen = draw(st.lists(st.sampled_from(members[b]), min_size=1, unique=True))
+            row.update(zip(chosen, split(mass, len(chosen))))
+        rows.append(row)
+    corrupted = len(sizes) > 1 and draw(st.booleans())
+    if corrupted:
+        row = rows[draw(st.integers(0, len(states) - 1))]
+        y = draw(st.sampled_from(sorted(row)))
+        z = draw(st.sampled_from([s for s in states if s[0] != y[0]]))
+        moved = row[y] * draw(st.sampled_from([F(1), F(1, 2), F(2, 7)]))
+        row[y] -= moved
+        if row[y] == 0:
+            del row[y]
+        row[z] = row.get(z, 0) + moved
+    index = {s: i for i, s in enumerate(states)}
+    Pt = ChainMatrix(states, [{index[s]: v for s, v in row.items()} for row in rows])
+    P = ChainMatrix(range(len(sizes)), base_rows)
+    return Pt, LumpingMap({s: s[0] for s in states}, P.states), P, corrupted
+
+
+@given(lumping_cases())
+@settings(max_examples=200, deadline=None)
+def test_verify_lumping_matches_fraction_reference(case):
+    Pt, f, P, corrupted = case
+    got = verify_lumping(Pt, f, P)
+    want = reference_lumping(Pt, f, P)
+    assert got[0] == (not corrupted)
+    assert got == want
+    if want[1] is not None:
+        assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+
+
 def test_lumping_map_requires_surjectivity():
     with pytest.raises(ValueError):
         LumpingMap({0: "A", 1: "A"}, ["A", "B"])
@@ -351,6 +432,7 @@ def naive_row_powers(P: ChainMatrix, m: int) -> list[tuple]:
 
 
 THIRDS = ParamSet((F(1, 2), F(1, 3), F(1, 6)))
+COPRIME = ParamSet((F(1, 1000003), F(1, 999983), 1 - F(1, 1000003) - F(1, 999983)))
 
 
 def ladder_chains():
@@ -368,6 +450,9 @@ def ladder_chains():
     yield overwriting.build_matrix_chain(2, 2, THIRDS)
     yield overwriting.build_matrix_chain(3, 2, ParamSet((F(1, 4),) * 4))
     yield jugglers.build_chain(2, 2, 2)
+    # large coprime denominators: the ladder's ints carry D = 1000003 * 999983,
+    # so a power check that drops D**m or the D scaling gets these rows wrong
+    yield overwriting.build_word_chain(2, 3, COPRIME)
 
 
 def test_power_checks_match_naive_row_powers():
