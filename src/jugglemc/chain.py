@@ -473,7 +473,7 @@ def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float]]]:
 
 
 def simulate(
-    chain,
+    chain: ChainMatrix,
     start,
     steps: int,
     seed: int,
@@ -481,7 +481,6 @@ def simulate(
 ):
     """Run one trajectory; returns (trajectory, empirical Distribution).
 
-    `chain` is a ChainMatrix or a callable sampler(state, rng) -> next state.
     The empirical distribution counts visits from `burn_in` on (default
     steps // 10; at most `steps`, so the last state always counts).
     Deterministic for a fixed seed.
@@ -493,36 +492,20 @@ def simulate(
     if not 0 <= burn_in <= steps:
         raise ValueError(f"burn_in must be in 0..{steps}, got {burn_in}")
     rng = random.Random(seed)
-    if isinstance(chain, ChainMatrix):
-        tables = _cumulative_rows(chain)
-        pos = chain.index[start]
-        path_idx = [pos]
-        for _ in range(steps):
-            succ, cum = tables[pos]
-            pos = succ[bisect_left(cum, rng.random() * cum[-1])]
-            path_idx.append(pos)
-        trajectory = [chain.states[i] for i in path_idx]
-        counts = [0] * chain.size
-        tail = path_idx[burn_in:]
-        for i in tail:
-            counts[i] += 1
-        weights = tuple(Fraction(c, len(tail)) for c in counts)
-        return trajectory, Distribution(chain.states, weights)
-    trajectory = [start]
-    state = start
+    tables = _cumulative_rows(chain)
+    pos = chain.index[start]
+    path_idx = [pos]
     for _ in range(steps):
-        state = chain(state, rng)
-        trajectory.append(state)
-    tail = trajectory[burn_in:]
-    counts: dict = {}
-    seen_order = []
-    for s in tail:
-        if s not in counts:
-            counts[s] = 0
-            seen_order.append(s)
-        counts[s] += 1
-    weights = tuple(Fraction(counts[s], len(tail)) for s in seen_order)
-    return trajectory, Distribution(seen_order, weights)
+        succ, cum = tables[pos]
+        pos = succ[bisect_left(cum, rng.random() * cum[-1])]
+        path_idx.append(pos)
+    trajectory = [chain.states[i] for i in path_idx]
+    counts = [0] * chain.size
+    tail = path_idx[burn_in:]
+    for i in tail:
+        counts[i] += 1
+    weights = tuple(Fraction(c, len(tail)) for c in counts)
+    return trajectory, Distribution(chain.states, weights)
 
 
 def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: int) -> Distribution:

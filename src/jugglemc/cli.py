@@ -481,30 +481,24 @@ def cmd_verify(spec: ModelSpec, args) -> int:
     if "spectrum" in suites:
         flat = nilpotency_check(P, horizon)
         checks.append((f"spectrum in {{0, 1}} at horizon {horizon}", flat, None))
-    if "marginals" in suites:
-        p = _params(spec)
+    if "marginals" in suites and not irr:
+        checks.append(("closed-form marginals", False, "no unique stationary law"))
+    elif "marginals" in suites:
+        p, n, T = _params(spec), spec.n, spec.T
+        # last-site and last-two totals of the solved law, in one sweep
+        last = [0] * (T + 1)
+        pair = [[0] * (T + 1) for _ in range(T + 1)]
         pi = stationary_exact(P)
-        mass = dict(zip(pi.states, pi.weights))
-        bad = None
-        for j in range(1, spec.T + 1):
-            got = sum(m for w, m in mass.items() if w.letter(spec.n) == j)
-            if got != overwriting.last_site_marginal(j, spec.n, spec.T, p):
-                bad = f"last site {j}"
-                break
-        if bad is None and spec.n >= 2:
-            for i in range(1, spec.T + 1):
-                for j in range(1, spec.T + 1):
-                    got = sum(
-                        m for w, m in mass.items()
-                        if w.letter(spec.n - 1) == i and w.letter(spec.n) == j
-                    )
-                    if got != overwriting.joint_last_two_marginal(
-                        i, j, spec.n, spec.T, p
-                    ):
-                        bad = f"joint ({i}, {j})"
-                        break
-                if bad:
-                    break
+        for w, m in zip(pi.states, pi.weights):
+            last[w.letter(n)] += m
+            if n >= 2:
+                pair[w.letter(n - 1)][w.letter(n)] += m
+        bad = next((f"last site {j}" for j in range(1, T + 1)
+                    if last[j] != overwriting.last_site_marginal(j, n, T, p)), None)
+        if bad is None and n >= 2:
+            bad = next((f"joint ({i}, {j})" for i in range(1, T + 1) for j in range(1, T + 1)
+                        if pair[i][j] != overwriting.joint_last_two_marginal(i, j, n, T, p)),
+                       None)
         checks.append(("closed-form marginals", bad is None, bad))
 
     lines = []

@@ -12,6 +12,11 @@ Above the words sit staircase tableaux (first enrichment) and plain
 rectangular matrices over {1..n+1} (second enrichment). Both carry
 product-form stationary laws, both project down the tower, and the
 matrix chain reaches stationarity in exactly n steps.
+
+One free-cell rule places a type in a tableau column (`_free_heights`): the
+tableau law's factor for type i in column k counts the free heights, the
+tableau step draws its fresh first column with that law, and the matrix
+lumping replays each recorded juggler choice onto the same free heights.
 """
 
 from __future__ import annotations
@@ -155,12 +160,37 @@ class Tableau:
         return "/".join(sep.join(map(str, row)) for row in self.rows_top_down())
 
 
-def _column_fillings(length: int, T: int, row_cap):
-    """All ways to fill one column of the given length, bottom to top.
+def _row_min(columns, h: int) -> int:
+    """Leftmost filled entry at height h across a run of staircase columns,
+    or 0; rows increase left to right, so this is the row's minimum."""
+    for col in columns:
+        if len(col) < h:
+            break  # columns only shorten to the right
+        if col[h - 1]:
+            return col[h - 1]
+    return 0
 
-    row_cap(h) is the strict upper bound imposed by the row at height h
-    (the leftmost entry already present to the right); the column itself
-    must increase among filled cells.
+
+def _free_heights(columns, k: int, i: int) -> list[int]:
+    """Heights of column k, top to bottom, where type i can land.
+
+    A height is free when it is not at or below an entry <= i of column k
+    and its row holds no entry <= i further right.
+    """
+    col, right = columns[k - 1], columns[k:]
+    out = []
+    for h in range(len(col), 0, -1):
+        if 0 < col[h - 1] <= i:
+            break
+        if not 0 < _row_min(right, h) <= i:
+            out.append(h)
+    return out
+
+
+def _column_fillings(length: int, T: int, right):
+    """All ways to fill one column of the given length, bottom to top, left
+    of the columns `right`: each row caps its new entry strictly below the
+    row's minimum, and the column itself increases among filled cells.
     """
     out: list[tuple[int, ...]] = []
 
@@ -171,7 +201,7 @@ def _column_fillings(length: int, T: int, row_cap):
         acc.append(0)
         rec(h + 1, col_floor, acc)
         acc.pop()
-        for val in range(col_floor + 1, min(T, row_cap(h))):
+        for val in range(col_floor + 1, _row_min(right, h) or T):
             acc.append(val)
             rec(h + 1, val, acc)
             acc.pop()
@@ -187,56 +217,26 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
     partial: list[tuple[tuple[int, ...], ...]] = [()]
     for k in range(n, 0, -1):
         # fill right to left so row constraints only look at earlier columns
-        nxt = []
-        for cols in partial:
-            def cap(h: int, cols=cols, k=k) -> int:
-                for k2 in range(k + 1, n + 2 - h):
-                    x = cols[k2 - k - 1][h - 1]
-                    if x:
-                        return x  # leftmost filled entry bounds from above
-                return T
-
-            for col in _column_fillings(n + 1 - k, T, cap):
-                nxt.append((col,) + cols)
-        partial = nxt
+        partial = [
+            (col,) + cols
+            for cols in partial
+            for col in _column_fillings(n + 1 - k, T, cols)
+        ]
     return [Tableau(cols, T) for cols in sorted(partial)]
 
 
-def _row_blocked(V: Tableau, h: int, i: int, from_col: int) -> bool:
-    # an entry <= i at height h in columns from_col..end
-    for k in range(from_col, V.n + 2 - h):
-        x = V.cell(k, h)
-        if 0 < x <= i:
-            return True
-    return False
-
-
 def tableau_contribution(V: Tableau, i: int, k: int, p: ParamSet):
-    """One factor of the stationary product: a z indexed by the free cells
-    above entry i in column k when present, one minus a y indexed by the
-    free cells of the whole column when absent."""
+    """One factor of the stationary product: with f the free heights of
+    column k for type i, z_{1+f} when i sits in the column, 1 - y_f when
+    it is absent."""
     if not 1 <= i <= V.T - 1:
         raise ValueError(f"type {i} outside 1..{V.T - 1}")
     if not 1 <= k <= V.n:
         raise ValueError(f"column {k} outside 1..{V.n}")
-    length = V.n + 1 - k
-    heights = [h for h in range(1, length + 1) if V.cell(k, h) == i]
-    if heights:
-        h0 = heights[0]
-        count = sum(
-            1 for h in range(h0 + 1, length + 1) if not _row_blocked(V, h, i, k + 1)
-        )
-        return p.z_at(1 + count)
-    count = 0
-    for h in range(1, length + 1):
-        if 0 < V.cell(k, h) <= i:
-            continue
-        if _row_blocked(V, h, i, k + 1):
-            continue
-        if any(0 < V.cell(k, h2) <= i for h2 in range(h + 1, length + 1)):
-            continue
-        count += 1
-    return 1 - p.y_at(count)
+    free = len(_free_heights(V.columns, k, i))
+    if i in V.columns[k - 1]:
+        return p.z_at(1 + free)
+    return 1 - p.y_at(free)
 
 
 def tableau_stationary(V: Tableau, p: ParamSet):
@@ -250,42 +250,14 @@ def tableau_stationary(V: Tableau, p: ParamSet):
     return acc
 
 
-def _shift_matches(V: Tableau, W: Tableau) -> bool:
-    # W drops V's bottom row and moves everything one column right
-    return all(
-        W.columns[j] == V.columns[j - 1][1:] for j in range(1, V.n)
-    )
-
-
-def tableau_step_prob(V: Tableau, W: Tableau, p: ParamSet):
-    if not p.normalized:
-        raise NotNormalized("tableau chain needs z summing to 1")
-    if V.n != W.n or V.T != W.T:
-        raise ValueError("mismatched shapes")
-    if not _shift_matches(V, W):
-        return p.z_at(1) * 0
-    acc = p.z_at(1) ** 0
-    for i in range(1, W.T):
-        acc = acc * tableau_contribution(W, i, 1, p)
-    return acc
-
-
 def tableau_successors(V: Tableau) -> list[Tableau]:
     """All W with nonzero step probability from V: the shifted body plus
     every legal filling of the fresh first column."""
     n = V.n
     shifted = tuple(V.columns[j - 1][1:] for j in range(1, n))
-
-    def cap(h: int) -> int:
-        for k2 in range(2, n + 2 - h):
-            x = shifted[k2 - 2][h - 1]
-            if x:
-                return x
-        return V.T
-
     return [
         Tableau((col,) + shifted, V.T)
-        for col in _column_fillings(n, V.T, cap)
+        for col in _column_fillings(n, V.T, shifted)
     ]
 
 
@@ -296,8 +268,12 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     states = enumerate_tableaux(n, T)
 
     def successors(V: Tableau):
+        # the step draws W's fresh first column with the law's column-1 factors
         for W in tableau_successors(V):
-            yield W, tableau_step_prob(V, W, p)
+            acc = p.z_at(1) ** 0
+            for i in range(1, T):
+                acc = acc * tableau_contribution(W, i, 1, p)
+            yield W, acc
 
     return build_matrix(states, successors)
 
@@ -305,17 +281,9 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
 def lump_tableau(V: Tableau) -> Word:
     """Word read off the rows: letter k is the leftmost entry of the row
     at height k, or T when that row is empty."""
-    n = V.n
-    letters = []
-    for k in range(1, n + 1):
-        letter = V.T
-        for k2 in range(1, n + 2 - k):
-            x = V.cell(k2, k)
-            if x:
-                letter = x
-                break
-        letters.append(letter)
-    return Word(tuple(letters), V.T)
+    return Word(
+        tuple(_row_min(V.columns, h) or V.T for h in range(1, V.n + 1)), V.T
+    )
 
 
 def overwriting_stationary(w: Word, p: ParamSet):
@@ -366,20 +334,6 @@ def _check_matrix(M: MatrixState, n: int, T: int):
                 raise ValueError(f"entry {x} outside 1..{n + 1}")
 
 
-def matrix_step(M: MatrixState, newcol: tuple[int, ...]) -> MatrixState:
-    """Shift every row right, dropping the last column, and prepend the
-    fresh column of juggler choices."""
-    n = len(M.grid[0])
-    if len(newcol) != len(M.grid):
-        raise ValueError("fresh column must hold one entry per type")
-    for x in newcol:
-        if not 1 <= x <= n + 1:
-            raise ValueError(f"entry {x} outside 1..{n + 1}")
-    return MatrixState(
-        tuple((c,) + row[:-1] for c, row in zip(newcol, M.grid))
-    )
-
-
 def enumerate_matrix_states(n: int, T: int) -> list[MatrixState]:
     if n < 1 or T < 2:
         raise ValueError("need n >= 1 and T >= 2")
@@ -417,42 +371,29 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         columns.append((newcol, prob))
 
     def successors(M: MatrixState):
+        # shift every row right, dropping the last column, and prepend the
+        # fresh column of juggler choices
+        body = [row[:-1] for row in M.grid]
         for newcol, prob in columns:
-            yield matrix_step(M, newcol), prob
+            yield MatrixState(tuple((c,) + row for c, row in zip(newcol, body))), prob
 
     return build_matrix(states, successors)
 
 
 def lump_matrix(M: MatrixState) -> Tableau:
-    """Replay the juggler choices into a staircase tableau: column k gets
-    the entries whose recorded position fits among the cells still free."""
+    """Replay the juggler choices into a staircase tableau, right column
+    first: type i lands on the pos-th free height of column k, pos being
+    its recorded position, and is dropped when fewer heights are free."""
     T = len(M.grid) + 1
     n = len(M.grid[0])
     _check_matrix(M, n, T)
     cols = [[0] * (n + 1 - k) for k in range(1, n + 1)]
-
-    def row_blocked(h: int, i: int, from_col: int) -> bool:
-        for k2 in range(from_col, n + 2 - h):
-            x = cols[k2 - 1][h - 1]
-            if 0 < x <= i:
-                return True
-        return False
-
     for k in range(n, 0, -1):
-        length = n + 1 - k
         for i in range(1, T):
-            avail = [
-                h
-                for h in range(length, 0, -1)  # top to bottom
-                if cols[k - 1][h - 1] == 0
-                and not row_blocked(h, i, k)
-                and not any(
-                    0 < cols[k - 1][h2 - 1] < i for h2 in range(h + 1, length + 1)
-                )
-            ]
+            free = _free_heights(cols, k, i)
             pos = M.grid[i - 1][k - 1]
-            if pos <= len(avail):
-                cols[k - 1][avail[pos - 1] - 1] = i
+            if pos <= len(free):
+                cols[k - 1][free[pos - 1] - 1] = i
     return Tableau(tuple(tuple(c) for c in cols), T)
 
 

@@ -1,0 +1,172 @@
+"""The overwriting tower's placement rules as they were written before one
+free-cell rule served them all, kept as the reference the module is tested
+against.
+
+Each rule scans the tableau cell by cell: the row block, the column block
+and the shift check are spelled out separately, and every row is
+accumulated from the per-pair step probability.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from jugglemc.combinatorics import ParamSet, Word
+from jugglemc.errors import NotNormalized
+from jugglemc.overwriting import (
+    MatrixState,
+    Tableau,
+    _check_matrix,
+    enumerate_matrix_states,
+    enumerate_tableaux,
+    tableau_successors,
+)
+
+
+def _row_blocked(V: Tableau, h: int, i: int, from_col: int) -> bool:
+    # an entry <= i at height h in columns from_col..end
+    for k in range(from_col, V.n + 2 - h):
+        x = V.cell(k, h)
+        if 0 < x <= i:
+            return True
+    return False
+
+
+def tableau_contribution(V: Tableau, i: int, k: int, p: ParamSet):
+    """z indexed by the free cells above entry i in column k when present,
+    one minus a y indexed by the free cells of the whole column when absent."""
+    if not 1 <= i <= V.T - 1:
+        raise ValueError(f"type {i} outside 1..{V.T - 1}")
+    if not 1 <= k <= V.n:
+        raise ValueError(f"column {k} outside 1..{V.n}")
+    length = V.n + 1 - k
+    heights = [h for h in range(1, length + 1) if V.cell(k, h) == i]
+    if heights:
+        h0 = heights[0]
+        count = sum(
+            1 for h in range(h0 + 1, length + 1) if not _row_blocked(V, h, i, k + 1)
+        )
+        return p.z_at(1 + count)
+    count = 0
+    for h in range(1, length + 1):
+        if 0 < V.cell(k, h) <= i:
+            continue
+        if _row_blocked(V, h, i, k + 1):
+            continue
+        if any(0 < V.cell(k, h2) <= i for h2 in range(h + 1, length + 1)):
+            continue
+        count += 1
+    return 1 - p.y_at(count)
+
+
+def _shift_matches(V: Tableau, W: Tableau) -> bool:
+    # W drops V's bottom row and moves everything one column right
+    return all(
+        W.columns[j] == V.columns[j - 1][1:] for j in range(1, V.n)
+    )
+
+
+def tableau_step_prob(V: Tableau, W: Tableau, p: ParamSet):
+    if not p.normalized:
+        raise NotNormalized("tableau chain needs z summing to 1")
+    if V.n != W.n or V.T != W.T:
+        raise ValueError("mismatched shapes")
+    if not _shift_matches(V, W):
+        return p.z_at(1) * 0
+    acc = p.z_at(1) ** 0
+    for i in range(1, W.T):
+        acc = acc * tableau_contribution(W, i, 1, p)
+    return acc
+
+
+def lump_tableau(V: Tableau) -> Word:
+    """Letter k is the leftmost entry of the row at height k, or T."""
+    n = V.n
+    letters = []
+    for k in range(1, n + 1):
+        letter = V.T
+        for k2 in range(1, n + 2 - k):
+            x = V.cell(k2, k)
+            if x:
+                letter = x
+                break
+        letters.append(letter)
+    return Word(tuple(letters), V.T)
+
+
+def matrix_step(M: MatrixState, newcol: tuple[int, ...]) -> MatrixState:
+    """Shift every row right, dropping the last column, and prepend the
+    fresh column of juggler choices."""
+    n = len(M.grid[0])
+    if len(newcol) != len(M.grid):
+        raise ValueError("fresh column must hold one entry per type")
+    for x in newcol:
+        if not 1 <= x <= n + 1:
+            raise ValueError(f"entry {x} outside 1..{n + 1}")
+    return MatrixState(
+        tuple((c,) + row[:-1] for c, row in zip(newcol, M.grid))
+    )
+
+
+def lump_matrix(M: MatrixState) -> Tableau:
+    """Column k gets the entries whose recorded position fits among the
+    cells still free."""
+    T = len(M.grid) + 1
+    n = len(M.grid[0])
+    _check_matrix(M, n, T)
+    cols = [[0] * (n + 1 - k) for k in range(1, n + 1)]
+
+    def row_blocked(h: int, i: int, from_col: int) -> bool:
+        for k2 in range(from_col, n + 2 - h):
+            x = cols[k2 - 1][h - 1]
+            if 0 < x <= i:
+                return True
+        return False
+
+    for k in range(n, 0, -1):
+        length = n + 1 - k
+        for i in range(1, T):
+            avail = [
+                h
+                for h in range(length, 0, -1)  # top to bottom
+                if cols[k - 1][h - 1] == 0
+                and not row_blocked(h, i, k)
+                and not any(
+                    0 < cols[k - 1][h2 - 1] < i for h2 in range(h + 1, length + 1)
+                )
+            ]
+            pos = M.grid[i - 1][k - 1]
+            if pos <= len(avail):
+                cols[k - 1][avail[pos - 1] - 1] = i
+    return Tableau(tuple(tuple(c) for c in cols), T)
+
+
+def _rows(states, moves) -> list[dict]:
+    """Rows as build_matrix accumulates them, with the zero entries that
+    ChainMatrix drops left out."""
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for s in states:
+        row: dict = {}
+        for succ, prob in moves(s):
+            j = index[succ]
+            row[j] = row[j] + prob if j in row else prob
+        rows.append({j: v for j, v in row.items() if v != 0})
+    return rows
+
+
+def tableau_rows(n: int, T: int, p: ParamSet) -> list[dict]:
+    return _rows(enumerate_tableaux(n, T), lambda V: (
+        (W, tableau_step_prob(V, W, p)) for W in tableau_successors(V)
+    ))
+
+
+def matrix_rows(n: int, T: int, p: ParamSet) -> list[dict]:
+    def moves(M: MatrixState):
+        for newcol in product(range(1, n + 2), repeat=T - 1):
+            prob = p.z_at(1) ** 0
+            for x in newcol:
+                prob = prob * p.z_at(x)
+            yield matrix_step(M, newcol), prob
+
+    return _rows(enumerate_matrix_states(n, T), moves)

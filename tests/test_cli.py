@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import msjmc
+from jugglemc import msjmc, overwriting
 from jugglemc.cli import main
 from jugglemc.combinatorics import ParamSet, TypeCounts, rational
 
@@ -156,6 +156,45 @@ def test_verify_overwriting_all(capsys):
     assert "PASS ultrafast mixing (rows of P^2 identical)" in out.splitlines()
     assert "FAIL" not in out
     assert out.splitlines()[-1].startswith("OK (")
+
+
+REDUCIBLE_OVERWRITING = ["--model", "overwriting", "--n", "1", "--T", "2", "--z", "1,0"]
+
+
+def test_verify_marginals_on_reducible_chain(capsys):
+    # with z_1 = 1 every step writes a 1 and the word 2 is never reached,
+    # so there is no unique stationary law to hold the marginals against
+    code, out, err = run(capsys, ["verify", "--suite", "marginals"] + REDUCIBLE_OVERWRITING)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "FAIL irreducible",
+        "FAIL closed-form marginals (no unique stationary law)",
+        "FAILED (2 of 2 checks)",
+    ]
+    code, out, err = run(capsys, ["verify", "--suite", "all"] + REDUCIBLE_OVERWRITING)
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[0] == "FAIL irreducible"
+    assert lines[-2:] == [
+        "FAIL closed-form marginals (no unique stationary law)",
+        "FAILED (2 of 7 checks)",
+    ]
+
+
+@pytest.mark.parametrize("wrong,off,detail", [
+    ("last_site_marginal", lambda j, n, T, p: j >= 2, "last site 2"),
+    ("joint_last_two_marginal", lambda i, j, n, T, p: (i, j) >= (2, 1), "joint (2, 1)"),
+])
+def test_verify_names_first_marginal_off_the_closed_form(capsys, monkeypatch, wrong, off,
+                                                         detail):
+    # each closed form is off by one from the named type on; last sites are
+    # checked before joint pairs, each in lexicographic order
+    right = getattr(overwriting, wrong)
+    monkeypatch.setattr(overwriting, wrong, lambda *a: right(*a) + off(*a))
+    code, out, _ = run(capsys, ["verify", "--suite", "marginals", "--model", "overwriting",
+                                "--n", "2", "--T", "3", "--z", "1/2,1/4,1/4"])
+    assert code == 2
+    assert f"FAIL closed-form marginals ({detail})" in out.splitlines()
 
 
 def test_verify_msjmc_lumping(capsys):

@@ -1,0 +1,69 @@
+"""The overwriting tower's one free-cell rule against the cell-by-cell rules
+in overwriting_reference: tableau and matrix rows, with exact and float
+weights, must hold the same successors in the same order with values of the
+same type and repr, and every tableau factor and lump must agree."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jugglemc import overwriting
+from jugglemc.combinatorics import ParamSet
+
+import overwriting_reference as ref
+
+F = Fraction
+
+# every shape of at most 750 tableaux with T <= 7 ((3, 5) has 1,051 and
+# (6, 2) has 877), and every shape of at most 5,000 matrix states among them
+TABLEAU_SHAPES = [(1, T) for T in range(2, 8)] + [(2, T) for T in range(2, 8)] + [
+    (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2),
+]
+MATRIX_SHAPES = [(n, T) for n, T in TABLEAU_SHAPES if (n + 1) ** ((T - 1) * n) <= 5000]
+
+
+def weight_sets(n: int, T: int):
+    """Normalized z with z_1 > 0, once positive and once with zeros past
+    z_1, each as fractions and as floats."""
+    rng = random.Random(1000 * n + T)
+    for low in (1, 0):
+        raw = [rng.randint(1, 9)] + [rng.randint(low, 9) for _ in range(n)]
+        z = tuple(F(x, sum(raw)) for x in raw)
+        yield ParamSet(z)
+        yield ParamSet(tuple(map(float, z)))
+
+
+def assert_same_rows(P, want):
+    assert len(P.rows) == len(want)
+    for state, got, expect in zip(P.states, P.rows, want):
+        assert [(j, type(v), repr(v)) for j, v in got.items()] == [
+            (j, type(v), repr(v)) for j, v in expect.items()
+        ], state
+
+
+def same_value(a, b) -> bool:
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("n,T", TABLEAU_SHAPES, ids=lambda s: str(s))
+def test_tableau_rules_match_reference(n, T):
+    tabs = overwriting.enumerate_tableaux(n, T)
+    for V in tabs:
+        assert overwriting.lump_tableau(V) == ref.lump_tableau(V)
+    for p in weight_sets(n, T):
+        assert_same_rows(overwriting.build_tableau_chain(n, T, p), ref.tableau_rows(n, T, p))
+        for V in tabs:
+            for i in range(1, T):
+                for k in range(1, n + 1):
+                    got = overwriting.tableau_contribution(V, i, k, p)
+                    want = ref.tableau_contribution(V, i, k, p)
+                    assert same_value(got, want), (V, i, k)
+
+
+@pytest.mark.parametrize("n,T", MATRIX_SHAPES, ids=lambda s: str(s))
+def test_matrix_rules_match_reference(n, T):
+    for M in overwriting.enumerate_matrix_states(n, T):
+        assert overwriting.lump_matrix(M) == ref.lump_matrix(M), M
+    for p in weight_sets(n, T):
+        assert_same_rows(overwriting.build_matrix_chain(n, T, p), ref.matrix_rows(n, T, p))

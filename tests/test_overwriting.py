@@ -30,15 +30,15 @@ from jugglemc.overwriting import (
     lump_matrix,
     lump_tableau,
     matrix_stationary_weight,
-    matrix_step,
     overwrite_prob,
     overwrite_sequences,
     overwriting_stationary,
     overwriting_stationary_distribution,
     tableau_stationary,
-    tableau_step_prob,
     tableau_successors,
 )
+
+from overwriting_reference import matrix_step, tableau_step_prob
 
 F = Fraction
 
