@@ -454,13 +454,10 @@ def total_variation(p: Distribution, q: Distribution):
     return diff / 2
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; derives independent per-replica seeds."""
-    mask = (1 << 64) - 1
-    x = (x + 0x9E3779B97F4A7C15) & mask
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-    return x ^ (x >> 31)
+def _check_seed(seed: int) -> None:
+    # random.Random seeds from abs(seed), so -5 would replay the stream of 5
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float]]]:
@@ -483,10 +480,11 @@ def simulate(
 
     The empirical distribution counts visits from `burn_in` on (default
     steps // 10; at most `steps`, so the last state always counts).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; the seed must be >= 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_seed(seed)
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:
@@ -511,18 +509,20 @@ def simulate(
 def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: int) -> Distribution:
     """Empirical law of the state at time `horizon` over independent replicas.
 
-    Replica r uses seed mix64(seed + r), so replicas are independent and the
-    whole run is reproducible.
+    One stream `random.Random(seed)` serves the whole run: replica r walks
+    with draws r*horizon + 1 .. (r+1)*horizon, so replicas are independent
+    and the run is reproducible. The seed must be >= 0.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    _check_seed(seed)
+    rng = random.Random(seed)
     tables = _cumulative_rows(P)
     start_idx = P.index[start]
     counts = [0] * P.size
-    for r in range(replicas):
-        rng = random.Random(_mix64(seed + r))
+    for _ in range(replicas):
         pos = start_idx
         for _ in range(horizon):
             succ, cum = tables[pos]

@@ -31,7 +31,7 @@ from .combinatorics import (
 )
 from .errors import JuggleError
 
-SPEC_VERSION = 1
+SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica seeds
 DEFAULT_SEED = 1
 STATE_CAP = 100_000
 VERIFY_STATE_CAP = 5_000
@@ -515,12 +515,24 @@ def cmd_verify(spec: ModelSpec, args) -> int:
     return 2 if failures else 0
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("JUGGLE_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"JUGGLE_SEED must be a non-negative integer, got {raw!r}")
+
+
 def cmd_simulate(spec: ModelSpec, args) -> int:
     _cap(spec, STATE_CAP)
     P = spec_chain(spec)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("JUGGLE_SEED", DEFAULT_SEED))
+        seed = _env_seed()
     exact = spec_formula(spec)
     start = P.states[0]
     out = {
@@ -582,7 +594,9 @@ def build_parser() -> _Parser:
                          help="seeded Monte Carlo with TV against the exact law")
     sim.add_argument("--steps", type=int,
                      help="trajectory length (or horizon with --replicas)")
-    sim.add_argument("--seed", type=int, help="RNG seed (default: $JUGGLE_SEED or 1)")
+    sim.add_argument("--seed", type=int,
+                     help="RNG seed >= 0; one stream serves the whole run, "
+                          "replicas included (default: $JUGGLE_SEED or 1)")
     sim.add_argument("--replicas", type=int,
                      help="independent runs; empirical law of the endpoints")
     return parser

@@ -1,5 +1,7 @@
 """Generic chain engine: construction, solving, lumping, power checks, sampling."""
 
+import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from jugglemc.chain import (
     ChainMatrix,
     Distribution,
     LumpingMap,
+    _cumulative_rows,
     build_matrix,
     chain_period,
     is_irreducible,
@@ -548,8 +551,58 @@ def test_seeded_runs_replay_pinned_values():
     assert [P.index[s] for s in traj[:20]] == [
         0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 1, 4, 0, 2, 0, 2, 1, 4]
     assert dist.weights == tuple(F(c, 271) for c in (99, 23, 84, 31, 26, 8))
+    # SPEC_VERSION 2: one stream per replica run; counts from replica_reference
     reps = simulate_replicas(P, P.states[0], horizon=3, replicas=60, seed=5)
-    assert reps.weights == tuple(F(c, 60) for c in (21, 4, 16, 5, 11, 3))
+    assert reps.weights == tuple(F(c, 60) for c in (19, 8, 12, 4, 11, 6))
+
+
+def replica_reference(P, start, horizon, replicas, seed):
+    """Endpoint counts of `replicas` walks drawn in turn from one seeded stream."""
+    rng = random.Random(seed)
+    tables = _cumulative_rows(P)
+    counts = [0] * P.size
+    for _ in range(replicas):
+        pos = P.index[start]
+        for _ in range(horizon):
+            succ, cum = tables[pos]
+            pos = succ[bisect_left(cum, rng.random() * cum[-1])]
+        counts[pos] += 1
+    return counts
+
+
+REPLICA_CHAINS = {
+    "msjmc": lambda: msjmc.build_chain(TypeCounts((1, 1, 1)),
+                                       ParamSet((F(1), F(2), F(1, 3), F(3)))),
+    "overwriting_2_3": lambda: overwriting.build_word_chain(2, 3, ParamSet((F(1, 3),) * 3)),
+    "overwriting_3_2": lambda: overwriting.build_word_chain(
+        3, 2, ParamSet((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))),
+    "float_msjmc": lambda: msjmc.build_chain(TypeCounts((2, 1)),
+                                             ParamSet((0.5, 0.25, 0.125, 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_CHAINS))
+def test_simulate_replicas_walk_one_stream(name):
+    P = REPLICA_CHAINS[name]()
+    start = P.states[-1]
+    for horizon in range(5):
+        for seed in (0, 1, 5, 2 ** 40 + 3):
+            got = simulate_replicas(P, start, horizon, 37, seed)
+            expected = replica_reference(P, start, horizon, 37, seed)
+            assert got.weights == tuple(F(c, 37) for c in expected), (horizon, seed)
+            # one replica is the endpoint of the trajectory with that seed
+            one = simulate_replicas(P, start, horizon, 1, seed).weights
+            assert P.states[one.index(1)] == simulate(P, start, horizon, seed)[0][-1]
+
+
+def test_nearby_seeds_draw_different_replicas():
+    # at spec version 1 replica r was seeded from seed + r, so seed 11 replayed
+    # replicas 1.. of seed 10 and the counts differed by one endpoint
+    P = overwriting.build_word_chain(3, 3, ParamSet((F(1, 4),) * 4))
+    a = simulate_replicas(P, P.states[0], 3, 2001, seed=10).weights
+    b = simulate_replicas(P, P.states[0], 3, 2000, seed=11).weights
+    l1 = sum(abs(2001 * x - 2000 * y) for x, y in zip(a, b))
+    assert l1 > 1, l1
 
 
 def test_simulate_replicas():

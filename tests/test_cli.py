@@ -57,7 +57,7 @@ def test_matrix_json_round_trip(capsys):
     code, out, _ = run(capsys, ["matrix"] + MSJMC_ARGS)
     assert code == 0
     doc = json.loads(out)
-    assert doc["spec_version"] == 1
+    assert doc["spec_version"] == 2
     assert doc["model"] == "msjmc"
     assert doc["backend"] == "exact"
     assert doc["states"] == ["123", "132", "213", "231", "312", "321"]
@@ -284,6 +284,7 @@ def test_simulate_replicas(capsys):
     ])
     assert code == 0
     doc = json.loads(out)
+    assert doc["spec_version"] == 2
     assert doc["replicas"] == 300
     assert doc["horizon"] == 2
     assert sum(rational(x) for x in doc["empirical"]) == 1
@@ -309,7 +310,7 @@ def test_spec_file_input(capsys, tmp_path):
     assert out.splitlines()[0] == "# states: 3"
 
 
-def test_validation_errors_exit_one(capsys, tmp_path):
+def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
     bad_specs = [
         {"model": "msjmc", "counts": "1,1", "z": 5},
         {"model": "msjmc", "counts": [1, [1]], "z": "1,1,1"},
@@ -345,12 +346,19 @@ def test_validation_errors_exit_one(capsys, tmp_path):
         ["simulate", "--replicas", "0"] + MSJMC_ARGS,
         ["simulate", "--replicas", "-2"] + MSJMC_ARGS,
         ["simulate", "--replicas", "5", "--steps", "-3"] + MSJMC_ARGS,
+        ["simulate", "--seed", "-5"] + MSJMC_ARGS,
+        ["simulate", "--replicas", "5", "--seed", "-5"] + MSJMC_ARGS,
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # CPython seeds from abs(seed): a negative seed would replay its positive twin
+    assert run(capsys, cases[-1]) == (1, "", "error: seed must be >= 0, got -5\n")
+    monkeypatch.setenv("JUGGLE_SEED", "abc")
+    assert run(capsys, ["simulate"] + MSJMC_ARGS) == (
+        1, "", "error: JUGGLE_SEED must be a non-negative integer, got 'abc'\n")
 
 
 def test_zero_cascade_denominator_names_its_weight(capsys):
