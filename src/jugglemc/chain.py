@@ -16,7 +16,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -188,6 +188,12 @@ def _strongly_connected(rows: Sequence[Mapping[int, object]]) -> bool:
     return reach(lambda u: rows[u].keys()) == n and reach(lambda u: radj[u]) == n
 
 
+def _require_irreducible(P: ChainMatrix) -> None:
+    if not _strongly_connected(P.rows):
+        raise ReducibleChain("transition pattern is not strongly connected; "
+                             "stationary distribution would not be unique")
+
+
 def is_irreducible(P: ChainMatrix) -> bool:
     """True iff the nonzero pattern is strongly connected."""
     return _strongly_connected(P.rows)
@@ -290,11 +296,7 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
     """The unique normalized solution of pi P = pi, by exact elimination."""
     if not P.exact:
         raise ValueError("stationary_exact needs exact (rational) probabilities")
-    if not _strongly_connected(P.rows):
-        raise ReducibleChain(
-            "transition pattern is not strongly connected; "
-            "stationary distribution would not be unique"
-        )
+    _require_irreducible(P)
     n = P.size
     # balance equations (columns of P^T - I), each scaled to coprime
     # integers, then the normalization row
@@ -315,10 +317,13 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
 
 
 def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000) -> Distribution:
-    """Float-backend cross-check: power iteration until the step moves < tol."""
+    """Float-backend cross-check: power iteration until the step moves < tol.
+    Refuses reducible chains; raises ValueError if max_iter steps do not converge."""
+    _require_irreducible(P)
     n = P.size
     vec = [1.0 / n] * n
     rows = [{j: float(v) for j, v in row.items()} for row in P.rows]
+    delta = float("inf")
     for _ in range(max_iter):
         nxt = [0.0] * n
         for i, w in enumerate(vec):
@@ -328,8 +333,9 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
         delta = sum(abs(a - b) for a, b in zip(vec, nxt)) / 2
         vec = nxt
         if delta < tol:
-            break
-    return Distribution(P.states, tuple(vec))
+            return Distribution(P.states, tuple(vec))
+    raise ValueError(f"power iteration did not converge in {max_iter} iterations "
+                     f"(final delta {delta:.3g}, tol {tol:g})")
 
 
 def step_distribution(dist: Distribution, P: ChainMatrix) -> Distribution:
@@ -460,12 +466,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float]]]:
-    """Per row, the successors in index order and their running float sums."""
+def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float], float]]:
+    """Per row, the successors in index order, their running float sums and the total."""
     tables = []
     for row in P.rows:
         items = sorted(row.items())
-        tables.append(([j for j, _ in items], list(accumulate(float(v) for _, v in items))))
+        cum = list(accumulate(float(v) for _, v in items))
+        tables.append(([j for j, _ in items], cum, cum[-1]))
     return tables
 
 
@@ -475,12 +482,13 @@ def simulate(
     steps: int,
     seed: int,
     burn_in: Optional[int] = None,
-):
-    """Run one trajectory; returns (trajectory, empirical Distribution).
+) -> Distribution:
+    """Run one trajectory; returns its empirical law, not the trajectory.
 
-    The empirical distribution counts visits from `burn_in` on (default
-    steps // 10; at most `steps`, so the last state always counts).
-    Deterministic for a fixed seed; the seed must be >= 0.
+    Visits from time `burn_in` on (default steps // 10; at most `steps`, so
+    the last state always counts) are tallied as the walk goes, in O(states)
+    memory; weight c / (steps + 1 - burn_in) per c visits. Deterministic for
+    a fixed seed; the seed must be >= 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -489,21 +497,19 @@ def simulate(
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:
         raise ValueError(f"burn_in must be in 0..{steps}, got {burn_in}")
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
     tables = _cumulative_rows(chain)
     pos = chain.index[start]
-    path_idx = [pos]
-    for _ in range(steps):
-        succ, cum = tables[pos]
-        pos = succ[bisect_left(cum, rng.random() * cum[-1])]
-        path_idx.append(pos)
-    trajectory = [chain.states[i] for i in path_idx]
+    for _ in repeat(None, burn_in):
+        succ, cum, total = tables[pos]
+        pos = succ[bisect_left(cum, rand() * total)]
     counts = [0] * chain.size
-    tail = path_idx[burn_in:]
-    for i in tail:
-        counts[i] += 1
-    weights = tuple(Fraction(c, len(tail)) for c in counts)
-    return trajectory, Distribution(chain.states, weights)
+    counts[pos] = 1
+    for _ in repeat(None, steps - burn_in):
+        succ, cum, total = tables[pos]
+        pos = succ[bisect_left(cum, rand() * total)]
+        counts[pos] += 1
+    return Distribution(chain.states, tuple(Fraction(c, steps + 1 - burn_in) for c in counts))
 
 
 def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: int) -> Distribution:
@@ -518,15 +524,14 @@ def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: 
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     _check_seed(seed)
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
     tables = _cumulative_rows(P)
     start_idx = P.index[start]
     counts = [0] * P.size
-    for _ in range(replicas):
+    for _ in repeat(None, replicas):
         pos = start_idx
-        for _ in range(horizon):
-            succ, cum = tables[pos]
-            pos = succ[bisect_left(cum, rng.random() * cum[-1])]
+        for _ in repeat(None, horizon):
+            succ, cum, total = tables[pos]
+            pos = succ[bisect_left(cum, rand() * total)]
         counts[pos] += 1
-    weights = tuple(Fraction(c, replicas) for c in counts)
-    return Distribution(P.states, weights)
+    return Distribution(P.states, tuple(Fraction(c, replicas) for c in counts))

@@ -548,7 +548,7 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
         out["horizon"] = horizon
     else:
         steps = args.steps if args.steps is not None else 10_000
-        _, empirical = simulate(P, start, steps, seed)
+        empirical = simulate(P, start, steps, seed)
         out["steps"] = steps
         out["burn_in"] = steps // 10
     out["empirical"] = [_fmt(x) for x in empirical.weights]

@@ -410,7 +410,7 @@ def test_criterion_9_monte_carlo_sanity(capsys):
         P = msjmc.build_chain(counts, p)
         Z = msjmc.partition_function(counts, p)
         exact = [msjmc.stationary_weight(w, p) / Z for w in P.states]
-        _, emp = simulate(P, P.states[0], 1_000_000, seed=2026)
+        emp = simulate(P, P.states[0], 1_000_000, seed=2026)
         tv = total_variation(emp, stationary_exact(P).normalize())
         assert exact == list(stationary_exact(P).normalize().weights)
         assert tv < F(1, 100), float(tv)

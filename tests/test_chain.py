@@ -1,6 +1,7 @@
 """Generic chain engine: construction, solving, lumping, power checks, sampling."""
 
 import random
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -216,6 +217,21 @@ def test_stationary_power_agrees_with_exact():
     exact = stationary_exact(P).normalize()
     approx = stationary_power(P)
     assert all(abs(float(a) - b) < 1e-10 for a, b in zip(exact.weights, approx.weights))
+
+
+def test_stationary_power_refuses_reducible_chains():
+    split = build_matrix([0, 1], lambda s: {s: 1.0}.items())
+    with pytest.raises(ReducibleChain, match="not strongly connected"):
+        stationary_power(split)
+
+
+def test_stationary_power_raises_without_convergence():
+    # period 2 with stationary law (1/4, 1/2, 1/4): from the uniform start the
+    # iterates alternate between two vectors at distance 1/3
+    P = build_matrix([0, 1, 2], lambda s: {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5},
+                                           2: {1: 1.0}}[s].items())
+    with pytest.raises(ValueError, match=r"in 12 iterations \(final delta 0\.333"):
+        stationary_power(P, max_iter=12)
 
 
 def test_irreducibility_and_period():
@@ -501,25 +517,26 @@ def test_total_variation():
 
 def test_simulate_is_deterministic():
     P = two_state(F(1, 3), F(1, 5))
-    t1, d1 = simulate(P, "a", 500, seed=7)
-    t2, d2 = simulate(P, "a", 500, seed=7)
-    t3, _ = simulate(P, "a", 500, seed=8)
-    assert t1 == t2 and d1 == d2
-    assert t1 != t3
-    assert len(t1) == 501
+    d1 = simulate(P, "a", 500, seed=7)
+    d2 = simulate(P, "a", 500, seed=7)
+    d3 = simulate(P, "a", 500, seed=8)
+    assert d1 == d2
+    assert d1 != d3
+    # 501 visited states, the first 50 burnt in
+    path = trajectory_reference(P, "a", 500, seed=7)
+    assert len(path) == 501
+    assert d1.weights == tuple(F(c, 451) for c in tail_counts(P, path, 50))
     assert d1.total == 1
 
 
 def test_simulate_burn_in_window():
     P = two_state(F(1, 3), F(1, 5))
-    traj, dist = simulate(P, "a", 100, seed=3, burn_in=40)
-    counts = {s: 0 for s in P.states}
-    for s in traj[40:]:
-        counts[s] += 1
-    assert dist.weights == tuple(F(counts[s], 61) for s in P.states)
+    path = trajectory_reference(P, "a", 100, seed=3)
+    dist = simulate(P, "a", 100, seed=3, burn_in=40)
+    assert dist.weights == tuple(F(c, 61) for c in tail_counts(P, path, 40))
     # burn_in = steps keeps the last state alone
-    traj, dist = simulate(P, "a", 100, seed=3, burn_in=100)
-    assert dist.as_dict()[traj[-1]] == 1
+    dist = simulate(P, "a", 100, seed=3, burn_in=100)
+    assert dist.weights[path[-1]] == 1
 
 
 @pytest.mark.parametrize("burn_in", [-1, 101])
@@ -531,14 +548,14 @@ def test_simulate_rejects_burn_in_outside_steps(burn_in):
 
 def test_simulate_zero_steps_is_point_mass():
     P = two_state(F(1, 3), F(1, 5))
-    traj, dist = simulate(P, "b", 0, seed=1)
-    assert traj == ["b"]
+    assert trajectory_reference(P, "b", 0, seed=1) == [P.index["b"]]
+    dist = simulate(P, "b", 0, seed=1)
     assert dist.as_dict() == {"a": F(0), "b": F(1)}
 
 
 def test_simulate_approaches_stationary():
     P = two_state(F(1, 3), F(1, 5))
-    _, emp = simulate(P, "a", 60_000, seed=11)
+    emp = simulate(P, "a", 60_000, seed=11)
     pi = stationary_exact(P).normalize()
     assert total_variation(emp, pi) < 0.02
 
@@ -547,13 +564,32 @@ def test_seeded_runs_replay_pinned_values():
     # the float row sums and the RNG draws fix every seeded output; these
     # values must not move without a SPEC_VERSION bump
     P = msjmc.build_chain(TypeCounts((1, 1, 1)), ParamSet((F(1), F(2), F(1, 3), F(3))))
-    traj, dist = simulate(P, P.states[0], 300, seed=7)
-    assert [P.index[s] for s in traj[:20]] == [
+    assert trajectory_reference(P, P.states[0], 300, seed=7)[:20] == [
         0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 1, 4, 0, 2, 0, 2, 1, 4]
+    dist = simulate(P, P.states[0], 300, seed=7)
     assert dist.weights == tuple(F(c, 271) for c in (99, 23, 84, 31, 26, 8))
     # SPEC_VERSION 2: one stream per replica run; counts from replica_reference
     reps = simulate_replicas(P, P.states[0], horizon=3, replicas=60, seed=5)
     assert reps.weights == tuple(F(c, 60) for c in (19, 8, 12, 4, 11, 6))
+
+
+def trajectory_reference(P, start, steps, seed):
+    """The state indices of one seeded walk, start included, stored in full."""
+    rng = random.Random(seed)
+    tables = _cumulative_rows(P)
+    path = [P.index[start]]
+    for _ in range(steps):
+        succ, cum, _ = tables[path[-1]]
+        path.append(succ[bisect_left(cum, rng.random() * cum[-1])])
+    return path
+
+
+def tail_counts(P, path, burn_in):
+    """Visits per state index from time `burn_in` on."""
+    counts = [0] * P.size
+    for i in path[burn_in:]:
+        counts[i] += 1
+    return counts
 
 
 def replica_reference(P, start, horizon, replicas, seed):
@@ -564,7 +600,7 @@ def replica_reference(P, start, horizon, replicas, seed):
     for _ in range(replicas):
         pos = P.index[start]
         for _ in range(horizon):
-            succ, cum = tables[pos]
+            succ, cum, _ = tables[pos]
             pos = succ[bisect_left(cum, rng.random() * cum[-1])]
         counts[pos] += 1
     return counts
@@ -591,8 +627,35 @@ def test_simulate_replicas_walk_one_stream(name):
             expected = replica_reference(P, start, horizon, 37, seed)
             assert got.weights == tuple(F(c, 37) for c in expected), (horizon, seed)
             # one replica is the endpoint of the trajectory with that seed
-            one = simulate_replicas(P, start, horizon, 1, seed).weights
-            assert P.states[one.index(1)] == simulate(P, start, horizon, seed)[0][-1]
+            one = simulate_replicas(P, start, horizon, 1, seed)
+            assert simulate(P, start, horizon, seed, burn_in=horizon) == one
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_CHAINS))
+def test_simulate_counts_the_reference_tail(name):
+    P = REPLICA_CHAINS[name]()
+    start = P.states[-1]
+    for steps in range(51):
+        for burn_in in sorted({0, steps // 10, steps}):
+            for seed in (0, 1, 5, 2 ** 40 + 3):
+                path = trajectory_reference(P, start, steps, seed)
+                expected = tuple(F(c, steps + 1 - burn_in)
+                                 for c in tail_counts(P, path, burn_in))
+                got = simulate(P, start, steps, seed, burn_in=burn_in)
+                assert got.weights == expected, (steps, burn_in, seed)
+
+
+def test_simulate_memory_does_not_grow_with_steps():
+    # the visits are tallied, not stored: a 200,000-step path would take MBs
+    P = msjmc.build_chain(TypeCounts((2, 1, 1, 1)),
+                          ParamSet((F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 7))))
+    tracemalloc.start()
+    try:
+        simulate(P, P.states[0], 200_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_nearby_seeds_draw_different_replicas():

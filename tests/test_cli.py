@@ -290,6 +290,23 @@ def test_simulate_replicas(capsys):
     assert sum(rational(x) for x in doc["empirical"]) == 1
 
 
+@pytest.mark.parametrize("argv, empirical", [
+    (["simulate", "--steps", "400", "--seed", "9"] + MSJMC_ARGS,
+     ["100/361", "50/361", "79/361", "3/19", "51/361", "24/361"]),
+    (["simulate", "--steps", "300", "--seed", "4", "--backend", "float"] + MSJMC_ARGS,
+     ["78/271", "44/271", "60/271", "36/271", "36/271", "17/271"]),
+    (["simulate", "--replicas", "300", "--seed", "3", "--model", "overwriting",
+      "--n", "2", "--T", "3", "--z", "1/3,1/3,1/3"],
+     ["37/300", "1/25", "23/150", "11/60", "1/60", "19/300", "83/300", "2/25",
+      "19/300"]),
+])
+def test_simulate_replays_pinned_output(capsys, argv, empirical):
+    # at SPEC_VERSION 2 a seed fixes every sampled law; these must not drift
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["empirical"] == empirical
+
+
 def test_spec_file_input(capsys, tmp_path):
     spec = tmp_path / "model.json"
     spec.write_text(json.dumps({
@@ -359,6 +376,16 @@ def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("JUGGLE_SEED", "abc")
     assert run(capsys, ["simulate"] + MSJMC_ARGS) == (
         1, "", "error: JUGGLE_SEED must be a non-negative integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("z", ["1,0", "1.0,0.0"])
+def test_both_solvers_refuse_a_reducible_chain(capsys, z):
+    # the exact solver and the float power iteration give the same error
+    argv = ["stationary", "--method", "solve"] + REDUCIBLE_OVERWRITING[:-1] + [z]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: transition pattern is not strongly connected; "
+                   "stationary distribution would not be unique\n")
 
 
 def test_zero_cascade_denominator_names_its_weight(capsys):
