@@ -16,18 +16,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, isfinite
+from math import comb, factorial, isfinite, prod
 from typing import Optional
 
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
     ChainMatrix, Distribution, LumpingMap, _power_ladder, chain_period,
-    is_irreducible, nilpotency_check, simulate, simulate_replicas,
-    stationary_exact, stationary_power, total_variation, verify_lumping,
+    is_irreducible, nilpotency_check, project_distribution, simulate,
+    simulate_replicas, stationary_exact, stationary_power, step_distribution,
+    total_variation, verify_lumping,
 )
 from .combinatorics import (
     ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
-    format_scalar,
+    format_scalar, stat_E,
 )
 from .errors import JuggleError
 
@@ -377,58 +378,50 @@ def _base_m_probe(P: ChainMatrix, limit: int):
 def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
     p = _params(spec)
     if spec.model == "overwriting":
-        tabs = overwriting.enumerate_tableaux(spec.n, spec.T)
-        _need(len(tabs) <= VERIFY_STATE_CAP,
-              f"{len(tabs)} tableaux exceed the verify cap {VERIFY_STATE_CAP}")
+        # the matrix-to-tableau lumping is onto, so the tableaux number at
+        # most the matrix states and this one count caps both enrichments
         _need((spec.n + 1) ** (spec.n * (spec.T - 1)) <= VERIFY_STATE_CAP,
               "matrix enrichment exceeds the verify cap "
               f"{VERIFY_STATE_CAP}")
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
-        to_tableau = LumpingMap.from_function(overwriting.lump_matrix, Pm.states, tabs)
+        to_tableau = LumpingMap.from_function(overwriting.lump_matrix, Pm.states, Pt.states)
         ok, bad = verify_lumping(Pm, to_tableau, Pt)
         checks.append(("matrix-to-tableau lumping", ok,
                        None if ok else f"counterexample {bad}"))
         ok, bad = verify_lumping(Pt, LumpingMap.from_function(
-            overwriting.lump_tableau, tabs, P.states), P)
+            overwriting.lump_tableau, Pt.states, P.states), P)
         checks.append(("tableau-to-word lumping", ok,
                        None if ok else f"counterexample {bad}"))
-        fib = {V: Fraction(0) for V in tabs}
-        for M in Pm.states:
-            fib[to_tableau(M)] += overwriting.matrix_stationary_weight(M, p)
-        bad = next(
-            (V for V in tabs if fib[V] != overwriting.tableau_stationary(V, p)), None
-        )
+        fib = project_distribution(Distribution(Pm.states, [
+            overwriting.matrix_stationary_weight(M, p) for M in Pm.states]), to_tableau)
+        bad = next((V for V, m in zip(fib.states, fib.weights)
+                    if m != overwriting.tableau_stationary(V, p)), None)
         checks.append(("fiber weight identity", bad is None,
                        None if bad is None else f"counterexample {bad}"))
         return
+    # the enriched states over a word w number prod_i E_w(i)
+    size = sum(prod(stat_E(w, i) for i in range(1, w.n + 1)) for w in P.states)
+    _need(size <= VERIFY_STATE_CAP,
+          f"{size} enriched states exceed the verify cap {VERIFY_STATE_CAP}")
     if spec.model == "msjmc":
-        size = len(msjmc.enumerate_enriched(TypeCounts(spec.counts)))
-        _need(size <= VERIFY_STATE_CAP,
-              f"{size} enriched states exceed the verify cap {VERIFY_STATE_CAP}")
         Pt = msjmc.build_enriched_chain(TypeCounts(spec.counts), p)
         weight = msjmc.enriched_stationary_weight
+    elif spec.model == "add_drop":
+        Pt = fluctuating.build_enriched_add_drop_chain(spec.n, spec.T, p)
+        weight = fluctuating.enriched_add_drop_weight
     else:
-        size = len(fluctuating.enumerate_enriched_words(spec.n, spec.T))
-        _need(size <= VERIFY_STATE_CAP,
-              f"{size} enriched states exceed the verify cap {VERIFY_STATE_CAP}")
-        if spec.model == "add_drop":
-            Pt = fluctuating.build_enriched_add_drop_chain(spec.n, spec.T, p)
-            weight = fluctuating.enriched_add_drop_weight
-        else:
-            Pt = fluctuating.build_enriched_annihilation_chain(spec.n, spec.T, p)
-            weight = fluctuating.enriched_annihilation_weight
+        Pt = fluctuating.build_enriched_annihilation_chain(spec.n, spec.T, p)
+        weight = fluctuating.enriched_annihilation_weight
     ok, bad = verify_lumping(
         Pt, LumpingMap.from_function(lambda s: s.w, Pt.states, P.states), P
     )
     checks.append(("enriched-to-base lumping", ok,
                    None if ok else f"counterexample {bad}"))
-    masses = {s: weight(s, p) for s in Pt.states}
-    inflow = [0] * Pt.size
-    for si, row in zip(Pt.states, Pt.rows):
-        for j, v in row.items():
-            inflow[j] += masses[si] * v
-    bad = next((sj for sj, acc in zip(Pt.states, inflow) if acc != masses[sj]), None)
+    masses = Distribution(Pt.states, [weight(s, p) for s in Pt.states])
+    bad = next((s for s, m, inflow in zip(Pt.states, masses.weights,
+                                          step_distribution(masses, Pt).weights)
+                if inflow != m), None)
     checks.append(("enriched product law is stationary", bad is None,
                    None if bad is None else f"counterexample {bad}"))
 

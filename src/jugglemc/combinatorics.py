@@ -180,6 +180,14 @@ def stat_J(w: Word, m: int, t: int) -> int:
     return 1 + sum(1 for x in w.letters[m - 1 :] if x > t)
 
 
+def _j_table(w: Word) -> list:
+    """J[m][t] = J_w(m, t) for m = 1..n+1 and t = 0..T, from the top down."""
+    J = [[1] * (w.T + 1)]
+    for x in reversed(w.letters):
+        J.append([k + (x > t) for t, k in enumerate(J[-1])])
+    return [None] + J[::-1]
+
+
 def stat_E(w: Word, i: int) -> int:
     """E_w(i) = J_w(i, w_i): 1 + number of strictly heavier balls above i."""
     return stat_J(w, i, w.letter(i))
@@ -208,11 +216,6 @@ def falling_factorial(x, k: int):
     for i in range(k):
         acc = acc * (x - i)
     return acc
-
-
-def rational(text) -> Fraction:
-    """Parse 'p/q' or decimal strings to an exact Fraction."""
-    return Fraction(text)
 
 
 def format_scalar(x) -> str:

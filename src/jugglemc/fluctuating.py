@@ -16,10 +16,10 @@ from math import prod
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, stat_E
+    complete_homogeneous, stat_E, _j_table
 from .errors import DegenerateParams, NotNormalized
 from .msjmc import EnrichedState, apply_bump, _cascades, _enriched_matrix, \
-    _enriched_states, _j_table
+    _enriched_states
 
 
 def intermediate_word(w: Word, j: int) -> Word:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, TypeCounts, Word, enumerate_multiset_words, \
-    complete_homogeneous, stat_E
+    complete_homogeneous, stat_E, _j_table
 from .errors import DegenerateParams, InconsistentState
 
 
@@ -29,14 +29,6 @@ class EnrichedState(NamedTuple):
 
     def __str__(self):
         return f"{self.w}|{''.join(str(x) for x in self.v)}"
-
-
-def _j_table(w: Word) -> list:
-    """J[m][t] = J_w(m, t) for m = 1..n+1 and t = 0..T, from the top down."""
-    J = [[1] * (w.T + 1)]
-    for x in reversed(w.letters):
-        J.append([k + (x > t) for t, k in enumerate(J[-1])])
-    return [None] + J[::-1]
 
 
 def _cascades(w: Word, J: list, p: ParamSet, a: tuple[int, ...], acc, what: str):

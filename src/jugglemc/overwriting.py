@@ -26,84 +26,49 @@ from itertools import product
 from typing import NamedTuple
 
 from .chain import ChainMatrix, Distribution, build_matrix
-from .combinatorics import ParamSet, Word, enumerate_alphabet_words, stat_J
+from .combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
 from .errors import NotNormalized
 
 MATRIX_STATE_CAP = 100_000
 
 
-def overwrite_sequences(w: Word) -> list[tuple[tuple[int, int], ...]]:
-    """All legal B for w, lexicographic on the flattened pair list."""
-    n, T = w.n, w.T
-    out: list[tuple[tuple[int, int], ...]] = []
+def _overwrites(w: Word, p: ParamSet):
+    """Yield (successor letters, probability) for every overwrite sequence B
+    of w, lexicographically on the flattened pair list.
 
-    def rec(prefix: list[tuple[int, int]], last_b: int, last_t: int):
-        for b in range(last_b + 1, n + 2):
-            if b == n + 1:
-                for t in range(last_t + 1, T + 1):
-                    out.append(tuple(prefix) + ((b, t),))
-            else:
-                top = min(w.letter(b) - 1, T)
-                for t in range(last_t + 1, top + 1):
-                    prefix.append((b, t))
-                    rec(prefix, b, t)
-                    prefix.pop()
+    The walk carries the successor's letters and the running product down
+    the recursion. After a pair (b, t), the failure factors
+    1 - y_{J(b+1, s)} of the types s skipped before the next written type
+    all come from row b+1 of the J table, so each node takes them once for
+    every next site; a written type below T then adds z_{J(b', t')}.
+    """
+    J, y, z, n, T = _j_table(w), p.y, p.z, w.n, w.T
 
-    rec([], 1, 0)
-    return out
+    def walk(head: tuple, last_b: int, last_t: int, acc):
+        # pre[t - last_t - 1]: acc times the failures of types last_t+1..t-1
+        pre = [acc]
+        for s in range(last_t + 1, T):
+            pre.append(pre[-1] * (1 - y[J[last_b + 1][s] - 1]))
+        for b in range(last_b + 1, n + 1):
+            body = head + w.letters[last_b : b - 1]
+            for t in range(last_t + 1, w.letters[b - 1]):
+                yield from walk(body + (t,), b, t, pre[t - last_t - 1] * z[J[b][t] - 1])
+        # site n+1 takes any later type; J(n+1, t) = 1 and T costs no z factor
+        body = head + w.letters[last_b:]
+        for t in range(last_t + 1, T):
+            yield body + (t,), pre[t - last_t - 1] * z[0]
+        yield body + (T,), pre[-1]
 
-
-def _check_overwrite(w: Word, B: tuple[tuple[int, int], ...]):
-    if not B or B[-1][0] != w.n + 1:
-        raise ValueError("overwrite sequence must end at site n+1")
-    last_b, last_t = 1, 0
-    for b, t in B:
-        if not last_b < b <= w.n + 1:
-            raise ValueError(f"sites must increase, got {b} after {last_b}")
-        if not last_t < t <= w.T:
-            raise ValueError(f"types must increase, got {t} after {last_t}")
-        if b <= w.n and t >= w.letter(b):
-            raise ValueError(f"type {t} does not beat letter {w.letter(b)} at site {b}")
-        last_b, last_t = b, t
-
-
-def apply_overwrite(w: Word, B: tuple[tuple[int, int], ...]) -> Word:
-    _check_overwrite(w, B)
-    res = [0] * w.n
-    targets = {b - 1: t for b, t in B}
-    for i in range(1, w.n + 1):
-        res[i - 1] = targets[i] if i in targets else w.letter(i + 1)
-    return Word(tuple(res), w.T)
-
-
-def overwrite_prob(w: Word, B: tuple[tuple[int, int], ...], p: ParamSet):
-    """Failure factors between consecutive written types, one z factor per
-    written type below T."""
-    if not p.normalized:
-        raise NotNormalized("overwriting model needs z summing to 1")
-    _check_overwrite(w, B)
-    acc = p.z_at(1) ** 0
-    prev_b, prev_t = 1, 0
-    for b, t in B:
-        for level in range(prev_t + 1, t):
-            acc = acc * (1 - p.y_at(stat_J(w, prev_b + 1, level)))
-        if t != w.T:
-            acc = acc * p.z_at(stat_J(w, b, t))
-        prev_b, prev_t = b, t
-    return acc
+    return walk((), 1, 0, z[0] ** 0)
 
 
 def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
-    states = enumerate_alphabet_words(n, T)
-
-    def successors(w: Word):
-        for B in overwrite_sequences(w):
-            yield apply_overwrite(w, B), overwrite_prob(w, B, p)
-
-    return build_matrix(states, successors)
+    return build_matrix(enumerate_alphabet_words(n, T), lambda w: (
+        (Word(letters, T), prob) for letters, prob in _overwrites(w, p)
+    ))
 
 
 # ---------------------------------------------------------------- tableaux

@@ -1,17 +1,19 @@
-"""The overwriting tower's placement rules as they were written before one
-free-cell rule served them all, kept as the reference the module is tested
-against.
+"""The overwriting tower's rules as they were written before the word chain
+walked its overwrite sequences once per word and one free-cell rule served
+the tableau rules, kept as the reference the module is tested against.
 
-Each rule scans the tableau cell by cell: the row block, the column block
-and the shift check are spelled out separately, and every row is
-accumulated from the per-pair step probability.
+The word rule lists every overwrite sequence B of a word, then validates B
+again to apply it and to price it, with J recomputed for every factor. Each
+tableau rule scans the tableau cell by cell: the row block, the column block
+and the shift check are spelled out separately. Every row is accumulated
+from the per-choice step probability.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from jugglemc.combinatorics import ParamSet, Word
+from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, stat_J
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
     MatrixState,
@@ -21,6 +23,67 @@ from jugglemc.overwriting import (
     enumerate_tableaux,
     tableau_successors,
 )
+
+
+def overwrite_sequences(w: Word) -> list[tuple[tuple[int, int], ...]]:
+    """All legal B for w, lexicographic on the flattened pair list."""
+    n, T = w.n, w.T
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(prefix: list[tuple[int, int]], last_b: int, last_t: int):
+        for b in range(last_b + 1, n + 2):
+            if b == n + 1:
+                for t in range(last_t + 1, T + 1):
+                    out.append(tuple(prefix) + ((b, t),))
+            else:
+                top = min(w.letter(b) - 1, T)
+                for t in range(last_t + 1, top + 1):
+                    prefix.append((b, t))
+                    rec(prefix, b, t)
+                    prefix.pop()
+
+    rec([], 1, 0)
+    return out
+
+
+def _check_overwrite(w: Word, B: tuple[tuple[int, int], ...]):
+    if not B or B[-1][0] != w.n + 1:
+        raise ValueError("overwrite sequence must end at site n+1")
+    last_b, last_t = 1, 0
+    for b, t in B:
+        if not last_b < b <= w.n + 1:
+            raise ValueError(f"sites must increase, got {b} after {last_b}")
+        if not last_t < t <= w.T:
+            raise ValueError(f"types must increase, got {t} after {last_t}")
+        if b <= w.n and t >= w.letter(b):
+            raise ValueError(f"type {t} does not beat letter {w.letter(b)} at site {b}")
+        last_b, last_t = b, t
+
+
+def apply_overwrite(w: Word, B: tuple[tuple[int, int], ...]) -> Word:
+    _check_overwrite(w, B)
+    res = [0] * w.n
+    targets = {b - 1: t for b, t in B}
+    for i in range(1, w.n + 1):
+        res[i - 1] = targets[i] if i in targets else w.letter(i + 1)
+    return Word(tuple(res), w.T)
+
+
+def overwrite_prob(w: Word, B: tuple[tuple[int, int], ...], p: ParamSet):
+    """Failure factors between consecutive written types, one z factor per
+    written type below T."""
+    if not p.normalized:
+        raise NotNormalized("overwriting model needs z summing to 1")
+    _check_overwrite(w, B)
+    acc = p.z_at(1) ** 0
+    prev_b, prev_t = 1, 0
+    for b, t in B:
+        for level in range(prev_t + 1, t):
+            acc = acc * (1 - p.y_at(stat_J(w, prev_b + 1, level)))
+        if t != w.T:
+            acc = acc * p.z_at(stat_J(w, b, t))
+        prev_b, prev_t = b, t
+    return acc
 
 
 def _row_blocked(V: Tableau, h: int, i: int, from_col: int) -> bool:
@@ -153,6 +216,12 @@ def _rows(states, moves) -> list[dict]:
             row[j] = row[j] + prob if j in row else prob
         rows.append({j: v for j, v in row.items() if v != 0})
     return rows
+
+
+def word_rows(n: int, T: int, p: ParamSet) -> list[dict]:
+    return _rows(enumerate_alphabet_words(n, T), lambda w: (
+        (apply_overwrite(w, B), overwrite_prob(w, B, p)) for B in overwrite_sequences(w)
+    ))
 
 
 def tableau_rows(n: int, T: int, p: ParamSet) -> list[dict]:

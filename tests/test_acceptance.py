@@ -260,15 +260,17 @@ def test_criterion_4_fluctuating_matrices_and_formulas(capsys):
 def test_criterion_5_overwriting_tower(capsys):
     def body():
         rng = random.Random(1005)
-        # the worked seven-site transition
+        # the worked seven-site transition: B = ((3,2),(6,4),(8,6)) takes
+        # w to 1262436, and distinct B give distinct successors, so the row
+        # entry of 1262436 is the probability of this B alone
         w = Word((3, 1, 4, 6, 2, 5, 3), 6)
-        B = ((3, 2), (6, 4), (8, 6))
-        assert overwriting.apply_overwrite(w, B).letters == (1, 2, 6, 2, 4, 3, 6)
         for _ in range(3):
             p = normalized_params(rng, 8)
             want = ((1 - p.y_at(6)) * p.z_at(5) * (1 - p.y_at(3)) * p.z_at(2)
                     * (1 - p.y_at(1)))
-            assert overwriting.overwrite_prob(w, B, p) == want
+            row = list(overwriting._overwrites(w, p))
+            assert len(dict(row)) == len(row)
+            assert dict(row)[(1, 2, 6, 2, 4, 3, 6)] == want
 
         for n in (1, 2, 3):
             for T in (2, 3):

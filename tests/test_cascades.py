@@ -1,6 +1,7 @@
-"""The cascade walk behind the msjmc, add_drop and annihilation builders
-against the per-choice rule in cascade_reference: every row, plain and
-enriched, with exact and float weights, must hold the same successors in
+"""The choice walks behind the word builders against their per-choice rules:
+the msjmc, add_drop and annihilation cascades against cascade_reference and
+the overwriting sequences against overwriting_reference. Every row, plain
+and enriched, with exact and float weights, must hold the same successors in
 the same order with values of the same type and repr."""
 
 from fractions import Fraction
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from jugglemc import fluctuating, msjmc
+from jugglemc import fluctuating, msjmc, overwriting
 from jugglemc.combinatorics import ParamSet, TypeCounts
 
 from cascade_reference import fluctuating_rows, msjmc_rows
+from overwriting_reference import word_rows
 
 F = Fraction
 
@@ -24,6 +26,8 @@ WORD_SHAPES = [
     (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4),
     (3, 4), (4, 3), (5, 3),
 ]
+# every (n, T) with T^n <= 256 and T <= 8
+OVERWRITING_SHAPES = [(n, T) for n in range(1, 9) for T in range(1, 9) if T ** n <= 256]
 BUILDERS = {
     ("add_drop", False): fluctuating.build_add_drop_chain,
     ("add_drop", True): fluctuating.build_enriched_add_drop_chain,
@@ -46,6 +50,8 @@ def check(model, shape, enriched, z, c=None):
         counts = TypeCounts(shape)
         build = msjmc.build_enriched_chain if enriched else msjmc.build_chain
         assert_same_rows(build(counts, p), msjmc_rows(counts, p, enriched))
+    elif model == "overwriting":
+        assert_same_rows(overwriting.build_word_chain(*shape, p), word_rows(*shape, p))
     else:
         n, T = shape
         P = BUILDERS[model, enriched](n, T, p)
@@ -59,6 +65,7 @@ SHAPES += [("msjmc", s, True) for s in MSJMC_SHAPES
            if len(msjmc.enumerate_enriched(TypeCounts(s))) <= 500]
 SHAPES += [(m, s, e) for m in ("add_drop", "annihilation") for s in WORD_SHAPES
            for e in (False, True) if not e or len(fluctuating.enumerate_enriched_words(*s)) <= 500]
+SHAPES += [("overwriting", s, False) for s in OVERWRITING_SHAPES]
 
 
 def _name(case):
@@ -76,7 +83,7 @@ def test_walk_matches_per_choice_rule(model, shape, enriched, data):
     # z_1 > 0; later weights may be 0
     raw = [data.draw(st.integers(1, 9))]
     raw += data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
-    if model == "annihilation":
+    if model in ("annihilation", "overwriting"):
         z = [F(x, sum(raw)) for x in raw]
     else:
         z = [F(x, data.draw(st.integers(1, 9))) for x in raw]
@@ -101,6 +108,12 @@ def test_walk_matches_per_choice_rule(model, shape, enriched, data):
     ("add_drop", (3, 3), True, (F(1, 2), F(0), F(3), F(0)), (F(1), F(2), F(1, 3))),
     ("annihilation", (3, 3), True, (F(1, 2), F(0), F(1, 2), F(0)), None),
     ("annihilation", (2, 3), False, (0.5, 0.0, 0.5), None),
+    ("overwriting", (1, 1), False, (F(1, 4), F(3, 4)), None),
+    ("overwriting", (1, 4), False, (0.25, 0.75), None),
+    ("overwriting", (4, 1), False, (F(1, 4), F(0), F(3, 4), F(0), F(0)), None),
+    ("overwriting", (3, 3), False, (F(0), F(1, 2), F(0), F(1, 2)), None),
+    ("overwriting", (3, 4), False, (0.5, 0.0, 0.5, 0.0), None),
+    ("overwriting", (2, 3), False, (F(1), F(0), F(0)), None),
 ])
 def test_walk_matches_per_choice_rule_pinned(case):
     check(*case)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import msjmc, overwriting
+from jugglemc import fluctuating, msjmc, overwriting
 from jugglemc.cli import main
-from jugglemc.combinatorics import ParamSet, TypeCounts, rational
+from jugglemc.combinatorics import ParamSet, TypeCounts
 
 F = Fraction
 
@@ -63,7 +63,7 @@ def test_matrix_json_round_trip(capsys):
     assert doc["states"] == ["123", "132", "213", "231", "312", "321"]
     p = ParamSet((F(1, 2), F(1, 3), F(1, 6), F(1, 6)))
     P = msjmc.build_chain(TypeCounts((1, 1, 1)), p)
-    parsed = [[rational(x) for x in row] for row in doc["matrix"]]
+    parsed = [[F(x) for x in row] for row in doc["matrix"]]
     assert parsed == P.dense()
     # exact mode never leaks decimals
     for row in doc["matrix"]:
@@ -119,7 +119,7 @@ def test_stationary_both_msjmc(capsys):
     vec = (y1 * y2 * y3, y1 * y1 * y3, y1 * y2 * y2, y1 * y1 * y2, y1 * y1 * y2,
            y1 ** 3)
     total = sum(vec)
-    assert [rational(x) for x in doc["formula"]] == [v / total for v in vec]
+    assert [F(x) for x in doc["formula"]] == [v / total for v in vec]
 
 
 def test_stationary_annihilation_masses(capsys):
@@ -127,14 +127,14 @@ def test_stationary_annihilation_masses(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "EQUAL"
-    assert sum(rational(x) for x in doc["formula"]) == 1
+    assert sum(F(x) for x in doc["formula"]) == 1
 
 
 def test_stationary_jugglers_proportions(capsys):
     code, out, _ = run(capsys, ["stationary", "--method", "formula"] + JUGGLER_ARGS)
     assert code == 0
     doc = json.loads(out)
-    values = sorted((rational(x) for x in doc["formula"]), reverse=True)
+    values = sorted((F(x) for x in doc["formula"]), reverse=True)
     assert values == [F(6, 19), F(3, 19), F(3, 19), F(3, 19), F(3, 19), F(1, 19)]
 
 
@@ -227,6 +227,23 @@ def test_verify_names_first_column_off_the_product_law(capsys, monkeypatch):
             in out.splitlines())
 
 
+def test_verify_names_first_tableau_off_the_fiber_sum(capsys, monkeypatch):
+    # with every tableau mass set to 1 the fiber identity holds only where
+    # the matrix masses lumped onto a tableau sum to 1
+    n, T, p = 2, 3, ParamSet((F(1, 2), F(1, 3), F(1, 6)))
+    Pm = overwriting.build_matrix_chain(n, T, p)
+    fibers: dict = {}
+    for M in Pm.states:
+        V = overwriting.lump_matrix(M)
+        fibers[V] = fibers.get(V, 0) + overwriting.matrix_stationary_weight(M, p)
+    first = next(V for V in overwriting.enumerate_tableaux(n, T) if fibers[V] != 1)
+    monkeypatch.setattr(overwriting, "tableau_stationary", lambda V, p: F(1))
+    code, out, _ = run(capsys, ["verify", "--suite", "lumping", "--model", "overwriting",
+                                "--n", "2", "--T", "3", "--z", "1/2,1/3,1/6"])
+    assert code == 2
+    assert f"FAIL fiber weight identity (counterexample {first})" in out.splitlines()
+
+
 def test_verify_rejects_inapplicable_suite(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "marginals"] + MSJMC_ARGS)
     assert code == 1
@@ -242,6 +259,28 @@ def test_verify_size_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv,cap", [
+    # 4,096 words, but 27,644,437 enriched states over them
+    (["--model", "add_drop", "--n", "12", "--T", "2", "--z", ",".join(["1/13"] * 13),
+      "--activities", "1,1"], "27644437 enriched states exceed the verify cap 5000"),
+    # 512 words, 10^9 matrix states and 115,975 tableaux
+    (["--model", "overwriting", "--n", "9", "--T", "2", "--z", ",".join(["1/10"] * 10)],
+     "matrix enrichment exceeds the verify cap 5000"),
+])
+def test_verify_counts_enrichments_before_building_them(capsys, monkeypatch, argv, cap):
+    def refuse(*args):
+        raise AssertionError("enumerated an enrichment past the cap")
+
+    for module, name in [(msjmc, "enumerate_enriched"), (msjmc, "_enriched_states"),
+                         (fluctuating, "enumerate_enriched_words"),
+                         (fluctuating, "_enriched_states"),
+                         (overwriting, "enumerate_tableaux"),
+                         (overwriting, "enumerate_matrix_states")]:
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run(capsys, ["verify"] + argv)
+    assert (code, out, err) == (1, "", f"error: {cap}\n")
+
+
 def test_simulate_deterministic(capsys):
     argv = ["simulate", "--steps", "400", "--seed", "9"] + MSJMC_ARGS
     code1, out1, _ = run(capsys, argv)
@@ -253,7 +292,7 @@ def test_simulate_deterministic(capsys):
     assert doc["steps"] == 400
     assert doc["burn_in"] == 40
     assert isinstance(doc["tv_distance"], float)
-    assert sum(rational(x) for x in doc["empirical"]) == 1
+    assert sum(F(x) for x in doc["empirical"]) == 1
 
 
 def test_simulate_seed_sources(capsys, monkeypatch):
@@ -287,7 +326,7 @@ def test_simulate_replicas(capsys):
     assert doc["spec_version"] == 2
     assert doc["replicas"] == 300
     assert doc["horizon"] == 2
-    assert sum(rational(x) for x in doc["empirical"]) == 1
+    assert sum(F(x) for x in doc["empirical"]) == 1
 
 
 @pytest.mark.parametrize("argv, empirical", [

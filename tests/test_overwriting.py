@@ -19,7 +19,6 @@ from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
     MatrixState,
     Tableau,
-    apply_overwrite,
     build_matrix_chain,
     build_tableau_chain,
     build_word_chain,
@@ -30,15 +29,14 @@ from jugglemc.overwriting import (
     lump_matrix,
     lump_tableau,
     matrix_stationary_weight,
-    overwrite_prob,
-    overwrite_sequences,
     overwriting_stationary,
     overwriting_stationary_distribution,
     tableau_stationary,
     tableau_successors,
 )
 
-from overwriting_reference import matrix_step, tableau_step_prob
+from overwriting_reference import apply_overwrite, matrix_step, overwrite_prob, \
+    overwrite_sequences, tableau_step_prob
 
 F = Fraction
 
@@ -106,6 +104,8 @@ def test_overwrite_prob_requires_normalized():
     w = Word((1, 2), 2)
     with pytest.raises(NotNormalized):
         overwrite_prob(w, ((3, 1),), ParamSet((F(1), F(1), F(1))))
+    with pytest.raises(NotNormalized):
+        build_word_chain(2, 2, ParamSet((F(1), F(1), F(1))))
 
 
 def test_word_chain_rows():
