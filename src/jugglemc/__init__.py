@@ -26,7 +26,6 @@ from .chain import (
 from .combinatorics import ParamSet, TypeCounts, Word
 from .errors import (
     DegenerateParams,
-    InconsistentState,
     JuggleError,
     NotNormalized,
     ReducibleChain,
@@ -57,7 +56,6 @@ __all__ = [
     "ultrafast_check",
     "verify_lumping",
     "DegenerateParams",
-    "InconsistentState",
     "JuggleError",
     "NotNormalized",
     "ReducibleChain",

@@ -111,9 +111,6 @@ class Distribution:
         t = Fraction(t)
         return Distribution(self.states, tuple(Fraction(w) / t for w in self.weights))
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.states, self.weights))
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented

@@ -24,7 +24,3 @@ class DegenerateParams(JuggleError):
 
 class NotNormalized(JuggleError):
     """An operation requires the throw weights to sum to exactly 1."""
-
-
-class InconsistentState(JuggleError):
-    """Internal invariant violated; indicates a bug, not bad input."""

@@ -1,6 +1,6 @@
 """The multispecies juggling chain: bumping dynamics, closed-form stationary
 law, partition function, and the enriched chain on (word, auxiliary word)
-pairs, including exact predecessor reconstruction.
+pairs.
 
 States are words with fixed letter counts. A transition throws the ball at
 position 1 and bumps a chain of strictly heavier balls recorded by a bumping
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, TypeCounts, Word, enumerate_multiset_words, \
     complete_homogeneous, stat_E, _j_table
-from .errors import DegenerateParams, InconsistentState
+from .errors import DegenerateParams
 
 
 class EnrichedState(NamedTuple):
@@ -128,15 +128,6 @@ def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
     return _enriched_states(enumerate_multiset_words(counts))
 
 
-def _check_enriched(s: EnrichedState):
-    w, v = s
-    if len(v) != w.n:
-        raise ValueError("auxiliary word length mismatch")
-    for i in range(1, w.n + 1):
-        if not 1 <= v[i - 1] <= stat_E(w, i):
-            raise ValueError(f"v_{i} = {v[i - 1]} outside 1..E_w({i}) = {stat_E(w, i)}")
-
-
 def _enriched_update(v: tuple[int, ...], w2: Word, a: tuple[int, ...]) -> EnrichedState:
     """(w2, v') for the word w2 a bump along a produced: the bumped slots of
     v' restart at E_{w2}, the other entries of v shift left with the balls."""
@@ -144,12 +135,6 @@ def _enriched_update(v: tuple[int, ...], w2: Word, a: tuple[int, ...]) -> Enrich
     return EnrichedState(
         w2, tuple(stat_E(w2, i) if i in filled else v[i] for i in range(1, w2.n + 1))
     )
-
-
-def enriched_step(s: EnrichedState, a: tuple[int, ...]) -> EnrichedState:
-    """Deterministic enriched update of s along the bumping sequence a."""
-    _check_enriched(s)
-    return _enriched_update(s.v, apply_bump(s.w, a), a)
 
 
 def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
@@ -179,65 +164,3 @@ def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
     return _enriched_matrix(enumerate_enriched(counts),
                             lambda w: ((w, a, prob) for a, prob in _bumps(w, p)))
-
-
-def reconstruct_predecessor(s_next: EnrichedState):
-    """Invert an enriched step: the unique bump positions A and source word w
-    such that every predecessor of s_next has this shape.
-
-    Scanning right to left, position j joins A iff the auxiliary entry at
-    j-1 was freshly set (v'_{j-1} = E_{w'}(j-1)) and the letters placed by the
-    bump keep increasing toward the next element of A. Returns (A, w, free)
-    where free lists the positions of w whose auxiliary value is arbitrary.
-    """
-    _check_enriched(s_next)
-    w2, v2 = s_next
-    n = w2.n
-    rev = [n + 1]
-    last_val = w2.letter(n)
-    for j in range(n, 1, -1):
-        if v2[j - 2] == stat_E(w2, j - 1) and w2.letter(j - 1) < last_val:
-            rev.append(j)
-            last_val = w2.letter(j - 1)
-    rev.append(1)
-    A = tuple(reversed(rev))
-    src: list = [None] * n
-    for l in range(len(A) - 1):
-        src[A[l] - 1] = w2.letter(A[l + 1] - 1)
-    in_A = set(A)
-    for i in range(2, n + 1):
-        if i not in in_A:
-            src[i - 1] = w2.letter(i - 1)
-    w = Word(tuple(src), w2.T)
-    free = A[:-1]
-    # one forward step must land back on s_next; anything else is a bug
-    probe = tuple(1 if i + 1 in in_A else v2[i - 1] for i in range(n))
-    try:
-        check = enriched_step(EnrichedState(w, probe), A)
-    except ValueError as exc:
-        raise InconsistentState(
-            f"reconstruction of {s_next} fails forward check: {exc}"
-        ) from exc
-    if check != s_next:
-        raise InconsistentState(f"reconstruction of {s_next} fails forward check")
-    return A, w, free
-
-
-def enumerate_predecessors(s_next: EnrichedState) -> list[tuple[EnrichedState, tuple[int, ...]]]:
-    """All enriched states mapping to s_next, each with its bump sequence."""
-    A, w, free = reconstruct_predecessor(s_next)
-    n = w.n
-    v2 = s_next.v
-    base: list = [None] * n
-    filled = {a - 1 for a in A[1:]}
-    for i in range(1, n + 1):
-        if i not in filled:
-            base[i] = v2[i - 1]  # v_{i+1} = v'_i; i = n is always filled
-    ranges = [range(1, stat_E(w, pos) + 1) for pos in free]
-    out = []
-    for combo in product(*ranges):
-        v = list(base)
-        for pos, val in zip(free, combo):
-            v[pos - 1] = val
-        out.append((EnrichedState(w, tuple(v)), A))
-    return out

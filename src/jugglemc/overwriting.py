@@ -13,10 +13,13 @@ rectangular matrices over {1..n+1} (second enrichment). Both carry
 product-form stationary laws, both project down the tower, and the
 matrix chain reaches stationarity in exactly n steps.
 
-One free-cell rule places a type in a tableau column (`_free_heights`): the
-tableau law's factor for type i in column k counts the free heights, the
-tableau step draws its fresh first column with that law, and the matrix
-lumping replays each recorded juggler choice onto the same free heights.
+One free-cell rule places a type in a tableau column (`_free_heights`), and
+one column-factor rule (`_column_factor`) prices a column with it: the
+tableau law is the product of its columns' factors, the tableau step draws
+its fresh first column with the column-1 factors, and the word law sums the
+column factors in one right-to-left sweep over row-minimum profiles. The
+matrix lumping replays each recorded juggler choice onto the same free
+heights.
 """
 
 from __future__ import annotations
@@ -190,28 +193,25 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
     return [Tableau(cols, T) for cols in sorted(partial)]
 
 
-def tableau_contribution(V: Tableau, i: int, k: int, p: ParamSet):
-    """One factor of the stationary product: with f the free heights of
-    column k for type i, z_{1+f} when i sits in the column, 1 - y_f when
-    it is absent."""
-    if not 1 <= i <= V.T - 1:
-        raise ValueError(f"type {i} outside 1..{V.T - 1}")
-    if not 1 <= k <= V.n:
-        raise ValueError(f"column {k} outside 1..{V.n}")
-    free = len(_free_heights(V.columns, k, i))
-    if i in V.columns[k - 1]:
-        return p.z_at(1 + free)
-    return 1 - p.y_at(free)
+def _column_factor(acc, columns, k: int, T: int, p: ParamSet):
+    """acc times column k's factors of the stationary product, type 1 first:
+    with f the free heights of column k for type i, z_{1+f} when i sits in
+    the column, 1 - y_f when it is absent."""
+    col = columns[k - 1]
+    for i in range(1, T):
+        free = len(_free_heights(columns, k, i))
+        acc = acc * (p.z_at(1 + free) if i in col else 1 - p.y_at(free))
+    return acc
 
 
 def tableau_stationary(V: Tableau, p: ParamSet):
-    """Stationary mass, already normalized: the full contribution product."""
+    """Stationary mass, already normalized: the product of the column
+    factors, column 1 first."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
     acc = p.z_at(1) ** 0
     for k in range(1, V.n + 1):
-        for i in range(1, V.T):
-            acc = acc * tableau_contribution(V, i, k, p)
+        acc = _column_factor(acc, V.columns, k, V.T, p)
     return acc
 
 
@@ -235,10 +235,7 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     def successors(V: Tableau):
         # the step draws W's fresh first column with the law's column-1 factors
         for W in tableau_successors(V):
-            acc = p.z_at(1) ** 0
-            for i in range(1, T):
-                acc = acc * tableau_contribution(W, i, 1, p)
-            yield W, acc
+            yield W, _column_factor(p.z_at(1) ** 0, W.columns, 1, T, p)
 
     return build_matrix(states, successors)
 
@@ -252,28 +249,38 @@ def lump_tableau(V: Tableau) -> Word:
 
 
 def overwriting_stationary(w: Word, p: ParamSet):
-    """Stationary mass of a word: total tableau mass over its lump fiber."""
-    if not p.normalized:
-        raise NotNormalized("overwriting model needs z summing to 1")
-    acc = p.z_at(1) * 0
-    for V in enumerate_tableaux(w.n, w.T):
-        if lump_tableau(V) == w:
-            acc = acc + tableau_stationary(V, p)
-    return acc
+    """Stationary mass of one word, read off the word law."""
+    law = overwriting_stationary_distribution(w.n, w.T, p)
+    return law.weights[law.states.index(w)]
 
 
 def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribution:
-    """All word masses in one sweep over the tableaux."""
+    """All word masses by one sweep over the tableau columns, right to left.
+
+    A column's legal fillings and its factors read the columns to its right
+    only through their row minima, and so does the lump to words. So the
+    sweep keeps the summed mass per row-minimum profile, passed on as the
+    single column to the right, and extends every profile by every legal
+    filling of the next column. The final profiles are the words, with 0
+    read as T.
+    """
     if not p.normalized:
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
     states = enumerate_alphabet_words(n, T)
-    index = {w: i for i, w in enumerate(states)}
-    weights = [p.z_at(1) * 0] * len(states)
-    for V in enumerate_tableaux(n, T):
-        i = index[lump_tableau(V)]
-        weights[i] = weights[i] + tableau_stationary(V, p)
-    return Distribution(states, weights)
+    if T < 2:
+        raise ValueError("need n >= 1 and T >= 2")  # as for the tableaux it sums
+    zero = p.z_at(1) * 0
+    masses = {(): p.z_at(1) ** 0}
+    for k in range(n, 0, -1):
+        swept: dict = {}
+        for prof, mass in masses.items():
+            for col in _column_fillings(n + 1 - k, T, (prof,)):
+                key = tuple(x or m for x, m in zip(col, prof + (0,)))
+                swept[key] = swept.get(key, zero) + _column_factor(mass, (col, prof), 1, T, p)
+        masses = swept
+    words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
+    return Distribution(states, tuple(words.get(w.letters, zero) for w in states))
 
 
 # ------------------------------------------------------------ matrix chain

@@ -3,11 +3,14 @@ the builders are tested against.
 
 Every probability is derived from scratch for one (word, choice) pair with
 the paper's product of bumping factors, and every row is accumulated the way
-the builders did before they walked the cascades once per word.
+the builders did before they walked the cascades once per word. The msjmc
+enriched step of one state and its exact inverse, predecessor
+reconstruction, live here too.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from jugglemc.combinatorics import (
@@ -21,7 +24,7 @@ from jugglemc.combinatorics import (
 )
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import enumerate_enriched_words, intermediate_word
-from jugglemc.msjmc import EnrichedState, _check_bump, apply_bump, enriched_step, \
+from jugglemc.msjmc import EnrichedState, _check_bump, _enriched_update, apply_bump, \
     enumerate_enriched
 
 
@@ -141,6 +144,83 @@ def enriched_fluctuating_step(s: EnrichedState, choice: InsertionChoice) -> Enri
     return EnrichedState(
         w2, tuple(stat_E(w2, i) if i in filled else s.v[i] for i in range(1, w2.n + 1))
     )
+
+
+def _check_enriched(s: EnrichedState):
+    w, v = s
+    if len(v) != w.n:
+        raise ValueError("auxiliary word length mismatch")
+    for i in range(1, w.n + 1):
+        if not 1 <= v[i - 1] <= stat_E(w, i):
+            raise ValueError(f"v_{i} = {v[i - 1]} outside 1..E_w({i}) = {stat_E(w, i)}")
+
+
+def enriched_step(s: EnrichedState, a: tuple[int, ...]) -> EnrichedState:
+    """Deterministic enriched update of s along the bumping sequence a."""
+    _check_enriched(s)
+    return _enriched_update(s.v, apply_bump(s.w, a), a)
+
+
+def reconstruct_predecessor(s_next: EnrichedState):
+    """Invert an enriched step: the unique bump positions A and source word w
+    such that every predecessor of s_next has this shape.
+
+    Scanning right to left, position j joins A iff the auxiliary entry at
+    j-1 was freshly set (v'_{j-1} = E_{w'}(j-1)) and the letters placed by the
+    bump keep increasing toward the next element of A. Returns (A, w, free)
+    where free lists the positions of w whose auxiliary value is arbitrary.
+    """
+    _check_enriched(s_next)
+    w2, v2 = s_next
+    n = w2.n
+    rev = [n + 1]
+    last_val = w2.letter(n)
+    for j in range(n, 1, -1):
+        if v2[j - 2] == stat_E(w2, j - 1) and w2.letter(j - 1) < last_val:
+            rev.append(j)
+            last_val = w2.letter(j - 1)
+    rev.append(1)
+    A = tuple(reversed(rev))
+    src: list = [None] * n
+    for l in range(len(A) - 1):
+        src[A[l] - 1] = w2.letter(A[l + 1] - 1)
+    in_A = set(A)
+    for i in range(2, n + 1):
+        if i not in in_A:
+            src[i - 1] = w2.letter(i - 1)
+    w = Word(tuple(src), w2.T)
+    free = A[:-1]
+    # one forward step must land back on s_next; anything else is a bug
+    probe = tuple(1 if i + 1 in in_A else v2[i - 1] for i in range(n))
+    try:
+        check = enriched_step(EnrichedState(w, probe), A)
+    except ValueError as exc:
+        raise AssertionError(
+            f"reconstruction of {s_next} fails forward check: {exc}"
+        ) from exc
+    if check != s_next:
+        raise AssertionError(f"reconstruction of {s_next} fails forward check")
+    return A, w, free
+
+
+def enumerate_predecessors(s_next: EnrichedState) -> list[tuple[EnrichedState, tuple[int, ...]]]:
+    """All enriched states mapping to s_next, each with its bump sequence."""
+    A, w, free = reconstruct_predecessor(s_next)
+    n = w.n
+    v2 = s_next.v
+    base: list = [None] * n
+    filled = {a - 1 for a in A[1:]}
+    for i in range(1, n + 1):
+        if i not in filled:
+            base[i] = v2[i - 1]  # v_{i+1} = v'_i; i = n is always filled
+    ranges = [range(1, stat_E(w, pos) + 1) for pos in free]
+    out = []
+    for combo in product(*ranges):
+        v = list(base)
+        for pos, val in zip(free, combo):
+            v[pos - 1] = val
+        out.append((EnrichedState(w, tuple(v)), A))
+    return out
 
 
 def _rows(states, moves) -> list[dict]:

@@ -1,18 +1,22 @@
 """The overwriting tower's rules as they were written before the word chain
-walked its overwrite sequences once per word and one free-cell rule served
-the tableau rules, kept as the reference the module is tested against.
+walked its overwrite sequences once per word, one free-cell rule served
+the tableau rules and the word law became a sweep over tableau columns,
+kept as the reference the module is tested against.
 
 The word rule lists every overwrite sequence B of a word, then validates B
 again to apply it and to price it, with J recomputed for every factor. Each
 tableau rule scans the tableau cell by cell: the row block, the column block
 and the shift check are spelled out separately. Every row is accumulated
-from the per-choice step probability.
+from the per-choice step probability. The word law lists every tableau and
+adds its mass to the word it lumps to.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from jugglemc import overwriting
+from jugglemc.chain import Distribution
 from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, stat_J
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
@@ -155,6 +159,21 @@ def lump_tableau(V: Tableau) -> Word:
                 break
         letters.append(letter)
     return Word(tuple(letters), V.T)
+
+
+def word_law(n: int, T: int, p: ParamSet) -> Distribution:
+    """All word masses by one pass over the tableaux: each tableau's mass
+    goes to the word it lumps to."""
+    if not p.normalized:
+        raise NotNormalized("overwriting model needs z summing to 1")
+    p.require_arity(n)
+    states = enumerate_alphabet_words(n, T)
+    index = {w: i for i, w in enumerate(states)}
+    weights = [p.z_at(1) * 0] * len(states)
+    for V in enumerate_tableaux(n, T):
+        i = index[overwriting.lump_tableau(V)]
+        weights[i] = weights[i] + overwriting.tableau_stationary(V, p)
+    return Distribution(states, weights)
 
 
 def matrix_step(M: MatrixState, newcol: tuple[int, ...]) -> MatrixState:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import fluctuating, msjmc, overwriting
+from jugglemc import cli, fluctuating, msjmc, overwriting
 from jugglemc.cli import main
 from jugglemc.combinatorics import ParamSet, TypeCounts
 
@@ -279,6 +279,20 @@ def test_verify_counts_enrichments_before_building_them(capsys, monkeypatch, arg
         monkeypatch.setattr(module, name, refuse)
     code, out, err = run(capsys, ["verify"] + argv)
     assert (code, out, err) == (1, "", f"error: {cap}\n")
+
+
+def test_verify_refuses_an_over_cap_enrichment_before_the_base_chain(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the base chain before the enrichment cap")
+
+    monkeypatch.setattr(cli, "spec_chain", refuse)
+    code, out, err = run(capsys, [
+        "verify", "--model", "add_drop", "--n", "12", "--T", "2",
+        "--z", ",".join(["1/13"] * 13), "--activities", "1,1",
+    ])
+    assert (code, out, err) == (
+        1, "", "error: 27644437 enriched states exceed the verify cap 5000\n"
+    )
 
 
 def test_simulate_deterministic(capsys):

@@ -27,15 +27,13 @@ from jugglemc.msjmc import (
     build_chain,
     build_enriched_chain,
     enriched_stationary_weight,
-    enriched_step,
     enumerate_enriched,
-    enumerate_predecessors,
     partition_function,
-    reconstruct_predecessor,
     stationary_weight,
 )
 
-from cascade_reference import bumping_sequences, transition_prob
+from cascade_reference import bumping_sequences, enriched_step, enumerate_predecessors, \
+    reconstruct_predecessor, transition_prob
 
 F = Fraction
 

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from jugglemc import overwriting
 from jugglemc.chain import (
     LumpingMap,
     build_matrix,
@@ -14,6 +15,7 @@ from jugglemc.chain import (
     total_variation,
     verify_lumping,
 )
+from jugglemc.cli import main
 from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
@@ -268,6 +270,27 @@ def test_overwriting_stationary_matches_solver():
     assert dist.total == 1
 
 
+def test_word_law_never_lists_tableaux(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("listed or lumped a tableau")
+
+    monkeypatch.setattr(overwriting, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(overwriting, "lump_tableau", refuse)
+    law = overwriting_stationary_distribution(6, 3, ParamSet(tuple([F(1, 7)] * 7)))
+    assert len(law.states) == 3 ** 6
+    assert law.total == 1
+    z = ",".join(["1/7"] * 7)
+    code = main(["stationary", "--method", "formula", "--model", "overwriting",
+                 "--n", "6", "--T", "3", "--z", z])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_word_law_needs_two_types():
+    # the law is a sum over staircase tableaux, which need T >= 2
+    with pytest.raises(ValueError, match="need n >= 1 and T >= 2"):
+        overwriting_stationary_distribution(2, 1, ParamSet((F(1, 3),) * 3))
+
+
 def test_last_site_marginal_closed_form():
     p = ParamSet((F(1, 2), F(1, 4), F(1, 4)))
     z1 = F(1, 2)
@@ -281,7 +304,8 @@ def test_marginals_match_exact_stationary():
     rng = random.Random(59)
     for n, T in ((2, 2), (2, 3), (3, 2)):
         p = random_normalized_params(rng, n)
-        pi = overwriting_stationary_distribution(n, T, p).as_dict()
+        law = overwriting_stationary_distribution(n, T, p)
+        pi = dict(zip(law.states, law.weights))
         for j in range(1, T + 1):
             want = sum(m for w, m in pi.items() if w.letter(n) == j)
             assert last_site_marginal(j, n, T, p) == want
