@@ -378,6 +378,7 @@ def _base_m_probe(P: ChainMatrix, limit: int):
 def _enrichment_cap(spec: ModelSpec):
     """Refuse an enrichment past the verify cap, counted without building it."""
     if spec.model == "overwriting":
+        _need(spec.T >= 2, "the tableau tower needs T >= 2")
         # the matrix-to-tableau lumping is onto, so the tableaux number at
         # most the matrix states and this one count caps both enrichments
         _need((spec.n + 1) ** (spec.n * (spec.T - 1)) <= VERIFY_STATE_CAP,

@@ -44,9 +44,6 @@ class Word:
             raise ValueError(f"position {i} outside 1..{self.n}")
         return self.letters[i - 1]
 
-    def drop_first(self) -> tuple[int, ...]:
-        return self.letters[1:]
-
     def __str__(self):
         if self.T <= 9:
             return "".join(str(x) for x in self.letters)

@@ -7,44 +7,41 @@ intermediate word j w^-. Past position 1, j w^- agrees with w, so one J table
 of w serves every j: per word, the builders compute the insertion factors
 once (the add-drop normalizer, the annihilation failure factors) and walk
 the cascades from a(2) with msjmc's walk, multiplying each tail onto its
-insertion factor at the leaf.
+insertion factor at the leaf. The walk writes the successor as it goes,
+starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .chain import ChainMatrix, build_matrix
+from .chain import ChainMatrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
     complete_homogeneous, stat_E, _j_table
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, apply_bump, _cascades, _enriched_matrix, \
-    _enriched_states
+from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, \
+    _word_matrix
 
 
-def intermediate_word(w: Word, j: int) -> Word:
-    """j w^-: the caught ball replaced by a fresh ball of type j."""
-    if not 1 <= j <= w.T:
-        raise ValueError(f"type {j} outside 1..{w.T}")
-    return Word((j,) + w.drop_first(), w.T)
-
-
-def _insertions(w: Word, J: list, p: ParamSet, j: int, head):
-    """Yield (a, probability) for every bumping sequence a of j w^-,
-    lexicographically: head(z_{J(a(2), j)}) for the insertion step times the
-    cascade factors from a(2) on. J is _j_table(w), which agrees with the
-    table of j w^- from position 2 on."""
+def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
+    """Yield (successor letters, a, probability) for every bumping sequence a
+    of j w^-, lexicographically: lead(z_{J(a(2), j)}) for the insertion step
+    times the cascade factors from a(2) on. J is _j_table(w), which agrees
+    with the table of j w^- from position 2 on, and the successor starts with
+    w_2 .. w_{a(2)-1} followed by j."""
     for a2 in range(2, w.n + 1):
         if w.letters[a2 - 1] > j:
-            h = head(p.z[J[a2][j] - 1])
-            for a, tail in _cascades(w, J, p, (1, a2), None, "cascade factor"):
-                yield a, h * tail
-    yield (1, w.n + 1), head(p.z[0])
+            h = lead(p.z[J[a2][j] - 1])
+            for letters, a, tail in _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,), (1, a2),
+                                              None, "cascade factor"):
+                yield letters, a, h * tail
+    yield w.letters[1:] + (j,), (1, w.n + 1), lead(p.z[0])
 
 
 def _add_drop_moves(w: Word, p: ParamSet):
-    """(j w^-, a, probability) for every insertion type j and bumping
-    sequence a: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)} times the cascade."""
+    """(successor letters, a, probability) for every insertion type j and
+    bumping sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
+    times the cascade."""
     if p.c is None or len(p.c) != w.T:
         raise ValueError(f"need {w.T} activities")
     J = _j_table(w)
@@ -52,9 +49,7 @@ def _add_drop_moves(w: Word, p: ParamSet):
     if den == 0:
         raise DegenerateParams("insertion normalizer is 0")
     for j, cj in enumerate(p.c, 1):
-        W = intermediate_word(w, j)
-        for a, prob in _insertions(w, J, p, j, lambda x: cj * x / den):
-            yield W, a, prob
+        yield from _insertions(w, J, p, j, lambda x: cj * x / den)
 
 
 def add_drop_stationary_weight(w: Word, p: ParamSet):
@@ -98,16 +93,24 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
 
 
 def _annihilation_moves(w: Word, p: ParamSet):
-    """(j w^-, a, probability) with cascading attempts: types below j all
-    fail, with factors 1 - y_{J(2, t)}, then j lands and bumps; type T goes
-    to the top with the leftover mass."""
+    """(successor letters, a, probability) with cascading attempts: types
+    below j all fail, with factors 1 - y_{J(2, t)}, then j lands and bumps;
+    type T goes to the top with the leftover mass."""
     J = _j_table(w)
     fails = [1 - p.y[J[2][t] - 1] for t in range(1, w.T)]
     for j in range(1, w.T):
-        W = intermediate_word(w, j)
-        for a, prob in _insertions(w, J, p, j, lambda x: prod(fails[: j - 1], start=x)):
-            yield W, a, prob
-    yield intermediate_word(w, w.T), (1, w.n + 1), prod(fails, start=p.z_at(1) ** 0)
+        yield from _insertions(w, J, p, j, lambda x: prod(fails[: j - 1], start=x))
+    yield w.letters[1:] + (w.T,), (1, w.n + 1), prod(fails, start=p.z_at(1) ** 0)
+
+
+def _failure_factors(acc, w: Word, p: ParamSet):
+    """acc times the annihilation failure factors: 1 - y_q for q = 1..(number
+    of balls of type >= level), for every level 2..T."""
+    for level in range(2, w.T + 1):
+        count = sum(1 for x in w.letters if x >= level)
+        for q in range(1, count + 1):
+            acc = acc * (1 - p.y_at(q))
+    return acc
 
 
 def annihilation_stationary(w: Word, p: ParamSet):
@@ -119,31 +122,19 @@ def annihilation_stationary(w: Word, p: ParamSet):
     for i in range(1, w.n + 1):
         if w.letter(i) < w.T:
             acc = acc * p.y_at(stat_E(w, i))
-    for level in range(2, w.T + 1):
-        count = sum(1 for x in w.letters if x >= level)
-        for q in range(1, count + 1):
-            acc = acc * (1 - p.y_at(q))
-    return acc
-
-
-def _word_chain(n, T, p, moves) -> ChainMatrix:
-    def successors(w: Word):
-        for W, a, prob in moves(w, p):
-            yield apply_bump(W, a), prob
-
-    return build_matrix(enumerate_alphabet_words(n, T), successors)
+    return _failure_factors(acc, w, p)
 
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _word_chain(n, T, p, _add_drop_moves)
+    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p))
 
 
 def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _word_chain(n, T, p, _annihilation_moves)
+    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p))
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
@@ -169,11 +160,7 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
     for letter, x in zip(w.letters, s.v):
         if letter < w.T:
             acc = acc * p.z_at(x)
-    for level in range(2, w.T + 1):
-        count = sum(1 for t in w.letters if t >= level)
-        for q in range(1, count + 1):
-            acc = acc * (1 - p.y_at(q))
-    return acc
+    return _failure_factors(acc, w, p)
 
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:

@@ -8,7 +8,9 @@ sequence a = (1 = a(1) < ... < a(k) = n+1). Its probability is the product
 of the bumping factors z_{J(a(i), t)} / y_{J(a(i-1), t)}, t the type of the
 ball at a(i-1). Sequences with a common prefix share that part of the
 product, so the builders enumerate them with one recursive walk per word
-over a table of J_w, carrying the running product down the recursion.
+over a table of J_w. The walk carries the running product and the
+successor's letters down the recursion, so every sequence it yields comes
+with its successor already written and valid by construction.
 """
 
 from __future__ import annotations
@@ -31,14 +33,17 @@ class EnrichedState(NamedTuple):
         return f"{self.w}|{''.join(str(x) for x in self.v)}"
 
 
-def _cascades(w: Word, J: list, p: ParamSet, a: tuple[int, ...], acc, what: str):
-    """Yield (a', probability) for every bumping sequence a' of w that
-    extends a, lexicographically.
+def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], acc,
+              what: str):
+    """Yield (successor letters, a', probability) for every bumping sequence
+    a' of w that extends a, lexicographically.
 
-    The ball of type t at the last position of a lands on a heavier ball at
-    cur or at the top n+1; each step multiplies acc by z_{J(cur, t)} and
-    divides by y_{J(prev, t)}, in sequence order (acc None is the empty
-    product). J is _j_table(w); `what` names the denominator in errors.
+    head holds the successor's letters before the last position of a, whose
+    ball of type t lands on a heavier ball at cur or at the top n+1: the
+    letters in between shift one slot left and t fills slot cur-1. Each step
+    multiplies acc by z_{J(cur, t)} and divides by y_{J(prev, t)}, in
+    sequence order (acc None is the empty product). J is _j_table(w);
+    `what` names the denominator in errors.
     """
     prev = a[-1]
     t = w.letters[prev - 1]
@@ -51,35 +56,17 @@ def _cascades(w: Word, J: list, p: ParamSet, a: tuple[int, ...], acc, what: str)
         if w.letters[cur - 1] > t:
             f = z[J[cur][t] - 1]
             step = f / den if acc is None else acc * f / den
-            yield from _cascades(w, J, p, a + (cur,), step, what)
+            yield from _cascades(w, J, p, head + w.letters[prev : cur - 1] + (t,),
+                                 a + (cur,), step, what)
     # the sentinel: J(n+1, t) = 1
-    yield a + (n + 1,), z[0] / den if acc is None else acc * z[0] / den
+    yield head + w.letters[prev:] + (t,), a + (n + 1,), \
+        z[0] / den if acc is None else acc * z[0] / den
 
 
 def _bumps(w: Word, p: ParamSet):
-    """(a, transition probability) for every bumping sequence a of w."""
-    return _cascades(w, _j_table(w), p, (1,), None, "transition denominator")
-
-
-def _check_bump(w: Word, a: tuple[int, ...]):
-    n = w.n
-    if len(a) < 2 or a[0] != 1 or a[-1] != n + 1:
-        raise ValueError(f"bumping sequence must run from 1 to {n + 1}: {a}")
-    for prev, cur in zip(a, a[1:]):
-        if cur <= prev:
-            raise ValueError(f"positions must increase: {a}")
-        if cur <= n and w.letters[cur - 1] <= w.letters[prev - 1]:
-            raise ValueError(f"letters must increase along {a}")
-
-
-def apply_bump(w: Word, a: tuple[int, ...]) -> Word:
-    """The word w^a: each bumped position a(l)-1 receives the previous
-    ball of the sequence, everything else shifts one slot left."""
-    _check_bump(w, a)
-    res = list(w.letters[1:]) + [None]
-    for prev, cur in zip(a, a[1:]):
-        res[cur - 2] = w.letters[prev - 1]
-    return Word(tuple(res), w.T)
+    """(successor letters, a, transition probability) for every bumping
+    sequence a of w."""
+    return _cascades(w, _j_table(w), p, (), (1,), None, "transition denominator")
 
 
 def stationary_weight(w: Word, p: ParamSet):
@@ -105,13 +92,7 @@ def partition_function(counts: TypeCounts, p: ParamSet):
 def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     """Transition matrix on all words with the given letter counts."""
     p.require_arity(counts.n)
-    states = enumerate_multiset_words(counts)
-
-    def successors(w: Word):
-        for a, prob in _bumps(w, p):
-            yield apply_bump(w, a), prob
-
-    return build_matrix(states, successors)
+    return _word_matrix(enumerate_multiset_words(counts), lambda w: _bumps(w, p))
 
 
 def _enriched_states(words) -> list[EnrichedState]:
@@ -145,13 +126,22 @@ def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     return acc
 
 
+def _word_matrix(states: list[Word], moves) -> ChainMatrix:
+    """build_matrix on words: moves(w) yields (successor letters, a,
+    probability) for every bumping sequence a the step can take."""
+    return build_matrix(states, lambda w: (
+        (Word(letters, w.T), prob) for letters, _, prob in moves(w)
+    ))
+
+
 def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
     """build_matrix on enriched states, which come grouped by word: moves(w)
-    yields (W, a, probability), a a bumping sequence of the word W, and each
-    word's moves are walked once for all its v."""
+    yields (successor letters, a, probability) as for _word_matrix, a fixes
+    the restarted slots of v, and each word's moves are walked once for all
+    its v."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
-        return [(apply_bump(W, a), a, prob) for W, a, prob in moves(w)]
+        return [(Word(letters, w.T), a, prob) for letters, a, prob in moves(w)]
 
     def successors(s: EnrichedState):
         for w2, a, prob in word_moves(s.w):
@@ -162,5 +152,4 @@ def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
 
 def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
-    return _enriched_matrix(enumerate_enriched(counts),
-                            lambda w: ((w, a, prob) for a, prob in _bumps(w, p)))
+    return _enriched_matrix(enumerate_enriched(counts), lambda w: _bumps(w, p))

@@ -268,8 +268,6 @@ def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribu
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
     states = enumerate_alphabet_words(n, T)
-    if T < 2:
-        raise ValueError("need n >= 1 and T >= 2")  # as for the tableaux it sums
     zero = p.z_at(1) * 0
     masses = {(): p.z_at(1) ** 0}
     for k in range(n, 0, -1):

@@ -5,7 +5,9 @@ Every probability is derived from scratch for one (word, choice) pair with
 the paper's product of bumping factors, and every row is accumulated the way
 the builders did before they walked the cascades once per word. The msjmc
 enriched step of one state and its exact inverse, predecessor
-reconstruction, live here too.
+reconstruction, live here too, and so does the rule that writes a successor
+from its bumping sequence (apply_bump), which the builders' walks replace by
+writing the successor as they go.
 """
 
 from __future__ import annotations
@@ -23,14 +25,41 @@ from jugglemc.combinatorics import (
     stat_J,
 )
 from jugglemc.errors import DegenerateParams, NotNormalized
-from jugglemc.fluctuating import enumerate_enriched_words, intermediate_word
-from jugglemc.msjmc import EnrichedState, _check_bump, _enriched_update, apply_bump, \
-    enumerate_enriched
+from jugglemc.fluctuating import enumerate_enriched_words
+from jugglemc.msjmc import EnrichedState, _enriched_update, enumerate_enriched
 
 
 class InsertionChoice(NamedTuple):
     j: int
     a: tuple[int, ...]
+
+
+def _check_bump(w: Word, a: tuple[int, ...]):
+    n = w.n
+    if len(a) < 2 or a[0] != 1 or a[-1] != n + 1:
+        raise ValueError(f"bumping sequence must run from 1 to {n + 1}: {a}")
+    for prev, cur in zip(a, a[1:]):
+        if cur <= prev:
+            raise ValueError(f"positions must increase: {a}")
+        if cur <= n and w.letters[cur - 1] <= w.letters[prev - 1]:
+            raise ValueError(f"letters must increase along {a}")
+
+
+def apply_bump(w: Word, a: tuple[int, ...]) -> Word:
+    """The word w^a: each bumped position a(l)-1 receives the previous
+    ball of the sequence, everything else shifts one slot left."""
+    _check_bump(w, a)
+    res = list(w.letters[1:]) + [None]
+    for prev, cur in zip(a, a[1:]):
+        res[cur - 2] = w.letters[prev - 1]
+    return Word(tuple(res), w.T)
+
+
+def intermediate_word(w: Word, j: int) -> Word:
+    """j w^-: the caught ball replaced by a fresh ball of type j."""
+    if not 1 <= j <= w.T:
+        raise ValueError(f"type {j} outside 1..{w.T}")
+    return Word((j,) + w.letters[1:], w.T)
 
 
 def bumping_sequences(w: Word) -> list[tuple[int, ...]]:

@@ -158,6 +158,37 @@ def test_verify_overwriting_all(capsys):
     assert out.splitlines()[-1].startswith("OK (")
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_subcommand_on_one_type(capsys, n):
+    # one type leaves one word, 1...1; every law is mass 1 on it, and only
+    # the tableau tower, which needs two types, is refused
+    args = ["--model", "overwriting", "--n", str(n), "--T", "1",
+            "--z", ",".join([f"1/{n + 1}"] * (n + 1))]
+    word = "1" * n
+    code, out, err = run(capsys, ["enumerate"] + args)
+    assert (code, out.splitlines(), err) == (0, ["# states: 1", word], "")
+    code, out, _ = run(capsys, ["matrix"] + args)
+    assert code == 0 and json.loads(out)["matrix"] == [["1"]]
+    for method, laws in [("formula", ["formula"]), ("solve", ["solve"]),
+                         ("both", ["formula", "solve"])]:
+        code, out, err = run(capsys, ["stationary", "--method", method] + args)
+        doc = json.loads(out)
+        assert (code, err, doc["states"]) == (0, "", [word]), method
+        assert [doc[key] for key in laws] == [["1"]] * len(laws)
+    assert doc["verdict"] == "EQUAL"
+    for extra in (["--steps", "10"], ["--replicas", "3"]):
+        code, out, err = run(capsys, ["simulate", "--seed", "1"] + extra + args)
+        doc = json.loads(out)
+        assert (code, err, doc["empirical"], doc["exact"]) == (0, "", ["1"], ["1"])
+    for suite in ("marginals", "ultrafast", "spectrum"):
+        code, out, err = run(capsys, ["verify", "--suite", suite] + args)
+        assert (code, err, out.splitlines()[-1]) == (0, "", "OK (3 checks)"), suite
+    for suite in ("lumping", "all"):
+        assert run(capsys, ["verify", "--suite", suite] + args) == (
+            1, "", "error: the tableau tower needs T >= 2\n"
+        )
+
+
 REDUCIBLE_OVERWRITING = ["--model", "overwriting", "--n", "1", "--T", "2", "--z", "1,0"]
 
 

@@ -25,7 +25,6 @@ def test_word_basics():
     w = Word((1, 3, 2), 3)
     assert w.n == 3
     assert w.letter(1) == 1 and w.letter(3) == 2
-    assert w.drop_first() == (3, 2)
     assert str(w) == "132"
 
 

@@ -25,7 +25,6 @@ from jugglemc.fluctuating import (
     enriched_add_drop_weight,
     enriched_annihilation_weight,
     enumerate_enriched_words,
-    intermediate_word,
 )
 
 from cascade_reference import (
@@ -33,6 +32,7 @@ from cascade_reference import (
     annihilation_choices,
     annihilation_prob,
     insertion_choices,
+    intermediate_word,
 )
 
 F = Fraction

@@ -23,7 +23,6 @@ from jugglemc.combinatorics import (
 from jugglemc.errors import DegenerateParams
 from jugglemc.msjmc import (
     EnrichedState,
-    apply_bump,
     build_chain,
     build_enriched_chain,
     enriched_stationary_weight,
@@ -32,8 +31,8 @@ from jugglemc.msjmc import (
     stationary_weight,
 )
 
-from cascade_reference import bumping_sequences, enriched_step, enumerate_predecessors, \
-    reconstruct_predecessor, transition_prob
+from cascade_reference import apply_bump, bumping_sequences, enriched_step, \
+    enumerate_predecessors, reconstruct_predecessor, transition_prob
 
 F = Fraction
 

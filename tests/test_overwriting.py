@@ -285,10 +285,13 @@ def test_word_law_never_lists_tableaux(monkeypatch, capsys):
     assert code == 0, capsys.readouterr().err
 
 
-def test_word_law_needs_two_types():
-    # the law is a sum over staircase tableaux, which need T >= 2
-    with pytest.raises(ValueError, match="need n >= 1 and T >= 2"):
-        overwriting_stationary_distribution(2, 1, ParamSet((F(1, 3),) * 3))
+def test_word_law_on_one_type():
+    # with T = 1 every column stays empty and has no factors, so the sweep
+    # leaves mass 1 on the single word
+    for z in [(F(1, 3),) * 3, (1 / 3,) * 3]:
+        law = overwriting_stationary_distribution(2, 1, ParamSet(z))
+        assert law.states == (Word((1, 1), 1),)
+        assert [(type(m), m) for m in law.weights] == [(type(z[0]), 1)]
 
 
 def test_last_site_marginal_closed_form():
