@@ -7,7 +7,8 @@ of P transposed, with the normalization row appended; it refuses chains whose
 nonzero pattern is not strongly connected. Each equation is scaled to integers
 and eliminated fraction-free on Python ints; the returned distribution holds
 Fractions. Row powers and lumping checks run on the integer matrix D·P, D
-the lcm of the entry denominators, and return Fractions.
+the lcm of the entry denominators, and return Fractions; D·P is computed
+on first use and kept on the chain.
 """
 
 from __future__ import annotations
@@ -36,35 +37,43 @@ class ChainMatrix:
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
+        size = len(self.states)
         clean = []
         exact = True
         for i, row in enumerate(rows):
-            r = {}
-            for j, v in row.items():
-                if not 0 <= j < len(self.states):
-                    raise UnknownSuccessor(f"row {i}: successor index {j}")
-                if isinstance(v, float):
-                    exact = False
-                if v < 0:
-                    raise RowSumError(f"row {i}: negative probability {v}")
-                if v != 0:
-                    r[j] = v
-            if all(map(is_exact, r.values())):
+            values = row.values()
+            if any(isinstance(v, float) for v in values):
+                exact = False
+                r = _checked_row(i, row, size)
+                values = r.values()
+                exact_row = all(map(is_exact, values))
+                nums = [v.numerator for v in values] if exact_row else None
+            else:
+                # ints and Fractions: sign and zero are the numerator's
+                nums = [v.numerator for v in values]
+                if min(row, default=0) < 0 or max(row, default=0) >= size or min(nums, default=0) < 0:
+                    _checked_row(i, row, size)  # raises the first bad entry's error
+                r = {j: v for j, v, num in zip(row, values, nums) if num}
+                exact_row = True
+            if exact_row:
                 # one integer sum over the lcm of the denominators
-                d = lcm(*(v.denominator for v in r.values()))
-                num = sum(v.numerator * (d // v.denominator) for v in r.values())
-                ok = num == d
-                total = Fraction(num, d)
+                dens = [v.denominator for v in values]
+                d = lcm(*dens)
+                num = sum([a * (d // b) for a, b in zip(nums, dens)])
+                if num != d:
+                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(num, d)}")
             else:
                 total = 0
-                for v in r.values():
+                for v in values:
                     total = total + v
-                ok = abs(total - 1) <= FLOAT_TOL
-            if not ok:
-                raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
+                if not abs(total - 1) <= FLOAT_TOL:
+                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
             clean.append(r)
         self.rows = tuple(clean)
         self.exact = exact
+        # D and the rows of D·P, kept by their first use (see _integer_rows)
+        self._denominator = None
+        self._integer_rows = None
 
     @property
     def size(self) -> int:
@@ -86,6 +95,20 @@ class ChainMatrix:
 
     def __repr__(self):
         return f"ChainMatrix({self.size} states)"
+
+
+def _checked_row(i: int, row: Mapping[int, object], size: int) -> dict:
+    """Row i without its zeros; raises on the first entry, in row order, whose
+    index is outside 0..size-1 or whose value is negative."""
+    r = {}
+    for j, v in row.items():
+        if not 0 <= j < size:
+            raise UnknownSuccessor(f"row {i}: successor index {j}")
+        if v < 0:
+            raise RowSumError(f"row {i}: negative probability {v}")
+        if v != 0:
+            r[j] = v
+    return r
 
 
 class Distribution:
@@ -138,24 +161,37 @@ class LumpingMap:
         return self.mapping[state]
 
 
-def build_matrix(states: Sequence, successors: Callable) -> ChainMatrix:
+def build_matrix(states: Sequence, successors: Callable, *,
+                 key: Optional[Callable] = None) -> ChainMatrix:
     """Assemble a ChainMatrix from a per-state successor generator.
 
     successors(state) yields (successor state, probability) pairs; a
     successor yielded more than once gets the sum of its probabilities, added
     in the order they come. Successors outside `states` raise
-    UnknownSuccessor, bad row sums RowSumError.
+    UnknownSuccessor, bad row sums RowSumError. With `key`, successors(state)
+    must depend on the state only through key(state): each distinct key's row
+    is built once, from its first state, and reused for the others.
     """
     index = {s: i for i, s in enumerate(states)}
-    rows = []
-    for s in states:
+
+    def row_of(s) -> dict:
         row = {}
         for succ, v in successors(s):
             j = index.get(succ)
             if j is None:
                 raise UnknownSuccessor(f"transition {s} -> {succ} leaves the state list")
             row[j] = row[j] + v if j in row else v
-        rows.append(row)
+        return row
+
+    if key is None:
+        return ChainMatrix(states, [row_of(s) for s in states])
+    built: dict = {}
+    rows = []
+    for s in states:
+        k = key(s)
+        if k not in built:
+            built[k] = row_of(s)
+        rows.append(built[k])
     return ChainMatrix(states, rows)
 
 
@@ -359,10 +395,13 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
             raise ValueError(f"lumping map undefined on {s}")
     if tuple(f.base_states) != P.states:
         raise ValueError("lumping map targets a different base state order")
+    base_of = [P.index.get(f.mapping[s]) for s in Pt.states]
+    if None in base_of:
+        s = Pt.states[base_of.index(None)]
+        raise ValueError(f"lumping map sends {s} to {f.mapping[s]}, not a base state")
     Dt, D = _denominator(Pt), _denominator(P)
-    base_rows = _integer_rows(P, D)
-    base_of = [P.index[f.mapping[s]] for s in Pt.states]
-    for x, row in enumerate(_integer_rows(Pt, Dt)):
+    base_rows = _integer_rows(P)
+    for x, row in enumerate(_integer_rows(Pt)):
         sums: dict[int, int] = {}
         for y, v in row.items():
             b = base_of[y]
@@ -384,15 +423,23 @@ def project_distribution(pi_t: Distribution, f: LumpingMap) -> Distribution:
 
 
 def _denominator(P: ChainMatrix) -> int:
-    """D, the lcm of P's entry denominators, so that D·P is a matrix of ints."""
+    """D, the lcm of P's entry denominators, so that D·P is a matrix of ints;
+    computed on first use and kept on P."""
     if not P.exact:
         raise ValueError("row powers and lumping checks need exact probabilities")
-    return lcm(*(v.denominator for row in P.rows for v in row.values()))
+    if P._denominator is None:
+        P._denominator = lcm(*(v.denominator for row in P.rows for v in row.values()))
+    return P._denominator
 
 
-def _integer_rows(P: ChainMatrix, D: int) -> list[dict]:
-    """The rows of D·P, with P's keys in P's order."""
-    return [{j: v.numerator * (D // v.denominator) for j, v in row.items()} for row in P.rows]
+def _integer_rows(P: ChainMatrix) -> list[dict]:
+    """The rows of D·P, D = _denominator(P), with P's keys in P's order;
+    computed on first use and kept on P, so no caller may change them."""
+    if P._integer_rows is None:
+        D = _denominator(P)
+        P._integer_rows = [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
+                           for row in P.rows]
+    return P._integer_rows
 
 
 def _power_ladder(P: ChainMatrix):
@@ -404,7 +451,7 @@ def _power_ladder(P: ChainMatrix):
     class. P has no negative entry, so no sum cancels and the frozen rows of
     (index, int) pairs hold no zeros.
     """
-    rows = _integer_rows(P, _denominator(P))
+    rows = _integer_rows(P)
     cls = list(range(P.size))
     vecs = [frozenset({(i, 1)}) for i in range(P.size)]
     while True:

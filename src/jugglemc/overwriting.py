@@ -19,13 +19,16 @@ tableau law is the product of its columns' factors, the tableau step draws
 its fresh first column with the column-1 factors, and the word law sums the
 column factors in one right-to-left sweep over row-minimum profiles. The
 matrix lumping replays each recorded juggler choice onto the same free
-heights.
+heights. A tableau or matrix step keeps only a body of its state, so the
+two builders build each distinct body's row once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .chain import ChainMatrix, Distribution, build_matrix
@@ -215,18 +218,25 @@ def tableau_stationary(V: Tableau, p: ParamSet):
     return acc
 
 
+def _shifted_body(V: Tableau) -> tuple:
+    """What a step keeps of V: columns 1..n-1, each without its bottom cell,
+    become columns 2..n."""
+    return tuple(col[1:] for col in V.columns[:-1])
+
+
 def tableau_successors(V: Tableau) -> list[Tableau]:
     """All W with nonzero step probability from V: the shifted body plus
     every legal filling of the fresh first column."""
-    n = V.n
-    shifted = tuple(V.columns[j - 1][1:] for j in range(1, n))
+    shifted = _shifted_body(V)
     return [
         Tableau((col,) + shifted, V.T)
-        for col in _column_fillings(n, V.T, shifted)
+        for col in _column_fillings(V.n, V.T, shifted)
     ]
 
 
 def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
+    """The tableau chain. A row depends only on the shifted body, so each
+    distinct body's successors and their factors are built once."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(n)
@@ -237,7 +247,7 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         for W in tableau_successors(V):
             yield W, _column_factor(p.z_at(1) ** 0, W.columns, 1, T, p)
 
-    return build_matrix(states, successors)
+    return build_matrix(states, successors, key=_shifted_body)
 
 
 def lump_tableau(V: Tableau) -> Word:
@@ -319,15 +329,25 @@ def enumerate_matrix_states(n: int, T: int) -> list[MatrixState]:
 
 
 def matrix_stationary_weight(M: MatrixState, p: ParamSet):
-    """Product of one z per cell; already normalized over the full grid."""
+    """Product of one z per cell; already normalized over the full grid.
+    Fraction weights reduce once, from the products of their numerators and
+    denominators; other weights multiply cell by cell."""
+    cells = [p.z_at(x) for row in M.grid for x in row]
+    if isinstance(p.z_at(1), Fraction) and all(isinstance(z, Fraction) for z in cells):
+        return Fraction(prod(z.numerator for z in cells), prod(z.denominator for z in cells))
     acc = p.z_at(1) ** 0
-    for row in M.grid:
-        for x in row:
-            acc = acc * p.z_at(x)
+    for z in cells:
+        acc = acc * z
     return acc
 
 
+def _matrix_body(M: MatrixState) -> tuple:
+    """What a step keeps of M: the grid without its last column."""
+    return tuple(row[:-1] for row in M.grid)
+
+
 def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
+    """The matrix chain; each distinct body's row is built once."""
     if not p.normalized:
         raise NotNormalized("matrix chain needs z summing to 1")
     p.require_arity(n)
@@ -343,11 +363,11 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     def successors(M: MatrixState):
         # shift every row right, dropping the last column, and prepend the
         # fresh column of juggler choices
-        body = [row[:-1] for row in M.grid]
+        body = _matrix_body(M)
         for newcol, prob in columns:
             yield MatrixState(tuple((c,) + row for c, row in zip(newcol, body))), prob
 
-    return build_matrix(states, successors)
+    return build_matrix(states, successors, key=_matrix_body)
 
 
 def lump_matrix(M: MatrixState) -> Tableau:

@@ -114,6 +114,44 @@ def test_exact_row_check_is_one_integer_sum():
         ChainMatrix([0], [{0: 0.9999999999}])
 
 
+def test_exact_row_checks_keep_their_errors():
+    def build(row):
+        return ChainMatrix(["s", "t", "u"], [row, {1: 1}, {2: 1}])
+
+    bad = [
+        ({0: -1, 1: 2}, RowSumError, "row 0: negative probability -1"),
+        ({0: F(1, 2), 1: F(-1, 4), 2: F(3, 4)}, RowSumError, "row 0: negative probability -1/4"),
+        ({0: F(1, 2), 3: F(1, 2)}, UnknownSuccessor, "row 0: successor index 3"),
+        ({-1: F(1, 2), 0: F(1, 2)}, UnknownSuccessor, "row 0: successor index -1"),
+        # the first bad entry in row order names the error
+        ({0: F(-1, 2), 5: F(3, 2)}, RowSumError, "row 0: negative probability -1/2"),
+        ({5: F(3, 2), 0: F(-1, 2)}, UnknownSuccessor, "row 0: successor index 5"),
+        ({0: -0.5, 1: 1.5}, RowSumError, "row 0: negative probability -0.5"),
+        ({0: F(1, 2), 1: 0.4}, RowSumError, "row 0 (s) sums to 0.9"),
+        ({0: float("nan")}, RowSumError, "row 0 (s) sums to nan"),
+        ({0: 0.0, 1: F(1, 3)}, RowSumError, "row 0 (s) sums to 1/3"),
+    ]
+    for row, error, text in bad:
+        with pytest.raises(error) as info:
+            build(row)
+        assert type(info.value) is error
+        assert str(info.value) == text
+    # zeros are dropped, int or Fraction, and the row keeps its order
+    P = build({2: F(1, 3), 0: F(0), 1: F(2, 3)})
+    assert P.exact
+    assert [(j, type(v), repr(v)) for j, v in P.rows[0].items()] == [
+        (2, F, "Fraction(1, 3)"), (1, F, "Fraction(2, 3)")]
+    P = build({0: 0, 1: 1, 2: F(0)})
+    assert P.exact and list(P.rows[0].items()) == [(1, 1)]
+    # a float row drops 0.0, and a float anywhere makes the chain inexact
+    P = build({0: 0.0, 1: F(1, 2), 2: F(1, 2)})
+    assert not P.exact
+    assert [(j, type(v)) for j, v in P.rows[0].items()] == [(1, F), (2, F)]
+    P = build({0: F(1, 4), 1: 0.75})
+    assert not P.exact
+    assert [(j, type(v)) for j, v in P.rows[0].items()] == [(0, F), (1, float)]
+
+
 def test_stationary_exact_two_state():
     p, q = F(1, 3), F(1, 5)
     pi = stationary_exact(two_state(p, q)).normalize()
@@ -316,6 +354,54 @@ def test_verify_lumping_rejects_mismatched_map():
     undefined = LumpingMap({0: "A", 1: "A", 2: "B"}, ["A", "B"])
     with pytest.raises(ValueError):
         verify_lumping(Pt, undefined, P)
+
+
+def test_verify_lumping_names_a_state_mapped_outside_the_base():
+    third = F(1, 3)
+    Pt = build_matrix(["x", "y", "z"], lambda s: {"x": third, "y": third, "z": third}.items())
+    P = build_matrix(["a", "b"], lambda s: {"a": F(1, 2), "b": F(1, 2)}.items())
+    outside = LumpingMap({"x": "a", "y": "b", "z": "q"}, ["a", "b"])
+    with pytest.raises(ValueError, match=r"^lumping map sends z to q, not a base state$"):
+        verify_lumping(Pt, outside, P)
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the reads of its numerator."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        CountedFraction.reads += 1
+        return self._numerator
+
+
+def test_integer_form_is_computed_once_per_chain():
+    Pt, f, P = lumpable_pair()
+    counted = [ChainMatrix(X.states, [{j: CountedFraction(v) for j, v in row.items()}
+                                      for row in X.rows]) for X in (Pt, P)]
+    Pt, P = counted
+    CountedFraction.reads = 0
+    assert verify_lumping(Pt, f, P) == (True, None)
+    for X in counted:
+        for m in range(3):
+            ultrafast_check(X, m)
+            nilpotency_check(X, m)
+    # D·P reads each entry's numerator once per chain
+    assert CountedFraction.reads == sum(len(row) for X in counted for row in X.rows)
+
+
+def test_solver_and_sampling_never_build_the_integer_form(monkeypatch):
+    def refuse(P):
+        raise AssertionError("D·P computed")
+
+    monkeypatch.setattr("jugglemc.chain._denominator", refuse)
+    monkeypatch.setattr("jugglemc.chain._integer_rows", refuse)
+    P = two_state(F(1, 3), F(1, 5))
+    stationary_exact(P)
+    simulate(P, "a", 100, seed=1)
+    simulate_replicas(P, "a", 3, 10, seed=1)
+    assert P._denominator is None and P._integer_rows is None
 
 
 def test_verify_lumping_refuses_floats():

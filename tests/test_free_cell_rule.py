@@ -2,8 +2,9 @@
 in overwriting_reference: tableau and matrix rows, with exact and float
 weights, must hold the same successors in the same order with values of the
 same type and repr, every tableau mass must be the product of the reference
-factors, and every lump must agree. The column sweep's word law must match
-the per-tableau fiber sum."""
+factors, every matrix weight the product of its cells' z, and every lump
+must agree. The column sweep's word law must match the per-tableau fiber
+sum."""
 
 import random
 from fractions import Fraction
@@ -85,3 +86,15 @@ def test_matrix_rules_match_reference(n, T):
         assert overwriting.lump_matrix(M) == ref.lump_matrix(M), M
     for p in weight_sets(n, T):
         assert_same_rows(overwriting.build_matrix_chain(n, T, p), ref.matrix_rows(n, T, p))
+
+
+@pytest.mark.parametrize("n,T", MATRIX_SHAPES, ids=lambda s: str(s))
+def test_matrix_weight_matches_cell_product(n, T):
+    zero = (F(1, 2), F(0)) + (F(1, 2 * n),) * (n - 1)
+    for p in [*weight_sets(n, T), ParamSet(zero), ParamSet(tuple(map(float, zero)))]:
+        for M in overwriting.enumerate_matrix_states(n, T):
+            want = p.z_at(1) ** 0
+            for row in M.grid:
+                for x in row:
+                    want = want * p.z_at(x)
+            assert same_value(overwriting.matrix_stationary_weight(M, p), want), M

@@ -186,6 +186,21 @@ def test_tableau_stationary_mass_and_fixed_vector():
         assert pi.weights == tuple(weights[V] for V in Pt.states)
 
 
+def test_tableau_chain_validates_each_tableau_once_per_role(monkeypatch):
+    calls = [0]
+    check = Tableau.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        check(self)
+
+    monkeypatch.setattr(Tableau, "__post_init__", counted)
+    P = build_tableau_chain(4, 3, random_normalized_params(random.Random(58), 4))
+    # once to enumerate it, once as the successor of its one shifted body
+    assert P.size == 742 and sum(len(row) for row in P.rows) == 6640
+    assert calls[0] <= 2 * P.size
+
+
 def test_lump_tableau():
     assert lump_tableau(Tableau(((0, 0), (0,)), 3)) == Word((3, 3), 3)
     assert lump_tableau(Tableau(((1, 2), (2,)), 3)) == Word((1, 2), 3)
