@@ -11,6 +11,7 @@ from .chain import (
     LumpingMap,
     build_matrix,
     chain_period,
+    first_unbalanced,
     is_irreducible,
     nilpotency_check,
     project_distribution,
@@ -18,7 +19,6 @@ from .chain import (
     simulate_replicas,
     stationary_exact,
     stationary_power,
-    step_distribution,
     total_variation,
     ultrafast_check,
     verify_lumping,
@@ -44,6 +44,7 @@ __all__ = [
     "Word",
     "build_matrix",
     "chain_period",
+    "first_unbalanced",
     "is_irreducible",
     "nilpotency_check",
     "project_distribution",
@@ -51,7 +52,6 @@ __all__ = [
     "simulate_replicas",
     "stationary_exact",
     "stationary_power",
-    "step_distribution",
     "total_variation",
     "ultrafast_check",
     "verify_lumping",

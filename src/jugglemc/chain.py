@@ -6,9 +6,9 @@ The exact stationary solver runs Gaussian elimination on the balance equations
 of P transposed, with the normalization row appended; it refuses chains whose
 nonzero pattern is not strongly connected. Each equation is scaled to integers
 and eliminated fraction-free on Python ints; the returned distribution holds
-Fractions. Row powers and lumping checks run on the integer matrix D·P, D
-the lcm of the entry denominators, and return Fractions; D·P is computed
-on first use and kept on the chain.
+Fractions. Row powers, lumping checks and the one-step stationarity
+certificate run on the integer matrix D·P, D the lcm of the entry
+denominators; D·P is computed on first use and kept on the chain.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -71,9 +72,22 @@ class ChainMatrix:
             clean.append(r)
         self.rows = tuple(clean)
         self.exact = exact
-        # D and the rows of D·P, kept by their first use (see _integer_rows)
-        self._denominator = None
-        self._integer_rows = None
+
+    @cached_property
+    def _denominator(self) -> int:
+        """D, the lcm of the entry denominators, so that D·P is a matrix of
+        ints; computed on first use and kept."""
+        if not self.exact:
+            raise ValueError("the integer form D·P needs exact probabilities")
+        return lcm(*(v.denominator for row in self.rows for v in row.values()))
+
+    @cached_property
+    def _integer_rows(self) -> list[dict]:
+        """The rows of D·P with P's keys in P's order; computed on first use
+        and kept, so no caller may change them."""
+        D = self._denominator
+        return [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
+                for row in self.rows]
 
     @property
     def size(self) -> int:
@@ -156,9 +170,6 @@ class LumpingMap:
     @classmethod
     def from_function(cls, fn: Callable, states: Iterable, base_states: Sequence):
         return cls({s: fn(s) for s in states}, base_states)
-
-    def __call__(self, state):
-        return self.mapping[state]
 
 
 def build_matrix(states: Sequence, successors: Callable, *,
@@ -371,16 +382,25 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
                      f"(final delta {delta:.3g}, tol {tol:g})")
 
 
-def step_distribution(dist: Distribution, P: ChainMatrix) -> Distribution:
-    """One exact step: the row vector dist . P."""
-    if dist.states != P.states:
-        raise ValueError("distribution not aligned with the chain")
-    out = [0] * P.size
-    for i, w in enumerate(dist.weights):
-        if w != 0:
-            for j, v in P.rows[i].items():
-                out[j] = out[j] + w * v
-    return Distribution(P.states, tuple(out))
+def first_unbalanced(P: ChainMatrix, masses: Distribution):
+    """The first state, in P's order, whose inflow under one exact step
+    differs from its mass, or None; for an irreducible P, None proves the
+    masses proportional to the unique stationary law. With a = M·masses, M
+    the lcm of their denominators, state j balances iff
+    sum_i a_i (D·P)_ij = D a_j."""
+    if masses.states != P.states:
+        raise ValueError("masses not aligned with the chain")
+    if not all(map(is_exact, masses.weights)):
+        raise ValueError("a stationarity certificate needs exact masses")
+    M = lcm(*(w.denominator for w in masses.weights))
+    scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
+    D = P._denominator
+    inflow = [0] * P.size
+    for a, row in zip(scaled, P._integer_rows):
+        if a:
+            for j, v in row.items():
+                inflow[j] += a * v
+    return next((s for s, a, x in zip(P.states, scaled, inflow) if x != D * a), None)
 
 
 def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
@@ -399,9 +419,9 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
     if None in base_of:
         s = Pt.states[base_of.index(None)]
         raise ValueError(f"lumping map sends {s} to {f.mapping[s]}, not a base state")
-    Dt, D = _denominator(Pt), _denominator(P)
-    base_rows = _integer_rows(P)
-    for x, row in enumerate(_integer_rows(Pt)):
+    Dt, D = Pt._denominator, P._denominator
+    base_rows = P._integer_rows
+    for x, row in enumerate(Pt._integer_rows):
         sums: dict[int, int] = {}
         for y, v in row.items():
             b = base_of[y]
@@ -422,36 +442,16 @@ def project_distribution(pi_t: Distribution, f: LumpingMap) -> Distribution:
     return Distribution(f.base_states, tuple(acc[b] for b in f.base_states))
 
 
-def _denominator(P: ChainMatrix) -> int:
-    """D, the lcm of P's entry denominators, so that D·P is a matrix of ints;
-    computed on first use and kept on P."""
-    if not P.exact:
-        raise ValueError("row powers and lumping checks need exact probabilities")
-    if P._denominator is None:
-        P._denominator = lcm(*(v.denominator for row in P.rows for v in row.values()))
-    return P._denominator
-
-
-def _integer_rows(P: ChainMatrix) -> list[dict]:
-    """The rows of D·P, D = _denominator(P), with P's keys in P's order;
-    computed on first use and kept on P, so no caller may change them."""
-    if P._integer_rows is None:
-        D = _denominator(P)
-        P._integer_rows = [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
-                           for row in P.rows]
-    return P._integer_rows
-
-
 def _power_ladder(P: ChainMatrix):
     """Yield (cls, vecs) for k = 0, 1, 2, ...; row i of (D·P)^k is vecs[cls[i]],
-    D = _denominator(P).
+    D = P._denominator.
 
     Row i of (D·P)^k is sum_c (sum of (D·P)_ij over j in class c of level
     k-1) * vec_c, built once per distinct lumped row; equal rows share a
     class. P has no negative entry, so no sum cancels and the frozen rows of
     (index, int) pairs hold no zeros.
     """
-    rows = _integer_rows(P)
+    rows = P._integer_rows
     cls = list(range(P.size))
     vecs = [frozenset({(i, 1)}) for i in range(P.size)]
     while True:
@@ -476,7 +476,7 @@ def ultrafast_check(P: ChainMatrix, m: int):
     """True iff all rows of P^m coincide; returns (flag, common row or None)."""
     if m < 0:
         raise ValueError(f"matrix power {m} is negative")
-    scale = _denominator(P) ** m
+    scale = P._denominator ** m
     _, vecs = next(islice(_power_ladder(P), m, None))
     if len(vecs) != 1:
         return False, None
@@ -489,7 +489,7 @@ def nilpotency_check(P: ChainMatrix, n: int) -> bool:
     """True iff P^(n+1) = P^n exactly (spectrum contained in {1, 0})."""
     if n < 0:
         raise ValueError(f"matrix power {n} is negative")
-    D = _denominator(P)
+    D = P._denominator
     (cls_n, vecs_n), (cls_next, vecs_next) = islice(_power_ladder(P), n, n + 2)
     # (D·P)^(n+1) = D·(D·P)^n exactly when P^(n+1) = P^n
     return all(frozenset((k, D * x) for k, x in vecs_n[a]) == vecs_next[b]

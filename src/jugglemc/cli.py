@@ -22,8 +22,8 @@ from typing import Optional
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
     ChainMatrix, Distribution, LumpingMap, _power_ladder, chain_period,
-    is_irreducible, nilpotency_check, project_distribution, simulate,
-    simulate_replicas, stationary_exact, stationary_power, step_distribution,
+    first_unbalanced, is_irreducible, nilpotency_check, project_distribution,
+    simulate, simulate_replicas, stationary_exact, stationary_power,
     total_variation, verify_lumping,
 )
 from .combinatorics import (
@@ -36,7 +36,17 @@ SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica se
 DEFAULT_SEED = 1
 STATE_CAP = 100_000
 VERIFY_STATE_CAP = 5_000
-MODELS = ("msjmc", "add_drop", "annihilation", "overwriting", "several_jugglers")
+# the suites `verify --suite all` runs per model; ultrafast and spectrum
+# hold for overwriting only, but an explicit request runs them on any model
+# and reports what it finds
+VERIFY_SUITES = {
+    "msjmc": ("lumping",),
+    "add_drop": ("lumping",),
+    "annihilation": ("lumping",),
+    "overwriting": ("lumping", "ultrafast", "spectrum", "marginals"),
+    "several_jugglers": (),
+}
+MODELS = tuple(VERIFY_SUITES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +77,8 @@ def _is_decimal(text: str) -> bool:
 
 
 def _parse_weight(raw, backend: str):
+    if isinstance(raw, bool):  # Fraction() would read JSON true as 1
+        raise ValueError(f"weight {raw!r} is not a number")
     if isinstance(raw, float) or (isinstance(raw, str) and _is_decimal(raw)):
         value = float(raw)
         if not isfinite(value):
@@ -425,10 +437,7 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
     )
     checks.append(("enriched-to-base lumping", ok,
                    None if ok else f"counterexample {bad}"))
-    masses = Distribution(Pt.states, [weight(s, p) for s in Pt.states])
-    bad = next((s for s, m, inflow in zip(Pt.states, masses.weights,
-                                          step_distribution(masses, Pt).weights)
-                if inflow != m), None)
+    bad = first_unbalanced(Pt, Distribution(Pt.states, [weight(s, p) for s in Pt.states]))
     checks.append(("enriched product law is stationary", bad is None,
                    None if bad is None else f"counterexample {bad}"))
 
@@ -437,29 +446,15 @@ def cmd_verify(spec: ModelSpec, args) -> int:
     if spec.backend != "exact":
         raise ValueError("verify needs the exact backend")
     _cap(spec, VERIFY_STATE_CAP)
-    wordlike = spec.model in ("msjmc", "add_drop", "annihilation", "overwriting")
-    # ultrafast/spectrum hold for overwriting only, so `all` skips them
-    # elsewhere; an explicit request still runs any mechanically
-    # possible suite and reports what it finds
-    runnable = {"ultrafast", "spectrum"}
-    if wordlike:
-        runnable.add("lumping")
-    if spec.model == "overwriting":
-        runnable.add("marginals")
-    if args.suite == "all":
-        if spec.model == "overwriting":
-            suites = {"lumping", "ultrafast", "spectrum", "marginals"}
-        elif wordlike:
-            suites = {"lumping"}
-        else:
-            suites = set()
-    else:
-        suites = {args.suite}
-        if not suites <= runnable:
+    suites = set(VERIFY_SUITES[spec.model])
+    if args.suite != "all":
+        runnable = suites | {"ultrafast", "spectrum"}
+        if args.suite not in runnable:
             raise ValueError(
                 f"suite {args.suite} does not apply to {spec.model}; "
                 f"runnable: {', '.join(sorted(runnable))}"
             )
+        suites = {args.suite}
 
     if "lumping" in suites:
         _enrichment_cap(spec)
@@ -487,16 +482,19 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         checks.append(("closed-form marginals", False, "no unique stationary law"))
     elif "marginals" in suites:
         p, n, T = _params(spec), spec.n, spec.T
-        # last-site and last-two totals of the solved law, in one sweep
+        # the closed-form word law, which one exact step certifies as the
+        # unique stationary law, and its last-site and last-two totals
+        pi = overwriting.overwriting_stationary_distribution(n, T, p)
+        off = first_unbalanced(P, pi)
         last = [0] * (T + 1)
         pair = [[0] * (T + 1) for _ in range(T + 1)]
-        pi = stationary_exact(P)
         for w, m in zip(pi.states, pi.weights):
             last[w.letter(n)] += m
             if n >= 2:
                 pair[w.letter(n - 1)][w.letter(n)] += m
-        bad = next((f"last site {j}" for j in range(1, T + 1)
-                    if last[j] != overwriting.last_site_marginal(j, n, T, p)), None)
+        bad = f"counterexample {off}" if off is not None else next(
+            (f"last site {j}" for j in range(1, T + 1)
+             if last[j] != overwriting.last_site_marginal(j, n, T, p)), None)
         if bad is None and n >= 2:
             bad = next((f"joint ({i}, {j})" for i in range(1, T + 1) for j in range(1, T + 1)
                         if pair[i][j] != overwriting.joint_last_two_marginal(i, j, n, T, p)),

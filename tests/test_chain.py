@@ -17,6 +17,7 @@ from jugglemc.chain import (
     _cumulative_rows,
     build_matrix,
     chain_period,
+    first_unbalanced,
     is_irreducible,
     nilpotency_check,
     project_distribution,
@@ -24,14 +25,15 @@ from jugglemc.chain import (
     simulate_replicas,
     stationary_exact,
     stationary_power,
-    step_distribution,
     total_variation,
     ultrafast_check,
     verify_lumping,
 )
-from jugglemc.cli import _base_m_probe
+from jugglemc.cli import ModelSpec, _base_m_probe, main, spec_chain, spec_formula
 from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
+
+from test_cascades import SHAPES as CASCADE_SHAPES
 
 F = Fraction
 
@@ -221,6 +223,24 @@ def gauss_jordan_stationary(P: ChainMatrix) -> tuple:
     return tuple(row[n] for row in A)
 
 
+def step_distribution(dist: Distribution, P: ChainMatrix) -> Distribution:
+    """Fraction reference for one exact step: the row vector dist . P."""
+    assert dist.states == P.states
+    out = [0] * P.size
+    for i, w in enumerate(dist.weights):
+        if w != 0:
+            for j, v in P.rows[i].items():
+                out[j] = out[j] + w * v
+    return Distribution(P.states, tuple(out))
+
+
+def reference_unbalanced(P: ChainMatrix, masses: Distribution):
+    """first_unbalanced by one Fraction step."""
+    return next((s for s, m, inflow in zip(P.states, masses.weights,
+                                           step_distribution(masses, P).weights)
+                 if inflow != m), None)
+
+
 # the normalization row is pivoted before the last variable here, so
 # back-substitution meets a nonzero right-hand side over known denominators
 PIVOTS_NORMALIZATION_EARLY = ChainMatrix(range(5), [
@@ -241,6 +261,7 @@ def test_stationary_exact_matches_dense_reference(P):
     assert all(type(w) is Fraction for w in pi.weights)
     assert sum(pi.weights) == 1
     assert step_distribution(pi, P) == pi
+    assert first_unbalanced(P, pi) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,6 +311,111 @@ def test_step_distribution():
     d1 = step_distribution(d0, P)
     assert d1.weights == (F(3, 4), F(1, 4))
     assert d1.total == 1
+
+
+def proportional(a: Distribution, b: Distribution) -> bool:
+    """a is a multiple of b, zero included; b must not be zero."""
+    k = next(i for i, w in enumerate(b.weights) if w)
+    return all(x * b.weights[k] == y * a.weights[k] for x, y in zip(a.weights, b.weights))
+
+
+@st.composite
+def chains_with_masses(draw):
+    """An irreducible chain and masses on it: its stationary law times an
+    int or a Fraction, that law with one weight changed, or random ints and
+    Fractions with zeros."""
+    P = draw(irreducible_chains())
+    kind = draw(st.sampled_from(["scaled", "changed", "random"]))
+    if kind == "random":
+        weight = st.one_of(st.integers(0, 5), st.builds(F, st.integers(0, 9), st.integers(1, 9)))
+        weights = draw(st.lists(weight, min_size=P.size, max_size=P.size))
+    else:
+        scale = draw(st.sampled_from([1, 3, F(2, 7)]))
+        weights = [scale * w for w in stationary_exact(P).weights]
+        if kind == "changed":
+            k = draw(st.integers(0, P.size - 1))
+            weights[k] += draw(st.sampled_from([F(1, 11), 1, -weights[k]]))
+    return P, Distribution(P.states, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains_with_masses())
+def test_first_unbalanced_matches_one_fraction_step(case):
+    P, masses = case
+    first = first_unbalanced(P, masses)
+    assert first == reference_unbalanced(P, masses)
+    assert (first is None) == (step_distribution(masses, P) == masses)
+    # the stationary law is unique up to scale on an irreducible chain
+    assert (first is None) == proportional(masses, stationary_exact(P))
+
+
+def closed_form(model, shape, enriched):
+    """A chain of the model on one shape and a thunk for its closed-form
+    law, with z_k proportional to k and activities c_t = 1/t."""
+    if model == "several_jugglers":
+        spec = ModelSpec(model, "exact", r=shape[0], c=shape[1], balls=shape[2])
+        return spec_chain(spec), lambda: spec_formula(spec)
+    n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
+    z = tuple(F(2 * k, (n + 1) * (n + 2)) for k in range(1, n + 2))
+    c = tuple(F(1, t) for t in range(1, T + 1)) if model == "add_drop" else None
+    if not enriched:
+        spec = ModelSpec(model, "exact", counts=shape, n=n, T=T, z=z, activities=c)
+        return spec_chain(spec), lambda: spec_formula(spec)
+    p = ParamSet(z, c)
+    if model == "msjmc":
+        Pt, weight = msjmc.build_enriched_chain(TypeCounts(shape), p), msjmc.enriched_stationary_weight
+    elif model == "add_drop":
+        Pt, weight = (fluctuating.build_enriched_add_drop_chain(n, T, p),
+                      fluctuating.enriched_add_drop_weight)
+    else:
+        Pt, weight = (fluctuating.build_enriched_annihilation_chain(n, T, p),
+                      fluctuating.enriched_annihilation_weight)
+    return Pt, lambda: Distribution(Pt.states, [weight(s, p) for s in Pt.states])
+
+
+CLOSED_FORMS = CASCADE_SHAPES + [("several_jugglers", s, False) for s in
+                                 [(1, 1, 0), (1, 3, 2), (2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 4)]]
+
+
+@pytest.mark.parametrize("model,shape,enriched", CLOSED_FORMS,
+                         ids=["-".join([m, "x".join(map(str, s))] + ["enriched"] * e)
+                              for m, s, e in CLOSED_FORMS])
+def test_first_unbalanced_certifies_every_closed_form(monkeypatch, model, shape, enriched):
+    P, law = closed_form(model, shape, enriched)
+    pi = law()
+    assert first_unbalanced(P, pi) is None
+    assert step_distribution(pi, P) == pi
+    wrong = []
+    for k in sorted({0, P.size // 2, P.size - 1}):
+        weights = list(pi.weights)
+        weights[k] = 2 * weights[k] + F(1, 3)
+        wrong.append(Distribution(P.states, weights))
+    if model != "several_jugglers":
+        # y_{k+1} read where the formula asks for y_k, for each k in 1..n
+        y_at = ParamSet.y_at
+        for k in range(1, (sum(shape) if model == "msjmc" else shape[0]) + 1):
+            monkeypatch.setattr(ParamSet, "y_at", lambda p, i, k=k: y_at(p, i + (i == k)))
+            wrong.append(law())
+            monkeypatch.undo()
+    irreducible = is_irreducible(P)
+    for masses in wrong:
+        first = first_unbalanced(P, masses)
+        assert first == reference_unbalanced(P, masses)
+        assert (first is None) == (step_distribution(masses, P) == masses)
+        if irreducible:
+            assert (first is None) == proportional(masses, pi)
+
+
+def test_first_unbalanced_refuses_floats_and_misaligned_masses():
+    P = two_state(F(1, 3), F(1, 5))
+    for weights in [(0.375, 0.625), (F(3, 8), 0.625)]:
+        with pytest.raises(ValueError, match="exact masses"):
+            first_unbalanced(P, Distribution(P.states, weights))
+    floats = build_matrix(["a", "b"], lambda s: {"a": 0.5, "b": 0.5}.items())
+    with pytest.raises(ValueError, match="exact probabilities"):
+        first_unbalanced(floats, Distribution(floats.states, (F(1, 2), F(1, 2))))
+    with pytest.raises(ValueError, match="not aligned"):
+        first_unbalanced(P, Distribution(["b", "a"], (F(3, 8), F(5, 8))))
 
 
 def test_distribution_helpers():
@@ -380,28 +506,41 @@ def test_integer_form_is_computed_once_per_chain():
     Pt, f, P = lumpable_pair()
     counted = [ChainMatrix(X.states, [{j: CountedFraction(v) for j, v in row.items()}
                                       for row in X.rows]) for X in (Pt, P)]
+    laws = [stationary_exact(X) for X in counted]
     Pt, P = counted
     CountedFraction.reads = 0
     assert verify_lumping(Pt, f, P) == (True, None)
-    for X in counted:
+    rows = [X._integer_rows for X in counted]
+    for X, pi in zip(counted, laws):
+        assert first_unbalanced(X, pi) is None
         for m in range(3):
             ultrafast_check(X, m)
             nilpotency_check(X, m)
-    # D·P reads each entry's numerator once per chain
+    # D·P reads each entry's numerator once per chain, and every later use
+    # gets the same rows
     assert CountedFraction.reads == sum(len(row) for X in counted for row in X.rows)
+    assert all(X._integer_rows is r for X, r in zip(counted, rows))
+    assert [X._denominator for X in counted] == [24, 6]
 
 
-def test_solver_and_sampling_never_build_the_integer_form(monkeypatch):
+def test_solver_and_sampling_never_build_the_integer_form(monkeypatch, capsys):
     def refuse(P):
         raise AssertionError("D·P computed")
 
-    monkeypatch.setattr("jugglemc.chain._denominator", refuse)
-    monkeypatch.setattr("jugglemc.chain._integer_rows", refuse)
+    monkeypatch.setattr(ChainMatrix, "_denominator", property(refuse))
+    monkeypatch.setattr(ChainMatrix, "_integer_rows", property(refuse))
     P = two_state(F(1, 3), F(1, 5))
     stationary_exact(P)
+    stationary_power(P)
     simulate(P, "a", 100, seed=1)
     simulate_replicas(P, "a", 3, 10, seed=1)
-    assert P._denominator is None and P._integer_rows is None
+    assert chain_period(P) == 1
+    assert not {"_denominator", "_integer_rows"} & set(vars(P))
+    args = ["--model", "msjmc", "--counts", "1,1,1", "--z", "1/2,1/3,1/6,1/6"]
+    for argv in (["stationary", "--method", "both"], ["simulate", "--steps", "50"],
+                 ["simulate", "--replicas", "5"]):
+        assert main(argv + args) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_lumping_refuses_floats():

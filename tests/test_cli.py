@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import cli, fluctuating, msjmc, overwriting
+from jugglemc import chain, cli, fluctuating, msjmc, overwriting
 from jugglemc.cli import main
 from jugglemc.combinatorics import ParamSet, TypeCounts
 
@@ -275,10 +275,62 @@ def test_verify_names_first_tableau_off_the_fiber_sum(capsys, monkeypatch):
     assert f"FAIL fiber weight identity (counterexample {first})" in out.splitlines()
 
 
+ADD_DROP_ARGS = ["--model", "add_drop", "--n", "2", "--T", "3", "--z", "1/2,1/3,1/6",
+                 "--activities", "1,2,1/3"]
+OVERWRITING_ARGS = ["--model", "overwriting", "--n", "2", "--T", "3", "--z", "1/2,1/4,1/4"]
+
+
 def test_verify_rejects_inapplicable_suite(capsys):
-    code, _, err = run(capsys, ["verify", "--suite", "marginals"] + MSJMC_ARGS)
-    assert code == 1
-    assert "error:" in err
+    # every refused (model, suite) pair, with the suites that model runs
+    for args, suite, runnable in [
+        (MSJMC_ARGS, "marginals", "lumping, spectrum, ultrafast"),
+        (ADD_DROP_ARGS, "marginals", "lumping, spectrum, ultrafast"),
+        (ANNIHILATION_ARGS, "marginals", "lumping, spectrum, ultrafast"),
+        (JUGGLER_ARGS, "lumping", "spectrum, ultrafast"),
+        (JUGGLER_ARGS, "marginals", "spectrum, ultrafast"),
+    ]:
+        assert run(capsys, ["verify", "--suite", suite] + args) == (
+            1, "", f"error: suite {suite} does not apply to {args[1]}; runnable: {runnable}\n")
+
+
+@pytest.mark.parametrize("args,checks", [
+    (MSJMC_ARGS, 4), (ADD_DROP_ARGS, 4), (ANNIHILATION_ARGS, 4), (OVERWRITING_ARGS, 8),
+    (JUGGLER_ARGS, 2),
+])
+def test_verify_never_calls_the_solver(capsys, monkeypatch, args, checks):
+    def refuse(P):
+        raise AssertionError("verify called the exact solver")
+
+    monkeypatch.setattr(cli, "stationary_exact", refuse)
+    monkeypatch.setattr(chain, "stationary_exact", refuse)
+    code, out, err = run(capsys, ["verify", "--suite", "all"] + args)
+    assert (code, err, out.splitlines()[-1]) == (0, "", f"OK ({checks} checks)")
+
+
+def test_verify_names_the_first_word_off_the_stationary_law(capsys, monkeypatch):
+    # the closed-form word law shifted by one word along the state order:
+    # the marginals check names the first word whose one-step inflow differs
+    right = overwriting.overwriting_stationary_distribution
+
+    def shifted(n, T, p):
+        law = right(n, T, p)
+        return chain.Distribution(law.states, law.weights[1:] + law.weights[:1])
+
+    n, T, p = 2, 3, ParamSet((F(1, 2), F(1, 4), F(1, 4)))
+    P = overwriting.build_word_chain(n, T, p)
+    wrong = shifted(n, T, p)
+    inflow = [sum(w * P.rows[i].get(j, 0) for i, w in enumerate(wrong.weights))
+              for j in range(P.size)]
+    first = next(s for s, m, x in zip(P.states, wrong.weights, inflow) if x != m)
+    monkeypatch.setattr(overwriting, "overwriting_stationary_distribution", shifted)
+    code, out, err = run(capsys, ["verify", "--suite", "marginals"] + OVERWRITING_ARGS)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "PASS irreducible",
+        "PASS aperiodic (period 1)",
+        f"FAIL closed-form marginals (counterexample {first})",
+        "FAILED (1 of 3 checks)",
+    ]
 
 
 def test_verify_size_cap(capsys):
@@ -419,6 +471,9 @@ def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
         {"model": "annihilation", "n": [2], "T": 2, "z": "1/3,1/3,1/3"},
         {"model": "annihilation", "n": 2.9, "T": 2, "z": "1/3,1/3,1/3"},
         {"model": "annihilation", "n": True, "T": 2, "z": "1/2,1/2"},
+        # Fraction() would read JSON true as 1 and false as 0
+        {"model": "annihilation", "n": 1, "T": 2, "z": [True, False]},
+        {"model": "add_drop", "n": 1, "T": 2, "z": "1,1", "c": [True, 2]},
     ]
     spec_args = []
     for k, data in enumerate(bad_specs):
@@ -455,6 +510,7 @@ def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run(capsys, spec_args[-1]) == (1, "", "error: weight True is not a number\n")
     # CPython seeds from abs(seed): a negative seed would replay its positive twin
     assert run(capsys, cases[-1]) == (1, "", "error: seed must be >= 0, got -5\n")
     monkeypatch.setenv("JUGGLE_SEED", "abc")
