@@ -8,7 +8,9 @@ nonzero pattern is not strongly connected. Each equation is scaled to integers
 and eliminated fraction-free on Python ints; the returned distribution holds
 Fractions. Row powers, lumping checks and the one-step stationarity
 certificate run on the integer matrix D·P, D the lcm of the entry
-denominators; D·P is computed on first use and kept on the chain.
+denominators; D·P is computed on first use and kept on the chain. A row
+object that several states hold (as `build_matrix(..., key=...)` hands out)
+is checked, scaled to integers and lumped once, not once per state.
 """
 
 from __future__ import annotations
@@ -39,9 +41,16 @@ class ChainMatrix:
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
         size = len(self.states)
-        clean = []
+        # a row object held by several states is checked and cleaned once, at
+        # its first state; _row_of[i] indexes state i's row in _distinct
+        first_use: dict[int, int] = {}
+        distinct: list[dict] = []
+        row_of: list[int] = []
         exact = True
         for i, row in enumerate(rows):
+            if id(row) in first_use:
+                row_of.append(first_use[id(row)])
+                continue
             values = row.values()
             if any(isinstance(v, float) for v in values):
                 exact = False
@@ -69,8 +78,12 @@ class ChainMatrix:
                     total = total + v
                 if not abs(total - 1) <= FLOAT_TOL:
                     raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
-            clean.append(r)
-        self.rows = tuple(clean)
+            first_use[id(row)] = len(distinct)
+            row_of.append(len(distinct))
+            distinct.append(r)
+        self._distinct = tuple(distinct)
+        self._row_of = row_of
+        self.rows = tuple(distinct[at] for at in row_of)
         self.exact = exact
 
     @cached_property
@@ -79,15 +92,16 @@ class ChainMatrix:
         ints; computed on first use and kept."""
         if not self.exact:
             raise ValueError("the integer form D·P needs exact probabilities")
-        return lcm(*(v.denominator for row in self.rows for v in row.values()))
+        return lcm(*(v.denominator for row in self._distinct for v in row.values()))
 
     @cached_property
     def _integer_rows(self) -> list[dict]:
-        """The rows of D·P with P's keys in P's order; computed on first use
-        and kept, so no caller may change them."""
+        """The distinct rows of D·P, aligned with _distinct and read through
+        _row_of, with P's keys in P's order; computed on first use and kept,
+        so no caller may change them."""
         D = self._denominator
         return [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
-                for row in self.rows]
+                for row in self._distinct]
 
     @property
     def size(self) -> int:
@@ -181,7 +195,8 @@ def build_matrix(states: Sequence, successors: Callable, *,
     in the order they come. Successors outside `states` raise
     UnknownSuccessor, bad row sums RowSumError. With `key`, successors(state)
     must depend on the state only through key(state): each distinct key's row
-    is built once, from its first state, and reused for the others.
+    is built once, from its first state, and the same row object is handed to
+    the others, so ChainMatrix checks, scales and lumps it once.
     """
     index = {s: i for i, s in enumerate(states)}
 
@@ -395,10 +410,11 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
     M = lcm(*(w.denominator for w in masses.weights))
     scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
     D = P._denominator
+    rows = P._integer_rows
     inflow = [0] * P.size
-    for a, row in zip(scaled, P._integer_rows):
+    for a, at in zip(scaled, P._row_of):
         if a:
-            for j, v in row.items():
+            for j, v in rows[at].items():
                 inflow[j] += a * v
     return next((s for s, a, x in zip(P.states, scaled, inflow) if x != D * a), None)
 
@@ -408,7 +424,8 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
 
     Returns (True, None) or (False, counterexample) where the counterexample
     is (enriched state, base state, class sum, expected entry). Exact chains
-    only: class sums of D·Pt are cross-multiplied with the entries of D·P.
+    only: class sums of D·Pt, taken once per distinct row, are
+    cross-multiplied with the entries of D·P.
     """
     for s in Pt.states:
         if s not in f.mapping:
@@ -420,13 +437,16 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
         s = Pt.states[base_of.index(None)]
         raise ValueError(f"lumping map sends {s} to {f.mapping[s]}, not a base state")
     Dt, D = Pt._denominator, P._denominator
-    base_rows = P._integer_rows
-    for x, row in enumerate(Pt._integer_rows):
+    class_sums = []
+    for row in Pt._integer_rows:
         sums: dict[int, int] = {}
         for y, v in row.items():
             b = base_of[y]
             sums[b] = sums.get(b, 0) + v
-        brow = base_rows[base_of[x]]
+        class_sums.append(sums)
+    base_rows, base_row_of = P._integer_rows, P._row_of
+    for x, at in enumerate(Pt._row_of):
+        sums, brow = class_sums[at], base_rows[base_row_of[base_of[x]]]
         for b in set(sums) | set(brow):
             if sums.get(b, 0) * D != brow.get(b, 0) * Dt:
                 got = sum((v for y, v in Pt.rows[x].items() if base_of[y] == b), 0)
@@ -447,16 +467,16 @@ def _power_ladder(P: ChainMatrix):
     D = P._denominator.
 
     Row i of (D·P)^k is sum_c (sum of (D·P)_ij over j in class c of level
-    k-1) * vec_c, built once per distinct lumped row; equal rows share a
-    class. P has no negative entry, so no sum cancels and the frozen rows of
-    (index, int) pairs hold no zeros.
+    k-1) * vec_c, lumped once per distinct row of P and built once per
+    distinct lumped row; equal rows share a class. P has no negative entry, so
+    no sum cancels and the frozen rows of (index, int) pairs hold no zeros.
     """
     rows = P._integer_rows
     cls = list(range(P.size))
     vecs = [frozenset({(i, 1)}) for i in range(P.size)]
     while True:
         yield cls, vecs
-        by_lumped, by_vec, next_cls = {}, {}, []
+        by_lumped, by_vec, row_cls = {}, {}, []
         for row in rows:
             lumped: dict = {}
             for j, v in row.items():
@@ -468,8 +488,8 @@ def _power_ladder(P: ChainMatrix):
                     for k, x in vecs[a]:
                         vec[k] = vec.get(k, 0) + w * x
                 by_lumped[key] = by_vec.setdefault(frozenset(vec.items()), len(by_vec))
-            next_cls.append(by_lumped[key])
-        cls, vecs = next_cls, list(by_vec)
+            row_cls.append(by_lumped[key])
+        cls, vecs = [row_cls[at] for at in P._row_of], list(by_vec)
 
 
 def ultrafast_check(P: ChainMatrix, m: int):

@@ -408,7 +408,7 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
     if spec.model == "overwriting":
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
-        to_tableau = LumpingMap.from_function(overwriting.lump_matrix, Pm.states, Pt.states)
+        to_tableau = LumpingMap(zip(Pm.states, overwriting.lump_matrices(Pm.states)), Pt.states)
         ok, bad = verify_lumping(Pm, to_tableau, Pt)
         checks.append(("matrix-to-tableau lumping", ok,
                        None if ok else f"counterexample {bad}"))

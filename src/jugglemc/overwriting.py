@@ -19,14 +19,19 @@ tableau law is the product of its columns' factors, the tableau step draws
 its fresh first column with the column-1 factors, and the word law sums the
 column factors in one right-to-left sweep over row-minimum profiles. The
 matrix lumping replays each recorded juggler choice onto the same free
-heights. A tableau or matrix step keeps only a body of its state, so the
-two builders build each distinct body's row once.
+heights, one grid column at a time from the right. `lump_matrices` lumps a
+whole state list in one call: it replays each distinct pair of (lumped
+columns to the right, grid column) once and builds each distinct tableau
+once, where `lump_matrix` replays a single grid without that memo. A tableau
+or matrix step keeps only a body of its state, so the two builders build
+each distinct body's row once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -370,21 +375,58 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     return build_matrix(states, successors, key=_matrix_body)
 
 
+def _replay_order(M: MatrixState) -> tuple[list, int]:
+    """M's grid columns, last first, and T; M is checked."""
+    T = len(M.grid) + 1
+    _check_matrix(M, len(M.grid[0]), T)
+    return list(zip(*M.grid))[::-1], T
+
+
+def _replay_column(right: tuple, choices: tuple) -> tuple:
+    """Columns k..n of a lump, from its columns k+1..n (`right`) and grid
+    column k: type i lands on the pos-th free height of column k, pos being
+    its recorded position, and is dropped when fewer heights are free."""
+    col = [0] * (len(right) + 1)
+    columns = (col,) + right
+    for i, pos in enumerate(choices, start=1):
+        free = _free_heights(columns, 1, i)
+        if pos <= len(free):
+            col[free[pos - 1] - 1] = i
+    return (tuple(col),) + right
+
+
 def lump_matrix(M: MatrixState) -> Tableau:
     """Replay the juggler choices into a staircase tableau, right column
-    first: type i lands on the pos-th free height of column k, pos being
-    its recorded position, and is dropped when fewer heights are free."""
-    T = len(M.grid) + 1
-    n = len(M.grid[0])
-    _check_matrix(M, n, T)
-    cols = [[0] * (n + 1 - k) for k in range(1, n + 1)]
-    for k in range(n, 0, -1):
-        for i in range(1, T):
-            free = _free_heights(cols, k, i)
-            pos = M.grid[i - 1][k - 1]
-            if pos <= len(free):
-                cols[k - 1][free[pos - 1] - 1] = i
-    return Tableau(tuple(tuple(c) for c in cols), T)
+    first; one grid shares no replay, so this skips the memo of
+    `lump_matrices`."""
+    columns, T = _replay_order(M)
+    return Tableau(reduce(_replay_column, columns, ()), T)
+
+
+def lump_matrices(states) -> list[Tableau]:
+    """lump_matrix of every grid in `states`, in order.
+
+    Columns k..n of a lump depend on grid columns k..n only through the
+    lump's columns k+1..n and grid column k. So one call replays each
+    distinct pair of those once, and builds and validates each distinct
+    Tableau once: equal lumps are one object.
+    """
+    replayed: dict = {}
+    tableaux: dict = {}
+    out = []
+    for M in states:
+        columns, T = _replay_order(M)
+        cols = ()
+        for column in columns:
+            key = (cols, column)
+            if key not in replayed:
+                replayed[key] = _replay_column(cols, column)
+            cols = replayed[key]
+        key = (cols, T)
+        if key not in tableaux:
+            tableaux[key] = Tableau(*key)
+        out.append(tableaux[key])
+    return out
 
 
 # -------------------------------------------------------------- marginals

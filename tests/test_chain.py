@@ -523,6 +523,73 @@ def test_integer_form_is_computed_once_per_chain():
     assert [X._denominator for X in counted] == [24, 6]
 
 
+def shared_and_copied_matrix_chains():
+    """The (2,4) matrix chain given once with one row object per distinct
+    body, shared by the 27 states that keep that body, and once with one row
+    copy per state."""
+    p = ParamSet((F(1, 6), F(1, 3), F(1, 2)))
+    Pm = overwriting.build_matrix_chain(2, 4, p)
+    by_body: dict = {}
+    rows = [by_body.setdefault(overwriting._matrix_body(M), dict(row))
+            for M, row in zip(Pm.states, Pm.rows)]
+    assert len(by_body) == 27 and len(rows) == 729
+    return p, ChainMatrix(Pm.states, rows), ChainMatrix(Pm.states, [dict(r) for r in rows])
+
+
+def test_shared_rows_give_the_results_of_copied_rows():
+    p, shared, copied = shared_and_copied_matrix_chains()
+    assert shared.rows == copied.rows
+    assert ([[(j, type(v)) for j, v in row.items()] for row in shared.rows]
+            == [[(j, type(v)) for j, v in row.items()] for row in copied.rows])
+    assert shared._denominator == copied._denominator
+    for m in range(4):
+        assert ultrafast_check(shared, m) == ultrafast_check(copied, m)
+        assert nilpotency_check(shared, m) == nilpotency_check(copied, m)
+    assert ultrafast_check(shared, 2)[0] and nilpotency_check(shared, 2)
+    masses = Distribution(shared.states, [overwriting.matrix_stationary_weight(M, p)
+                                          for M in shared.states])
+    assert first_unbalanced(shared, masses) is first_unbalanced(copied, masses) is None
+    Pt = overwriting.build_tableau_chain(2, 4, p)
+    Pt_copied = ChainMatrix(Pt.states, [dict(row) for row in Pt.rows])
+    f = LumpingMap(zip(shared.states, overwriting.lump_matrices(shared.states)), Pt.states)
+    assert verify_lumping(shared, f, Pt) == verify_lumping(copied, f, Pt_copied) == (True, None)
+    # swapping two tableaux' fibers makes a map that is not a lumping
+    swap = {Pt.states[3]: Pt.states[7], Pt.states[7]: Pt.states[3]}
+    wrong = LumpingMap({M: swap.get(V, V) for M, V in f.mapping.items()}, Pt.states)
+    got = verify_lumping(shared, wrong, Pt)
+    assert not got[0]
+    assert got == verify_lumping(copied, wrong, Pt_copied) == reference_lumping(copied, wrong, Pt)
+
+
+def test_shared_row_is_read_once():
+    _, shared, _ = shared_and_copied_matrix_chains()
+    by_row: dict = {}
+    counted = [by_row.setdefault(id(row), {j: CountedFraction(v) for j, v in row.items()})
+               for row in shared.rows]
+    CountedFraction.reads = 0
+    X = ChainMatrix(shared.states, counted)
+    assert CountedFraction.reads == 27 * 27
+    ultrafast_check(X, 2)
+    assert CountedFraction.reads == 2 * 27 * 27
+    assert X.rows == shared.rows
+
+
+def test_shared_bad_row_names_its_first_state():
+    good = {0: F(1, 2), 1: F(1, 2)}
+    bad = [
+        ({0: F(3, 2), 1: F(-1, 2)}, RowSumError, "row 1: negative probability -1/2"),
+        ({0: F(1, 2), 1: F(1, 3)}, RowSumError, "row 1 (b) sums to 5/6"),
+        ({0: F(1, 2), 7: F(1, 2)}, UnknownSuccessor, "row 1: successor index 7"),
+        ({0: 0.5, 1: 0.4}, RowSumError, "row 1 (b) sums to 0.9"),
+    ]
+    for row, error, text in bad:
+        rows = [good, row, good, row]
+        for given in (rows, [dict(r) for r in rows]):
+            with pytest.raises(error) as info:
+                ChainMatrix("abcd", given)
+            assert type(info.value) is error and str(info.value) == text
+
+
 def test_solver_and_sampling_never_build_the_integer_form(monkeypatch, capsys):
     def refuse(P):
         raise AssertionError("D·P computed")

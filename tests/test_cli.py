@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -625,3 +629,57 @@ def test_random_argv_exits_cleanly(argv):
             assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def jugglemc(*argv):
+        return subprocess.run([sys.executable, "-m", "jugglemc", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = jugglemc("enumerate", "--model", "msjmc", "--counts", "1,1", "--z", "1,1,1")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert ok.stdout.splitlines() == ["# states: 2", "12", "21"]
+    bad = jugglemc("enumerate", "--model", "msjmc", "--counts", "1,x", "--z", "1,1,1")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")
+    # the library import does not run the entry point
+    probe = subprocess.run([sys.executable, "-c", "import sys, jugglemc.cli; "
+                            "print('jugglemc.__main__' in sys.modules)"],
+                           cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert probe.stdout == "False\n"
+
+
+# exact bytes of verify --suite all on the overwriting tower, recorded before
+# rows shared by several states were checked and lumped once
+PINNED_VERIFY = [
+    (["--n", "2", "--T", "4", "--z", "1/6,1/3,1/2"], 0, [
+        "PASS irreducible",
+        "PASS aperiodic (period 1)",
+        "PASS matrix-to-tableau lumping",
+        "PASS tableau-to-word lumping",
+        "PASS fiber weight identity",
+        "PASS ultrafast mixing (rows of P^2 identical)",
+        "PASS spectrum in {0, 1} at horizon 2",
+        "PASS closed-form marginals",
+        "OK (8 checks)",
+    ]),
+    (["--n", "4", "--T", "2", "--z", "0,1/4,1/4,1/4,1/4"], 2, [
+        "FAIL irreducible",
+        "PASS matrix-to-tableau lumping",
+        "PASS tableau-to-word lumping",
+        "PASS fiber weight identity",
+        "PASS ultrafast mixing (rows of P^4 identical)",
+        "PASS spectrum in {0, 1} at horizon 4",
+        "FAIL closed-form marginals (no unique stationary law)",
+        "FAILED (2 of 7 checks)",
+    ]),
+]
+
+
+@pytest.mark.parametrize("shape,code,lines", PINNED_VERIFY, ids=["(2,4)", "(4,2)"])
+def test_verify_tower_replays_pinned_output(capsys, shape, code, lines):
+    got = run(capsys, ["verify", "--suite", "all", "--model", "overwriting"] + shape)
+    assert got == (code, "\n".join(lines) + "\n", "")

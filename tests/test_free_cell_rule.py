@@ -3,8 +3,8 @@ in overwriting_reference: tableau and matrix rows, with exact and float
 weights, must hold the same successors in the same order with values of the
 same type and repr, every tableau mass must be the product of the reference
 factors, every matrix weight the product of its cells' z, and every lump
-must agree. The column sweep's word law must match the per-tableau fiber
-sum."""
+must agree, one grid at a time and a whole state list at once. The column
+sweep's word law must match the per-tableau fiber sum."""
 
 import random
 from fractions import Fraction
@@ -98,3 +98,31 @@ def test_matrix_weight_matches_cell_product(n, T):
                 for x in row:
                     want = want * p.z_at(x)
             assert same_value(overwriting.matrix_stationary_weight(M, p), want), M
+
+
+@pytest.mark.parametrize("n,T", [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2)],
+                         ids=lambda s: str(s))
+def test_whole_list_lump_matches_reference(n, T):
+    states = overwriting.enumerate_matrix_states(n, T)
+    lumps = overwriting.lump_matrices(states)
+    assert len(lumps) == len(states)
+    first: dict = {}
+    for M, V in zip(states, lumps):
+        assert V == ref.lump_matrix(M), M
+        # equal lumps in one result are one object
+        assert first.setdefault(V, V) is V, M
+
+
+def test_whole_list_lump_checks_every_grid():
+    good = overwriting.enumerate_matrix_states(2, 3)
+    # grids of several shapes in one list share no replay
+    mixed = overwriting.enumerate_matrix_states(3, 2) + good + overwriting.enumerate_matrix_states(2, 2)
+    assert overwriting.lump_matrices(mixed) == [ref.lump_matrix(M) for M in mixed]
+    MatrixState = overwriting.MatrixState
+    for bad in (MatrixState(((1, 4), (1, 1))), MatrixState(((0, 1), (1, 1))),
+                MatrixState(((1, 2), (1,)))):
+        with pytest.raises(ValueError) as single:
+            overwriting.lump_matrix(bad)
+        with pytest.raises(ValueError) as listed:
+            overwriting.lump_matrices(good[:5] + [bad] + good[5:])
+        assert str(listed.value) == str(single.value) != ""
