@@ -107,9 +107,6 @@ class ChainMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i].get(j, 0)
-
     def dense(self) -> list[list]:
         n = self.size
         return [[self.rows[i].get(j, 0) for j in range(n)] for i in range(n)]

@@ -15,8 +15,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import comb, factorial, isfinite, prod
+from itertools import accumulate, islice, repeat
+from math import isfinite, prod
+from operator import mul
 from typing import Optional
 
 from . import fluctuating, jugglers, msjmc, overwriting
@@ -218,15 +219,23 @@ def _params(spec: ModelSpec) -> ParamSet:
     return ParamSet(spec.z)
 
 
-def state_count(spec: ModelSpec) -> int:
-    if spec.model == "msjmc":
-        total = factorial(sum(spec.counts))
-        for k in spec.counts:
-            total //= factorial(k)
-        return total
-    if spec.model == "several_jugglers":
-        return comb(spec.r * spec.c, spec.balls)
-    return spec.T ** spec.n
+def _count_run(spec: ModelSpec):
+    """Partial state counts, nondecreasing up to the count, so a cap stops
+    them early instead of forming a huge int: T^n one factor T at a time,
+    and each binomial comb(N, k) through comb(N - k + i, i), i = 1..k."""
+    if spec.model not in ("msjmc", "several_jugglers"):
+        yield from accumulate(repeat(spec.T, spec.n), mul)
+        return
+    # the msjmc multinomial n! / prod n_i! is a product of binomials
+    binomials = ([(spec.r * spec.c, spec.balls)] if spec.model == "several_jugglers"
+                 else zip(accumulate(spec.counts), spec.counts))
+    done = 1
+    for N, k in binomials:
+        k, c = min(k, N - k), 1
+        for i in range(1, k + 1):
+            c = c * (N - k + i) // i
+            yield done * c
+        done *= c
 
 
 def spec_states(spec: ModelSpec) -> list:
@@ -251,8 +260,10 @@ def spec_chain(spec: ModelSpec) -> ChainMatrix:
 
 def spec_formula(spec: ModelSpec) -> Distribution:
     """The per-model closed-form stationary vector, as a distribution."""
-    states = spec_states(spec)
     p = _params(spec) if spec.model != "several_jugglers" else None
+    if spec.model == "overwriting":
+        return overwriting.overwriting_stationary_distribution(spec.n, spec.T, p)
+    states = spec_states(spec)
     if spec.model == "msjmc":
         Z = msjmc.partition_function(TypeCounts(spec.counts), p)
         return Distribution(
@@ -268,8 +279,6 @@ def spec_formula(spec: ModelSpec) -> Distribution:
         return Distribution(
             states, tuple(fluctuating.annihilation_stationary(w, p) for w in states)
         )
-    if spec.model == "overwriting":
-        return overwriting.overwriting_stationary_distribution(spec.n, spec.T, p)
     weights = [jugglers.juggler_stationary_weight(A) for A in states]
     if spec.backend == "float":
         weights = [float(x) for x in weights]
@@ -281,11 +290,8 @@ def spec_horizon(spec: ModelSpec) -> int:
 
 
 def _cap(spec: ModelSpec, cap: int):
-    size = state_count(spec)
-    if size > cap:
-        raise ValueError(
-            f"{size} states exceed the cap {cap}; shrink the model"
-        )
+    if any(size > cap for size in _count_run(spec)):
+        raise ValueError(f"the state count exceeds the cap {cap}; shrink the model")
 
 
 def _fmt(x):
@@ -352,9 +358,9 @@ def cmd_matrix(spec: ModelSpec, args) -> int:
 
 def cmd_stationary(spec: ModelSpec, args) -> int:
     _cap(spec, STATE_CAP)
-    out = {"spec_version": SPEC_VERSION, "model": spec.model, "method": args.method}
-    states = spec_states(spec)
-    out["states"] = [str(s) for s in states]
+    # "states" holds its place in the key order until a law brings the list
+    out = {"spec_version": SPEC_VERSION, "model": spec.model, "method": args.method,
+           "states": None}
     formula = solved = None
     if args.method in ("formula", "both"):
         formula = spec_formula(spec)
@@ -363,6 +369,7 @@ def cmd_stationary(spec: ModelSpec, args) -> int:
         P = spec_chain(spec)
         solved = stationary_exact(P) if P.exact else stationary_power(P)
         out["solve"] = [_fmt(x) for x in solved.weights]
+    out["states"] = [str(s) for s in (formula or solved).states]
     code = 0
     if args.method == "both":
         if formula.states != solved.states:
@@ -484,7 +491,7 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         p, n, T = _params(spec), spec.n, spec.T
         # the closed-form word law, which one exact step certifies as the
         # unique stationary law, and its last-site and last-two totals
-        pi = overwriting.overwriting_stationary_distribution(n, T, p)
+        pi = overwriting._word_law(P.states, n, T, p)
         off = first_unbalanced(P, pi)
         last = [0] * (T + 1)
         pair = [[0] * (T + 1) for _ in range(T + 1)]

@@ -8,6 +8,7 @@ w_{n+1} = +infinity is handled by the operations and never stored.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -20,19 +21,19 @@ def is_exact(x) -> bool:
     return not isinstance(x, float)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A state of the word-based chains: letters over {1..T}."""
+class Word(namedtuple("Word", "letters T")):
+    """A state of the word-based chains: letters over {1..T}, checked by the
+    constructor; enumerators and walks build legal words through `_make`."""
 
-    letters: tuple[int, ...]
-    T: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.T < 1:
+    def __new__(cls, letters: tuple[int, ...], T: int):
+        if T < 1:
             raise ValueError("alphabet size must be >= 1")
-        for x in self.letters:
-            if not 1 <= x <= self.T:
-                raise ValueError(f"letter {x} outside 1..{self.T}")
+        for x in letters:
+            if not 1 <= x <= T:
+                raise ValueError(f"letter {x} outside 1..{T}")
+        return super().__new__(cls, letters, T)
 
     @property
     def n(self) -> int:
@@ -144,7 +145,7 @@ def enumerate_multiset_words(counts: TypeCounts) -> list[Word]:
 
     def rec(depth: int):
         if depth == counts.n:
-            out.append(Word(tuple(prefix), T))
+            out.append(Word._make((tuple(prefix), T)))
             return
         for letter in range(1, T + 1):
             if remaining[letter - 1] > 0:
@@ -163,22 +164,13 @@ def enumerate_alphabet_words(n: int, T: int) -> list[Word]:
     if n < 1 or T < 1:
         raise ValueError("need n >= 1 and T >= 1")
     return [
-        Word(tuple(reversed(tail)), T) for tail in product(range(1, T + 1), repeat=n)
+        Word._make((tuple(reversed(tail)), T)) for tail in product(range(1, T + 1), repeat=n)
     ]
 
 
-def stat_J(w: Word, m: int, t: int) -> int:
-    """J_w(m, t) = 1 + #{l : m <= l <= n, w_l > t}."""
-    n = w.n
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"m={m} outside 1..{n + 1}")
-    if not 1 <= t <= w.T:
-        raise ValueError(f"t={t} outside 1..{w.T}")
-    return 1 + sum(1 for x in w.letters[m - 1 :] if x > t)
-
-
 def _j_table(w: Word) -> list:
-    """J[m][t] = J_w(m, t) for m = 1..n+1 and t = 0..T, from the top down."""
+    """J[m][t] = J_w(m, t) = 1 + #{l : m <= l <= n, w_l > t} for m = 1..n+1
+    and t = 0..T, from the top down."""
     J = [[1] * (w.T + 1)]
     for x in reversed(w.letters):
         J.append([k + (x > t) for t, k in enumerate(J[-1])])
@@ -187,7 +179,8 @@ def _j_table(w: Word) -> list:
 
 def stat_E(w: Word, i: int) -> int:
     """E_w(i) = J_w(i, w_i): 1 + number of strictly heavier balls above i."""
-    return stat_J(w, i, w.letter(i))
+    t = w.letter(i)
+    return 1 + sum(1 for x in w.letters[i:] if x > t)
 
 
 def complete_homogeneous(degree: int, values: Sequence):

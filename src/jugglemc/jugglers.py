@@ -11,7 +11,7 @@ crosses pairwise distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,18 +20,19 @@ from .chain import ChainMatrix, build_matrix
 from .combinatorics import falling_factorial
 
 
-@dataclass(frozen=True)
-class BallArray:
-    r: int
-    c: int
-    cells: frozenset
+class BallArray(namedtuple("BallArray", "r c cells")):
+    """Occupied (row, column) cells of an r x c grid, checked by the
+    constructor; enumerators and steps build legal arrays through `_make`."""
 
-    def __post_init__(self):
-        if self.r < 1 or self.c < 1:
+    __slots__ = ()
+
+    def __new__(cls, r: int, c: int, cells: frozenset):
+        if r < 1 or c < 1:
             raise ValueError("need r >= 1 and c >= 1")
-        for i, j in self.cells:
-            if not (1 <= i <= self.r and 1 <= j <= self.c):
+        for i, j in cells:
+            if not (1 <= i <= r and 1 <= j <= c):
                 raise ValueError(f"cell ({i}, {j}) outside the grid")
+        return super().__new__(cls, r, c, cells)
 
     @property
     def balls(self) -> int:
@@ -52,14 +53,13 @@ def enumerate_arrays(r: int, c: int, balls: int) -> list[BallArray]:
     if not 0 <= balls <= r * c:
         raise ValueError(f"ball count {balls} outside 0..{r * c}")
     grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
-    return [BallArray(r, c, frozenset(ch)) for ch in combinations(grid, balls)]
+    return [BallArray._make((r, c, frozenset(ch))) for ch in combinations(grid, balls)]
 
 
 def drop_row(A: BallArray) -> BallArray:
     """Catch the bottom row and slide every other ball down one row."""
-    return BallArray(
-        A.r, A.c, frozenset((i + 1, j) for i, j in A.cells if i < A.r)
-    )
+    cells = frozenset((i + 1, j) for i, j in A.cells if i < A.r)
+    return BallArray._make((A.r, A.c, cells))
 
 
 def juggler_stationary_weight(A: BallArray) -> int:
@@ -76,7 +76,8 @@ def juggler_stationary_weight(A: BallArray) -> int:
 
 def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
     """The caught balls land on each choice of distinct cells left free by
-    drop_row, every choice equally likely."""
+    drop_row, every choice equally likely. A row depends only on drop_row
+    of its state, so each distinct one's row is built once."""
     grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
 
     def successors(A: BallArray):
@@ -85,6 +86,6 @@ def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
         caught = A.balls - len(kept)
         prob = Fraction(1, comb(len(free), caught))
         for landed in combinations(free, caught):
-            yield BallArray(r, c, kept.union(landed)), prob
+            yield BallArray._make((r, c, kept.union(landed))), prob
 
-    return build_matrix(enumerate_arrays(r, c, balls), successors)
+    return build_matrix(enumerate_arrays(r, c, balls), successors, key=drop_row)

@@ -130,7 +130,7 @@ def _word_matrix(states: list[Word], moves) -> ChainMatrix:
     """build_matrix on words: moves(w) yields (successor letters, a,
     probability) for every bumping sequence a the step can take."""
     return build_matrix(states, lambda w: (
-        (Word(letters, w.T), prob) for letters, _, prob in moves(w)
+        (Word._make((letters, w.T)), prob) for letters, _, prob in moves(w)
     ))
 
 
@@ -141,7 +141,7 @@ def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
     its v."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
-        return [(Word(letters, w.T), a, prob) for letters, a, prob in moves(w)]
+        return [(Word._make((letters, w.T)), a, prob) for letters, a, prob in moves(w)]
 
     def successors(s: EnrichedState):
         for w2, a, prob in word_moves(s.w):

@@ -29,7 +29,7 @@ each distinct body's row once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -78,51 +78,47 @@ def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
     return build_matrix(enumerate_alphabet_words(n, T), lambda w: (
-        (Word(letters, T), prob) for letters, prob in _overwrites(w, p)
+        (Word._make((letters, T)), prob) for letters, prob in _overwrites(w, p)
     ))
 
 
 # ---------------------------------------------------------------- tableaux
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(namedtuple("Tableau", "columns T")):
     """Staircase diagram with n columns; column k holds n+1-k cells.
 
     columns[k-1] lists column k bottom to top, 0 marking an empty cell.
     Entries range over {1..T-1} and increase strictly left to right along
-    rows and bottom to top along columns, skipping empty cells.
+    rows and bottom to top along columns, skipping empty cells, as the
+    constructor checks; enumerators, steps and lumps build through `_make`.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    T: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.columns)
-        if n < 1 or self.T < 2:
+    def __new__(cls, columns: tuple[tuple[int, ...], ...], T: int):
+        n = len(columns)
+        if n < 1 or T < 2:
             raise ValueError("need n >= 1 columns and T >= 2")
-        for k, col in enumerate(self.columns, start=1):
+        for k, col in enumerate(columns, start=1):
             if len(col) != n + 1 - k:
                 raise ValueError(f"column {k} must hold {n + 1 - k} cells")
             for x in col:
-                if not 0 <= x <= self.T - 1:
-                    raise ValueError(f"entry {x} outside 0..{self.T - 1}")
+                if not 0 <= x <= T - 1:
+                    raise ValueError(f"entry {x} outside 0..{T - 1}")
             filled = [x for x in col if x]
             if any(a >= b for a, b in zip(filled, filled[1:])):
                 raise ValueError(f"column {k} not increasing bottom to top")
         for h in range(1, n + 1):
-            row = [self.columns[k - 1][h - 1] for k in range(1, n + 2 - h)]
+            row = [columns[k - 1][h - 1] for k in range(1, n + 2 - h)]
             filled = [x for x in row if x]
             if any(a >= b for a, b in zip(filled, filled[1:])):
                 raise ValueError(f"row at height {h} not increasing left to right")
+        return super().__new__(cls, columns, T)
 
     @property
     def n(self) -> int:
         return len(self.columns)
-
-    def cell(self, k: int, h: int) -> int:
-        """Entry at column k, height h from the bottom; 0 if empty."""
-        return self.columns[k - 1][h - 1]
 
     def rows_top_down(self) -> list[tuple[int, ...]]:
         n = self.n
@@ -198,7 +194,7 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
             for cols in partial
             for col in _column_fillings(n + 1 - k, T, cols)
         ]
-    return [Tableau(cols, T) for cols in sorted(partial)]
+    return [Tableau._make((cols, T)) for cols in sorted(partial)]
 
 
 def _column_factor(acc, columns, k: int, T: int, p: ParamSet):
@@ -234,7 +230,7 @@ def tableau_successors(V: Tableau) -> list[Tableau]:
     every legal filling of the fresh first column."""
     shifted = _shifted_body(V)
     return [
-        Tableau((col,) + shifted, V.T)
+        Tableau._make(((col,) + shifted, V.T))
         for col in _column_fillings(V.n, V.T, shifted)
     ]
 
@@ -258,9 +254,8 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
 def lump_tableau(V: Tableau) -> Word:
     """Word read off the rows: letter k is the leftmost entry of the row
     at height k, or T when that row is empty."""
-    return Word(
-        tuple(_row_min(V.columns, h) or V.T for h in range(1, V.n + 1)), V.T
-    )
+    letters = tuple(_row_min(V.columns, h) or V.T for h in range(1, V.n + 1))
+    return Word._make((letters, V.T))
 
 
 def overwriting_stationary(w: Word, p: ParamSet):
@@ -282,7 +277,12 @@ def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribu
     if not p.normalized:
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
-    states = enumerate_alphabet_words(n, T)
+    return _word_law(enumerate_alphabet_words(n, T), n, T, p)
+
+
+def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
+    """The word law's masses on `states`, all words of length n over 1..T in
+    any order; p is checked by the caller."""
     zero = p.z_at(1) * 0
     masses = {(): p.z_at(1) ** 0}
     for k in range(n, 0, -1):
@@ -400,7 +400,7 @@ def lump_matrix(M: MatrixState) -> Tableau:
     first; one grid shares no replay, so this skips the memo of
     `lump_matrices`."""
     columns, T = _replay_order(M)
-    return Tableau(reduce(_replay_column, columns, ()), T)
+    return Tableau._make((reduce(_replay_column, columns, ()), T))
 
 
 def lump_matrices(states) -> list[Tableau]:
@@ -408,8 +408,8 @@ def lump_matrices(states) -> list[Tableau]:
 
     Columns k..n of a lump depend on grid columns k..n only through the
     lump's columns k+1..n and grid column k. So one call replays each
-    distinct pair of those once, and builds and validates each distinct
-    Tableau once: equal lumps are one object.
+    distinct pair of those once, and builds each distinct Tableau once:
+    equal lumps are one object.
     """
     replayed: dict = {}
     tableaux: dict = {}
@@ -424,7 +424,7 @@ def lump_matrices(states) -> list[Tableau]:
             cols = replayed[key]
         key = (cols, T)
         if key not in tableaux:
-            tableaux[key] = Tableau(*key)
+            tableaux[key] = Tableau._make(key)
         out.append(tableaux[key])
     return out
 

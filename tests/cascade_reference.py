@@ -7,7 +7,9 @@ the builders did before they walked the cascades once per word. The msjmc
 enriched step of one state and its exact inverse, predecessor
 reconstruction, live here too, and so does the rule that writes a successor
 from its bumping sequence (apply_bump), which the builders' walks replace by
-writing the successor as they go.
+writing the successor as they go. The statistic J_w(m, t) is computed here
+afresh for every factor (stat_J); the builders read it off one table per
+word.
 """
 
 from __future__ import annotations
@@ -22,11 +24,20 @@ from jugglemc.combinatorics import (
     enumerate_alphabet_words,
     enumerate_multiset_words,
     stat_E,
-    stat_J,
 )
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import enumerate_enriched_words
 from jugglemc.msjmc import EnrichedState, _enriched_update, enumerate_enriched
+
+
+def stat_J(w: Word, m: int, t: int) -> int:
+    """J_w(m, t) = 1 + #{l : m <= l <= n, w_l > t}."""
+    n = w.n
+    if not 1 <= m <= n + 1:
+        raise ValueError(f"m={m} outside 1..{n + 1}")
+    if not 1 <= t <= w.T:
+        raise ValueError(f"t={t} outside 1..{w.T}")
+    return 1 + sum(1 for x in w.letters[m - 1 :] if x > t)
 
 
 class InsertionChoice(NamedTuple):

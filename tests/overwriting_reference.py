@@ -17,7 +17,7 @@ from itertools import product
 
 from jugglemc import overwriting
 from jugglemc.chain import Distribution
-from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, stat_J
+from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
     MatrixState,
@@ -27,6 +27,13 @@ from jugglemc.overwriting import (
     enumerate_tableaux,
     tableau_successors,
 )
+
+from cascade_reference import stat_J
+
+
+def cell(V: Tableau, k: int, h: int) -> int:
+    """Entry at column k, height h from the bottom; 0 if empty."""
+    return V.columns[k - 1][h - 1]
 
 
 def overwrite_sequences(w: Word) -> list[tuple[tuple[int, int], ...]]:
@@ -93,7 +100,7 @@ def overwrite_prob(w: Word, B: tuple[tuple[int, int], ...], p: ParamSet):
 def _row_blocked(V: Tableau, h: int, i: int, from_col: int) -> bool:
     # an entry <= i at height h in columns from_col..end
     for k in range(from_col, V.n + 2 - h):
-        x = V.cell(k, h)
+        x = cell(V, k, h)
         if 0 < x <= i:
             return True
     return False
@@ -107,7 +114,7 @@ def tableau_contribution(V: Tableau, i: int, k: int, p: ParamSet):
     if not 1 <= k <= V.n:
         raise ValueError(f"column {k} outside 1..{V.n}")
     length = V.n + 1 - k
-    heights = [h for h in range(1, length + 1) if V.cell(k, h) == i]
+    heights = [h for h in range(1, length + 1) if cell(V, k, h) == i]
     if heights:
         h0 = heights[0]
         count = sum(
@@ -116,11 +123,11 @@ def tableau_contribution(V: Tableau, i: int, k: int, p: ParamSet):
         return p.z_at(1 + count)
     count = 0
     for h in range(1, length + 1):
-        if 0 < V.cell(k, h) <= i:
+        if 0 < cell(V, k, h) <= i:
             continue
         if _row_blocked(V, h, i, k + 1):
             continue
-        if any(0 < V.cell(k, h2) <= i for h2 in range(h + 1, length + 1)):
+        if any(0 < cell(V, k, h2) <= i for h2 in range(h + 1, length + 1)):
             continue
         count += 1
     return 1 - p.y_at(count)
@@ -153,7 +160,7 @@ def lump_tableau(V: Tableau) -> Word:
     for k in range(1, n + 1):
         letter = V.T
         for k2 in range(1, n + 2 - k):
-            x = V.cell(k2, k)
+            x = cell(V, k2, k)
             if x:
                 letter = x
                 break

@@ -48,8 +48,8 @@ def two_state(p, q) -> ChainMatrix:
 def test_build_matrix_and_accessors():
     P = two_state(F(1, 3), F(1, 2))
     assert P.size == 2
-    assert P.entry(0, 1) == F(1, 3)
-    assert P.entry(1, 1) == F(1, 2)
+    assert P.rows[0].get(1, 0) == F(1, 3)
+    assert P.rows[1].get(1, 0) == F(1, 2)
     assert P.dense() == [[F(2, 3), F(1, 3)], [F(1, 2), F(1, 2)]]
     assert P.exact
     assert P.index["b"] == 1
@@ -210,7 +210,7 @@ def gauss_jordan_stationary(P: ChainMatrix) -> tuple:
     """Dense Fraction reference: balance equations of states 0..n-2 and the
     normalization row, reduced to the identity."""
     n = P.size
-    A = [[F(P.entry(i, j)) - (i == j) for i in range(n)] + [F(0)] for j in range(n - 1)]
+    A = [[F(P.rows[i].get(j, 0)) - (i == j) for i in range(n)] + [F(0)] for j in range(n - 1)]
     A.append([F(1)] * (n + 1))
     for col in range(n):
         piv = next(r for r in range(col, n) if A[r][col] != 0)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -313,20 +314,21 @@ def test_verify_never_calls_the_solver(capsys, monkeypatch, args, checks):
 
 def test_verify_names_the_first_word_off_the_stationary_law(capsys, monkeypatch):
     # the closed-form word law shifted by one word along the state order:
-    # the marginals check names the first word whose one-step inflow differs
-    right = overwriting.overwriting_stationary_distribution
+    # the marginals check names the first word whose one-step inflow differs;
+    # it aligns the swept masses with the chain's own word list
+    right = overwriting._word_law
 
-    def shifted(n, T, p):
-        law = right(n, T, p)
+    def shifted(states, n, T, p):
+        law = right(states, n, T, p)
         return chain.Distribution(law.states, law.weights[1:] + law.weights[:1])
 
     n, T, p = 2, 3, ParamSet((F(1, 2), F(1, 4), F(1, 4)))
     P = overwriting.build_word_chain(n, T, p)
-    wrong = shifted(n, T, p)
+    wrong = shifted(P.states, n, T, p)
     inflow = [sum(w * P.rows[i].get(j, 0) for i, w in enumerate(wrong.weights))
               for j in range(P.size)]
     first = next(s for s, m, x in zip(P.states, wrong.weights, inflow) if x != m)
-    monkeypatch.setattr(overwriting, "overwriting_stationary_distribution", shifted)
+    monkeypatch.setattr(overwriting, "_word_law", shifted)
     code, out, err = run(capsys, ["verify", "--suite", "marginals"] + OVERWRITING_ARGS)
     assert (code, err) == (2, "")
     assert out.splitlines() == [
@@ -344,6 +346,33 @@ def test_verify_size_cap(capsys):
     ])
     assert code == 1
     assert "cap" in err
+
+
+# one spec per model whose state count is far too large to form or print:
+# 2,001 weights, so 2,000 balls or sites, or a 3000 x 3000 grid
+_WIDE = ["1/2001"] * 2001
+OVER_CAP_SPECS = [
+    {"model": "msjmc", "counts": [1000, 1000], "z": _WIDE},
+    {"model": "add_drop", "n": 2000, "T": 5, "z": _WIDE, "c": [1] * 5},
+    {"model": "annihilation", "n": 2000, "T": 100000, "z": _WIDE},
+    {"model": "overwriting", "n": 2000, "T": 100000, "z": _WIDE},
+    {"model": "several_jugglers", "r": 3000, "c": 3000, "balls": 4500000},
+]
+
+
+@pytest.mark.parametrize("spec", OVER_CAP_SPECS, ids=lambda s: s["model"])
+@pytest.mark.parametrize("command,cap", [("enumerate", 100000), ("verify", 5000)])
+def test_over_cap_spec_is_refused_at_once_naming_the_cap(capsys, tmp_path, spec,
+                                                        command, cap):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    started = time.perf_counter()
+    code, out, err = run(capsys, [command, "--spec", str(path)])
+    assert (code, out, err) == (
+        1, "", f"error: the state count exceeds the cap {cap}; shrink the model\n"
+    )
+    # the count stops once it passes the cap instead of forming a huge int
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("argv,cap", [

@@ -17,8 +17,9 @@ from jugglemc.combinatorics import (
     format_scalar,
     is_exact,
     stat_E,
-    stat_J,
 )
+
+from cascade_reference import stat_J
 
 
 def test_word_basics():

@@ -2,11 +2,13 @@
 falling-factorial stationary weights, arc-counting cross-check."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from jugglemc.chain import (
+    build_matrix,
     chain_period,
     is_irreducible,
     stationary_exact,
@@ -87,7 +89,7 @@ def test_transition_prob_rules():
     # one ball to reinject into rc - l + A_r = 3 open cells
     for target in enumerate_arrays(2, 2, 2):
         want = F(1, 3) if kept <= target.cells else F(0)
-        assert P.entry(P.index[A], P.index[target]) == want
+        assert P.rows[P.index[A]].get(P.index[target], 0) == want
 
 
 def test_no_throw_is_deterministic():
@@ -104,6 +106,28 @@ def test_rethrows_match_all_pairs_rule():
                 for A, row in zip(P.states, P.rows):
                     want = {j: all_pairs_prob(A, B) for j, B in enumerate(P.states)}
                     assert row == {j: v for j, v in want.items() if v}, (r, c, balls, A)
+
+
+def test_keyed_rows_equal_an_unkeyed_build():
+    # build_chain builds one row per distinct drop_row(A); this build walks
+    # the same rethrows from every state
+    for r in range(1, 4):
+        for c in range(1, 4):
+            grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
+
+            def successors(A):
+                kept = drop_row(A).cells
+                free = [cell for cell in grid if cell not in kept]
+                caught = A.balls - len(kept)
+                for landed in combinations(free, caught):
+                    yield BallArray(r, c, kept.union(landed)), F(1, comb(len(free), caught))
+
+            for balls in range(r * c + 1):
+                P = build_chain(r, c, balls)
+                Q = build_matrix(enumerate_arrays(r, c, balls), successors)
+                assert P.states == Q.states
+                assert [[(j, type(v), v) for j, v in row.items()] for row in P.rows] == \
+                    [[(j, type(v), v) for j, v in row.items()] for row in Q.rows]
 
 
 # 6x6 matrix in the display order: both balls low, the four mixed states,

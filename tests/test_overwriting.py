@@ -136,7 +136,7 @@ def test_tableau_validation():
 
 def test_tableau_cell_and_str():
     V = Tableau(((1, 2), (2,)), 3)
-    assert V.cell(1, 1) == 1 and V.cell(1, 2) == 2 and V.cell(2, 1) == 2
+    assert V.columns[0] == (1, 2) and V.columns[1] == (2,)
     assert str(V) == "2/12"
     assert str(Tableau(((0, 0), (0,)), 3)) == "0/00"
 
@@ -186,19 +186,24 @@ def test_tableau_stationary_mass_and_fixed_vector():
         assert pi.weights == tuple(weights[V] for V in Pt.states)
 
 
-def test_tableau_chain_validates_each_tableau_once_per_role(monkeypatch):
-    calls = [0]
-    check = Tableau.__post_init__
+def test_tableau_chain_and_lumps_run_no_state_check(monkeypatch):
+    checked = [0]
+    check = Tableau.__new__
 
-    def counted(self):
-        calls[0] += 1
-        check(self)
+    def counted(cls, *args):
+        checked[0] += 1
+        return check(cls, *args)
 
-    monkeypatch.setattr(Tableau, "__post_init__", counted)
+    monkeypatch.setattr(Tableau, "__new__", counted)
     P = build_tableau_chain(4, 3, random_normalized_params(random.Random(58), 4))
-    # once to enumerate it, once as the successor of its one shifted body
     assert P.size == 742 and sum(len(row) for row in P.rows) == 6640
-    assert calls[0] <= 2 * P.size
+    assert len(enumerate_tableaux(3, 4)) == 350
+    Pm = build_matrix_chain(2, 4, random_normalized_params(random.Random(59), 2))
+    assert len(set(overwriting.lump_matrices(Pm.states))) == 30
+    # the enumerator, the steps and the lumps build through Tableau._make
+    assert checked[0] == 0
+    Tableau(((1, 2), (2,)), 3)
+    assert checked[0] == 1
 
 
 def test_lump_tableau():
