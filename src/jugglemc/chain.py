@@ -218,30 +218,28 @@ def build_matrix(states: Sequence, successors: Callable, *,
     return ChainMatrix(states, rows)
 
 
+def _levels(adj: Sequence[Iterable[int]]) -> list[int]:
+    """Breadth-first distance from state 0 along adj[u], -1 where unreached."""
+    level = [-1] * len(adj)
+    level[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
 def _strongly_connected(rows: Sequence[Mapping[int, object]]) -> bool:
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return False
-    radj: list[list[int]] = [[] for _ in range(n)]
+    radj: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         for j in row:
             radj[j].append(i)
-
-    def reach(adj_of) -> int:
-        seen = bytearray(n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj_of(u):
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count
-
-    return reach(lambda u: rows[u].keys()) == n and reach(lambda u: radj[u]) == n
+    return -1 not in _levels(rows) and -1 not in _levels(radj)
 
 
 def _require_irreducible(P: ChainMatrix) -> None:
@@ -259,15 +257,7 @@ def chain_period(P: ChainMatrix) -> int:
     """gcd of cycle lengths; 1 means aperiodic. Needs an irreducible chain."""
     if not is_irreducible(P):
         raise ReducibleChain("period is defined for irreducible chains only")
-    level = [-1] * P.size
-    level[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in P.rows[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
+    level = _levels(P.rows)
     g = 0
     for u, row in enumerate(P.rows):
         for v in row:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import isfinite, prod
+from math import isfinite
 from operator import mul
 from typing import Optional
 
@@ -29,13 +29,16 @@ from .chain import (
 )
 from .combinatorics import (
     ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
-    format_scalar, stat_E,
+    format_scalar,
 )
 from .errors import JuggleError
 
 SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica seeds
 DEFAULT_SEED = 1
 STATE_CAP = 100_000
+# json and csv print all n^2 entries; a json table of 1,365 states peaks at
+# ~310 MB of memory, and the cost grows with the square of the state count
+DENSE_STATE_CAP = 1_500
 VERIFY_STATE_CAP = 5_000
 # the suites `verify --suite all` runs per model; ultrafast and spectrum
 # hold for overwriting only, but an explicit request runs them on any model
@@ -258,12 +261,12 @@ def spec_chain(spec: ModelSpec) -> ChainMatrix:
     return jugglers.build_chain(spec.r, spec.c, spec.balls)
 
 
-def spec_formula(spec: ModelSpec) -> Distribution:
-    """The per-model closed-form stationary vector, as a distribution."""
+def spec_formula(spec: ModelSpec, states: list) -> Distribution:
+    """The model's closed-form stationary law on `states`, its canonical
+    state list (`spec_states(spec)` or a built chain's `P.states`)."""
     p = _params(spec) if spec.model != "several_jugglers" else None
     if spec.model == "overwriting":
-        return overwriting.overwriting_stationary_distribution(spec.n, spec.T, p)
-    states = spec_states(spec)
+        return overwriting._word_law(states, spec.n, spec.T, p)
     if spec.model == "msjmc":
         Z = msjmc.partition_function(TypeCounts(spec.counts), p)
         return Distribution(
@@ -325,9 +328,11 @@ def cmd_enumerate(spec: ModelSpec, args) -> int:
 
 def cmd_matrix(spec: ModelSpec, args) -> int:
     _cap(spec, STATE_CAP)
+    if args.format != "dot" and any(size > DENSE_STATE_CAP for size in _count_run(spec)):
+        raise ValueError(f"a dense {args.format} matrix is capped at {DENSE_STATE_CAP} "
+                         "states; use --format dot")
     P = spec_chain(spec)
     labels = [str(s) for s in P.states]
-    dense = P.dense()
     if args.format == "json":
         _emit_json(
             {
@@ -335,13 +340,13 @@ def cmd_matrix(spec: ModelSpec, args) -> int:
                 "model": spec.model,
                 "backend": spec.backend,
                 "states": labels,
-                "matrix": [[_fmt(x) for x in row] for row in dense],
+                "matrix": [[_fmt(x) for x in row] for row in P.dense()],
             },
             args,
         )
     elif args.format == "csv":
         lines = ["state," + ",".join(labels)]
-        for label, row in zip(labels, dense):
+        for label, row in zip(labels, P.dense()):
             lines.append(label + "," + ",".join(str(_fmt(x)) for x in row))
         _emit("\n".join(lines) + "\n", args)
     else:  # dot
@@ -358,22 +363,18 @@ def cmd_matrix(spec: ModelSpec, args) -> int:
 
 def cmd_stationary(spec: ModelSpec, args) -> int:
     _cap(spec, STATE_CAP)
-    # "states" holds its place in the key order until a law brings the list
+    P = None if args.method == "formula" else spec_chain(spec)
+    states = spec_states(spec) if P is None else P.states
     out = {"spec_version": SPEC_VERSION, "model": spec.model, "method": args.method,
-           "states": None}
-    formula = solved = None
-    if args.method in ("formula", "both"):
-        formula = spec_formula(spec)
+           "states": [str(s) for s in states]}
+    if args.method != "solve":
+        formula = spec_formula(spec, states)
         out["formula"] = [_fmt(x) for x in formula.weights]
-    if args.method in ("solve", "both"):
-        P = spec_chain(spec)
+    if P is not None:
         solved = stationary_exact(P) if P.exact else stationary_power(P)
         out["solve"] = [_fmt(x) for x in solved.weights]
-    out["states"] = [str(s) for s in (formula or solved).states]
     code = 0
     if args.method == "both":
-        if formula.states != solved.states:
-            raise ValueError("state orders diverged between methods")
         # several_jugglers has no weights, so its chain stays exact while
         # the float backend gives a float formula
         if P.exact and spec.backend == "exact":
@@ -395,7 +396,8 @@ def _base_m_probe(P: ChainMatrix, limit: int):
 
 
 def _enrichment_cap(spec: ModelSpec):
-    """Refuse an enrichment past the verify cap, counted without building it."""
+    """Refuse an enrichment past the verify cap, counted without listing
+    anything."""
     if spec.model == "overwriting":
         _need(spec.T >= 2, "the tableau tower needs T >= 2")
         # the matrix-to-tableau lumping is onto, so the tableaux number at
@@ -404,10 +406,18 @@ def _enrichment_cap(spec: ModelSpec):
               "matrix enrichment exceeds the verify cap "
               f"{VERIFY_STATE_CAP}")
         return
-    # the enriched states over a word w number prod_i E_w(i)
-    size = sum(prod(stat_E(w, i) for i in range(1, w.n + 1)) for w in spec_states(spec))
+    # the enriched states over a word w number prod_i E_w(i), its weight
+    # prod_i y_{E_w(i)} at unit weights (y_j = j): the normalizer at z = 1
+    ones = ParamSet((1,) * (spec.n + 1), (1,) * spec.T)
+    size = (msjmc.partition_function(TypeCounts(spec.counts), ones) if spec.model == "msjmc"
+            else fluctuating.add_drop_partition(spec.n, spec.T, ones))
     _need(size <= VERIFY_STATE_CAP,
           f"{size} enriched states exceed the verify cap {VERIFY_STATE_CAP}")
+
+
+def _check(checks: list, name: str, bad) -> None:
+    """Record a check that passes iff its counterexample `bad` is None."""
+    checks.append((name, bad is None, None if bad is None else f"counterexample {bad}"))
 
 
 def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
@@ -416,19 +426,14 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
         to_tableau = LumpingMap(zip(Pm.states, overwriting.lump_matrices(Pm.states)), Pt.states)
-        ok, bad = verify_lumping(Pm, to_tableau, Pt)
-        checks.append(("matrix-to-tableau lumping", ok,
-                       None if ok else f"counterexample {bad}"))
-        ok, bad = verify_lumping(Pt, LumpingMap.from_function(
-            overwriting.lump_tableau, Pt.states, P.states), P)
-        checks.append(("tableau-to-word lumping", ok,
-                       None if ok else f"counterexample {bad}"))
+        _check(checks, "matrix-to-tableau lumping", verify_lumping(Pm, to_tableau, Pt)[1])
+        _check(checks, "tableau-to-word lumping", verify_lumping(Pt, LumpingMap.from_function(
+            overwriting.lump_tableau, Pt.states, P.states), P)[1])
         fib = project_distribution(Distribution(Pm.states, [
             overwriting.matrix_stationary_weight(M, p) for M in Pm.states]), to_tableau)
-        bad = next((V for V, m in zip(fib.states, fib.weights)
-                    if m != overwriting.tableau_stationary(V, p)), None)
-        checks.append(("fiber weight identity", bad is None,
-                       None if bad is None else f"counterexample {bad}"))
+        _check(checks, "fiber weight identity", next(
+            (V for V, m in zip(fib.states, fib.weights)
+             if m != overwriting.tableau_stationary(V, p)), None))
         return
     if spec.model == "msjmc":
         Pt = msjmc.build_enriched_chain(TypeCounts(spec.counts), p)
@@ -439,14 +444,10 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
     else:
         Pt = fluctuating.build_enriched_annihilation_chain(spec.n, spec.T, p)
         weight = fluctuating.enriched_annihilation_weight
-    ok, bad = verify_lumping(
-        Pt, LumpingMap.from_function(lambda s: s.w, Pt.states, P.states), P
-    )
-    checks.append(("enriched-to-base lumping", ok,
-                   None if ok else f"counterexample {bad}"))
-    bad = first_unbalanced(Pt, Distribution(Pt.states, [weight(s, p) for s in Pt.states]))
-    checks.append(("enriched product law is stationary", bad is None,
-                   None if bad is None else f"counterexample {bad}"))
+    _check(checks, "enriched-to-base lumping", verify_lumping(
+        Pt, LumpingMap.from_function(lambda s: s.w, Pt.states, P.states), P)[1])
+    _check(checks, "enriched product law is stationary", first_unbalanced(
+        Pt, Distribution(Pt.states, [weight(s, p) for s in Pt.states])))
 
 
 def cmd_verify(spec: ModelSpec, args) -> int:
@@ -540,7 +541,7 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
     seed = args.seed
     if seed is None:
         seed = _env_seed()
-    exact = spec_formula(spec)
+    exact = spec_formula(spec, P.states)
     start = P.states[0]
     out = {
         "spec_version": SPEC_VERSION,

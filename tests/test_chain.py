@@ -1,5 +1,6 @@
 """Generic chain engine: construction, solving, lumping, power checks, sampling."""
 
+import math
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -29,7 +30,9 @@ from jugglemc.chain import (
     ultrafast_check,
     verify_lumping,
 )
-from jugglemc.cli import ModelSpec, _base_m_probe, main, spec_chain, spec_formula
+from jugglemc.cli import (
+    ModelSpec, _base_m_probe, main, spec_chain, spec_formula, spec_states,
+)
 from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
@@ -305,6 +308,37 @@ def test_irreducibility_and_period():
         chain_period(split)
 
 
+@st.composite
+def patterns(draw):
+    """A transition pattern on 1..6 states, each row a nonempty successor set;
+    state i moves only to states of class i % d + 1 (mod d), so d > 1 draws
+    periodic chains often."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n))
+    return [draw(st.sets(st.sampled_from(range((i + 1) % d, n, d)), min_size=1))
+            for i in range(n)]
+
+
+@given(patterns())
+def test_connectivity_and_period_match_walk_counts(pattern):
+    n = len(pattern)
+    P = build_matrix(range(n), lambda s: ((t, F(1, len(pattern[s]))) for t in pattern[s]))
+    # walks[k][i] = the states a walk of exactly k steps from i can end at;
+    # each cycle C gives closed walks at 0 of lengths L and L + |C| <= 3n
+    walks = [[{i} for i in range(n)]]
+    for _ in range(3 * n):
+        walks.append([{v for u in ends for v in pattern[u]} for ends in walks[-1]])
+    reach = [set().union(*(walks[k][i] for k in range(n))) for i in range(n)]
+    irreducible = all(len(r) == n for r in reach)
+    assert is_irreducible(P) == irreducible
+    if irreducible:
+        returns = [k for k in range(1, 3 * n + 1) if 0 in walks[k][0]]
+        assert chain_period(P) == math.gcd(*returns)
+    else:
+        with pytest.raises(ReducibleChain):
+            chain_period(P)
+
+
 def test_step_distribution():
     P = two_state(F(1, 4), F(1, 2))
     d0 = Distribution(["a", "b"], (F(1), F(0)))
@@ -354,13 +388,13 @@ def closed_form(model, shape, enriched):
     law, with z_k proportional to k and activities c_t = 1/t."""
     if model == "several_jugglers":
         spec = ModelSpec(model, "exact", r=shape[0], c=shape[1], balls=shape[2])
-        return spec_chain(spec), lambda: spec_formula(spec)
+        return spec_chain(spec), lambda: spec_formula(spec, spec_states(spec))
     n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
     z = tuple(F(2 * k, (n + 1) * (n + 2)) for k in range(1, n + 2))
     c = tuple(F(1, t) for t in range(1, T + 1)) if model == "add_drop" else None
     if not enriched:
         spec = ModelSpec(model, "exact", counts=shape, n=n, T=T, z=z, activities=c)
-        return spec_chain(spec), lambda: spec_formula(spec)
+        return spec_chain(spec), lambda: spec_formula(spec, spec_states(spec))
     p = ParamSet(z, c)
     if model == "msjmc":
         Pt, weight = msjmc.build_enriched_chain(TypeCounts(shape), p), msjmc.enriched_stationary_weight

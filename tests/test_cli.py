@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from jugglemc import chain, cli, fluctuating, msjmc, overwriting
 from jugglemc.cli import main
-from jugglemc.combinatorics import ParamSet, TypeCounts
+from jugglemc.combinatorics import (
+    ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words, stat_E,
+)
 
 F = Fraction
 
@@ -92,6 +95,32 @@ def test_matrix_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert '[label="1/3"]' in out
+
+
+# msjmc (3,3,3): 1,680 states, just over the dense cap of 1,500
+OVER_DENSE_CAP = ["--model", "msjmc", "--counts", "3,3,3", "--z", ",".join(["1/10"] * 10)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dense_matrix_over_its_cap_is_refused_at_once(capsys, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError("built the chain before the dense cap")
+
+    monkeypatch.setattr(cli, "spec_chain", refuse)
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["matrix", "--format", fmt] + OVER_DENSE_CAP)
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (
+        1, "", f"error: a dense {fmt} matrix is capped at 1500 states; use --format dot\n")
+    monkeypatch.undo()
+    code, out, err = run(capsys, ["matrix", "--format", "dot"] + OVER_DENSE_CAP)
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph") and out.count(" -> ") == 9240
+    # the cap admits its own size: msjmc (1,1,1) has 6 states
+    monkeypatch.setattr(cli, "DENSE_STATE_CAP", 6)
+    assert run(capsys, ["matrix", "--format", fmt] + MSJMC_ARGS)[0] == 0
+    monkeypatch.setattr(cli, "DENSE_STATE_CAP", 5)
+    assert run(capsys, ["matrix", "--format", fmt] + MSJMC_ARGS)[0] == 1
 
 
 def test_matrix_single_state(capsys):
@@ -409,6 +438,93 @@ def test_verify_refuses_an_over_cap_enrichment_before_the_base_chain(capsys, mon
     assert (code, out, err) == (
         1, "", "error: 27644437 enriched states exceed the verify cap 5000\n"
     )
+
+
+def count_word_lists(monkeypatch) -> list:
+    """Record every listing of a model's words, wherever it is bound."""
+    calls = []
+    for module in (cli, msjmc, fluctuating, overwriting):
+        for name in ("enumerate_multiset_words", "enumerate_alphabet_words"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
+WORD_LIST_SPECS = {
+    "msjmc": ["--model", "msjmc", "--counts", "2,1,1", "--z", "1/2,1/4,1/8,1/16,1/16"],
+    "add_drop": ["--model", "add_drop", "--n", "3", "--T", "3", "--z", "1/4,1/4,1/4,1/4",
+                 "--activities", "1,2,3"],
+    "overwriting": ["--model", "overwriting", "--n", "2", "--T", "3", "--z", "1/6,1/3,1/2"],
+}
+
+
+@pytest.mark.parametrize("model", WORD_LIST_SPECS)
+@pytest.mark.parametrize("command,lists", [
+    (["stationary", "--method", "both"], {"msjmc": 1, "add_drop": 1, "overwriting": 1}),
+    (["stationary", "--method", "formula"], {"msjmc": 1, "add_drop": 1, "overwriting": 1}),
+    (["simulate", "--steps", "50"], {"msjmc": 1, "add_drop": 1, "overwriting": 1}),
+    # the enriched builders list the words once more; the tableau tower
+    # lists tableaux and matrices, not words
+    (["verify", "--suite", "all"], {"msjmc": 2, "add_drop": 2, "overwriting": 1}),
+], ids=["both", "formula", "simulate", "verify"])
+def test_each_command_lists_the_words_once(capsys, monkeypatch, model, command, lists):
+    calls = count_word_lists(monkeypatch)
+    code, _, err = run(capsys, command + WORD_LIST_SPECS[model])
+    assert (code, err) == (0, "")
+    assert len(calls) == lists[model]
+
+
+@pytest.mark.parametrize("model", ["msjmc", "add_drop", "annihilation"])
+def test_enrichment_cap_lists_nothing(capsys, monkeypatch, model):
+    spec = cli.ModelSpec(model, "exact", counts=(4, 4, 4), n=12, T=3 if model == "msjmc" else 2)
+    calls = count_word_lists(monkeypatch)
+    with pytest.raises(ValueError, match="enriched states exceed the verify cap"):
+        cli._enrichment_cap(spec)
+    assert calls == []
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        yield from ((first,) + rest for rest in _compositions(n - first))
+
+
+# every base shape the verify cap admits, except longer T = 1 words (one
+# enriched state each) and larger alphabets
+CAPPED_SHAPES = (
+    [("msjmc", c) for n in range(1, 8) for c in _compositions(n) if c != (1,) * 7]
+    + [(model, (n, T)) for model in ("add_drop", "annihilation") for T in range(1, 9)
+       for n in range(1, 13) if T ** n <= cli.VERIFY_STATE_CAP]
+)
+
+
+def test_enrichment_cap_counts_the_enriched_states(monkeypatch):
+    """The normalizer at unit weights counts the enriched states that the
+    enriched builders list, on every shape, up to the pinned 27,644,437."""
+    sizes = {}
+    for model, shape in CAPPED_SHAPES:
+        if model == "msjmc":
+            spec = cli.ModelSpec(model, "exact", counts=shape, n=sum(shape), T=len(shape))
+            words = enumerate_multiset_words(TypeCounts(shape))
+        else:
+            spec = cli.ModelSpec(model, "exact", n=shape[0], T=shape[1])
+            words = enumerate_alphabet_words(*shape)
+        size = sizes[model, shape] = sum(prod(stat_E(w, i) for i in range(1, w.n + 1))
+                                         for w in words)
+        if size <= cli.VERIFY_STATE_CAP:
+            assert size == len(msjmc.enumerate_enriched(TypeCounts(shape))
+                               if model == "msjmc" else
+                               fluctuating.enumerate_enriched_words(*shape))
+        monkeypatch.setattr(cli, "VERIFY_STATE_CAP", size)
+        cli._enrichment_cap(spec)
+        monkeypatch.setattr(cli, "VERIFY_STATE_CAP", size - 1)
+        with pytest.raises(ValueError, match=f"^{size} enriched states exceed"):
+            cli._enrichment_cap(spec)
+        monkeypatch.undo()
+    assert sizes["add_drop", (12, 2)] == sizes["annihilation", (12, 2)] == 27_644_437
 
 
 def test_simulate_deterministic(capsys):

@@ -1,0 +1,163 @@
+"""Pinned CLI bytes: the sha256 of (exit code, stdout, stderr) of every
+subcommand variant on specs covering all five models, exact and float,
+overwriting with T = 1, a reducible chain and an invalid spec.
+
+A change that claims the same outputs keeps every digest here. To pin a new
+spec or variant, print `digest(argv)` for it and add the first 16 hex digits.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from jugglemc.cli import main
+
+SPECS = {
+    "msjmc-211": ["--model", "msjmc", "--counts", "2,1,1", "--z", "1/2,1/4,1/8,1/16,1/16"],
+    "msjmc-111-float": ["--model", "msjmc", "--counts", "1,1,1", "--z", "0.5,0.2,0.2,0.1"],
+    "add_drop-32": ["--model", "add_drop", "--n", "3", "--T", "2",
+                    "--z", "1/4,1/4,1/4,1/4", "--activities", "1,2"],
+    "add_drop-23-float": ["--model", "add_drop", "--n", "2", "--T", "3",
+                          "--z", "0.5,0.25,0.25", "--activities", "1,0.5,2"],
+    "annihilation-23": ["--model", "annihilation", "--n", "2", "--T", "3",
+                        "--z", "1/2,1/3,1/6"],
+    "annihilation-23-y1-zero": ["--model", "annihilation", "--n", "2", "--T", "3",
+                                "--z", "0,0,1"],
+    "annihilation-32-float": ["--model", "annihilation", "--n", "3", "--T", "2",
+                              "--z", "0.4,0.3,0.2,0.1"],
+    "overwriting-23": ["--model", "overwriting", "--n", "2", "--T", "3",
+                       "--z", "1/6,1/3,1/2"],
+    "overwriting-31": ["--model", "overwriting", "--n", "3", "--T", "1",
+                       "--z", "1/4,1/4,1/4,1/4"],
+    "overwriting-22-reducible": ["--model", "overwriting", "--n", "2", "--T", "2",
+                                 "--z", "1,0,0"],
+    "overwriting-22-float": ["--model", "overwriting", "--n", "2", "--T", "2",
+                             "--z", "0.25,0.25,0.5"],
+    "jugglers-222": ["--model", "several_jugglers", "--r", "2", "--c", "2", "--balls", "2"],
+    "jugglers-232-float": ["--model", "several_jugglers", "--r", "2", "--c", "3",
+                           "--balls", "2", "--backend", "float"],
+    "invalid-msjmc": ["--model", "msjmc", "--counts", "1,1", "--z", "1/2,1/2"],
+}
+
+VARIANTS = {
+    "enumerate": ["enumerate"],
+    "matrix-json": ["matrix", "--format", "json"],
+    "matrix-csv": ["matrix", "--format", "csv"],
+    "matrix-dot": ["matrix", "--format", "dot"],
+    "formula": ["stationary", "--method", "formula"],
+    "solve": ["stationary", "--method", "solve"],
+    "both": ["stationary", "--method", "both"],
+    "lumping": ["verify", "--suite", "lumping"],
+    "ultrafast": ["verify", "--suite", "ultrafast"],
+    "spectrum": ["verify", "--suite", "spectrum"],
+    "marginals": ["verify", "--suite", "marginals"],
+    "all": ["verify", "--suite", "all"],
+    "trajectory": ["simulate", "--steps", "300", "--seed", "5"],
+    "replicas": ["simulate", "--replicas", "40", "--seed", "3"],
+}
+
+# first 16 hex digits of each digest, in the order of VARIANTS
+PINNED = {
+    "msjmc-211": (
+        "ca1f094c71e81485", "7a296fa8c69e3eb3", "8841f1e4a094553b", "c8639e4943fa0405",
+        "94d61dfcceab1fe9", "50c3c07aa9ecb773", "56b6f969d1c7cd44", "be3c9b4677ac1501",
+        "bbced2d484aa13cf", "5f3a2ef7a10d5f32", "2c8a38c5e2f7d375", "be3c9b4677ac1501",
+        "44506a50b9998da5", "1b6074a1a49ced61",
+    ),
+    "msjmc-111-float": (
+        "6ce632a265f2293a", "dec0069d221fe0aa", "bf27b6c1bc74b50c", "6fba99b661761eb9",
+        "48864e83f41b3a0e", "84710ae824cf13ca", "73dfdb3f41506b91", "6527ccbc455f9dfc",
+        "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc",
+        "e33be6a5f5d83f98", "743640567ba6d23d",
+    ),
+    "add_drop-32": (
+        "ab97b5d265fa8087", "a4871f8e4041abab", "9400bcaccd9718f0", "208a8b703216ddd6",
+        "f4428e4a78553081", "c843cbc2e85214f3", "c3038fdf5f77e443", "be3c9b4677ac1501",
+        "495fd3a85886f5d7", "a64acb7cc80f46ce", "8700b40a64de7bc0", "be3c9b4677ac1501",
+        "c2e5a564a1f3c1b2", "b6f02a987154b631",
+    ),
+    "add_drop-23-float": (
+        "25227eedc79efa91", "14c558c45987b708", "2dae4b8c43c30415", "f4464886e5cf0c99",
+        "0d5e6d2be7787bd8", "fc35ddf89c18fb28", "23e3ce664609001a", "6527ccbc455f9dfc",
+        "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc",
+        "032d2ad12dadacab", "a0d83de0074d509a",
+    ),
+    "annihilation-23": (
+        "25227eedc79efa91", "6b6e1795287611a2", "2ac421f0f5aa7d5d", "1d72dc0b654288bc",
+        "325d692704bf4e68", "416576a3492b6b57", "a4ac41e28fd96316", "be3c9b4677ac1501",
+        "caee5bed91fcf822", "8e9bcc366754673a", "d798e7c0a435503c", "be3c9b4677ac1501",
+        "88dd6c28f29899f7", "91748f4147fe9a06",
+    ),
+    "annihilation-23-y1-zero": (
+        "25227eedc79efa91", "a5ec9aa63911212b", "a5ec9aa63911212b", "a5ec9aa63911212b",
+        "5e18f9e8ab3128d9", "a5ec9aa63911212b", "a5ec9aa63911212b", "a5ec9aa63911212b",
+        "a5ec9aa63911212b", "a5ec9aa63911212b", "d798e7c0a435503c", "a5ec9aa63911212b",
+        "a5ec9aa63911212b", "a5ec9aa63911212b",
+    ),
+    "annihilation-32-float": (
+        "ab97b5d265fa8087", "a14712b729cd2549", "e46303e1f7f56a21", "5e1504a424a4df4b",
+        "ca0294bc0b6e52cb", "4c97b9723975ddb8", "75b0d641e74d185c", "6527ccbc455f9dfc",
+        "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc",
+        "d4d01eb903ed2b58", "d56864fba51c2a5b",
+    ),
+    "overwriting-23": (
+        "25227eedc79efa91", "c2bcd4cbb7f580fb", "885ca03587e46e4d", "09622789004d199e",
+        "1ada5e4350b5a668", "a5d45cd06055e1d3", "98d317d4313e1aaf", "aaa68d057ed0a364",
+        "c6d834368fd6a027", "8dde08e67c2bb8fe", "9f688427ec7038ad", "0f529758cc349ae2",
+        "599984fd3714671d", "d1cf67d348e805c1",
+    ),
+    "overwriting-31": (
+        "1d2dd71c569c00f9", "31114b82aa88b1d5", "35d1020f1c1bce98", "332670d5ac62ba48",
+        "1f050d4c90f2cd71", "3c38d0d2dff10b8d", "3cdf8445d77cddb9", "03205a2fbed6d5bf",
+        "88a56d389a01a19a", "3f066b2ffa693abb", "9f688427ec7038ad", "03205a2fbed6d5bf",
+        "24abb1d6bcf6134d", "9162ada53390c568",
+    ),
+    "overwriting-22-reducible": (
+        "e918112d45eaf5ad", "6641e46e9a92b7e0", "3f555f2707d48844", "17114a5bdcafeb69",
+        "a75cfce06e62e2ee", "0c710c3c8d0feda0", "0c710c3c8d0feda0", "5c3b9eb7b36c9919",
+        "1d67845c42bed901", "210068ec3c2d0165", "49f2fdc41ff0dd27", "cd3e8e7036ea9068",
+        "a386da5d3ec4b733", "55d76a4c98d84385",
+    ),
+    "overwriting-22-float": (
+        "e918112d45eaf5ad", "c818a84c06f105d8", "bcaf9334f8c23a81", "7d4f61a2dbf00fb9",
+        "2024fa22b3561273", "ef54e4bc38c7e2be", "d3000e0e33555ed1", "6527ccbc455f9dfc",
+        "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc",
+        "4cf08e5ca6048390", "7dfd8005ad676acf",
+    ),
+    "jugglers-222": (
+        "2a87fa17f3b88aac", "6239a1800669722d", "b09fb424c61f734a", "ee64121ee6b1c5dc",
+        "0119e3acf40969e6", "673e52bff9c59855", "e323d1043db561d6", "80ad4c3746790b8c",
+        "caee5bed91fcf822", "8e9bcc366754673a", "c8648477fc9f94f3", "eb231c962f4e1535",
+        "67d72e9c684f02a6", "3a50950fc71c5d02",
+    ),
+    "jugglers-232-float": (
+        "afae43c3c39fdf91", "d3d75e7738d04daa", "adbf700a97631340", "6ee0081770de2a41",
+        "3166e152515887c2", "e29c3fbba0b64428", "632240213ec02ec4", "6527ccbc455f9dfc",
+        "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc", "6527ccbc455f9dfc",
+        "60c31fc3fdccb4c4", "bf3cb293a7661e06",
+    ),
+    "invalid-msjmc": (
+        "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d",
+        "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d",
+        "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d",
+        "00a1c0d0a44d715d", "00a1c0d0a44d715d",
+    ),
+}
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cli_bytes_are_pinned(spec, variant):
+    want = PINNED[spec][list(VARIANTS).index(variant)]
+    assert digest(VARIANTS[variant] + SPECS[spec]) == want
