@@ -14,7 +14,6 @@ from .chain import (
     first_unbalanced,
     is_irreducible,
     nilpotency_check,
-    project_distribution,
     simulate,
     simulate_replicas,
     stationary_exact,
@@ -47,7 +46,6 @@ __all__ = [
     "first_unbalanced",
     "is_irreducible",
     "nilpotency_check",
-    "project_distribution",
     "simulate",
     "simulate_replicas",
     "stationary_exact",

@@ -412,7 +412,8 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
     Returns (True, None) or (False, counterexample) where the counterexample
     is (enriched state, base state, class sum, expected entry). Exact chains
     only: class sums of D·Pt, taken once per distinct row, are
-    cross-multiplied with the entries of D·P.
+    cross-multiplied with the entries of D·P, once per pair of a distinct
+    row of Pt and the distinct row of P it must lump to.
     """
     for s in Pt.states:
         if s not in f.mapping:
@@ -432,21 +433,20 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
             sums[b] = sums.get(b, 0) + v
         class_sums.append(sums)
     base_rows, base_row_of = P._integer_rows, P._row_of
+    # the check reads x only through its pair of distinct rows, so a pair
+    # already checked passed; the first failing x is found all the same
+    checked = set()
     for x, at in enumerate(Pt._row_of):
-        sums, brow = class_sums[at], base_rows[base_row_of[base_of[x]]]
+        pair = (at, base_row_of[base_of[x]])
+        if pair in checked:
+            continue
+        checked.add(pair)
+        sums, brow = class_sums[at], base_rows[pair[1]]
         for b in set(sums) | set(brow):
             if sums.get(b, 0) * D != brow.get(b, 0) * Dt:
                 got = sum((v for y, v in Pt.rows[x].items() if base_of[y] == b), 0)
                 return False, (Pt.states[x], P.states[b], got, P.rows[base_of[x]].get(b, 0))
     return True, None
-
-
-def project_distribution(pi_t: Distribution, f: LumpingMap) -> Distribution:
-    """Sum fiber weights: the lumped distribution on f's base states."""
-    acc = {b: 0 for b in f.base_states}
-    for s, w in zip(pi_t.states, pi_t.weights):
-        acc[f.mapping[s]] = acc[f.mapping[s]] + w
-    return Distribution(f.base_states, tuple(acc[b] for b in f.base_states))
 
 
 def _power_ladder(P: ChainMatrix):

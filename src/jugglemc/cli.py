@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, islice, repeat
 from math import isfinite
 from operator import mul
@@ -23,15 +24,15 @@ from typing import Optional
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
     ChainMatrix, Distribution, LumpingMap, _power_ladder, chain_period,
-    first_unbalanced, is_irreducible, nilpotency_check, project_distribution,
-    simulate, simulate_replicas, stationary_exact, stationary_power,
-    total_variation, verify_lumping,
+    first_unbalanced, is_irreducible, nilpotency_check, simulate,
+    simulate_replicas, stationary_exact, stationary_power, total_variation,
+    verify_lumping,
 )
 from .combinatorics import (
     ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
     format_scalar,
 )
-from .errors import JuggleError
+from .errors import DegenerateParams, JuggleError
 
 SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica seeds
 DEFAULT_SEED = 1
@@ -279,6 +280,9 @@ def spec_formula(spec: ModelSpec, states: list) -> Distribution:
             tuple(fluctuating.add_drop_stationary_weight(w, p) / Z for w in states),
         )
     if spec.model == "annihilation":
+        # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
+        if p.y_at(1) == 0 and spec.n >= 2 and spec.T >= 2:
+            raise DegenerateParams("y_1 = 0 in a cascade factor")
         return Distribution(
             states, tuple(fluctuating.annihilation_stationary(w, p) for w in states)
         )
@@ -429,8 +433,7 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
         _check(checks, "matrix-to-tableau lumping", verify_lumping(Pm, to_tableau, Pt)[1])
         _check(checks, "tableau-to-word lumping", verify_lumping(Pt, LumpingMap.from_function(
             overwriting.lump_tableau, Pt.states, P.states), P)[1])
-        fib = project_distribution(Distribution(Pm.states, [
-            overwriting.matrix_stationary_weight(M, p) for M in Pm.states]), to_tableau)
+        fib = overwriting.matrix_fiber_law(Pt.states, spec.n, spec.T, p)
         _check(checks, "fiber weight identity", next(
             (V for V, m in zip(fib.states, fib.weights)
              if m != overwriting.tableau_stationary(V, p)), None))
@@ -566,7 +569,10 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process."""
     parser = _Parser(prog="jugglemc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

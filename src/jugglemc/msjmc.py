@@ -109,15 +109,6 @@ def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
     return _enriched_states(enumerate_multiset_words(counts))
 
 
-def _enriched_update(v: tuple[int, ...], w2: Word, a: tuple[int, ...]) -> EnrichedState:
-    """(w2, v') for the word w2 a bump along a produced: the bumped slots of
-    v' restart at E_{w2}, the other entries of v shift left with the balls."""
-    filled = {cur - 1 for cur in a[1:]}
-    return EnrichedState(
-        w2, tuple(stat_E(w2, i) if i in filled else v[i] for i in range(1, w2.n + 1))
-    )
-
-
 def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i z_{v_i}."""
     acc = p.z_at(1) ** 0
@@ -134,18 +125,31 @@ def _word_matrix(states: list[Word], moves) -> ChainMatrix:
     ))
 
 
+def _restart(w2: Word, a: tuple[int, ...]) -> tuple[int, ...]:
+    """E_{w2}(i) at the slots i a bump along a refills, 0 elsewhere; every
+    E is at least 1."""
+    J, filled = _j_table(w2), {cur - 1 for cur in a[1:]}
+    return tuple(J[i][x] if i in filled else 0 for i, x in enumerate(w2.letters, 1))
+
+
 def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
     """build_matrix on enriched states, which come grouped by word: moves(w)
-    yields (successor letters, a, probability) as for _word_matrix, a fixes
-    the restarted slots of v, and each word's moves are walked once for all
-    its v."""
+    yields (successor letters, a, probability) as for _word_matrix, and each
+    word's moves are walked once for all its v. A move's successor v' takes
+    its restart template where it is nonzero (the bumped slots restart at
+    E_{w2}) and elsewhere the entries of v shifted left with the balls."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
-        return [(Word._make((letters, w.T)), a, prob) for letters, a, prob in moves(w)]
+        out = []
+        for letters, a, prob in moves(w):
+            w2 = Word._make((letters, w.T))
+            out.append((w2, _restart(w2, a), prob))
+        return out
 
     def successors(s: EnrichedState):
-        for w2, a, prob in word_moves(s.w):
-            yield _enriched_update(s.v, w2, a), prob
+        shifted = s.v[1:] + (0,)
+        for w2, restart, prob in word_moves(s.w):
+            yield EnrichedState(w2, tuple(e or x for e, x in zip(restart, shifted))), prob
 
     return build_matrix(states, successors)
 

@@ -22,9 +22,12 @@ matrix lumping replays each recorded juggler choice onto the same free
 heights, one grid column at a time from the right. `lump_matrices` lumps a
 whole state list in one call: it replays each distinct pair of (lumped
 columns to the right, grid column) once and builds each distinct tableau
-once, where `lump_matrix` replays a single grid without that memo. A tableau
-or matrix step keeps only a body of its state, so the two builders build
-each distinct body's row once.
+once, where `lump_matrix` replays a single grid without that memo. The
+fiber law (`matrix_fiber_law`) is the word-law sweep one level up: it sums
+the matrix law over each tableau's fiber in one right-to-left sweep over the
+grid columns, keeping the summed mass per partial lump, so it lists no
+matrix state. A tableau or matrix step keeps only a body of its state, so
+the two builders build each distinct body's row once.
 """
 
 from __future__ import annotations
@@ -325,12 +328,8 @@ def enumerate_matrix_states(n: int, T: int) -> list[MatrixState]:
     size = (n + 1) ** ((T - 1) * n)
     if size > MATRIX_STATE_CAP:
         raise ValueError(f"{size} matrix states exceed the cap {MATRIX_STATE_CAP}")
-    cells = (T - 1) * n
-    out = []
-    for flat in product(range(1, n + 2), repeat=cells):
-        grid = tuple(flat[r * n : (r + 1) * n] for r in range(T - 1))
-        out.append(MatrixState(grid))
-    return out
+    rows = list(product(range(1, n + 2), repeat=n))
+    return [MatrixState._make((grid,)) for grid in product(rows, repeat=T - 1)]
 
 
 def matrix_stationary_weight(M: MatrixState, p: ParamSet):
@@ -346,6 +345,18 @@ def matrix_stationary_weight(M: MatrixState, p: ParamSet):
     return acc
 
 
+def _grid_columns(n: int, T: int, p: ParamSet) -> list:
+    """(column, product of its cells' z) for every grid column, in
+    lexicographic order."""
+    columns = []
+    for col in product(range(1, n + 2), repeat=T - 1):
+        prob = p.z_at(1) ** 0
+        for x in col:
+            prob = prob * p.z_at(x)
+        columns.append((col, prob))
+    return columns
+
+
 def _matrix_body(M: MatrixState) -> tuple:
     """What a step keeps of M: the grid without its last column."""
     return tuple(row[:-1] for row in M.grid)
@@ -358,12 +369,7 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     states = enumerate_matrix_states(n, T)
     # the fresh column's law is the same from every state
-    columns = []
-    for newcol in product(range(1, n + 2), repeat=T - 1):
-        prob = p.z_at(1) ** 0
-        for x in newcol:
-            prob = prob * p.z_at(x)
-        columns.append((newcol, prob))
+    columns = _grid_columns(n, T, p)
 
     def successors(M: MatrixState):
         # shift every row right, dropping the last column, and prepend the
@@ -427,6 +433,30 @@ def lump_matrices(states) -> list[Tableau]:
             tableaux[key] = Tableau._make(key)
         out.append(tableaux[key])
     return out
+
+
+def matrix_fiber_law(states, n: int, T: int, p: ParamSet) -> Distribution:
+    """The summed matrix masses over each tableau's fiber, on `states`, all
+    tableaux of (n, T) in any order; p is not checked.
+
+    The word-law sweep one level up: columns k..n of a lump depend on grid
+    columns k..n only through the lump's columns k+1..n and grid column k,
+    and a grid's mass is the product of its columns' z products. So the sweep
+    runs over the grid columns right to left, keeps the summed mass per
+    partial lump and extends every partial lump by every grid column, never
+    listing a matrix state.
+    """
+    zero = p.z_at(1) * 0
+    columns = _grid_columns(n, T, p)
+    masses = {(): p.z_at(1) ** 0}
+    for _ in range(n):
+        swept: dict = {}
+        for right, mass in masses.items():
+            for col, prob in columns:
+                key = _replay_column(right, col)
+                swept[key] = swept.get(key, zero) + mass * prob
+        masses = swept
+    return Distribution(states, tuple(masses.get(V.columns, zero) for V in states))
 
 
 # -------------------------------------------------------------- marginals

@@ -7,9 +7,11 @@ the builders did before they walked the cascades once per word. The msjmc
 enriched step of one state and its exact inverse, predecessor
 reconstruction, live here too, and so does the rule that writes a successor
 from its bumping sequence (apply_bump), which the builders' walks replace by
-writing the successor as they go. The statistic J_w(m, t) is computed here
-afresh for every factor (stat_J); the builders read it off one table per
-word.
+writing the successor as they go, and the rule that refills the bumped
+slots of an auxiliary word with E_{w'} (enriched_update), which the
+enriched builders replace by one restart template per move. The statistic
+J_w(m, t) is computed here afresh for every factor (stat_J); the builders
+read it off one table per word.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from jugglemc.combinatorics import (
 )
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import enumerate_enriched_words
-from jugglemc.msjmc import EnrichedState, _enriched_update, enumerate_enriched
+from jugglemc.msjmc import EnrichedState, enumerate_enriched
 
 
 def stat_J(w: Word, m: int, t: int) -> int:
@@ -179,10 +181,15 @@ def enriched_fluctuating_step(s: EnrichedState, choice: InsertionChoice) -> Enri
     """Enriched update on the intermediate word: bumped slots restart at
     E_{w'}, the rest of the auxiliary word shifts left."""
     j, a = choice
-    w2 = apply_bump(intermediate_word(s.w, j), a)
+    return enriched_update(s.v, apply_bump(intermediate_word(s.w, j), a), a)
+
+
+def enriched_update(v: tuple[int, ...], w2: Word, a: tuple[int, ...]) -> EnrichedState:
+    """(w2, v') for the word w2 a bump along a produced: the bumped slots of
+    v' restart at E_{w2}, the other entries of v shift left with the balls."""
     filled = {cur - 1 for cur in a[1:]}
     return EnrichedState(
-        w2, tuple(stat_E(w2, i) if i in filled else s.v[i] for i in range(1, w2.n + 1))
+        w2, tuple(stat_E(w2, i) if i in filled else v[i] for i in range(1, w2.n + 1))
     )
 
 
@@ -198,7 +205,7 @@ def _check_enriched(s: EnrichedState):
 def enriched_step(s: EnrichedState, a: tuple[int, ...]) -> EnrichedState:
     """Deterministic enriched update of s along the bumping sequence a."""
     _check_enriched(s)
-    return _enriched_update(s.v, apply_bump(s.w, a), a)
+    return enriched_update(s.v, apply_bump(s.w, a), a)
 
 
 def reconstruct_predecessor(s_next: EnrichedState):

@@ -13,7 +13,6 @@ from jugglemc import fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
     LumpingMap,
     nilpotency_check,
-    project_distribution,
     simulate,
     simulate_replicas,
     stationary_exact,

@@ -11,9 +11,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from jugglemc import fluctuating, msjmc, overwriting
-from jugglemc.combinatorics import ParamSet, TypeCounts
+from jugglemc.chain import build_matrix
+from jugglemc.combinatorics import ParamSet, TypeCounts, Word
 
-from cascade_reference import fluctuating_rows, msjmc_rows
+from cascade_reference import enriched_update, fluctuating_rows, msjmc_rows
 from overwriting_reference import word_rows
 
 F = Fraction
@@ -117,3 +118,35 @@ def test_walk_matches_per_choice_rule(model, shape, enriched, data):
 ])
 def test_walk_matches_per_choice_rule_pinned(case):
     check(*case)
+
+
+# every enriched cover of MSJMC_SHAPES and WORD_SHAPES up to 2,000 states
+ENRICHED = [("msjmc", s) for s in MSJMC_SHAPES
+            if len(msjmc.enumerate_enriched(TypeCounts(s))) <= 2_000]
+ENRICHED += [(m, s) for m in ("add_drop", "annihilation") for s in WORD_SHAPES
+             if len(fluctuating.enumerate_enriched_words(*s)) <= 2_000]
+
+
+@pytest.mark.parametrize("model,shape", ENRICHED,
+                         ids=[f"{m}-{'x'.join(map(str, s))}" for m, s in ENRICHED])
+def test_restart_templates_match_enriched_update(model, shape):
+    """The enriched builders against the same walk with every successor's v
+    made by enriched_update: same states, and rows with the same keys in the
+    same order, values of the same type and repr."""
+    n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
+    z = tuple(F(k, k + 2) for k in range(1, n + 2))
+    if model == "annihilation":
+        z = tuple(F(k, sum(range(1, n + 2))) for k in range(1, n + 2))
+    p = ParamSet(z, c=tuple(F(k, 3) for k in range(1, T + 1)))
+    if model == "msjmc":
+        P, moves = msjmc.build_enriched_chain(TypeCounts(shape), p), msjmc._bumps
+    else:
+        P = BUILDERS[model, True](n, T, p)
+        moves = {"add_drop": fluctuating._add_drop_moves,
+                 "annihilation": fluctuating._annihilation_moves}[model]
+    ref = build_matrix(P.states, lambda s: (
+        (enriched_update(s.v, Word._make((letters, s.w.T)), a), prob)
+        for letters, a, prob in moves(s.w, p)
+    ))
+    assert P.states == ref.states
+    assert_same_rows(P, ref.rows)

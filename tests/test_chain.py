@@ -21,7 +21,6 @@ from jugglemc.chain import (
     first_unbalanced,
     is_irreducible,
     nilpotency_check,
-    project_distribution,
     simulate,
     simulate_replicas,
     stationary_exact,
@@ -235,6 +234,15 @@ def step_distribution(dist: Distribution, P: ChainMatrix) -> Distribution:
             for j, v in P.rows[i].items():
                 out[j] = out[j] + w * v
     return Distribution(P.states, tuple(out))
+
+
+def project_distribution(pi_t: Distribution, f: LumpingMap) -> Distribution:
+    """Fraction reference for a lumped law: the fiber sums of pi_t on f's
+    base states."""
+    acc = {b: 0 for b in f.base_states}
+    for s, w in zip(pi_t.states, pi_t.weights):
+        acc[f.mapping[s]] = acc[f.mapping[s]] + w
+    return Distribution(f.base_states, tuple(acc[b] for b in f.base_states))
 
 
 def reference_unbalanced(P: ChainMatrix, masses: Distribution):
@@ -666,6 +674,29 @@ def reference_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
             if sums.get(b, 0) != brow.get(b, 0):
                 return False, (Pt.states[x], P.states[b], sums.get(b, 0), brow.get(b, 0))
     return True, None
+
+
+def test_verify_lumping_names_the_first_state_of_a_recurring_failure():
+    """Rows shared by key: the pair (row 0, A) passes at states 0 and 2,
+    (row 1, B) at 1 and 3, and (row 1, A) fails at 4 and 6, (row 0, B) at 5
+    and 7. Checking each pair once still names state 4, as the per-state
+    reference does."""
+    key = [0, 1, 0, 1, 1, 0, 1, 0]
+    rows = [{0: F(1, 4), 2: F(1, 4), 1: F(1, 2)}, {4: F(1, 3), 3: F(1, 3), 7: F(1, 3)}]
+    Pt = build_matrix(range(8), lambda s: rows[key[s]].items(), key=key.__getitem__)
+    P = build_matrix(["A", "B"], lambda s: ({"A": F(1, 2), "B": F(1, 2)} if s == "A"
+                                           else {"A": F(1, 3), "B": F(2, 3)}).items())
+    f = LumpingMap({x: "AB"[x % 2] for x in range(8)}, P.states)
+    assert len({id(row) for row in Pt.rows}) == 2
+    # the class-A mass of each state's row against its base row's
+    failing = [x for x in range(8) if sum(
+        (v for y, v in Pt.rows[x].items() if f.mapping[y] == "A"), F(0))
+        != P.rows[P.index[f.mapping[x]]][0]]
+    assert failing == [4, 5, 6, 7]
+    copied = ChainMatrix(Pt.states, [dict(row) for row in Pt.rows])
+    want = (False, (4, "A", F(1, 3), F(1, 2)))
+    assert verify_lumping(Pt, f, P) == verify_lumping(copied, f, P) == want
+    assert reference_lumping(Pt, f, P) == want
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)

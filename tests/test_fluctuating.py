@@ -8,7 +8,6 @@ import pytest
 
 from jugglemc.chain import (
     LumpingMap,
-    project_distribution,
     stationary_exact,
     verify_lumping,
 )
@@ -34,6 +33,7 @@ from cascade_reference import (
     insertion_choices,
     intermediate_word,
 )
+from test_chain import project_distribution
 
 F = Fraction
 

@@ -9,7 +9,6 @@ import pytest
 from jugglemc.chain import (
     LumpingMap,
     build_matrix,
-    project_distribution,
     stationary_exact,
     verify_lumping,
 )
@@ -33,6 +32,7 @@ from jugglemc.msjmc import (
 
 from cascade_reference import apply_bump, bumping_sequences, enriched_step, \
     enumerate_predecessors, reconstruct_predecessor, transition_prob
+from test_chain import project_distribution
 
 F = Fraction
 

@@ -30,6 +30,7 @@ from jugglemc.overwriting import (
     last_site_marginal,
     lump_matrix,
     lump_tableau,
+    matrix_fiber_law,
     matrix_stationary_weight,
     overwriting_stationary,
     overwriting_stationary_distribution,
@@ -238,6 +239,11 @@ def test_enumerate_matrix_states():
     assert len(enumerate_matrix_states(2, 3)) == 81
     with pytest.raises(ValueError):
         enumerate_matrix_states(4, 4)  # 5^12 grids blow the cap
+    # the flat product over the cells, row by row, cut into T - 1 rows
+    for n, T in ((1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3)):
+        flat = [MatrixState(tuple(cells[r * n : (r + 1) * n] for r in range(T - 1)))
+                for cells in product(range(1, n + 2), repeat=(T - 1) * n)]
+        assert enumerate_matrix_states(n, T) == flat
 
 
 def test_matrix_chain_product_stationary():
@@ -266,16 +272,33 @@ def test_matrix_lumps_to_tableau_chain():
         assert ok, witness
 
 
+# every (n, T) with at most 8,000 matrix states, (3,3), (2,5) and (5,2) among them
+FIBER_SHAPES = [(n, T) for n in range(1, 6) for T in range(2, 14)
+                if (n + 1) ** (n * (T - 1)) <= 8_000]
+
+
 def test_fiber_weight_identity():
+    """The per-state fiber sums equal the tableau law, and the column sweep
+    of matrix_fiber_law gives the same masses on any tableau order, with
+    random weights and with weights holding zeros."""
     rng = random.Random(57)
-    for n, T in ((2, 2), (2, 3)):
-        p = random_normalized_params(rng, n)
-        fibers: dict = {}
-        for M in enumerate_matrix_states(n, T):
-            V = lump_matrix(M)
-            fibers[V] = fibers.get(V, F(0)) + matrix_stationary_weight(M, p)
-        for V in enumerate_tableaux(n, T):
-            assert fibers.get(V, F(0)) == tableau_stationary(V, p)
+    for n, T in FIBER_SHAPES:
+        states = enumerate_matrix_states(n, T)
+        lumps = [lump_matrix(M) for M in states]
+        tableaux = enumerate_tableaux(n, T)
+        rng.shuffle(tableaux)
+        with_zeros = [F(rng.randint(0, 3)) for _ in range(n + 1)]
+        i = rng.randrange(n + 1)
+        with_zeros[i], with_zeros[i - 1] = F(0), with_zeros[i - 1] + 1
+        for p in (random_normalized_params(rng, n),
+                  ParamSet(tuple(x / sum(with_zeros) for x in with_zeros))):
+            fibers = dict.fromkeys(tableaux, F(0))
+            for M, V in zip(states, lumps):
+                fibers[V] += matrix_stationary_weight(M, p)
+            law = matrix_fiber_law(tableaux, n, T, p)
+            assert law.states == tuple(tableaux), (n, T)
+            assert law.weights == tuple(fibers[V] for V in tableaux), (n, T)
+            assert law.weights == tuple(tableau_stationary(V, p) for V in tableaux), (n, T)
 
 
 def test_overwriting_stationary_matches_solver():
