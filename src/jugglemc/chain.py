@@ -2,15 +2,16 @@
 
 Matrices are stored sparsely (one dict per row, successor index -> probability)
 with a fixed state order, so model matrices are reproducible entry for entry.
-The exact stationary solver runs Gaussian elimination on the balance equations
-of P transposed, with the normalization row appended; it refuses chains whose
-nonzero pattern is not strongly connected. Each equation is scaled to integers
-and eliminated fraction-free on Python ints; the returned distribution holds
-Fractions. Row powers, lumping checks and the one-step stationarity
-certificate run on the integer matrix D·P, D the lcm of the entry
-denominators; D·P is computed on first use and kept on the chain. A row
-object that several states hold (as `build_matrix(..., key=...)` hands out)
-is checked, scaled to integers and lumped once, not once per state.
+The exact stationary solver refuses chains whose nonzero pattern is not
+strongly connected. It eliminates the balance equations of D·P modulo a large
+prime, reads the law off by rational reconstruction and returns it, as
+Fractions, only once the one-step certificate `first_unbalanced` proves it;
+otherwise it retries with the next prime of an unbounded ladder. The solver,
+row powers, lumping checks and the certificate all run on the integer matrix
+D·P, D the lcm of the entry denominators; D·P is computed on first use and
+kept on the chain. A row object that several states hold (as
+`build_matrix(..., key=...)` hands out) is checked, scaled to integers and
+lumped once, not once per state.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .combinatorics import FLOAT_TOL, is_exact
@@ -265,101 +267,165 @@ def chain_period(P: ChainMatrix) -> int:
     return g
 
 
-def _solve_sparse(equations: list[dict], rhs: list[int], nvars: int) -> list[Fraction]:
-    """Exact fraction-free sparse elimination; returns the unique solution.
+# exponents e with 2^e - 1 prime (each proven prime), from 127 up: the
+# first moduli of the exact solver
+_MERSENNE_EXPONENTS = (
+    127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
+    21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433, 1257787,
+    1398269, 2976221, 3021377, 6972593, 13466917, 20996011, 24036583, 25964951,
+    30402457, 32582657, 37156667, 42643801, 43112609, 57885161, 74207281,
+    77232917, 82589933, 136279841,
+)
 
-    equations: dicts var -> integer coefficient, with integer right-hand
-    sides. The system may contain one redundant equation; it must reduce to
-    0 = 0. Pivots are chosen to limit fill-in (fewest occupied rows for the
-    variable, shortest row as tiebreak). Elimination is fraction-free, after
-    Bareiss (Math. Comp. 22, 1968): a row is updated by integer
-    cross-multiplication with the pivot row and then divided by the gcd of
-    its coefficients and right-hand side, which keeps entries small.
-    Fractions appear only in back-substitution.
+
+def _proth_prime(bits: int) -> Optional[int]:
+    """The least prime p = k·2^bits + 1 with k odd, k < 2^bits and p = 2 mod
+    3, or None; bits >= 2. Such a p is 1 mod 4, so 3 is a quadratic
+    non-residue whenever p is prime, and by Proth's theorem p is prime iff
+    3^((p-1)/2) = -1 (mod p)."""
+    for k in range(1, 1 << bits, 2):
+        p = (k << bits) + 1
+        if p % 3 == 2 and pow(3, p >> 1, p) == p - 1:
+            return p
+    return None
+
+
+def _prime_ladder():
+    """The moduli of the exact solver, without end: the Mersenne primes
+    2^e - 1 for e in _MERSENNE_EXPONENTS, then a Proth prime for each
+    doubling of the bits."""
+    for e in _MERSENNE_EXPONENTS:
+        yield (1 << e) - 1
+    bits = _MERSENNE_EXPONENTS[-1]
+    while True:
+        bits *= 2
+        p = _proth_prime(bits)
+        if p is not None:
+            yield p
+
+
+def _rational(u: int, p: int, bound: int) -> Optional[tuple[int, int]]:
+    """(a, b) with a = b·u (mod p), |a| <= bound and 0 < b <= bound, a and b
+    coprime, or None; rational reconstruction (P. S. Wang, 1981) by the
+    extended Euclidean algorithm, unique when 2·bound^2 < p."""
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _solve_modulo(P: ChainMatrix, p: int) -> Optional[list[int]]:
+    """A candidate stationary law of P as positive ints, from the balance
+    equations of D·P eliminated modulo the prime p, or None when p is
+    unlucky or too small for the answer: fewer than n - 1 pivots, a mass
+    that is not positive, or a value that no small fraction fits.
+
+    Equation j reads sum_i x_i (D·P)_ij - D x_j = 0. Each pivot is the
+    variable in the fewest live equations (the lowest on ties), popped from
+    a heap in which every column the pivot row touches gets a fresh key,
+    and its row is the shortest of those equations, scaled to a leading 1,
+    so an update touches only the pivot row's entries. The one variable
+    left without a pivot is set to 1. Back-substitution runs mod p, and the
+    fractions are read off by rational reconstruction of x_i times a
+    running common denominator, which keeps most of them integers.
     """
-    col_rows: list[set[int]] = [set() for _ in range(nvars)]
+    n, D = P.size, P._denominator
+    reduced = P._integer_rows if D < p else [{j: v % p for j, v in row.items()}
+                                             for row in P._integer_rows]
+    equations: list[dict] = [{j: -D % p} for j in range(n)]
+    for i, at in enumerate(P._row_of):
+        for j, v in reduced[at].items():
+            equations[j][i] = (v - D) % p if i == j else v
+    col_rows: list[set[int]] = [set() for _ in range(n)]
     for r, eq in enumerate(equations):
-        for v in eq:
-            col_rows[v].add(r)
-    used = [False] * len(equations)
-    order: list[tuple[int, int]] = []
-    for _ in range(nvars):
-        pv = -1
-        pv_count = 0
-        for v in range(nvars):
-            live = len(col_rows[v])
-            if live and (pv < 0 or live < pv_count):
-                pv, pv_count = v, live
-        if pv < 0:
-            raise ReducibleChain("singular system; no pivot available")
-        pr = min(col_rows[pv], key=lambda r: len(equations[r]))
-        used[pr] = True
-        order.append((pr, pv))
+        for v, c in list(eq.items()):
+            if c:
+                col_rows[v].add(r)
+            else:
+                del eq[v]
+    heap = [(len(rows), v) for v, rows in enumerate(col_rows)]
+    heapify(heap)
+    order: list[tuple[int, dict]] = []
+    while heap:
+        count, pv = heappop(heap)
+        live = col_rows[pv]
+        if count != len(live) or not count:
+            continue  # a stale key, or a column with no live equation
+        pr = min(live, key=lambda r: len(equations[r]))
         peq = equations[pr]
-        pcoef = peq[pv]
-        for r in list(col_rows[pv]):
-            if r == pr or used[r]:
+        inv = pow(peq.pop(pv), -1, p)
+        pivot_row = {v: c * inv % p for v, c in peq.items()}
+        for r in live:
+            if r == pr:
                 continue
             eq = equations[r]
-            g = gcd(eq[pv], pcoef)
-            scale, factor = pcoef // g, eq[pv] // g
-            if scale != 1:
-                for v in eq:
-                    eq[v] *= scale
-            for v, c in peq.items():
-                nv = eq.get(v, 0) - factor * c
-                if nv == 0:
-                    if v in eq:
-                        del eq[v]
-                        col_rows[v].discard(r)
-                else:
-                    if v not in eq:
-                        col_rows[v].add(r)
+            factor = p - eq.pop(pv)
+            for v, c in pivot_row.items():
+                if v not in eq:
+                    eq[v] = factor * c % p
+                    col_rows[v].add(r)
+                elif nv := (eq[v] + factor * c) % p:
                     eq[v] = nv
-            rhs[r] = scale * rhs[r] - factor * rhs[pr]
-            content = gcd(rhs[r], *eq.values())
-            if content > 1:
-                for v in eq:
-                    eq[v] //= content
-                rhs[r] //= content
-        # the pivot row leaves the working set
-        for v in peq:
+                else:
+                    del eq[v]
+                    col_rows[v].discard(r)
+        live.clear()
+        for v in pivot_row:
             col_rows[v].discard(pr)
-    for r, eq in enumerate(equations):
-        if not used[r] and (eq or rhs[r] != 0):
-            raise ReducibleChain("inconsistent balance equations")
-    solution = [None] * nvars
-    for pr, pv in reversed(order):
-        # one integer sum over the lcm of the known denominators
-        terms = [(c, solution[v]) for v, c in equations[pr].items() if v != pv]
-        d = lcm(*(x.denominator for _, x in terms))
-        num = rhs[pr] * d - sum(c * x.numerator * (d // x.denominator) for c, x in terms)
-        solution[pv] = Fraction(num, d * equations[pr][pv])
-    return solution
+            if col_rows[v]:
+                heappush(heap, (len(col_rows[v]), v))
+        order.append((pv, pivot_row))
+    if len(order) != n - 1:
+        return None
+    x = [None] * n
+    x[({*range(n)} - {pv for pv, _ in order}).pop()] = 1
+    for pv, pivot_row in reversed(order):
+        x[pv] = -sum(c * x[v] for v, c in pivot_row.items()) % p
+    # x_i = a_i / d_i, d_i the common denominator when x_i is read
+    bound = isqrt(p >> 1)
+    d = 1
+    read: list[tuple[int, int]] = []
+    for xv in x:
+        a = xv * d % p
+        if a > bound:
+            ab = _rational(a, p, bound)
+            if ab is None:
+                return None
+            a, b = ab
+            d *= b
+        read.append((a, d))
+    masses = [a * (d // di) for a, di in read]
+    return masses if min(masses) > 0 else None
 
 
 def stationary_exact(P: ChainMatrix) -> Distribution:
-    """The unique normalized solution of pi P = pi, by exact elimination."""
+    """The unique normalized solution of pi P = pi, as Fractions.
+
+    Refuses float and reducible chains. Each rung of _prime_ladder gives a
+    candidate by _solve_modulo, and the first candidate that
+    first_unbalanced finds balanced is returned, scaled to sum 1: on an
+    irreducible chain a balanced law with a positive mass is the stationary
+    law up to a positive scale.
+
+    Any prime rung above 2·D^(2n-2) returns the law. By the Markov chain
+    tree theorem the law is proportional to integers t_i with
+    0 < t_i <= D^(n-1), the sums over spanning trees of products of D·P's
+    entries, and each (n-1)-by-(n-1) minor of the balance equations is
+    some ±t_i. So modulo such a prime the equations keep rank n - 1, the
+    variable left free has t_free != 0, and every ratio t_i / t_free fits
+    the reconstruction.
+    """
     if not P.exact:
         raise ValueError("stationary_exact needs exact (rational) probabilities")
     _require_irreducible(P)
-    n = P.size
-    # balance equations (columns of P^T - I), each scaled to coprime
-    # integers, then the normalization row
-    columns: list[dict] = [{j: -1} for j in range(n)]
-    for i, row in enumerate(P.rows):
-        for j, v in row.items():
-            columns[j][i] = v - 1 if i == j else v
-    equations: list[dict] = []
-    for col in columns:
-        d = lcm(*(v.denominator for v in col.values()))
-        eq = {i: v.numerator * (d // v.denominator) for i, v in col.items() if v}
-        content = gcd(*eq.values())
-        equations.append({i: c // content for i, c in eq.items()})
-    rhs = [0] * n
-    equations.append({j: 1 for j in range(n)})
-    rhs.append(1)
-    return Distribution(P.states, tuple(_solve_sparse(equations, rhs, n)))
+    for p in _prime_ladder():
+        masses = _solve_modulo(P, p)
+        if masses is not None and first_unbalanced(P, Distribution(P.states, masses)) is None:
+            total = sum(masses)
+            return Distribution(P.states, tuple(Fraction(a, total) for a in masses))
 
 
 def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000) -> Distribution:

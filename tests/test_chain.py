@@ -4,13 +4,15 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jugglemc import fluctuating, jugglers, msjmc, overwriting
+from jugglemc import chain, fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
     ChainMatrix,
     Distribution,
@@ -252,8 +254,8 @@ def reference_unbalanced(P: ChainMatrix, masses: Distribution):
                  if inflow != m), None)
 
 
-# the normalization row is pivoted before the last variable here, so
-# back-substitution meets a nonzero right-hand side over known denominators
+# solved with the last state free, the law reads (6, 11/2, 11/2, 27/2, 1), so
+# its rational reconstruction grows the running common denominator
 PIVOTS_NORMALIZATION_EARLY = ChainMatrix(range(5), [
     {2: F(1, 6), 3: F(2, 3), 4: F(1, 6)},
     {0: F(1)},
@@ -280,6 +282,165 @@ def test_stationary_exact_matches_dense_reference(P):
 def test_stationary_exact_refuses_random_reducible_patterns(P):
     with pytest.raises(ReducibleChain):
         stationary_exact(P)
+
+
+@contextmanager
+def ladder_from(exponents):
+    """Start the solver's ladder at the Mersenne primes 2^e - 1 for e in
+    `exponents`, then go on with the whole ladder; yields the list of rungs
+    the solver tries, as (prime, candidate or None), whose last rung gave
+    the law returned."""
+    tried = []
+    solve = chain._solve_modulo
+
+    def spy(P, p):
+        tried.append((p, solve(P, p)))
+        return tried[-1][1]
+
+    with mock.patch.object(chain, "_MERSENNE_EXPONENTS",
+                           tuple(exponents) + chain._MERSENNE_EXPONENTS), \
+            mock.patch.object(chain, "_solve_modulo", spy):
+        yield tried
+
+
+@settings(max_examples=300, deadline=None)
+@given(irreducible_chains())
+@example(PIVOTS_NORMALIZATION_EARLY)
+def test_stationary_exact_on_tiny_primes_matches_dense_reference(P):
+    with ladder_from((13, 17, 31)):
+        pi = stationary_exact(P)
+    assert pi.weights == gauss_jordan_stationary(P)
+    assert all(type(w) is Fraction for w in pi.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_chains())
+def test_a_prime_above_the_tree_bound_gives_the_law(P):
+    # the law is proportional to spanning-tree sums of at most D^(n-1), so
+    # one prime above 2·D^(2n-2) gives it without a retry
+    bound = 2 * P._denominator ** (2 * P.size - 2)
+    masses = chain._solve_modulo(P, chain._proth_prime(bound.bit_length()))
+    assert tuple(Fraction(m, sum(masses)) for m in masses) == gauss_jordan_stationary(P)
+
+
+def random_irreducible_chain(rng: random.Random) -> ChainMatrix:
+    """As irreducible_chains(), drawn from `rng`."""
+    n = rng.randint(2, 7)
+    cycle = rng.sample(range(n), n)
+    rows = []
+    for i in range(n):
+        succ = {j for j in cycle if rng.random() < 0.5}
+        succ.add(cycle[(cycle.index(i) + 1) % n])
+        w = {j: F(rng.randint(1, 9), rng.randint(1, 9)) for j in sorted(succ)}
+        total = sum(w.values())
+        rows.append({j: x / total for j, x in w.items()})
+    return ChainMatrix(range(n), rows)
+
+
+def test_tiny_primes_fail_often_and_the_answer_stays_exact():
+    # moduli 3, 7, 31 and 127 are often unlucky or too small: a rung gives no
+    # candidate (a pivot or a mass vanishes, or no fraction fits), or a wrong
+    # candidate that the certificate refuses
+    rng = random.Random(19)
+    no_candidate = refused = 0
+    for _ in range(200):
+        P = random_irreducible_chain(rng)
+        with ladder_from((2, 3, 5, 7)) as tried:
+            pi = stationary_exact(P)
+        assert pi.weights == gauss_jordan_stationary(P)
+        no_candidate += sum(masses is None for _, masses in tried)
+        refused += sum(masses is not None for _, masses in tried[:-1])
+    assert no_candidate > 100 and refused > 10
+
+
+def test_unlucky_primes_give_no_candidate():
+    # D·P - D·I of two_state(1/3, 1/5) has the rows (-5, 5) and (3, -3): modulo
+    # 3 the balance equations force x_0 = 0, modulo 5 x_1 = 0
+    P = two_state(F(1, 3), F(1, 5))
+    assert P._denominator == 15
+    assert chain._solve_modulo(P, 3) is None and chain._solve_modulo(P, 5) is None
+    assert chain._solve_modulo(P, 127) == [3, 5]
+    # for two_state(3/5, 3/5) they are (-3, 3) and (3, -3): no pivot modulo 3
+    P = two_state(F(3, 5), F(3, 5))
+    assert chain._solve_modulo(P, 3) is None
+    assert chain._solve_modulo(P, 127) == [1, 1]
+
+
+def test_wide_weights_climb_the_ladder():
+    # msjmc (2,1) with weights whose denominators have more than 300 bits
+    w = [F(1, 3 ** 190), F(2, 5 ** 131), F(7, 11 ** 89), F(1)]
+    assert min(x.denominator.bit_length() for x in w[:3]) > 300
+    P = msjmc.build_chain(TypeCounts((2, 1)), ParamSet(tuple(x / sum(w) for x in w)))
+    with ladder_from(()) as tried:
+        pi = stationary_exact(P)
+    assert pi.weights == gauss_jordan_stationary(P)
+    assert len(tried) >= 3
+    assert [masses is None for _, masses in tried] == [True] * (len(tried) - 1) + [False]
+
+
+def test_ladder_goes_on_past_its_mersenne_primes():
+    # with only 2^2 - 1 listed, the ladder climbs through Proth primes of
+    # 4, 8, 16, ... bits until one is large enough for a 116-bit answer
+    P = two_state(F(1, 3 ** 60), F(1, 5 ** 50))
+    with mock.patch.object(chain, "_MERSENNE_EXPONENTS", (2,)):
+        ladder = chain._prime_ladder()
+        assert [next(ladder) for _ in range(4)] == [3, 17, 257, 65537]
+        with ladder_from(()) as tried:
+            pi = stationary_exact(P)
+    assert pi.weights == gauss_jordan_stationary(P)
+    # p - 1 = k·2^bits with k odd
+    assert [((p - 1) & (1 - p)).bit_length() - 1 for p, _ in tried] == [1, 4, 8, 16, 32, 64,
+                                                                       128, 256]
+
+
+def test_ladder_starts_at_mersenne_primes_in_order():
+    exponents = chain._MERSENNE_EXPONENTS
+    assert exponents[0] == 127 and list(exponents) == sorted(set(exponents))
+    for e in (x for x in exponents if x < 5000):
+        # Lucas-Lehmer: 2^e - 1 is prime iff s_(e-2) = 0, s_0 = 4, s_k+1 = s_k^2 - 2
+        m, s = (1 << e) - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % m
+        assert s == 0, e
+
+
+def test_proth_primes_are_the_least_primes_of_their_form():
+    def prime(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    for bits in range(2, 13):
+        least = next(m for k in range(1, 1 << bits, 2)
+                     if prime(m := (k << bits) + 1) and m % 3 == 2)
+        assert chain._proth_prime(bits) == least
+
+
+def test_rational_reconstruction_finds_the_one_small_fraction():
+    # modulo 8191 with both parts at most 63, each residue is a/b for at most
+    # one coprime pair (2·63^2 < 8191); every other residue has none
+    p, bound = 8191, 63
+    small = {a * pow(b, -1, p) % p: (a, b) for a in range(-bound, bound + 1)
+             for b in range(1, bound + 1) if math.gcd(a, b) == 1}
+    assert len(small) < p
+    assert all(chain._rational(u, p, bound) == small.get(u) for u in range(p))
+
+
+def test_a_corrupted_reconstruction_is_never_returned():
+    # the first fraction read off comes back one too large: the certificate
+    # refuses that candidate and the next rung gives the law
+    P = two_state(F(1, 3), F(1, 5))
+    read = chain._rational
+    calls = []
+
+    def corrupt_first(u, p, bound):
+        a, b = read(u, p, bound)
+        calls.append(p)
+        return (a + 1, b) if len(calls) == 1 else (a, b)
+
+    with ladder_from(()) as tried, mock.patch.object(chain, "_rational", corrupt_first):
+        pi = stationary_exact(P)
+    assert pi.weights == (F(3, 8), F(5, 8))
+    assert [p for p, _ in tried] == calls == [2 ** 127 - 1, 2 ** 521 - 1]
+    assert tried[0][1] != [3, 5]
 
 
 def test_stationary_power_agrees_with_exact():
@@ -548,9 +709,9 @@ def test_integer_form_is_computed_once_per_chain():
     Pt, f, P = lumpable_pair()
     counted = [ChainMatrix(X.states, [{j: CountedFraction(v) for j, v in row.items()}
                                       for row in X.rows]) for X in (Pt, P)]
+    CountedFraction.reads = 0
     laws = [stationary_exact(X) for X in counted]
     Pt, P = counted
-    CountedFraction.reads = 0
     assert verify_lumping(Pt, f, P) == (True, None)
     rows = [X._integer_rows for X in counted]
     for X, pi in zip(counted, laws):
@@ -558,8 +719,8 @@ def test_integer_form_is_computed_once_per_chain():
         for m in range(3):
             ultrafast_check(X, m)
             nilpotency_check(X, m)
-    # D·P reads each entry's numerator once per chain, and every later use
-    # gets the same rows
+    # D·P, first built by the solver, reads each entry's numerator once per
+    # chain, and every later use gets the same rows
     assert CountedFraction.reads == sum(len(row) for X in counted for row in X.rows)
     assert all(X._integer_rows is r for X, r in zip(counted, rows))
     assert [X._denominator for X in counted] == [24, 6]
@@ -632,22 +793,20 @@ def test_shared_bad_row_names_its_first_state():
             assert type(info.value) is error and str(info.value) == text
 
 
-def test_solver_and_sampling_never_build_the_integer_form(monkeypatch, capsys):
+def test_power_iteration_and_sampling_never_build_the_integer_form(monkeypatch, capsys):
     def refuse(P):
         raise AssertionError("D·P computed")
 
     monkeypatch.setattr(ChainMatrix, "_denominator", property(refuse))
     monkeypatch.setattr(ChainMatrix, "_integer_rows", property(refuse))
     P = two_state(F(1, 3), F(1, 5))
-    stationary_exact(P)
     stationary_power(P)
     simulate(P, "a", 100, seed=1)
     simulate_replicas(P, "a", 3, 10, seed=1)
     assert chain_period(P) == 1
     assert not {"_denominator", "_integer_rows"} & set(vars(P))
     args = ["--model", "msjmc", "--counts", "1,1,1", "--z", "1/2,1/3,1/6,1/6"]
-    for argv in (["stationary", "--method", "both"], ["simulate", "--steps", "50"],
-                 ["simulate", "--replicas", "5"]):
+    for argv in (["simulate", "--steps", "50"], ["simulate", "--replicas", "5"]):
         assert main(argv + args) == 0, argv
     assert capsys.readouterr().err == ""
 

@@ -156,6 +156,29 @@ def test_stationary_both_msjmc(capsys):
     assert [F(x) for x in doc["formula"]] == [v / total for v in vec]
 
 
+@pytest.mark.parametrize("counts,raw,rungs", [
+    ("2,2,2,1", "1/9 2/7 3/5 4/3 5 6/5 7/3 8/7", 1),
+    # a 68-bit answer over 1,120 states: the 127-bit prime is too small for it
+    ("3,3,1,1", "1/9 2/7 3/5 4/3 5 6/5 7/3 8/7 9", 2),
+])
+def test_stationary_both_is_equal_on_large_msjmc_chains(capsys, monkeypatch, counts, raw, rungs):
+    w = [F(x) for x in raw.split()]
+    z = ",".join(str(x / sum(w)) for x in w)
+    solve, tried = chain._solve_modulo, []
+
+    def spy(P, p):
+        tried.append(p)
+        return solve(P, p)
+
+    monkeypatch.setattr(chain, "_solve_modulo", spy)
+    code, out, err = run(capsys, ["stationary", "--model", "msjmc", "--counts", counts,
+                                  "--z", z])
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (0, "", "EQUAL")
+    assert len(doc["states"]) == {"2,2,2,1": 630, "3,3,1,1": 1120}[counts]
+    assert len(tried) == rungs
+
+
 def test_stationary_annihilation_masses(capsys):
     code, out, _ = run(capsys, ["stationary"] + ANNIHILATION_ARGS)
     assert code == 0
