@@ -268,16 +268,14 @@ def spec_formula(spec: ModelSpec, states: list) -> Distribution:
     p = _params(spec) if spec.model != "several_jugglers" else None
     if spec.model == "overwriting":
         return overwriting._word_law(states, spec.n, spec.T, p)
+    # each closed form divides by its normalizer inside the one Fraction it makes
     if spec.model == "msjmc":
         Z = msjmc.partition_function(TypeCounts(spec.counts), p)
-        return Distribution(
-            states, tuple(msjmc.stationary_weight(w, p) / Z for w in states)
-        )
+        return Distribution(states, tuple(msjmc.stationary_weight(w, p, Z) for w in states))
     if spec.model == "add_drop":
         Z = fluctuating.add_drop_partition(spec.n, spec.T, p)
         return Distribution(
-            states,
-            tuple(fluctuating.add_drop_stationary_weight(w, p) / Z for w in states),
+            states, tuple(fluctuating.add_drop_stationary_weight(w, p, Z) for w in states)
         )
     if spec.model == "annihilation":
         # the chain builder divides by y_1 in a cascade exactly when n, T >= 2

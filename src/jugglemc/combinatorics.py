@@ -1,9 +1,12 @@
 """Scalars, words and combinatorial primitives shared by all chain models.
 
 Exact arithmetic uses fractions.Fraction (or int); the float backend uses
-plain floats with a fixed comparison tolerance. All position arguments follow
-the 1-based convention of the transition formulas; the virtual sentinel
-w_{n+1} = +infinity is handled by the operations and never stored.
+plain floats with a fixed comparison tolerance. An exact ParamSet also keeps
+its weights over common denominators as ints (`ParamTables`), so the model
+walks and product formulas multiply ints and make one Fraction per entry.
+All position arguments follow the 1-based convention of the transition
+formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
+operations and never stored.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, product
+from math import lcm
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 FLOAT_TOL = 1e-12
 
@@ -70,18 +74,42 @@ class TypeCounts:
         return sum(self.counts)
 
 
+class ParamTables(NamedTuple):
+    """Exact weights over common denominators: L is the lcm of z's
+    denominators, Z_k = L z_k and Y_k = L y_k; with activities, Lc is the lcm
+    of c's denominators and C_t = Lc c_t (both None without activities)."""
+
+    L: int
+    Z: tuple
+    Y: tuple
+    Lc: Optional[int]
+    C: Optional[tuple]
+
+
+def _scaled(values) -> tuple[int, tuple]:
+    """(lcm of the denominators, the values times it as ints)."""
+    fs = [Fraction(x) for x in values]
+    m = lcm(*(f.denominator for f in fs))
+    return m, tuple(f.numerator * (m // f.denominator) for f in fs)
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """Throw weights z_1..z_m with prefix sums y, plus optional activities c.
 
     The chain on n balls needs exactly m = n+1 weights (the deepest reachable
-    index is n+1); constructors of model matrices enforce that arity.
+    index is n+1); constructors of model matrices enforce that arity. When
+    every weight is exact, `tables` holds them as ints over common
+    denominators; with any float weight it is None. The tables belong to the
+    instance: equal sets may differ in them (ParamSet((1, 0)) equals
+    ParamSet((1.0, 0.0))), so they take no part in equality or hashing.
     """
 
     z: tuple
     c: Optional[tuple] = None
     y: tuple = field(init=False, compare=False)
     normalized: bool = field(init=False, compare=False)
+    tables: Optional[ParamTables] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         z = tuple(self.z)
@@ -107,6 +135,12 @@ class ParamSet:
             if any(x <= 0 for x in c):
                 raise ValueError("activities must be strictly positive")
             object.__setattr__(self, "c", c)
+        tables = None
+        if all(map(is_exact, z + (self.c or ()))):
+            L, Z = _scaled(z)
+            Lc, C = _scaled(self.c) if self.c is not None else (None, None)
+            tables = ParamTables(L, Z, tuple(accumulate(Z)), Lc, C)
+        object.__setattr__(self, "tables", tables)
 
     def z_at(self, i: int):
         if not 1 <= i <= len(self.z):
@@ -175,12 +209,6 @@ def _j_table(w: Word) -> list:
     for x in reversed(w.letters):
         J.append([k + (x > t) for t, k in enumerate(J[-1])])
     return [None] + J[::-1]
-
-
-def stat_E(w: Word, i: int) -> int:
-    """E_w(i) = J_w(i, w_i): 1 + number of strictly heavier balls above i."""
-    t = w.letter(i)
-    return 1 + sum(1 for x in w.letters[i:] if x > t)
 
 
 def complete_homogeneous(degree: int, values: Sequence):

@@ -6,60 +6,76 @@ in the annihilation model) and then runs the usual bumping cascade on the
 intermediate word j w^-. Past position 1, j w^- agrees with w, so one J table
 of w serves every j: per word, the builders compute the insertion factors
 once (the add-drop normalizer, the annihilation failure factors) and walk
-the cascades from a(2) with msjmc's walk, multiplying each tail onto its
+the cascades from a(2) with msjmc's walk. For exact weights the insertion
+factor is an integer numerator and denominator over the ParamSet's scaling
+(C_j Z / sum_t C_t Y for add-drop, Z and L - Y over powers of L for
+annihilation), the walk multiplies the cascade's Z and Y onto it and makes
+one Fraction per move; for float weights each tail is multiplied onto its
 insertion factor at the leaf. The walk writes the successor as it goes,
-starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built.
+starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built. The
+product formulas read E_w(i) = J[i][w_i] off the same table and multiply
+ints, making one Fraction per state.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 from .chain import ChainMatrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, stat_E, _j_table
+    complete_homogeneous, _j_table
 from .errors import DegenerateParams, NotNormalized
 from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, \
-    _word_matrix
+    _mass, _word_matrix
 
 
 def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
     """Yield (successor letters, a, probability) for every bumping sequence a
-    of j w^-, lexicographically: lead(z_{J(a(2), j)}) for the insertion step
-    times the cascade factors from a(2) on. J is _j_table(w), which agrees
-    with the table of j w^- from position 2 on, and the successor starts with
-    w_2 .. w_{a(2)-1} followed by j."""
+    of j w^-, lexicographically. lead(x), x = z_{J(a(2), j)} (Z over the
+    integer tables), is the insertion step's factor as the start (num, den)
+    of the _cascades walk, which multiplies in the cascade factors from a(2)
+    on. J is _j_table(w), which agrees with the table of j w^- from position
+    2 on, and the successor starts with w_2 .. w_{a(2)-1} followed by j."""
+    tables = p.tables
+    z = tables.Z if tables else p.z
     for a2 in range(2, w.n + 1):
         if w.letters[a2 - 1] > j:
-            h = lead(p.z[J[a2][j] - 1])
-            for letters, a, tail in _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,), (1, a2),
-                                              None, "cascade factor"):
-                yield letters, a, h * tail
-    yield w.letters[1:] + (j,), (1, w.n + 1), lead(p.z[0])
+            yield from _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,), (1, a2),
+                                 *lead(z[J[a2][j] - 1]), "cascade factor")
+    num, den = lead(z[0])
+    yield w.letters[1:] + (j,), (1, w.n + 1), Fraction(num, den) if tables else den * num
+
+
+def _need_activities(p: ParamSet, T: int):
+    if p.c is None or len(p.c) != T:
+        raise ValueError(f"need {T} activities")
 
 
 def _add_drop_moves(w: Word, p: ParamSet):
     """(successor letters, a, probability) for every insertion type j and
     bumping sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
-    times the cascade."""
-    if p.c is None or len(p.c) != w.T:
-        raise ValueError(f"need {w.T} activities")
-    J = _j_table(w)
-    den = sum(p.c[t - 1] * p.y[J[2][t] - 1] for t in range(1, w.T + 1))
+    times the cascade; over the integer tables C_j Z_{J(a(2), j)} /
+    sum_t C_t Y_{J(2, t)}."""
+    _need_activities(p, w.T)
+    J, tables = _j_table(w), p.tables
+    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
+    den = sum(c[t - 1] * y[J[2][t] - 1] for t in range(1, w.T + 1))
     if den == 0:
         raise DegenerateParams("insertion normalizer is 0")
-    for j, cj in enumerate(p.c, 1):
-        yield from _insertions(w, J, p, j, lambda x: cj * x / den)
+    for j, cj in enumerate(c, 1):
+        yield from _insertions(w, J, p, j, lambda x: (cj * x, den) if tables
+                               else (1, cj * x / den))
 
 
-def add_drop_stationary_weight(w: Word, p: ParamSet):
-    """Unnormalized stationary mass: prod_i c_{w_i} y_{E_w(i)}."""
-    if p.c is None or len(p.c) != w.T:
-        raise ValueError(f"need {w.T} activities")
-    acc = p.z_at(1) ** 0
-    for i in range(1, w.n + 1):
-        acc = acc * p.c_at(w.letter(i)) * p.y_at(stat_E(w, i))
-    return acc
+def add_drop_stationary_weight(w: Word, p: ParamSet, norm=None):
+    """Unnormalized stationary mass prod_i c_{w_i} y_{E_w(i)}; divided by
+    norm when given."""
+    _need_activities(p, w.T)
+    J, tables = _j_table(w), p.tables
+    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
+    return _mass(p, (f for i, x in enumerate(w.letters, 1) for f in (c[x - 1], y[J[i][x] - 1])),
+                 tables and (tables.Lc * tables.L) ** w.n, norm)
 
 
 def _compositions(n: int, parts: int):
@@ -75,8 +91,7 @@ def _compositions(n: int, parts: int):
 def add_drop_partition(n: int, T: int, p: ParamSet):
     """Z: sum over type histograms of the activity monomial times the
     product of complete homogeneous factors."""
-    if p.c is None or len(p.c) != T:
-        raise ValueError(f"need {T} activities")
+    _need_activities(p, T)
     total = p.z_at(1) * 0
     for comp in _compositions(n, T):
         term = p.z_at(1) ** 0
@@ -95,34 +110,43 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
 def _annihilation_moves(w: Word, p: ParamSet):
     """(successor letters, a, probability) with cascading attempts: types
     below j all fail, with factors 1 - y_{J(2, t)}, then j lands and bumps;
-    type T goes to the top with the leftover mass."""
-    J = _j_table(w)
-    fails = [1 - p.y[J[2][t] - 1] for t in range(1, w.T)]
+    type T goes to the top with the leftover mass. Over the integer tables
+    the failures are L - Y_{J(2, t)} and j's insertion factor has the
+    denominator L^j."""
+    J, tables = _j_table(w), p.tables
+    one, y = (tables.L, tables.Y) if tables else (1, p.y)
+    fails = [one - y[J[2][t] - 1] for t in range(1, w.T)]
     for j in range(1, w.T):
-        yield from _insertions(w, J, p, j, lambda x: prod(fails[: j - 1], start=x))
-    yield w.letters[1:] + (w.T,), (1, w.n + 1), prod(fails, start=p.z_at(1) ** 0)
+        def lead(x):
+            h = prod(fails[: j - 1], start=x)
+            return (h, one ** j) if tables else (1, h)
+        yield from _insertions(w, J, p, j, lead)
+    yield w.letters[1:] + (w.T,), (1, w.n + 1), \
+        Fraction(prod(fails), one ** (w.T - 1)) if tables else prod(fails, start=p.z[0] ** 0)
 
 
-def _failure_factors(acc, w: Word, p: ParamSet):
-    """acc times the annihilation failure factors: 1 - y_q for q = 1..(number
-    of balls of type >= level), for every level 2..T."""
+def _annihilation_mass(w: Word, p: ParamSet, sites):
+    """The annihilation law's mass of w: the factors `sites` (p's scalars at
+    the sites below type T) times the failure factors 1 - y_q for q = 1..(the
+    number of balls of type >= level), for every level 2..T; over the
+    integer tables L - Y_q, and one Fraction over a power of L."""
+    if not p.normalized:
+        raise NotNormalized("annihilation model needs z summing to 1")
+    tables = p.tables
+    one, y = (tables.L, tables.Y) if tables else (1, p.y)
+    factors = list(sites)
     for level in range(2, w.T + 1):
-        count = sum(1 for x in w.letters if x >= level)
-        for q in range(1, count + 1):
-            acc = acc * (1 - p.y_at(q))
-    return acc
+        factors += (one - y[q] for q in range(sum(1 for x in w.letters if x >= level)))
+    return _mass(p, factors, tables and one ** len(factors))
 
 
 def annihilation_stationary(w: Word, p: ParamSet):
-    """Stationary mass, already normalized: the heavy product over sites
-    carrying a type below T times the failure factors per type."""
-    if not p.normalized:
-        raise NotNormalized("annihilation model needs z summing to 1")
-    acc = p.z_at(1) ** 0
-    for i in range(1, w.n + 1):
-        if w.letter(i) < w.T:
-            acc = acc * p.y_at(stat_E(w, i))
-    return _failure_factors(acc, w, p)
+    """Stationary mass, already normalized: the heavy product y_{E_w(i)} over
+    sites carrying a type below T times the failure factors per type."""
+    J, tables = _j_table(w), p.tables
+    y = tables.Y if tables else p.y
+    return _annihilation_mass(w, p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)
+                                     if x < w.T))
 
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
@@ -144,23 +168,18 @@ def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
 
 def enriched_add_drop_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i c_{w_i} z_{v_i}."""
-    acc = p.z_at(1) ** 0
-    for letter, x in zip(s.w.letters, s.v):
-        acc = acc * p.c_at(letter) * p.z_at(x)
-    return acc
+    _need_activities(p, s.w.T)
+    tables = p.tables
+    c, z = (tables.C, tables.Z) if tables else (p.c, p.z)
+    return _mass(p, (f for x, v in zip(s.w.letters, s.v) for f in (c[x - 1], z[v - 1])),
+                 tables and (tables.Lc * tables.L) ** len(s.v))
 
 
 def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
-    """Enriched mass: z factors only at sites below type T, same failure
+    """Enriched mass: z_{v_i} only at sites below type T, same failure
     factors as the base law."""
-    if not p.normalized:
-        raise NotNormalized("annihilation model needs z summing to 1")
-    w = s.w
-    acc = p.z_at(1) ** 0
-    for letter, x in zip(w.letters, s.v):
-        if letter < w.T:
-            acc = acc * p.z_at(x)
-    return _failure_factors(acc, w, p)
+    z = p.tables.Z if p.tables else p.z
+    return _annihilation_mass(s.w, p, (z[v - 1] for x, v in zip(s.w.letters, s.v) if x < s.w.T))
 
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:

@@ -10,18 +10,25 @@ ball at a(i-1). Sequences with a common prefix share that part of the
 product, so the builders enumerate them with one recursive walk per word
 over a table of J_w. The walk carries the running product and the
 successor's letters down the recursion, so every sequence it yields comes
-with its successor already written and valid by construction.
+with its successor already written and valid by construction. For exact
+weights the product is an integer numerator and denominator over the
+ParamSet's scaling (Z_k = L z_k, Y_k = L y_k, so each factor is Z / Y), and
+each sequence makes one Fraction; float weights keep the running float
+product. The product formulas likewise read E_w(i) = J[i][w_i] off the same
+table and multiply ints, making one Fraction per state.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, TypeCounts, Word, enumerate_multiset_words, \
-    complete_homogeneous, stat_E, _j_table
+    complete_homogeneous, _j_table
 from .errors import DegenerateParams
 
 
@@ -33,7 +40,7 @@ class EnrichedState(NamedTuple):
         return f"{self.w}|{''.join(str(x) for x in self.v)}"
 
 
-def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], acc,
+def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], num, den,
               what: str):
     """Yield (successor letters, a', probability) for every bumping sequence
     a' of w that extends a, lexicographically.
@@ -41,40 +48,60 @@ def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], ac
     head holds the successor's letters before the last position of a, whose
     ball of type t lands on a heavier ball at cur or at the top n+1: the
     letters in between shift one slot left and t fills slot cur-1. Each step
-    multiplies acc by z_{J(cur, t)} and divides by y_{J(prev, t)}, in
-    sequence order (acc None is the empty product). J is _j_table(w);
-    `what` names the denominator in errors.
+    multiplies the product by z_{J(cur, t)} / y_{J(prev, t)}. Over p's
+    integer tables num and den are ints, a step multiplies num by
+    Z_{J(cur, t)} and den by Y_{J(prev, t)}, and a sequence yields
+    Fraction(num, den). For float weights num is the running product
+    num * z / y, taken in sequence order, and den a lead factor: a sequence
+    yields den * num. J is _j_table(w); `what` names the denominator in
+    errors.
     """
     prev = a[-1]
-    t = w.letters[prev - 1]
+    letters = w.letters
+    t = letters[prev - 1]
     k = J[prev][t]
-    den = p.y[k - 1]
-    if den == 0:
+    tables = p.tables
+    z, d = (tables.Z, tables.Y[k - 1]) if tables else (p.z, p.y[k - 1])
+    if d == 0:
         raise DegenerateParams(f"y_{k} = 0 in a {what}")
-    z, n = p.z, w.n
+    n = len(letters)
     for cur in range(prev + 1, n + 1):
-        if w.letters[cur - 1] > t:
+        if letters[cur - 1] > t:
             f = z[J[cur][t] - 1]
-            step = f / den if acc is None else acc * f / den
-            yield from _cascades(w, J, p, head + w.letters[prev : cur - 1] + (t,),
-                                 a + (cur,), step, what)
+            step = (num * f, den * d) if tables else (num * f / d, den)
+            yield from _cascades(w, J, p, head + letters[prev : cur - 1] + (t,), a + (cur,),
+                                 *step, what)
     # the sentinel: J(n+1, t) = 1
-    yield head + w.letters[prev:] + (t,), a + (n + 1,), \
-        z[0] / den if acc is None else acc * z[0] / den
+    yield head + letters[prev:] + (t,), a + (n + 1,), \
+        Fraction(num * z[0], den * d) if tables else den * (num * z[0] / d)
 
 
 def _bumps(w: Word, p: ParamSet):
     """(successor letters, a, transition probability) for every bumping
     sequence a of w."""
-    return _cascades(w, _j_table(w), p, (), (1,), None, "transition denominator")
+    return _cascades(w, _j_table(w), p, (), (1,), 1, 1, "transition denominator")
 
 
-def stationary_weight(w: Word, p: ParamSet):
-    """Unnormalized stationary mass: prod_i y_{E_w(i)}."""
-    acc = p.z_at(1) ** 0
-    for i in range(1, w.n + 1):
-        acc = acc * p.y_at(stat_E(w, i))
-    return acc
+def _mass(p: ParamSet, factors, den, norm=None):
+    """The product of `factors`, p's scalars, in order: over the integer
+    tables one Fraction, the product over den; for float weights the
+    product itself. Divided by the normalizer norm when one is given."""
+    acc = prod(factors, start=1 if p.tables else p.z[0] ** 0)
+    if p.tables is None:
+        return acc if norm is None else acc / norm
+    if norm is None:
+        return Fraction(acc, den)
+    norm = Fraction(norm)
+    return Fraction(acc * norm.denominator, den * norm.numerator)
+
+
+def stationary_weight(w: Word, p: ParamSet, norm=None):
+    """Unnormalized stationary mass prod_i y_{E_w(i)}, E_w(i) = J_w(i, w_i);
+    divided by norm when given."""
+    J, tables = _j_table(w), p.tables
+    y = tables.Y if tables else p.y
+    return _mass(p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)),
+                 tables and tables.L ** w.n, norm)
 
 
 def partition_function(counts: TypeCounts, p: ParamSet):
@@ -97,11 +124,12 @@ def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
 
 def _enriched_states(words) -> list[EnrichedState]:
     """All (w, v) with 1 <= v_i <= E_w(i), in the order of the words, then v."""
-    return [
-        EnrichedState(w, v)
-        for w in words
-        for v in product(*(range(1, stat_E(w, i) + 1) for i in range(1, w.n + 1)))
-    ]
+    out = []
+    for w in words:
+        J = _j_table(w)
+        out += (EnrichedState(w, v) for v in
+                product(*(range(1, J[i][x] + 1) for i, x in enumerate(w.letters, 1))))
+    return out
 
 
 def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
@@ -111,10 +139,9 @@ def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
 
 def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i z_{v_i}."""
-    acc = p.z_at(1) ** 0
-    for x in s.v:
-        acc = acc * p.z_at(x)
-    return acc
+    tables = p.tables
+    z = tables.Z if tables else p.z
+    return _mass(p, (z[x - 1] for x in s.v), tables and tables.L ** len(s.v))
 
 
 def _word_matrix(states: list[Word], moves) -> ChainMatrix:

@@ -9,9 +9,10 @@ reconstruction, live here too, and so does the rule that writes a successor
 from its bumping sequence (apply_bump), which the builders' walks replace by
 writing the successor as they go, and the rule that refills the bumped
 slots of an auxiliary word with E_{w'} (enriched_update), which the
-enriched builders replace by one restart template per move. The statistic
-J_w(m, t) is computed here afresh for every factor (stat_J); the builders
-read it off one table per word.
+enriched builders replace by one restart template per move. The statistics
+J_w(m, t) and E_w(i) are computed here afresh for every factor (stat_J,
+stat_E); the builders and the product formulas read them off one table per
+word.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from jugglemc.combinatorics import (
     Word,
     enumerate_alphabet_words,
     enumerate_multiset_words,
-    stat_E,
 )
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import enumerate_enriched_words
@@ -40,6 +40,12 @@ def stat_J(w: Word, m: int, t: int) -> int:
     if not 1 <= t <= w.T:
         raise ValueError(f"t={t} outside 1..{w.T}")
     return 1 + sum(1 for x in w.letters[m - 1 :] if x > t)
+
+
+def stat_E(w: Word, i: int) -> int:
+    """E_w(i) = J_w(i, w_i): 1 + number of strictly heavier balls above i."""
+    t = w.letter(i)
+    return 1 + sum(1 for x in w.letters[i:] if x > t)
 
 
 class InsertionChoice(NamedTuple):

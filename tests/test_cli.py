@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from jugglemc import chain, cli, fluctuating, msjmc, overwriting
 from jugglemc.cli import main
 from jugglemc.combinatorics import (
-    ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words, stat_E,
+    ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
 )
+
+from cascade_reference import stat_E
 
 F = Fraction
 

@@ -1,6 +1,7 @@
 """Pinned CLI bytes: the sha256 of (exit code, stdout, stderr) of every
 subcommand variant on specs covering all five models, exact and float,
-overwriting with T = 1, a reducible chain and an invalid spec.
+exact weights with mixed denominators, overwriting with T = 1, a reducible
+chain and an invalid spec.
 
 A change that claims the same outputs keeps every digest here. To pin a new
 spec or variant, print `digest(argv)` for it and add the first 16 hex digits.
@@ -40,6 +41,13 @@ SPECS = {
     "jugglers-232-float": ["--model", "several_jugglers", "--r", "2", "--c", "3",
                            "--balls", "2", "--backend", "float"],
     "invalid-msjmc": ["--model", "msjmc", "--counts", "1,1", "--z", "1/2,1/2"],
+    # weights whose denominators differ, so the integer scaling is not trivial
+    "msjmc-2111-mixed": ["--model", "msjmc", "--counts", "2,1,1,1",
+                         "--z", "2/3,1/7,5/9,3/11,1/13,4/5"],
+    "add_drop-33-mixed": ["--model", "add_drop", "--n", "3", "--T", "3",
+                          "--z", "2/3,1/7,5/9,3/11", "--activities", "3/4,5/2,1/6"],
+    "annihilation-33-mixed": ["--model", "annihilation", "--n", "3", "--T", "3",
+                              "--z", "1/3,1/5,2/7,19/105"],
 }
 
 VARIANTS = {
@@ -144,6 +152,24 @@ PINNED = {
         "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d",
         "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d", "00a1c0d0a44d715d",
         "00a1c0d0a44d715d", "00a1c0d0a44d715d",
+    ),
+    "msjmc-2111-mixed": (
+        "0c0e11dbb68fbf2f", "5cea9586599e96a9", "a908d4036ce56d68", "b6a7f6ef8adce83a",
+        "0e61379ae0e1bf14", "c059877404c50d0b", "85f5609ce636801f", "be3c9b4677ac1501",
+        "d66e1853b21d881b", "5dc63b1e02f4474c", "2c8a38c5e2f7d375", "be3c9b4677ac1501",
+        "1bc3d382df5ead2e", "8e3892bfe503139f",
+    ),
+    "add_drop-33-mixed": (
+        "64e9ee1e9fb11b46", "2db339822674440d", "ec0bbb57538b66d7", "dfaacfa1dbc82917",
+        "347a375d7f53621d", "2af33580f4e73e64", "b5ea160ecc75bfb6", "be3c9b4677ac1501",
+        "495fd3a85886f5d7", "a64acb7cc80f46ce", "8700b40a64de7bc0", "be3c9b4677ac1501",
+        "d681ce52d7634e68", "807dd4a4b3dea634",
+    ),
+    "annihilation-33-mixed": (
+        "64e9ee1e9fb11b46", "c943d725298d7a24", "b4f33b5935bb6949", "5696229b4578cb40",
+        "272c09a07bd4735b", "fa8b02449afd0518", "3c40939014ffafee", "be3c9b4677ac1501",
+        "495fd3a85886f5d7", "a64acb7cc80f46ce", "d798e7c0a435503c", "be3c9b4677ac1501",
+        "1ff9557589bb60cb", "35020392e4c3d6c3",
     ),
 }
 

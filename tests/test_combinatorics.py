@@ -16,10 +16,9 @@ from jugglemc.combinatorics import (
     falling_factorial,
     format_scalar,
     is_exact,
-    stat_E,
 )
 
-from cascade_reference import stat_J
+from cascade_reference import stat_E, stat_J
 
 
 def test_word_basics():

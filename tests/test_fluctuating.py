@@ -11,7 +11,7 @@ from jugglemc.chain import (
     stationary_exact,
     verify_lumping,
 )
-from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, stat_E
+from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.fluctuating import (
     add_drop_partition,
@@ -32,6 +32,7 @@ from cascade_reference import (
     annihilation_prob,
     insertion_choices,
     intermediate_word,
+    stat_E,
 )
 from test_chain import project_distribution
 

@@ -17,7 +17,6 @@ from jugglemc.combinatorics import (
     TypeCounts,
     Word,
     enumerate_multiset_words,
-    stat_E,
 )
 from jugglemc.errors import DegenerateParams
 from jugglemc.msjmc import (
@@ -31,7 +30,7 @@ from jugglemc.msjmc import (
 )
 
 from cascade_reference import apply_bump, bumping_sequences, enriched_step, \
-    enumerate_predecessors, reconstruct_predecessor, transition_prob
+    enumerate_predecessors, reconstruct_predecessor, stat_E, transition_prob
 from test_chain import project_distribution
 
 F = Fraction
