@@ -19,7 +19,7 @@ from functools import cache
 from itertools import accumulate, islice, repeat
 from math import isfinite
 from operator import mul
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
@@ -41,18 +41,6 @@ STATE_CAP = 100_000
 # ~310 MB of memory, and the cost grows with the square of the state count
 DENSE_STATE_CAP = 1_500
 VERIFY_STATE_CAP = 5_000
-# the suites `verify --suite all` runs per model; ultrafast and spectrum
-# hold for overwriting only, but an explicit request runs them on any model
-# and reports what it finds
-VERIFY_SUITES = {
-    "msjmc": ("lumping",),
-    "add_drop": ("lumping",),
-    "annihilation": ("lumping",),
-    "overwriting": ("lumping", "ultrafast", "spectrum", "marginals"),
-    "several_jugglers": (),
-}
-MODELS = tuple(VERIFY_SUITES)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract reserves 2 for
@@ -223,16 +211,10 @@ def _params(spec: ModelSpec) -> ParamSet:
     return ParamSet(spec.z)
 
 
-def _count_run(spec: ModelSpec):
-    """Partial state counts, nondecreasing up to the count, so a cap stops
-    them early instead of forming a huge int: T^n one factor T at a time,
-    and each binomial comb(N, k) through comb(N - k + i, i), i = 1..k."""
-    if spec.model not in ("msjmc", "several_jugglers"):
-        yield from accumulate(repeat(spec.T, spec.n), mul)
-        return
-    # the msjmc multinomial n! / prod n_i! is a product of binomials
-    binomials = ([(spec.r * spec.c, spec.balls)] if spec.model == "several_jugglers"
-                 else zip(accumulate(spec.counts), spec.counts))
+def _binomial_run(binomials):
+    """Partial counts of a product of binomials comb(N, k), nondecreasing up
+    to the product, so a cap stops them early instead of forming a huge int:
+    each comb(N, k) through comb(N - k + i, i), i = 1..k."""
     done = 1
     for N, k in binomials:
         k, c = min(k, N - k), 1
@@ -242,60 +224,95 @@ def _count_run(spec: ModelSpec):
         done *= c
 
 
-def spec_states(spec: ModelSpec) -> list:
-    if spec.model == "msjmc":
-        return enumerate_multiset_words(TypeCounts(spec.counts))
-    if spec.model == "several_jugglers":
-        return jugglers.enumerate_arrays(spec.r, spec.c, spec.balls)
-    return enumerate_alphabet_words(spec.n, spec.T)
+def _grid(spec: ModelSpec) -> tuple:
+    # every grid build lists all r*c cells, even when one state fills the grid
+    _need(spec.r * spec.c <= STATE_CAP,
+          f"the grid's {spec.r * spec.c} cells exceed the cap {STATE_CAP}; shrink the model")
+    return spec.r, spec.c, spec.balls
 
 
-def spec_chain(spec: ModelSpec) -> ChainMatrix:
-    if spec.model == "msjmc":
-        return msjmc.build_chain(TypeCounts(spec.counts), _params(spec))
-    if spec.model == "add_drop":
-        return fluctuating.build_add_drop_chain(spec.n, spec.T, _params(spec))
-    if spec.model == "annihilation":
-        return fluctuating.build_annihilation_chain(spec.n, spec.T, _params(spec))
-    if spec.model == "overwriting":
-        return overwriting.build_word_chain(spec.n, spec.T, _params(spec))
-    return jugglers.build_chain(spec.r, spec.c, spec.balls)
-
-
-def spec_formula(spec: ModelSpec, states: list) -> Distribution:
-    """The model's closed-form stationary law on `states`, its canonical
-    state list (`spec_states(spec)` or a built chain's `P.states`)."""
-    p = _params(spec) if spec.model != "several_jugglers" else None
-    if spec.model == "overwriting":
-        return overwriting._word_law(states, spec.n, spec.T, p)
+def _msjmc_law(spec: ModelSpec, states: list) -> Distribution:
+    p = _params(spec)
     # each closed form divides by its normalizer inside the one Fraction it makes
-    if spec.model == "msjmc":
-        Z = msjmc.partition_function(TypeCounts(spec.counts), p)
-        return Distribution(states, tuple(msjmc.stationary_weight(w, p, Z) for w in states))
-    if spec.model == "add_drop":
-        Z = fluctuating.add_drop_partition(spec.n, spec.T, p)
-        return Distribution(
-            states, tuple(fluctuating.add_drop_stationary_weight(w, p, Z) for w in states)
-        )
-    if spec.model == "annihilation":
-        # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
-        if p.y_at(1) == 0 and spec.n >= 2 and spec.T >= 2:
-            raise DegenerateParams("y_1 = 0 in a cascade factor")
-        return Distribution(
-            states, tuple(fluctuating.annihilation_stationary(w, p) for w in states)
-        )
+    Z = msjmc.partition_function(TypeCounts(spec.counts), p)
+    return Distribution(states, tuple(msjmc.stationary_weight(w, p, Z) for w in states))
+
+
+def _add_drop_law(spec: ModelSpec, states: list) -> Distribution:
+    p = _params(spec)
+    Z = fluctuating.add_drop_partition(spec.n, spec.T, p)
+    return Distribution(states, tuple(fluctuating.add_drop_stationary_weight(w, p, Z)
+                                      for w in states))
+
+
+def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
+    p = _params(spec)
+    # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
+    if p.y_at(1) == 0 and spec.n >= 2 and spec.T >= 2:
+        raise DegenerateParams("y_1 = 0 in a cascade factor")
+    return Distribution(states, tuple(fluctuating.annihilation_stationary(w, p) for w in states))
+
+
+def _juggler_law(spec: ModelSpec, states: list) -> Distribution:
     weights = [jugglers.juggler_stationary_weight(A) for A in states]
     if spec.backend == "float":
         weights = [float(x) for x in weights]
     return Distribution(states, tuple(weights)).normalize()
 
 
-def spec_horizon(spec: ModelSpec) -> int:
-    return spec.r if spec.model == "several_jugglers" else spec.n
+class Model(NamedTuple):
+    """What the commands read of one model. Each field reaches its model
+    module's functions through the module when it runs, so a function
+    patched there (by a tracer or a test) is the one that runs. The
+    defaults are those of the words of length n over T letters."""
+    chain: Callable  # spec -> ChainMatrix
+    law: Callable  # (spec, states) -> the closed-form law on those states
+    # spec -> partial state counts, nondecreasing to the count: T^n a factor at a time
+    sizes: Callable = lambda s: accumulate(repeat(s.T, s.n), mul)
+    states: Callable = lambda s: enumerate_alphabet_words(s.n, s.T)
+    horizon: Callable = lambda s: s.n
+    # what `verify --suite all` runs; ultrafast and spectrum hold for
+    # overwriting only, but an explicit request runs them on any model
+    suites: tuple = ("lumping",)
+    enriched: Optional[Callable] = None  # (spec, p) -> (enriched chain, weight(s, p))
+    enriched_size: Optional[Callable] = None  # (spec, p) -> its count, at unit weights p
 
 
-def _cap(spec: ModelSpec, cap: int):
-    if any(size > cap for size in _count_run(spec)):
+MODELS: dict[str, Model] = {
+    "msjmc": Model(
+        chain=lambda s: msjmc.build_chain(TypeCounts(s.counts), _params(s)), law=_msjmc_law,
+        # the multinomial n! / prod n_i! is a product of binomials
+        sizes=lambda s: _binomial_run(zip(accumulate(s.counts), s.counts)),
+        states=lambda s: enumerate_multiset_words(TypeCounts(s.counts)),
+        enriched=lambda s, p: (msjmc.build_enriched_chain(TypeCounts(s.counts), p),
+                               msjmc.enriched_stationary_weight),
+        enriched_size=lambda s, p: msjmc.partition_function(TypeCounts(s.counts), p)),
+    "add_drop": Model(
+        chain=lambda s: fluctuating.build_add_drop_chain(s.n, s.T, _params(s)), law=_add_drop_law,
+        enriched=lambda s, p: (fluctuating.build_enriched_add_drop_chain(s.n, s.T, p),
+                               fluctuating.enriched_add_drop_weight),
+        enriched_size=lambda s, p: fluctuating.add_drop_partition(s.n, s.T, p)),
+    "annihilation": Model(
+        chain=lambda s: fluctuating.build_annihilation_chain(s.n, s.T, _params(s)),
+        law=_annihilation_law,
+        enriched=lambda s, p: (fluctuating.build_enriched_annihilation_chain(s.n, s.T, p),
+                               fluctuating.enriched_annihilation_weight),
+        enriched_size=lambda s, p: fluctuating.add_drop_partition(s.n, s.T, p)),
+    # its enrichment is the tableau and matrix tower, which `verify` checks apart
+    "overwriting": Model(
+        chain=lambda s: overwriting.build_word_chain(s.n, s.T, _params(s)),
+        law=lambda s, states: overwriting._word_law(states, s.n, s.T, _params(s)),
+        suites=("lumping", "ultrafast", "spectrum", "marginals")),
+    "several_jugglers": Model(
+        chain=lambda s: jugglers.build_chain(*_grid(s)), law=_juggler_law,
+        sizes=lambda s: _binomial_run([(s.r * s.c, s.balls)]),
+        states=lambda s: jugglers.enumerate_arrays(*_grid(s)), horizon=lambda s: s.r,
+        suites=()),
+}
+
+
+def _cap(spec: ModelSpec, model: Model, cap: int):
+    if any(size > cap for size in model.sizes(spec)):
         raise ValueError(f"the state count exceeds the cap {cap}; shrink the model")
 
 
@@ -321,31 +338,26 @@ def _emit_json(obj, args) -> None:
 
 
 def cmd_enumerate(spec: ModelSpec, args) -> int:
-    _cap(spec, STATE_CAP)
-    states = spec_states(spec)
+    model = MODELS[spec.model]
+    _cap(spec, model, STATE_CAP)
+    states = model.states(spec)
     lines = [f"# states: {len(states)}"] + [str(s) for s in states]
     _emit("\n".join(lines) + "\n", args)
     return 0
 
 
 def cmd_matrix(spec: ModelSpec, args) -> int:
-    _cap(spec, STATE_CAP)
-    if args.format != "dot" and any(size > DENSE_STATE_CAP for size in _count_run(spec)):
+    model = MODELS[spec.model]
+    _cap(spec, model, STATE_CAP)
+    if args.format != "dot" and any(size > DENSE_STATE_CAP for size in model.sizes(spec)):
         raise ValueError(f"a dense {args.format} matrix is capped at {DENSE_STATE_CAP} "
                          "states; use --format dot")
-    P = spec_chain(spec)
+    P = model.chain(spec)
     labels = [str(s) for s in P.states]
     if args.format == "json":
-        _emit_json(
-            {
-                "spec_version": SPEC_VERSION,
-                "model": spec.model,
-                "backend": spec.backend,
-                "states": labels,
-                "matrix": [[_fmt(x) for x in row] for row in P.dense()],
-            },
-            args,
-        )
+        _emit_json({"spec_version": SPEC_VERSION, "model": spec.model, "backend": spec.backend,
+                    "states": labels, "matrix": [[_fmt(x) for x in row] for row in P.dense()]},
+                   args)
     elif args.format == "csv":
         lines = ["state," + ",".join(labels)]
         for label, row in zip(labels, P.dense()):
@@ -364,13 +376,14 @@ def cmd_matrix(spec: ModelSpec, args) -> int:
 
 
 def cmd_stationary(spec: ModelSpec, args) -> int:
-    _cap(spec, STATE_CAP)
-    P = None if args.method == "formula" else spec_chain(spec)
-    states = spec_states(spec) if P is None else P.states
+    model = MODELS[spec.model]
+    _cap(spec, model, STATE_CAP)
+    P = None if args.method == "formula" else model.chain(spec)
+    states = model.states(spec) if P is None else P.states
     out = {"spec_version": SPEC_VERSION, "model": spec.model, "method": args.method,
            "states": [str(s) for s in states]}
     if args.method != "solve":
-        formula = spec_formula(spec, states)
+        formula = model.law(spec, states)
         out["formula"] = [_fmt(x) for x in formula.weights]
     if P is not None:
         solved = stationary_exact(P) if P.exact else stationary_power(P)
@@ -397,22 +410,19 @@ def _base_m_probe(P: ChainMatrix, limit: int):
     return next((m for m, (_, vecs) in levels if len(vecs) == 1), None)
 
 
-def _enrichment_cap(spec: ModelSpec):
+def _enrichment_cap(spec: ModelSpec, model: Model):
     """Refuse an enrichment past the verify cap, counted without listing
     anything."""
-    if spec.model == "overwriting":
+    if model.enriched_size is None:  # the overwriting tower
         _need(spec.T >= 2, "the tableau tower needs T >= 2")
         # the matrix-to-tableau lumping is onto, so the tableaux number at
         # most the matrix states and this one count caps both enrichments
         _need((spec.n + 1) ** (spec.n * (spec.T - 1)) <= VERIFY_STATE_CAP,
-              "matrix enrichment exceeds the verify cap "
-              f"{VERIFY_STATE_CAP}")
+              f"matrix enrichment exceeds the verify cap {VERIFY_STATE_CAP}")
         return
     # the enriched states over a word w number prod_i E_w(i), its weight
     # prod_i y_{E_w(i)} at unit weights (y_j = j): the normalizer at z = 1
-    ones = ParamSet((1,) * (spec.n + 1), (1,) * spec.T)
-    size = (msjmc.partition_function(TypeCounts(spec.counts), ones) if spec.model == "msjmc"
-            else fluctuating.add_drop_partition(spec.n, spec.T, ones))
+    size = model.enriched_size(spec, ParamSet((1,) * (spec.n + 1), (1,) * spec.T))
     _need(size <= VERIFY_STATE_CAP,
           f"{size} enriched states exceed the verify cap {VERIFY_STATE_CAP}")
 
@@ -422,9 +432,9 @@ def _check(checks: list, name: str, bad) -> None:
     checks.append((name, bad is None, None if bad is None else f"counterexample {bad}"))
 
 
-def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
+def _lumping_checks(spec: ModelSpec, model: Model, P: ChainMatrix, checks: list):
     p = _params(spec)
-    if spec.model == "overwriting":
+    if model.enriched is None:  # the overwriting tower
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
         to_tableau = LumpingMap(zip(Pm.states, overwriting.lump_matrices(Pm.states)), Pt.states)
@@ -436,15 +446,7 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
             (V for V, m in zip(fib.states, fib.weights)
              if m != overwriting.tableau_stationary(V, p)), None))
         return
-    if spec.model == "msjmc":
-        Pt = msjmc.build_enriched_chain(TypeCounts(spec.counts), p)
-        weight = msjmc.enriched_stationary_weight
-    elif spec.model == "add_drop":
-        Pt = fluctuating.build_enriched_add_drop_chain(spec.n, spec.T, p)
-        weight = fluctuating.enriched_add_drop_weight
-    else:
-        Pt = fluctuating.build_enriched_annihilation_chain(spec.n, spec.T, p)
-        weight = fluctuating.enriched_annihilation_weight
+    Pt, weight = model.enriched(spec, p)
     _check(checks, "enriched-to-base lumping", verify_lumping(
         Pt, LumpingMap.from_function(lambda s: s.w, Pt.states, P.states), P)[1])
     _check(checks, "enriched product law is stationary", first_unbalanced(
@@ -454,8 +456,9 @@ def _lumping_checks(spec: ModelSpec, P: ChainMatrix, checks: list):
 def cmd_verify(spec: ModelSpec, args) -> int:
     if spec.backend != "exact":
         raise ValueError("verify needs the exact backend")
-    _cap(spec, VERIFY_STATE_CAP)
-    suites = set(VERIFY_SUITES[spec.model])
+    model = MODELS[spec.model]
+    _cap(spec, model, VERIFY_STATE_CAP)
+    suites = set(model.suites)
     if args.suite != "all":
         runnable = suites | {"ultrafast", "spectrum"}
         if args.suite not in runnable:
@@ -466,18 +469,18 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         suites = {args.suite}
 
     if "lumping" in suites:
-        _enrichment_cap(spec)
-    P = spec_chain(spec)
+        _enrichment_cap(spec, model)
+    P = model.chain(spec)
     checks: list[tuple[str, bool, Optional[str]]] = []
     irr = is_irreducible(P)
     checks.append(("irreducible", irr, None))
     if irr:
         period = chain_period(P)
         checks.append(("aperiodic", period == 1, f"period {period}"))
-    horizon = spec_horizon(spec)
+    horizon = model.horizon(spec)
 
     if "lumping" in suites:
-        _lumping_checks(spec, P, checks)
+        _lumping_checks(spec, model, P, checks)
     if "ultrafast" in suites:
         limit = max(2 * horizon, 4)
         m = _base_m_probe(P, limit)
@@ -493,7 +496,7 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         p, n, T = _params(spec), spec.n, spec.T
         # the closed-form word law, which one exact step certifies as the
         # unique stationary law, and its last-site and last-two totals
-        pi = overwriting._word_law(P.states, n, T, p)
+        pi = model.law(spec, P.states)
         off = first_unbalanced(P, pi)
         last = [0] * (T + 1)
         pair = [[0] * (T + 1) for _ in range(T + 1)]
@@ -510,16 +513,11 @@ def cmd_verify(spec: ModelSpec, args) -> int:
                        None)
         checks.append(("closed-form marginals", bad is None, bad))
 
-    lines = []
-    failures = 0
-    for name, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        lines.append(f"{tag} {name}" + (f" ({detail})" if detail else ""))
-    if failures:
-        lines.append(f"FAILED ({failures} of {len(checks)} checks)")
-    else:
-        lines.append(f"OK ({len(checks)} checks)")
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
+             for name, ok, detail in checks]
+    failures = sum(not ok for _, ok, _ in checks)
+    lines.append(f"FAILED ({failures} of {len(checks)} checks)" if failures
+                 else f"OK ({len(checks)} checks)")
     _emit("\n".join(lines) + "\n", args)
     return 2 if failures else 0
 
@@ -537,12 +535,13 @@ def _env_seed() -> int:
 
 
 def cmd_simulate(spec: ModelSpec, args) -> int:
-    _cap(spec, STATE_CAP)
-    P = spec_chain(spec)
+    model = MODELS[spec.model]
+    _cap(spec, model, STATE_CAP)
+    P = model.chain(spec)
     seed = args.seed
     if seed is None:
         seed = _env_seed()
-    exact = spec_formula(spec, P.states)
+    exact = model.law(spec, P.states)
     start = P.states[0]
     out = {
         "spec_version": SPEC_VERSION,
@@ -551,7 +550,7 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
         "states": [str(s) for s in P.states],
     }
     if args.replicas is not None:
-        horizon = args.steps if args.steps is not None else spec_horizon(spec)
+        horizon = args.steps if args.steps is not None else model.horizon(spec)
         empirical = simulate_replicas(P, start, horizon, args.replicas, seed)
         out["replicas"] = args.replicas
         out["horizon"] = horizon

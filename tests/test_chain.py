@@ -31,9 +31,7 @@ from jugglemc.chain import (
     ultrafast_check,
     verify_lumping,
 )
-from jugglemc.cli import (
-    ModelSpec, _base_m_probe, main, spec_chain, spec_formula, spec_states,
-)
+from jugglemc.cli import MODELS, ModelSpec, _base_m_probe, main
 from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
@@ -555,24 +553,18 @@ def test_first_unbalanced_matches_one_fraction_step(case):
 def closed_form(model, shape, enriched):
     """A chain of the model on one shape and a thunk for its closed-form
     law, with z_k proportional to k and activities c_t = 1/t."""
+    m = MODELS[model]
     if model == "several_jugglers":
         spec = ModelSpec(model, "exact", r=shape[0], c=shape[1], balls=shape[2])
-        return spec_chain(spec), lambda: spec_formula(spec, spec_states(spec))
+        return m.chain(spec), lambda: m.law(spec, m.states(spec))
     n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
     z = tuple(F(2 * k, (n + 1) * (n + 2)) for k in range(1, n + 2))
     c = tuple(F(1, t) for t in range(1, T + 1)) if model == "add_drop" else None
+    spec = ModelSpec(model, "exact", counts=shape, n=n, T=T, z=z, activities=c)
     if not enriched:
-        spec = ModelSpec(model, "exact", counts=shape, n=n, T=T, z=z, activities=c)
-        return spec_chain(spec), lambda: spec_formula(spec, spec_states(spec))
+        return m.chain(spec), lambda: m.law(spec, m.states(spec))
     p = ParamSet(z, c)
-    if model == "msjmc":
-        Pt, weight = msjmc.build_enriched_chain(TypeCounts(shape), p), msjmc.enriched_stationary_weight
-    elif model == "add_drop":
-        Pt, weight = (fluctuating.build_enriched_add_drop_chain(n, T, p),
-                      fluctuating.enriched_add_drop_weight)
-    else:
-        Pt, weight = (fluctuating.build_enriched_annihilation_chain(n, T, p),
-                      fluctuating.enriched_annihilation_weight)
+    Pt, weight = m.enriched(spec, p)
     return Pt, lambda: Distribution(Pt.states, [weight(s, p) for s in Pt.states])
 
 

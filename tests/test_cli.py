@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import chain, cli, fluctuating, msjmc, overwriting
+from jugglemc import chain, cli, fluctuating, jugglers, msjmc, overwriting
 from jugglemc.cli import main
 from jugglemc.combinatorics import (
     ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
@@ -108,7 +108,7 @@ def test_dense_matrix_over_its_cap_is_refused_at_once(capsys, monkeypatch, fmt):
     def refuse(*args):
         raise AssertionError("built the chain before the dense cap")
 
-    monkeypatch.setattr(cli, "spec_chain", refuse)
+    monkeypatch.setattr(msjmc, "build_chain", refuse)
     started = time.perf_counter()
     code, out, err = run(capsys, ["matrix", "--format", fmt] + OVER_DENSE_CAP)
     assert time.perf_counter() - started < 1
@@ -455,7 +455,7 @@ def test_verify_refuses_an_over_cap_enrichment_before_the_base_chain(capsys, mon
     def refuse(*args):
         raise AssertionError("built the base chain before the enrichment cap")
 
-    monkeypatch.setattr(cli, "spec_chain", refuse)
+    monkeypatch.setattr(fluctuating, "build_add_drop_chain", refuse)
     code, out, err = run(capsys, [
         "verify", "--model", "add_drop", "--n", "12", "--T", "2",
         "--z", ",".join(["1/13"] * 13), "--activities", "1,1",
@@ -463,6 +463,65 @@ def test_verify_refuses_an_over_cap_enrichment_before_the_base_chain(capsys, mon
     assert (code, out, err) == (
         1, "", "error: 27644437 enriched states exceed the verify cap 5000\n"
     )
+
+
+GIANT_GRID = ["--model", "several_jugglers", "--r", "100000", "--c", "100000"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "matrix", "stationary", "verify",
+                                     "simulate"])
+@pytest.mark.parametrize("balls", ["0", "10000000000"])
+def test_a_grid_over_the_cap_is_refused_before_it_is_listed(capsys, monkeypatch, command,
+                                                            balls):
+    # an empty or a full grid is one state, but every build lists all r*c cells
+    def refuse(*args):
+        raise AssertionError("listed the arrays of a grid past the cap")
+
+    monkeypatch.setattr(jugglers, "enumerate_arrays", refuse)
+    code, out, err = run(capsys, [command] + GIANT_GRID + ["--balls", balls])
+    assert (code, out, err) == (
+        1, "", "error: the grid's 10000000000 cells exceed the cap 100000; shrink the model\n")
+
+
+def test_the_grid_cap_admits_its_own_size(capsys):
+    code, out, err = run(capsys, ["enumerate", "--model", "several_jugglers", "--r", "1000",
+                                  "--c", "100", "--balls", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "# states: 1"
+    assert len(out.splitlines()[1]) == 100_999
+    assert run(capsys, ["enumerate", "--model", "several_jugglers", "--r", "100001",
+                        "--c", "1", "--balls", "0"])[:2] == (1, "")
+
+
+@pytest.mark.parametrize("argv,reached", [
+    (["stationary"] + MSJMC_ARGS, {"msjmc.build_chain", "msjmc.partition_function"}),
+    (["verify"] + ANNIHILATION_ARGS, {"fluctuating.build_enriched_annihilation_chain"}),
+    (["stationary", "--model", "overwriting", "--n", "2", "--T", "3", "--z", "1/3,1/3,1/3"],
+     {"overwriting.build_word_chain"}),
+    (["stationary"] + JUGGLER_ARGS, {"jugglers.juggler_stationary_weight"}),
+], ids=["msjmc", "annihilation", "overwriting", "several_jugglers"])
+def test_commands_call_the_model_functions_patched_on_their_modules(capsys, monkeypatch,
+                                                                    argv, reached):
+    """The benchmark's tracer times a model function by patching its module
+    attribute; the commands must run the patched function, not one bound
+    before the patch."""
+    calls = set()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.add(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for module, name in [(msjmc, "build_chain"), (msjmc, "partition_function"),
+                         (fluctuating, "build_enriched_annihilation_chain"),
+                         (overwriting, "build_word_chain"),
+                         (jugglers, "juggler_stationary_weight")]:
+        key = f"{module.__name__.split('.')[-1]}.{name}"
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert calls == reached
 
 
 def count_word_lists(monkeypatch) -> list:
@@ -506,7 +565,7 @@ def test_enrichment_cap_lists_nothing(capsys, monkeypatch, model):
     spec = cli.ModelSpec(model, "exact", counts=(4, 4, 4), n=12, T=3 if model == "msjmc" else 2)
     calls = count_word_lists(monkeypatch)
     with pytest.raises(ValueError, match="enriched states exceed the verify cap"):
-        cli._enrichment_cap(spec)
+        cli._enrichment_cap(spec, cli.MODELS[model])
     assert calls == []
 
 
@@ -544,10 +603,10 @@ def test_enrichment_cap_counts_the_enriched_states(monkeypatch):
                                if model == "msjmc" else
                                fluctuating.enumerate_enriched_words(*shape))
         monkeypatch.setattr(cli, "VERIFY_STATE_CAP", size)
-        cli._enrichment_cap(spec)
+        cli._enrichment_cap(spec, cli.MODELS[model])
         monkeypatch.setattr(cli, "VERIFY_STATE_CAP", size - 1)
         with pytest.raises(ValueError, match=f"^{size} enriched states exceed"):
-            cli._enrichment_cap(spec)
+            cli._enrichment_cap(spec, cli.MODELS[model])
         monkeypatch.undo()
     assert sizes["add_drop", (12, 2)] == sizes["annihilation", (12, 2)] == 27_644_437
 
@@ -690,6 +749,68 @@ def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("JUGGLE_SEED", "abc")
     assert run(capsys, ["simulate"] + MSJMC_ARGS) == (
         1, "", "error: JUGGLE_SEED must be a non-negative integer, got 'abc'\n")
+
+
+_Z3 = "1/3,1/3,1/3"
+_AD = ["--model", "add_drop", "--n", "1", "--T", "2"]
+
+
+# one case per branch of the spec checks and per model that reaches it
+@pytest.mark.parametrize("argv,line", [
+    (["--model", "msjmc", "--z", "1,1"], "msjmc needs --counts n1,n2,..."),
+    (["--model", "msjmc", "--counts", "1,1"], "msjmc needs --z with n+1 weights"),
+    (["--model", "msjmc", "--counts", "1,1", "--z", "1,1"], "z must hold n+1 = 3 weights, got 2"),
+    (["--model", "msjmc", "--counts", "1,1", "--z", "0,1,1"],
+     "msjmc needs z_1 > 0: y_1 = z_1 divides its rates"),
+    (["--model", "add_drop", "--T", "2", "--z", "1,1", "--activities", "1,1"],
+     "add_drop needs --n and --T"),
+    (["--model", "add_drop", "--n", "0", "--T", "2", "--z", "1", "--activities", "1,1"],
+     "need n >= 1 and T >= 1"),
+    (_AD + ["--activities", "1,1"], "add_drop needs --z with n+1 weights"),
+    (_AD + ["--z", "1", "--activities", "1,1"], "z must hold n+1 = 2 weights, got 1"),
+    (_AD + ["--z", "1,1"], "add_drop needs --activities with T = 2 entries"),
+    (_AD + ["--z", "1,1", "--activities", "1"], "add_drop needs --activities with T = 2 entries"),
+    (_AD + ["--z", "0,1", "--activities", "1,1"],
+     "add_drop needs z_1 > 0: y_1 = z_1 divides its rates"),
+    (["--model", "annihilation", "--n", "2", "--z", _Z3], "annihilation needs --n and --T"),
+    (["--model", "annihilation", "--n", "2", "--T", "0", "--z", _Z3], "need n >= 1 and T >= 1"),
+    (["--model", "annihilation", "--n", "2", "--T", "2"], "annihilation needs --z with n+1 weights"),
+    (["--model", "annihilation", "--n", "2", "--T", "2", "--z", "1/2,1/2"],
+     "z must hold n+1 = 3 weights, got 2"),
+    (["--model", "annihilation", "--n", "2", "--T", "2", "--z", "1/3,1/3,1/2"],
+     "annihilation needs z summing to 1, got 7/6"),
+    (["--model", "overwriting", "--T", "2", "--z", _Z3], "overwriting needs --n and --T"),
+    (["--model", "overwriting", "--n", "-1", "--T", "2", "--z", _Z3], "need n >= 1 and T >= 1"),
+    (["--model", "overwriting", "--n", "2", "--T", "2"], "overwriting needs --z with n+1 weights"),
+    (["--model", "overwriting", "--n", "2", "--T", "2", "--z", "1/2,1/2"],
+     "z must hold n+1 = 3 weights, got 2"),
+    (["--model", "overwriting", "--n", "2", "--T", "2", "--z", "1,1,1"],
+     "overwriting needs z summing to 1, got 3"),
+    (["--model", "several_jugglers", "--r", "2", "--c", "2"],
+     "several_jugglers needs --r, --c and --balls"),
+    (["--model", "several_jugglers", "--r", "0", "--c", "2", "--balls", "0"],
+     "need r >= 1 and c >= 1"),
+    (["--model", "several_jugglers", "--r", "2", "--c", "2", "--balls", "-1"],
+     "balls must lie in 0..4"),
+])
+def test_each_spec_check_prints_its_error_line(capsys, argv, line):
+    assert run(capsys, ["enumerate"] + argv) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--model", "msjmc", "--counts", "3,3,3", "--z", ",".join(["1/10"] * 10)],
+     "2058000 enriched states exceed the verify cap 5000"),
+    (["--model", "add_drop", "--n", "7", "--T", "3", "--z", ",".join(["1/8"] * 8),
+      "--activities", "1,1,1"], "167894 enriched states exceed the verify cap 5000"),
+    (["--model", "annihilation", "--n", "7", "--T", "3", "--z", ",".join(["1/8"] * 8)],
+     "167894 enriched states exceed the verify cap 5000"),
+    (["--model", "overwriting", "--n", "3", "--T", "1", "--z", "1/4,1/4,1/4,1/4"],
+     "the tableau tower needs T >= 2"),
+    (["--model", "overwriting", "--n", "3", "--T", "4", "--z", "1/4,1/4,1/4,1/4"],
+     "matrix enrichment exceeds the verify cap 5000"),
+], ids=["msjmc", "add_drop", "annihilation", "tower", "matrix"])
+def test_each_enrichment_cap_prints_its_error_line(capsys, argv, line):
+    assert run(capsys, ["verify"] + argv) == (1, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("z", ["1,0", "1.0,0.0"])

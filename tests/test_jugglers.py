@@ -2,6 +2,7 @@
 falling-factorial stationary weights, arc-counting cross-check."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -25,11 +26,13 @@ F = Fraction
 
 
 def count_arc_enrichments(A: BallArray) -> int:
-    """Brute-force count of the cross placements over one extra top row."""
+    """Brute-force count of the cross placements over one extra top row,
+    memoized over (ball index, cells used so far)."""
     sites = []
     for i, j in sorted(A.cells):
         sites.append([(a, b) for a in range(i) for b in range(1, A.c + 1)])
 
+    @cache
     def rec(idx: int, used: frozenset) -> int:
         if idx == len(sites):
             return 1
