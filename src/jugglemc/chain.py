@@ -3,15 +3,19 @@
 Matrices are stored sparsely (one dict per row, successor index -> probability)
 with a fixed state order, so model matrices are reproducible entry for entry.
 The exact stationary solver refuses chains whose nonzero pattern is not
-strongly connected. It eliminates the balance equations of D·P modulo a large
-prime, reads the law off by rational reconstruction and returns it, as
-Fractions, only once the one-step certificate `first_unbalanced` proves it;
-otherwise it retries with the next prime of an unbounded ladder. The solver,
-row powers, lumping checks and the certificate all run on the integer matrix
-D·P, D the lcm of the entry denominators; D·P is computed on first use and
-kept on the chain. A row object that several states hold (as
-`build_matrix(..., key=...)` hands out) is checked, scaled to integers and
-lumped once, not once per state.
+strongly connected. It first lumps the states whose rows are equal, level
+after level, which is exact: equal rows make a lumpable partition, and one
+step of P from the lumped chain's law gives back P's. It eliminates the
+innermost chain's balance equations modulo a large prime, reads its law off
+by rational reconstruction, lifts it back to P's states and returns it, as
+Fractions, only once the one-step certificate `first_unbalanced` proves it on
+P; otherwise it retries with the next prime of an unbounded ladder. The
+solver, row powers, lumping checks and the certificate all run on the integer
+matrix D·P, D the lcm of the entry denominators; D·P is computed on first use
+and kept on the chain. A row object that several states hold (as
+`build_matrix(..., key=...)` hands out) is checked, scaled to integers,
+lumped, stepped by the certificate and turned into floats once, not once per
+state.
 """
 
 from __future__ import annotations
@@ -317,13 +321,14 @@ def _rational(u: int, p: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _solve_modulo(P: ChainMatrix, p: int) -> Optional[list[int]]:
-    """A candidate stationary law of P as positive ints, from the balance
-    equations of D·P eliminated modulo the prime p, or None when p is
+def _solve_modulo(rows: Sequence[Mapping[int, int]], D: int, p: int) -> Optional[list[int]]:
+    """A candidate stationary law, as positive ints, of the chain whose
+    integer rows (one per state, each summing to D) are `rows`, from its
+    balance equations eliminated modulo the prime p; or None when p is
     unlucky or too small for the answer: fewer than n - 1 pivots, a mass
     that is not positive, or a value that no small fraction fits.
 
-    Equation j reads sum_i x_i (D·P)_ij - D x_j = 0. Each pivot is the
+    Equation j reads sum_i x_i rows[i][j] - D x_j = 0. Each pivot is the
     variable in the fewest live equations (the lowest on ties), popped from
     a heap in which every column the pivot row touches gets a fresh key,
     and its row is the shortest of those equations, scaled to a leading 1,
@@ -332,12 +337,12 @@ def _solve_modulo(P: ChainMatrix, p: int) -> Optional[list[int]]:
     fractions are read off by rational reconstruction of x_i times a
     running common denominator, which keeps most of them integers.
     """
-    n, D = P.size, P._denominator
-    reduced = P._integer_rows if D < p else [{j: v % p for j, v in row.items()}
-                                             for row in P._integer_rows]
+    n = len(rows)
+    if D >= p:
+        rows = [{j: v % p for j, v in row.items()} for row in rows]
     equations: list[dict] = [{j: -D % p} for j in range(n)]
-    for i, at in enumerate(P._row_of):
-        for j, v in reduced[at].items():
+    for i, row in enumerate(rows):
+        for j, v in row.items():
             equations[j][i] = (v - D) % p if i == j else v
     col_rows: list[set[int]] = [set() for _ in range(n)]
     for r, eq in enumerate(equations):
@@ -401,29 +406,91 @@ def _solve_modulo(P: ChainMatrix, p: int) -> Optional[list[int]]:
     return masses if min(masses) > 0 else None
 
 
+def _lumpings(P: ChainMatrix) -> tuple[list, list[dict]]:
+    """Lump D·P by its equal rows, level after level, until its rows are
+    all distinct; returns (levels, rows).
+
+    levels holds one (cls, reps) per lumping, outermost first: cls[i] is
+    the class of state i of that level, and reps[c] the integer row (over
+    that level's states) that every state of class c holds. rows are the
+    integer rows of the innermost chain, one per state. Class c's row in
+    the next level sums reps[c] over each class, so every level's rows sum
+    to D. Level 0 groups P's distinct row objects, so a row shared by
+    several states is read once.
+    """
+    rows, row_of = P._integer_rows, P._row_of
+    levels = []
+    while True:
+        by_row: dict = {}
+        cls_of = [by_row.setdefault(frozenset(row.items()), len(by_row)) for row in rows]
+        if len(by_row) == len(row_of):
+            return levels, [rows[at] for at in row_of]
+        reps = [None] * len(by_row)
+        for row, c in zip(rows, cls_of):
+            reps[c] = row
+        cls = [cls_of[at] for at in row_of]
+        levels.append((cls, reps))
+        rows = []
+        for rep in reps:
+            lumped: dict = {}
+            for j, v in rep.items():
+                lumped[cls[j]] = lumped.get(cls[j], 0) + v
+            rows.append(lumped)
+        row_of = range(len(rows))
+
+
+def _lift(levels: list, masses: list[int]) -> list[int]:
+    """Masses of the innermost lumped chain lifted to P's states, one step
+    per level: x_j = sum_c m_c reps[c][j]."""
+    for cls, reps in reversed(levels):
+        lifted = [0] * len(cls)
+        for m, rep in zip(masses, reps):
+            for j, v in rep.items():
+                lifted[j] += m * v
+        masses = lifted
+    return masses
+
+
 def stationary_exact(P: ChainMatrix) -> Distribution:
     """The unique normalized solution of pi P = pi, as Fractions.
 
-    Refuses float and reducible chains. Each rung of _prime_ladder gives a
-    candidate by _solve_modulo, and the first candidate that
-    first_unbalanced finds balanced is returned, scaled to sum 1: on an
-    irreducible chain a balanced law with a positive mass is the stationary
-    law up to a positive scale.
+    Refuses float and reducible chains. States whose rows are equal are
+    lumped together (_lumpings), and lumped again while the lumped chain
+    has equal rows. Each rung of _prime_ladder gives a candidate law of the
+    innermost chain by _solve_modulo (a one-state chain's law is (1), with
+    no elimination); it is lifted back to P's states, and the first lifted
+    candidate that first_unbalanced finds balanced on P is returned, scaled
+    to sum 1: on an irreducible chain a balanced law with a positive mass
+    is the stationary law up to a positive scale.
 
-    Any prime rung above 2·D^(2n-2) returns the law. By the Markov chain
-    tree theorem the law is proportional to integers t_i with
-    0 < t_i <= D^(n-1), the sums over spanning trees of products of D·P's
-    entries, and each (n-1)-by-(n-1) minor of the balance equations is
-    some ±t_i. So modulo such a prime the equations keep rank n - 1, the
+    The lumping is exact. Equal rows make a partition whose states move to
+    each class with the same probability, so it is lumpable (Kemeny and
+    Snell, Finite Markov Chains, 1960, section 6.3): the lumped chain is
+    irreducible when P is, its law m gives each class the mass of its
+    states, and one step of P from those masses gives back P's law,
+    pi_j = sum_c m_c R_c(j) with R_c class c's shared row.
+
+    Any prime rung above 2·D^(2k-2), k the size of the innermost chain,
+    returns the law. By the Markov chain tree theorem its law is
+    proportional to integers t_i with 0 < t_i <= D^(k-1), the sums over
+    spanning trees of products of its integer entries, whose rows sum to
+    D, and each (k-1)-by-(k-1) minor of the balance equations is some
+    ±t_i. So modulo such a prime the equations keep rank k - 1, the
     variable left free has t_free != 0, and every ratio t_i / t_free fits
     the reconstruction.
     """
     if not P.exact:
         raise ValueError("stationary_exact needs exact (rational) probabilities")
     _require_irreducible(P)
-    for p in _prime_ladder():
-        masses = _solve_modulo(P, p)
-        if masses is not None and first_unbalanced(P, Distribution(P.states, masses)) is None:
+    levels, rows = _lumpings(P)
+    D = P._denominator
+    candidates = ((_solve_modulo(rows, D, p) for p in _prime_ladder()) if len(rows) > 1
+                  else ([1],))
+    for masses in candidates:
+        if masses is None:
+            continue
+        masses = _lift(levels, masses)
+        if first_unbalanced(P, Distribution(P.states, masses)) is None:
             total = sum(masses)
             return Distribution(P.states, tuple(Fraction(a, total) for a in masses))
 
@@ -434,7 +501,8 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
     _require_irreducible(P)
     n = P.size
     vec = [1.0 / n] * n
-    rows = [{j: float(v) for j, v in row.items()} for row in P.rows]
+    floats = [{j: float(v) for j, v in row.items()} for row in P._distinct]
+    rows = [floats[at] for at in P._row_of]
     delta = float("inf")
     for _ in range(max_iter):
         nxt = [0.0] * n
@@ -464,10 +532,14 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
     scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
     D = P._denominator
     rows = P._integer_rows
-    inflow = [0] * P.size
+    # the states holding one row object step together, with their summed mass
+    mass = [0] * len(rows)
     for a, at in zip(scaled, P._row_of):
+        mass[at] += a
+    inflow = [0] * P.size
+    for a, row in zip(mass, rows):
         if a:
-            for j, v in rows[at].items():
+            for j, v in row.items():
                 inflow[j] += a * v
     return next((s for s, a, x in zip(P.states, scaled, inflow) if x != D * a), None)
 
@@ -584,13 +656,14 @@ def _check_seed(seed: int) -> None:
 
 
 def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float], float]]:
-    """Per row, the successors in index order, their running float sums and the total."""
+    """Per state, the successors of its row in index order, their running
+    float sums and the total; made once per distinct row and shared."""
     tables = []
-    for row in P.rows:
+    for row in P._distinct:
         items = sorted(row.items())
         cum = list(accumulate(float(v) for _, v in items))
         tables.append(([j for j, _ in items], cum, cum[-1]))
-    return tables
+    return [tables[at] for at in P._row_of]
 
 
 def simulate(

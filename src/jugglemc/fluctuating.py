@@ -14,7 +14,9 @@ one Fraction per move; for float weights each tail is multiplied onto its
 insertion factor at the leaf. The walk writes the successor as it goes,
 starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built. The
 product formulas read E_w(i) = J[i][w_i] off the same table and multiply
-ints, making one Fraction per state.
+ints, making one Fraction per state. A word's row depends only on
+w^- = w_2 .. w_n (the first letter is dropped before anything is read), so
+each w^-'s row is built once and shared by the T words that end in it.
 """
 
 from __future__ import annotations
@@ -151,14 +153,16 @@ def annihilation_stationary(w: Word, p: ParamSet):
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p))
+    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p),
+                        key=lambda w: w.letters[1:])
 
 
 def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p))
+    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p),
+                        key=lambda w: w.letters[1:])
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:

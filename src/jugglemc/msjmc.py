@@ -144,12 +144,13 @@ def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     return _mass(p, (z[x - 1] for x in s.v), tables and tables.L ** len(s.v))
 
 
-def _word_matrix(states: list[Word], moves) -> ChainMatrix:
+def _word_matrix(states: list[Word], moves, key=None) -> ChainMatrix:
     """build_matrix on words: moves(w) yields (successor letters, a,
-    probability) for every bumping sequence a the step can take."""
+    probability) for every bumping sequence a the step can take; `key` as
+    for build_matrix."""
     return build_matrix(states, lambda w: (
         (Word._make((letters, w.T)), prob) for letters, _, prob in moves(w)
-    ))
+    ), key=key)
 
 
 def _restart(w2: Word, a: tuple[int, ...]) -> tuple[int, ...]:

@@ -26,8 +26,9 @@ once, where `lump_matrix` replays a single grid without that memo. The
 fiber law (`matrix_fiber_law`) is the word-law sweep one level up: it sums
 the matrix law over each tableau's fiber in one right-to-left sweep over the
 grid columns, keeping the summed mass per partial lump, so it lists no
-matrix state. A tableau or matrix step keeps only a body of its state, so
-the two builders build each distinct body's row once.
+matrix state. A word step reads w only past its first letter, and a
+tableau or matrix step keeps only a body of its state, so each builder
+builds the row of each distinct w_2 .. w_n or body once.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     return build_matrix(enumerate_alphabet_words(n, T), lambda w: (
         (Word._make((letters, T)), prob) for letters, prob in _overwrites(w, p)
-    ))
+    ), key=lambda w: w.letters[1:])
 
 
 # ---------------------------------------------------------------- tableaux

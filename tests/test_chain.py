@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jugglemc import chain, fluctuating, jugglers, msjmc, overwriting
+from jugglemc import chain, combinatorics, fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
     ChainMatrix,
     Distribution,
@@ -32,7 +32,7 @@ from jugglemc.chain import (
     verify_lumping,
 )
 from jugglemc.cli import MODELS, ModelSpec, _base_m_probe, main
-from jugglemc.combinatorics import ParamSet, TypeCounts
+from jugglemc.combinatorics import ParamSet, TypeCounts, Word
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
 from test_cascades import SHAPES as CASCADE_SHAPES
@@ -291,8 +291,8 @@ def ladder_from(exponents):
     tried = []
     solve = chain._solve_modulo
 
-    def spy(P, p):
-        tried.append((p, solve(P, p)))
+    def spy(rows, D, p):
+        tried.append((p, solve(rows, D, p)))
         return tried[-1][1]
 
     with mock.patch.object(chain, "_MERSENNE_EXPONENTS",
@@ -311,13 +311,18 @@ def test_stationary_exact_on_tiny_primes_matches_dense_reference(P):
     assert all(type(w) is Fraction for w in pi.weights)
 
 
+def solve_modulo(P: ChainMatrix, p: int):
+    """_solve_modulo on all of P's rows, unlumped."""
+    return chain._solve_modulo([P._integer_rows[at] for at in P._row_of], P._denominator, p)
+
+
 @settings(max_examples=100, deadline=None)
 @given(irreducible_chains())
 def test_a_prime_above_the_tree_bound_gives_the_law(P):
     # the law is proportional to spanning-tree sums of at most D^(n-1), so
     # one prime above 2·D^(2n-2) gives it without a retry
     bound = 2 * P._denominator ** (2 * P.size - 2)
-    masses = chain._solve_modulo(P, chain._proth_prime(bound.bit_length()))
+    masses = solve_modulo(P, chain._proth_prime(bound.bit_length()))
     assert tuple(Fraction(m, sum(masses)) for m in masses) == gauss_jordan_stationary(P)
 
 
@@ -356,12 +361,12 @@ def test_unlucky_primes_give_no_candidate():
     # 3 the balance equations force x_0 = 0, modulo 5 x_1 = 0
     P = two_state(F(1, 3), F(1, 5))
     assert P._denominator == 15
-    assert chain._solve_modulo(P, 3) is None and chain._solve_modulo(P, 5) is None
-    assert chain._solve_modulo(P, 127) == [3, 5]
+    assert solve_modulo(P, 3) is None and solve_modulo(P, 5) is None
+    assert solve_modulo(P, 127) == [3, 5]
     # for two_state(3/5, 3/5) they are (-3, 3) and (3, -3): no pivot modulo 3
     P = two_state(F(3, 5), F(3, 5))
-    assert chain._solve_modulo(P, 3) is None
-    assert chain._solve_modulo(P, 127) == [1, 1]
+    assert solve_modulo(P, 3) is None
+    assert solve_modulo(P, 127) == [1, 1]
 
 
 def test_wide_weights_climb_the_ladder():
@@ -439,6 +444,114 @@ def test_a_corrupted_reconstruction_is_never_returned():
     assert pi.weights == (F(3, 8), F(5, 8))
     assert [p for p, _ in tried] == calls == [2 ** 127 - 1, 2 ** 521 - 1]
     assert tried[0][1] != [3, 5]
+
+
+def split_chain(P: ChainMatrix, cls: list[int], weights: list[list[int]],
+                shared: bool) -> ChainMatrix:
+    """P split into states 0..len(cls)-1, state i in class cls[i], which must
+    cover every state of P: the states of class c all hold one row, row c of
+    P with its mass on each class spread over that class's states in
+    proportion to weights[c]; one row object per class when `shared`, equal
+    copies otherwise. The split is irreducible when P is."""
+    members: list[list[int]] = [[] for _ in P.rows]
+    for i, c in enumerate(cls):
+        members[c].append(i)
+    class_rows = []
+    for row, w in zip(P.rows, weights):
+        split = {}
+        for c, q in row.items():
+            total = sum(w[i] for i in members[c])
+            split.update((i, q * F(w[i], total)) for i in members[c])
+        class_rows.append(split)
+    return ChainMatrix(range(len(cls)), [class_rows[c] if shared else dict(class_rows[c])
+                                         for c in cls])
+
+
+ONE_STATE = ChainMatrix([0], [{0: F(1)}])
+
+
+@st.composite
+def lumpable_chains(draw) -> ChainMatrix:
+    """Irreducible chains whose n states share k < n rows: a one-state
+    chain or an irreducible chain split one to three times, so the lumped
+    chain may have equal rows again (nested levels) or be one state."""
+    P = draw(st.one_of(st.just(ONE_STATE), irreducible_chains()))
+    for split in range(draw(st.integers(1, 3))):
+        if split and P.size > 6:
+            break
+        sizes = draw(st.lists(st.integers(1, 3), min_size=P.size, max_size=P.size)
+                     .filter(lambda s: max(s) > 1))
+        cls = draw(st.permutations([c for c, k in enumerate(sizes) for _ in range(k)]))
+        weights = draw(st.lists(st.lists(st.integers(1, 9), min_size=len(cls),
+                                         max_size=len(cls)),
+                                min_size=P.size, max_size=P.size))
+        P = split_chain(P, cls, weights, draw(st.booleans()))
+    return P
+
+
+@settings(max_examples=200, deadline=None)
+@given(lumpable_chains())
+def test_stationary_exact_on_lumpable_chains_matches_dense_reference(P):
+    levels, rows = chain._lumpings(P)
+    assert levels and len(rows) < P.size
+    pi = stationary_exact(P)
+    assert pi.weights == gauss_jordan_stationary(P)
+    assert first_unbalanced(P, pi) is None
+    with ladder_from((13, 17, 31)) as tried:
+        assert stationary_exact(P).weights == pi.weights
+    # a one-state innermost chain needs no elimination
+    assert (len(rows) == 1) == (tried == [])
+
+
+def random_lumpable_chain(rng: random.Random) -> ChainMatrix:
+    """As lumpable_chains(), drawn from `rng`, split from a
+    random_irreducible_chain."""
+    P = random_irreducible_chain(rng)
+    for _ in range(rng.randint(1, 2)):
+        sizes = [rng.randint(1, 3) for _ in range(P.size)]
+        sizes[rng.randrange(P.size)] = 2
+        cls = [c for c, k in enumerate(sizes) for _ in range(k)]
+        rng.shuffle(cls)
+        weights = [[rng.randint(1, 9) for _ in cls] for _ in range(P.size)]
+        P = split_chain(P, cls, weights, rng.random() < 0.5)
+    return P
+
+
+def test_tiny_primes_give_lifted_candidates_the_certificate_refuses():
+    rng = random.Random(22)
+    refused = 0
+    for _ in range(100):
+        P = random_lumpable_chain(rng)
+        with ladder_from((2, 3, 5, 7)) as tried:
+            pi = stationary_exact(P)
+        assert pi.weights == gauss_jordan_stationary(P)
+        # every rung solved the innermost chain, not P
+        assert all(masses is None or len(masses) < P.size for _, masses in tried)
+        refused += sum(masses is not None for _, masses in tried[:-1])
+    assert refused > 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(lumpable_chains())
+def test_a_prime_above_the_innermost_tree_bound_gives_the_law(P):
+    # the tree bound 2·D^(2k-2) is taken on the innermost chain's size k
+    _, rows = chain._lumpings(P)
+    bound = 2 * P._denominator ** (2 * len(rows) - 2)
+    prime = chain._proth_prime(max(bound.bit_length(), 2))
+    with mock.patch.object(chain, "_prime_ladder", lambda: iter([prime])):
+        assert stationary_exact(P).weights == gauss_jordan_stationary(P)
+
+
+def test_overwriting_lumps_to_one_state():
+    # overwriting (3,3): 27 words -> 9 -> 3 -> 1, the chain's ultrafast
+    # convergence, so the law comes with no elimination at all
+    P = overwriting.build_word_chain(3, 3, ParamSet((F(1, 6), F(1, 3), F(1, 4), F(1, 4))))
+    levels, rows = chain._lumpings(P)
+    assert [len(cls) for cls, _ in levels] + [len(rows)] == [27, 9, 3, 1]
+    with ladder_from(()) as tried:
+        pi = stationary_exact(P)
+    assert tried == []
+    assert pi.weights == gauss_jordan_stationary(P)
 
 
 def test_stationary_power_agrees_with_exact():
@@ -744,6 +857,9 @@ def test_shared_rows_give_the_results_of_copied_rows():
     masses = Distribution(shared.states, [overwriting.matrix_stationary_weight(M, p)
                                           for M in shared.states])
     assert first_unbalanced(shared, masses) is first_unbalanced(copied, masses) is None
+    assert stationary_exact(shared) == stationary_exact(copied) == masses.normalize()
+    assert stationary_power(shared) == stationary_power(copied)
+    assert _cumulative_rows(shared) == _cumulative_rows(copied)
     Pt = overwriting.build_tableau_chain(2, 4, p)
     Pt_copied = ChainMatrix(Pt.states, [dict(row) for row in Pt.rows])
     f = LumpingMap(zip(shared.states, overwriting.lump_matrices(shared.states)), Pt.states)
@@ -754,6 +870,41 @@ def test_shared_rows_give_the_results_of_copied_rows():
     got = verify_lumping(shared, wrong, Pt)
     assert not got[0]
     assert got == verify_lumping(copied, wrong, Pt_copied) == reference_lumping(copied, wrong, Pt)
+
+
+def unkeyed_word_chain(model: str, n: int, T: int, p: ParamSet) -> ChainMatrix:
+    """The model's word chain with every row built from its own word."""
+    words = combinatorics.enumerate_alphabet_words(n, T)
+    if model == "overwriting":
+        return build_matrix(words, lambda w: ((Word._make((letters, T)), prob)
+                                              for letters, prob in overwriting._overwrites(w, p)))
+    moves = {"add_drop": fluctuating._add_drop_moves,
+             "annihilation": fluctuating._annihilation_moves}[model]
+    return msjmc._word_matrix(words, lambda w: moves(w, p))
+
+
+KEYED_BUILDS = {
+    "add_drop": fluctuating.build_add_drop_chain,
+    "annihilation": fluctuating.build_annihilation_chain,
+    "overwriting": overwriting.build_word_chain,
+}
+
+
+@pytest.mark.parametrize("model", KEYED_BUILDS)
+@pytest.mark.parametrize("n,T", [(1, 3), (2, 3), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_keyed_word_builds_equal_unkeyed_builds(model, n, T, exact):
+    # a step reads w only through w_2..w_n, so each such tail's row is built
+    # once and shared by the T words that end in it
+    raw = [F(k, k + 2) for k in range(1, n + 2)]
+    z = tuple(x / sum(raw) if exact else float(x / sum(raw)) for x in raw)
+    c = tuple(F(1, t) if exact else 1 / t for t in range(1, T + 1))
+    p = ParamSet(z, c if model == "add_drop" else None)
+    P, ref = KEYED_BUILDS[model](n, T, p), unkeyed_word_chain(model, n, T, p)
+    assert P.states == ref.states and P.exact == ref.exact == exact
+    assert ([[(j, v, type(v)) for j, v in row.items()] for row in P.rows]
+            == [[(j, v, type(v)) for j, v in row.items()] for row in ref.rows])
+    assert len(P._distinct) == T ** (n - 1)
 
 
 def test_shared_row_is_read_once():

@@ -168,9 +168,9 @@ def test_stationary_both_is_equal_on_large_msjmc_chains(capsys, monkeypatch, cou
     z = ",".join(str(x / sum(w)) for x in w)
     solve, tried = chain._solve_modulo, []
 
-    def spy(P, p):
+    def spy(rows, D, p):
         tried.append(p)
-        return solve(P, p)
+        return solve(rows, D, p)
 
     monkeypatch.setattr(chain, "_solve_modulo", spy)
     code, out, err = run(capsys, ["stationary", "--model", "msjmc", "--counts", counts,

@@ -14,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from jugglemc import chain
 from jugglemc.cli import build_parser, main
 
 SPECS = {
@@ -201,3 +202,20 @@ def test_cached_parser_keeps_bytes():
     assert (usage.value.code, help_.value.code) == (1, 0)
     variant = list(VARIANTS).index("all")
     assert digest(VARIANTS["all"] + SPECS["overwriting-23"]) == PINNED["overwriting-23"][variant]
+
+
+def test_overwriting_33_law_needs_no_elimination(monkeypatch):
+    """Overwriting (3,3) lumps 27 -> 9 -> 3 -> 1 by equal rows, so
+    `stationary --method both` runs no elimination; digest pinned from a
+    build that eliminated all 27 states."""
+    solve, calls = chain._solve_modulo, []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(chain, "_solve_modulo", spy)
+    argv = ["stationary", "--method", "both", "--model", "overwriting", "--n", "3", "--T", "3"]
+    assert digest(argv + ["--z", "1/6,1/3,1/4,1/4"]) == "7f108b65bd586c5a"
+    assert digest(argv + ["--z", "2/9,1/9,1/3,1/3"]) == "889eef8f3f74bed7"
+    assert calls == []
