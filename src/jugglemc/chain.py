@@ -16,6 +16,21 @@ and kept on the chain. A row object that several states hold (as
 `build_matrix(..., key=...)` hands out) is checked, scaled to integers,
 lumped, stepped by the certificate and turned into floats once, not once per
 state.
+
+A trajectory step from state i takes successor succ[bisect_left(cum, u *
+total)] of i's row, u the next random() of `random.Random(seed)`. `simulate`
+draws the same u without calling random(): random() reads two 32-bit words
+a, b of the generator and returns ((a >> 5)·2^26 + (b >> 6)) / 2^53, and
+getrandbits(64·k) hands over the next 2k words, lowest first, so one call
+per chunk of k = _CHUNK steps yields the same pairs and the stream goes on
+unchanged. The top byte of a is the top 8 bits of the 53-bit draw, its
+bucket. A row's guide (Chen and Asau, 1974) maps each of the 256 buckets to
+the successor that every draw in it steps to, found exactly from the least
+draw past each running sum, or to -1 where the bucket straddles one; a
+step is one lookup guides[i][a >> 24], and -1 falls back to the bisect on u
+rebuilt from a and b. Guides are built for a row when the walk first needs
+one, up to _GUIDE_BUDGET rows per call; rows past it keep the bisect.
+Trajectories, and so every empirical law, are the ones random() would give.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt, lcm
+from struct import Struct
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .combinatorics import FLOAT_TOL, is_exact
@@ -666,6 +682,52 @@ def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float], float
     return [tables[at] for at in P._row_of]
 
 
+# steps drawn per getrandbits call: two 32-bit words a step, 8·_CHUNK bytes
+_CHUNK = 1024
+# distinct rows that get a guide in one simulate call; a guide is 256
+# entries, ~2 KB, so the guides of one call take at most ~8 MB
+_GUIDE_BUDGET = 4096
+# the guide of a row that has none (yet): every bucket falls back
+_UNBUILT = (-1,) * 256
+# 2^-53: random() returns the 53-bit draw m as m · _UNIT
+_UNIT = 2.0 ** -53
+_word_pair = Struct("<II").unpack_from
+
+
+def _boundaries(cum: Sequence[float], total: float) -> list[int]:
+    """For each j < len(cum) - 1, the least 53-bit draw m with
+    (m / 2^53) * total > cum[j], that is the least m whose bisect step
+    succ[bisect_left(cum, (m / 2^53) * total)] lies past successor j; 2^53
+    where there is none. The test is monotone in m and fails at g - 1,
+    g = floor(fl(cum[j] / total) · 2^53): the exact product
+    (g - 1) · total / 2^53 is at most cum[j] (1 + 2^-53) - total / 2^53,
+    not above cum[j], so it does not round above it. The walk up from g
+    takes a few draws."""
+    out = []
+    for c in cum[:-1]:
+        m = int(c / total / _UNIT)
+        while m < 1 << 53 and not m * _UNIT * total > c:
+            m += 1
+        out.append(m)
+    return out
+
+
+def _guide(succ: Sequence[int], cum: Sequence[float], total: float) -> tuple:
+    """The guide of one row (Chen and Asau, 1974): entry k is the successor
+    that every 53-bit draw m of bucket k, k·2^45 <= m < (k+1)·2^45, steps to
+    under the bisect, or -1 where a boundary (_boundaries) falls inside the
+    bucket and splits it."""
+    guide: list[int] = []
+    for j, b in enumerate(_boundaries(cum, total)):
+        k = b >> 45
+        if k > len(guide):
+            guide += [succ[j]] * (k - len(guide))
+        if k == len(guide) and b > k << 45:
+            guide.append(-1)  # b splits bucket k
+    guide += [succ[-1]] * (256 - len(guide))
+    return tuple(guide)
+
+
 def simulate(
     chain: ChainMatrix,
     start,
@@ -677,8 +739,10 @@ def simulate(
 
     Visits from time `burn_in` on (default steps // 10; at most `steps`, so
     the last state always counts) are tallied as the walk goes, in O(states)
-    memory; weight c / (steps + 1 - burn_in) per c visits. Deterministic for
-    a fixed seed; the seed must be >= 0.
+    memory besides the guides and one chunk of draws; weight
+    c / (steps + 1 - burn_in) per c visits. The steps are those random()
+    would draw (module docstring). Deterministic for a fixed seed; the seed
+    must be >= 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -687,18 +751,41 @@ def simulate(
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:
         raise ValueError(f"burn_in must be in 0..{steps}, got {burn_in}")
-    rand = random.Random(seed).random
-    tables = _cumulative_rows(chain)
-    pos = chain.index[start]
-    for _ in repeat(None, burn_in):
-        succ, cum, total = tables[pos]
-        pos = succ[bisect_left(cum, rand() * total)]
+    getrandbits = random.Random(seed).getrandbits
+    tables, row_of = _cumulative_rows(chain), chain._row_of
+    guides = [_UNBUILT] * chain.size  # per state; a row's states share its guide
+    built: dict[int, tuple] = {}  # distinct row -> its guide
     counts = [0] * chain.size
-    counts[pos] = 1
-    for _ in repeat(None, steps - burn_in):
-        succ, cum, total = tables[pos]
-        pos = succ[bisect_left(cum, rand() * total)]
-        counts[pos] += 1
+    pos = chain.index[start]
+    # the burn-in's visits go to a tally that is dropped; each phase tallies
+    # the state it starts from, then its n steps
+    for n, tally in ((burn_in, [0] * chain.size), (steps - burn_in, counts)):
+        tally[pos] += 1
+        while n:
+            k = min(n, _CHUNK)
+            n -= k
+            data = getrandbits(64 * k).to_bytes(8 * k, "little")
+            # the top byte of each step's first word is its draw's bucket
+            tops = iter(data[3::8])
+            left = tops.__length_hint__
+            for top in tops:
+                nxt = guides[pos][top]
+                if nxt < 0:
+                    if guides[pos] is _UNBUILT:
+                        r = row_of[pos]
+                        if r not in built and len(built) < _GUIDE_BUDGET:
+                            built[r] = _guide(*tables[pos])
+                        guides[pos] = built.get(r, _UNBUILT)
+                        nxt = guides[pos][top]
+                    if nxt < 0:
+                        # the words of step k - 1 - left() of the chunk, read
+                        # as random() reads them: (a >> 5) · 2^26 + (b >> 6)
+                        a, b = _word_pair(data, 8 * (k - 1 - left()))
+                        succ, cum, total = tables[pos]
+                        u = ((a >> 5) * 67108864.0 + (b >> 6)) * _UNIT
+                        nxt = succ[bisect_left(cum, u * total)]
+                pos = nxt
+                tally[pos] += 1
     return Distribution(chain.states, tuple(Fraction(c, steps + 1 - burn_in) for c in counts))
 
 

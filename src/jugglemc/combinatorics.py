@@ -238,6 +238,8 @@ def falling_factorial(x, k: int):
 
 def format_scalar(x) -> str:
     """Canonical serialization: 'p/q' for exact values, repr for floats."""
+    if type(x) is int or type(x) is Fraction:
+        return str(x)  # Fraction prints n or n/d in lowest terms already
     if isinstance(x, float):
         return repr(x)
     f = Fraction(x)

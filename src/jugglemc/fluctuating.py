@@ -16,7 +16,9 @@ starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built. The
 product formulas read E_w(i) = J[i][w_i] off the same table and multiply
 ints, making one Fraction per state. A word's row depends only on
 w^- = w_2 .. w_n (the first letter is dropped before anything is read), so
-each w^-'s row is built once and shared by the T words that end in it.
+each w^-'s row is built once and shared by the T words that end in it; an
+enriched state's row likewise depends only on (w^-, v^-) and is built once
+per pair.
 """
 
 from __future__ import annotations
@@ -170,6 +172,12 @@ def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
     return _enriched_states(enumerate_alphabet_words(n, T))
 
 
+def _enriched_tail(s: EnrichedState) -> tuple:
+    """(w^-, v^-): an enriched row reads w only through w^- and v only
+    through the shifted v_2 .. v_n."""
+    return s.w.letters[1:], s.v[1:]
+
+
 def enriched_add_drop_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i c_{w_i} z_{v_i}."""
     _need_activities(p, s.w.T)
@@ -188,7 +196,8 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _enriched_matrix(enumerate_enriched_words(n, T), lambda w: _add_drop_moves(w, p))
+    return _enriched_matrix(enumerate_enriched_words(n, T), lambda w: _add_drop_moves(w, p),
+                            key=_enriched_tail)
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
@@ -196,4 +205,4 @@ def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatri
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
     return _enriched_matrix(enumerate_enriched_words(n, T),
-                            lambda w: _annihilation_moves(w, p))
+                            lambda w: _annihilation_moves(w, p), key=_enriched_tail)

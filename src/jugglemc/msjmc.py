@@ -160,12 +160,13 @@ def _restart(w2: Word, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(J[i][x] if i in filled else 0 for i, x in enumerate(w2.letters, 1))
 
 
-def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
+def _enriched_matrix(states: list[EnrichedState], moves, key=None) -> ChainMatrix:
     """build_matrix on enriched states, which come grouped by word: moves(w)
     yields (successor letters, a, probability) as for _word_matrix, and each
     word's moves are walked once for all its v. A move's successor v' takes
     its restart template where it is nonzero (the bumped slots restart at
-    E_{w2}) and elsewhere the entries of v shifted left with the balls."""
+    E_{w2}) and elsewhere the entries of v shifted left with the balls;
+    `key` as for build_matrix."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
         out = []
@@ -179,7 +180,7 @@ def _enriched_matrix(states: list[EnrichedState], moves) -> ChainMatrix:
         for w2, restart, prob in word_moves(s.w):
             yield EnrichedState(w2, tuple(e or x for e, x in zip(restart, shifted))), prob
 
-    return build_matrix(states, successors)
+    return build_matrix(states, successors, key=key)
 
 
 def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:

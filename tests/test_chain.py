@@ -1,11 +1,13 @@
 """Generic chain engine: construction, solving, lumping, power checks, sampling."""
 
+import inspect
 import math
 import random
 import tracemalloc
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -1315,6 +1317,109 @@ def test_simulate_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2 ** 31 - 1, 2 ** 40 + 3])
+def test_bulk_words_are_the_pairs_random_reads(seed):
+    # getrandbits(64·k) hands over the 2k words that k random() calls read,
+    # and the next call goes on where the last left off
+    bulk, floats = random.Random(seed), random.Random(seed)
+    for k in (1, 3, chain._CHUNK):
+        data = bulk.getrandbits(64 * k).to_bytes(8 * k, "little")
+        for t in range(k):
+            a, b = chain._word_pair(data, 8 * t)
+            m = (a >> 5) << 26 | b >> 6
+            u = floats.random()
+            assert m / 2 ** 53 == ((a >> 5) * 67108864.0 + (b >> 6)) * chain._UNIT == u
+            # the top byte of the step's first word is its bucket
+            assert data[8 * t + 3] == m >> 45
+
+
+def one_successor_chain():
+    # a row with a single successor: every bucket of its guide is that state
+    return build_matrix(["a", "b", "c"], lambda s: {
+        "a": {"b": F(1)}, "b": {"a": F(1, 3), "c": F(2, 3)}, "c": {"a": F(1)}}[s].items())
+
+
+STREAM_CHAINS = {
+    "msjmc_float": lambda: msjmc.build_chain(TypeCounts((2, 1)),
+                                             ParamSet((0.5, 0.25, 0.125, 2.0))),
+    # 630 states, so successor indices pass the 256 of a bucket byte
+    "msjmc_630": lambda: msjmc.build_chain(
+        TypeCounts((2, 2, 2, 1)), ParamSet(tuple(F(i + 1, 3) for i in range(8)))),
+    "add_drop": lambda: fluctuating.build_add_drop_chain(
+        3, 3, ParamSet((F(1), F(2, 3), F(1, 5), F(7, 2)), c=(F(1), F(2), F(1, 2)))),
+    "annihilation": lambda: fluctuating.build_annihilation_chain(
+        3, 3, ParamSet((F(1, 6), F(1, 3), F(1, 4), F(1, 4)))),
+    # rows of 1 to 56 successors (13 on average), the most split buckets
+    "several_jugglers": lambda: jugglers.build_chain(3, 3, 4),
+    "overwriting": lambda: overwriting.build_word_chain(3, 3, ParamSet((F(1, 4),) * 4)),
+    "one_successor": one_successor_chain,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CHAINS))
+def test_simulate_counts_the_reference_tail_across_chunks(name):
+    P = STREAM_CHAINS[name]()
+    start = P.states[-1]
+    for steps in (chain._CHUNK - 1, chain._CHUNK, chain._CHUNK + 1, 3 * chain._CHUNK + 7):
+        for seed in (0, 2 ** 40 + 3):
+            path = trajectory_reference(P, start, steps, seed)
+            for burn_in in sorted({0, steps // 10, steps}):
+                expected = tuple(F(c, steps + 1 - burn_in) for c in tail_counts(P, path, burn_in))
+                got = simulate(P, start, steps, seed, burn_in=burn_in)
+                assert got.weights == expected, (steps, burn_in, seed)
+
+
+def test_simulate_past_the_guide_budget_keeps_the_stream():
+    # rows past the budget get no guide and step by the bisect alone
+    P = STREAM_CHAINS["several_jugglers"]()
+    assert len(P._distinct) > 3
+    steps = 2 * chain._CHUNK + 3
+    path = trajectory_reference(P, P.states[0], steps, seed=9)
+    with mock.patch.object(chain, "_GUIDE_BUDGET", 3), \
+            mock.patch.object(chain, "_guide", wraps=chain._guide) as built:
+        got = simulate(P, P.states[0], steps, seed=9, burn_in=0)
+    assert built.call_count == 3
+    assert got.weights == tuple(F(c, steps + 1) for c in tail_counts(P, path, 0))
+
+
+def bisect_step(succ, cum, m):
+    """The successor the bisect picks for the 53-bit draw m."""
+    return succ[bisect_left(cum, m / 2 ** 53 * cum[-1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.fractions(min_value=F(1, 10 ** 9), max_value=1000,
+                                       max_denominator=10 ** 9),
+                          st.floats(min_value=1e-200, max_value=1e200)),
+                min_size=1, max_size=24))
+@example([1.0, 255.0])  # a boundary one draw past a bucket's first
+@example([1.0, 1.0])  # a boundary on a bucket's first draw
+@example([1.0, 1e-200, 3.0])  # equal running sums
+@example([F(1, 3), F(1, 3), F(1, 3)])
+def test_guide_entries_agree_with_the_bisect(weights):
+    cum = list(accumulate(float(w) for w in weights))
+    succ = list(range(300, 300 + len(cum)))
+    guide = chain._guide(succ, cum, cum[-1])
+    assert len(guide) == 256
+    for k, entry in enumerate(guide):
+        lo, hi = k << 45, ((k + 1) << 45) - 1
+        if entry == -1:
+            assert bisect_step(succ, cum, lo) != bisect_step(succ, cum, hi), k
+        else:
+            assert bisect_step(succ, cum, lo) == entry == bisect_step(succ, cum, hi), k
+    for j, b in enumerate(chain._boundaries(cum, cum[-1])):
+        # b is the least draw the bisect sends past successor j
+        assert b == 2 ** 53 or bisect_left(cum, b / 2 ** 53 * cum[-1]) > j
+        assert b == 0 or bisect_left(cum, (b - 1) / 2 ** 53 * cum[-1]) <= j
+
+
+def test_sampler_parameter_names_are_the_tracers():
+    # perfbench/tracer.py counts chain.simulate.steps from these arguments
+    # by name; a rename would break that count
+    assert {"steps", "burn_in"} <= set(inspect.signature(chain.simulate).parameters)
+    assert {"horizon", "replicas"} <= set(inspect.signature(chain.simulate_replicas).parameters)
 
 
 def test_nearby_seeds_draw_different_replicas():

@@ -172,6 +172,17 @@ def test_format_scalar_round_trip():
     assert Fraction(format_scalar(Fraction(22, 7))) == Fraction(22, 7)
 
 
+@pytest.mark.parametrize("x", [0, 7, -12, 10 ** 40, Fraction(-3, 9), Fraction(10 ** 30, 7),
+                               Fraction(6, 3), True, False])
+def test_format_scalar_prints_exact_values_as_lowest_terms(x):
+    # ints and Fractions print themselves; a bool goes through Fraction, as
+    # every other exact type does
+    f = Fraction(x)
+    expected = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    assert format_scalar(x) == expected
+    assert format_scalar(0.1) == "0.1"
+
+
 def test_is_exact():
     assert is_exact(Fraction(1, 2)) and is_exact(3)
     assert not is_exact(0.5)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jugglemc import fluctuating
 from jugglemc.chain import (
     LumpingMap,
     stationary_exact,
@@ -13,6 +14,7 @@ from jugglemc.chain import (
 )
 from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
 from jugglemc.errors import DegenerateParams, NotNormalized
+from jugglemc.msjmc import _enriched_matrix
 from jugglemc.fluctuating import (
     add_drop_partition,
     add_drop_stationary_weight,
@@ -283,6 +285,24 @@ def test_enumerate_enriched_words():
     assert len(states) == 5
     for w, v in states:
         assert all(1 <= v[i] <= stat_E(w, i + 1) for i in range(w.n))
+
+
+@pytest.mark.parametrize("model,moves,params", [
+    ("add_drop", fluctuating._add_drop_moves, random_activity_params),
+    ("annihilation", fluctuating._annihilation_moves,
+     lambda rng, n, T: random_normalized_params(rng, n)),
+])
+def test_enriched_rows_are_built_once_per_tail(model, moves, params):
+    # an enriched row reads (w, v) only through (w^-, v^-): the builders hand
+    # out one row object per pair, equal to the rows built state by state
+    rng = random.Random(43)
+    for n, T in ((2, 3), (3, 2), (3, 3)):
+        p = params(rng, n, T)
+        Pt = BUILDERS[model][1](n, T, p)
+        assert len(Pt._distinct) == len({(s.w.letters[1:], s.v[1:]) for s in Pt.states})
+        assert Pt == _enriched_matrix(enumerate_enriched_words(n, T), lambda w: moves(w, p))
+    if model == "add_drop":
+        assert (Pt.size, len(Pt._distinct)) == (60, 12)
 
 
 def test_enriched_add_drop_lumps_to_base():
