@@ -3,16 +3,22 @@
 Matrices are stored sparsely (one dict per row, successor index -> probability)
 with a fixed state order, so model matrices are reproducible entry for entry.
 The exact stationary solver refuses chains whose nonzero pattern is not
-strongly connected. It first lumps the states whose rows are equal, level
-after level, which is exact: equal rows make a lumpable partition, and one
-step of P from the lumped chain's law gives back P's. It eliminates the
-innermost chain's balance equations modulo a large prime, reads its law off
-by rational reconstruction, lifts it back to P's states and returns it, as
-Fractions, only once the one-step certificate `first_unbalanced` proves it on
-P; otherwise it retries with the next prime of an unbounded ladder. The
-solver, row powers, lumping checks and the certificate all run on the integer
-matrix D·P, D the lcm of the entry denominators; D·P is computed on first use
-and kept on the chain. A row object that several states hold (as
+strongly connected (`ChainMatrix.levels`, two breadth-first sweeps made once
+per chain and read by `is_irreducible` and `chain_period` too). It first
+lumps the states whose rows are equal, level after level, which is exact:
+equal rows make a lumpable partition, and one step of P from the lumped
+chain's law gives back P's. It eliminates the innermost chain's balance
+equations modulo a large prime, reads its law off by rational
+reconstruction, lifts it back to P's states and returns it, as Fractions,
+only once the one-step certificate `first_unbalanced` proves it on P;
+otherwise it retries with the next prime of an unbounded ladder. The solver,
+row powers, lumping checks and the certificate all run on the integer matrix
+D·P, D the lcm of the entry denominators; D·P is computed on first use and
+kept on the chain. They share two kernels: `_lumped` groups rows by their
+sums over a partition of the columns (the solver's levels, each row power,
+the class sums of `verify_lumping`), and `_push` adds one step of masses
+through rows (the solver's lift, the certificate, power iteration, each
+row-power vector). A row object that several states hold (as
 `build_matrix(..., key=...)` hands out) is checked, scaled to integers,
 lumped, stepped by the certificate and turned into floats once, not once per
 state.
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -124,6 +130,20 @@ class ChainMatrix:
         D = self._denominator
         return [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
                 for row in self._distinct]
+
+    @cached_property
+    def levels(self) -> Optional[list[int]]:
+        """The breadth-first distance of each state from state 0, or None
+        when the nonzero pattern is not strongly connected, that is when a
+        sweep from state 0 forward or backward misses a state; computed on
+        first use and kept."""
+        if not self.rows or -1 in (level := _levels(self.rows)):
+            return None
+        back: list[list[int]] = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in row:
+                back[j].append(i)
+        return None if -1 in _levels(back) else level
 
     @property
     def size(self) -> int:
@@ -254,32 +274,22 @@ def _levels(adj: Sequence[Iterable[int]]) -> list[int]:
     return level
 
 
-def _strongly_connected(rows: Sequence[Mapping[int, object]]) -> bool:
-    if not rows:
-        return False
-    radj: list[list[int]] = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            radj[j].append(i)
-    return -1 not in _levels(rows) and -1 not in _levels(radj)
-
-
 def _require_irreducible(P: ChainMatrix) -> None:
-    if not _strongly_connected(P.rows):
+    if P.levels is None:
         raise ReducibleChain("transition pattern is not strongly connected; "
                              "stationary distribution would not be unique")
 
 
 def is_irreducible(P: ChainMatrix) -> bool:
     """True iff the nonzero pattern is strongly connected."""
-    return _strongly_connected(P.rows)
+    return P.levels is not None
 
 
 def chain_period(P: ChainMatrix) -> int:
     """gcd of cycle lengths; 1 means aperiodic. Needs an irreducible chain."""
-    if not is_irreducible(P):
+    level = P.levels
+    if level is None:
         raise ReducibleChain("period is defined for irreducible chains only")
-    level = _levels(P.rows)
     g = 0
     for u, row in enumerate(P.rows):
         for v in row:
@@ -422,6 +432,39 @@ def _solve_modulo(rows: Sequence[Mapping[int, int]], D: int, p: int) -> Optional
     return masses if min(masses) > 0 else None
 
 
+def _lumped(rows: Iterable[Mapping[int, int]], cls: Optional[Sequence[int]] = None
+            ) -> tuple[list[int], list[Mapping[int, int]]]:
+    """Group `rows` by their sums over the column classes cls, cls[j] the
+    class of column j, or by the rows themselves when cls is None; returns
+    (of, sums): of[i] is the group of rows[i], numbered in order of first
+    row, and sums[g] group g's summed row, keyed by class, as its first row
+    gives it. With cls None, sums holds the given row objects."""
+    groups: dict = {}
+    of: list[int] = []
+    sums: list = []
+    for row in rows:
+        if cls is not None:
+            summed: dict = {}
+            for j, v in row.items():
+                summed[cls[j]] = summed.get(cls[j], 0) + v
+            row = summed
+        g = groups.setdefault(frozenset(row.items()), len(groups))
+        if g == len(sums):
+            sums.append(row)
+        of.append(g)
+    return of, sums
+
+
+def _push(masses: Iterable, rows: Iterable[Mapping], out):
+    """out after one step of `masses` through `rows`: out[j] += m·row[j]
+    for each mass m and its row, zero masses skipped."""
+    for m, row in zip(masses, rows):
+        if m:
+            for j, v in row.items():
+                out[j] += m * v
+    return out
+
+
 def _lumpings(P: ChainMatrix) -> tuple[list, list[dict]]:
     """Lump D·P by its equal rows, level after level, until its rows are
     all distinct; returns (levels, rows).
@@ -429,42 +472,19 @@ def _lumpings(P: ChainMatrix) -> tuple[list, list[dict]]:
     levels holds one (cls, reps) per lumping, outermost first: cls[i] is
     the class of state i of that level, and reps[c] the integer row (over
     that level's states) that every state of class c holds. rows are the
-    integer rows of the innermost chain, one per state. Class c's row in
-    the next level sums reps[c] over each class, so every level's rows sum
-    to D. Level 0 groups P's distinct row objects, so a row shared by
-    several states is read once.
+    integer rows of the innermost chain, one per state. The classes of a
+    level are the states of the next, and their rows are reps summed over
+    cls, so every level's rows sum to D. Level 0 groups P's distinct row
+    objects as they are, so a row shared by several states is read once.
     """
-    rows, row_of = P._integer_rows, P._row_of
+    of, reps = _lumped(P._integer_rows)
+    cls = [of[at] for at in P._row_of]
     levels = []
-    while True:
-        by_row: dict = {}
-        cls_of = [by_row.setdefault(frozenset(row.items()), len(by_row)) for row in rows]
-        if len(by_row) == len(row_of):
-            return levels, [rows[at] for at in row_of]
-        reps = [None] * len(by_row)
-        for row, c in zip(rows, cls_of):
-            reps[c] = row
-        cls = [cls_of[at] for at in row_of]
+    # once the rows are distinct, cls is the identity
+    while len(reps) < len(cls):
         levels.append((cls, reps))
-        rows = []
-        for rep in reps:
-            lumped: dict = {}
-            for j, v in rep.items():
-                lumped[cls[j]] = lumped.get(cls[j], 0) + v
-            rows.append(lumped)
-        row_of = range(len(rows))
-
-
-def _lift(levels: list, masses: list[int]) -> list[int]:
-    """Masses of the innermost lumped chain lifted to P's states, one step
-    per level: x_j = sum_c m_c reps[c][j]."""
-    for cls, reps in reversed(levels):
-        lifted = [0] * len(cls)
-        for m, rep in zip(masses, reps):
-            for j, v in rep.items():
-                lifted[j] += m * v
-        masses = lifted
-    return masses
+        cls, reps = _lumped(reps, cls)
+    return levels, reps
 
 
 def stationary_exact(P: ChainMatrix) -> Distribution:
@@ -505,7 +525,8 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
     for masses in candidates:
         if masses is None:
             continue
-        masses = _lift(levels, masses)
+        for cls, reps in reversed(levels):
+            masses = _push(masses, reps, [0] * len(cls))
         if first_unbalanced(P, Distribution(P.states, masses)) is None:
             total = sum(masses)
             return Distribution(P.states, tuple(Fraction(a, total) for a in masses))
@@ -521,11 +542,7 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
     rows = [floats[at] for at in P._row_of]
     delta = float("inf")
     for _ in range(max_iter):
-        nxt = [0.0] * n
-        for i, w in enumerate(vec):
-            if w:
-                for j, v in rows[i].items():
-                    nxt[j] += w * v
+        nxt = _push(vec, rows, [0.0] * n)
         delta = sum(abs(a - b) for a, b in zip(vec, nxt)) / 2
         vec = nxt
         if delta < tol:
@@ -547,16 +564,11 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
     M = lcm(*(w.denominator for w in masses.weights))
     scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
     D = P._denominator
-    rows = P._integer_rows
     # the states holding one row object step together, with their summed mass
-    mass = [0] * len(rows)
+    mass = [0] * len(P._distinct)
     for a, at in zip(scaled, P._row_of):
         mass[at] += a
-    inflow = [0] * P.size
-    for a, row in zip(mass, rows):
-        if a:
-            for j, v in row.items():
-                inflow[j] += a * v
+    inflow = _push(mass, P._integer_rows, [0] * P.size)
     return next((s for s, a, x in zip(P.states, scaled, inflow) if x != D * a), None)
 
 
@@ -565,9 +577,9 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
 
     Returns (True, None) or (False, counterexample) where the counterexample
     is (enriched state, base state, class sum, expected entry). Exact chains
-    only: class sums of D·Pt, taken once per distinct row, are
-    cross-multiplied with the entries of D·P, once per pair of a distinct
-    row of Pt and the distinct row of P it must lump to.
+    only: the class sums of D·Pt are cross-multiplied with the entries of
+    D·P, once per pair of a group of Pt's rows with equal class sums and the
+    distinct row of P it must lump to.
     """
     for s in Pt.states:
         if s not in f.mapping:
@@ -579,23 +591,17 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
         s = Pt.states[base_of.index(None)]
         raise ValueError(f"lumping map sends {s} to {f.mapping[s]}, not a base state")
     Dt, D = Pt._denominator, P._denominator
-    class_sums = []
-    for row in Pt._integer_rows:
-        sums: dict[int, int] = {}
-        for y, v in row.items():
-            b = base_of[y]
-            sums[b] = sums.get(b, 0) + v
-        class_sums.append(sums)
+    of, class_sums = _lumped(Pt._integer_rows, base_of)
     base_rows, base_row_of = P._integer_rows, P._row_of
-    # the check reads x only through its pair of distinct rows, so a pair
-    # already checked passed; the first failing x is found all the same
+    # the check reads x only through its pair of (class sums, base row), so
+    # a pair already checked passed; the first failing x is found all the same
     checked = set()
     for x, at in enumerate(Pt._row_of):
-        pair = (at, base_row_of[base_of[x]])
+        pair = (of[at], base_row_of[base_of[x]])
         if pair in checked:
             continue
         checked.add(pair)
-        sums, brow = class_sums[at], base_rows[pair[1]]
+        sums, brow = class_sums[pair[0]], base_rows[pair[1]]
         for b in set(sums) | set(brow):
             if sums.get(b, 0) * D != brow.get(b, 0) * Dt:
                 got = sum((v for y, v in Pt.rows[x].items() if base_of[y] == b), 0)
@@ -605,32 +611,22 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
 
 def _power_ladder(P: ChainMatrix):
     """Yield (cls, vecs) for k = 0, 1, 2, ...; row i of (D·P)^k is vecs[cls[i]],
-    D = P._denominator.
+    D = P._denominator, a dict of its nonzero entries.
 
     Row i of (D·P)^k is sum_c (sum of (D·P)_ij over j in class c of level
     k-1) * vec_c, lumped once per distinct row of P and built once per
     distinct lumped row; equal rows share a class. P has no negative entry, so
-    no sum cancels and the frozen rows of (index, int) pairs hold no zeros.
+    no sum cancels and the rows hold no zeros.
     """
     rows = P._integer_rows
     cls = list(range(P.size))
-    vecs = [frozenset({(i, 1)}) for i in range(P.size)]
+    vecs = [{i: 1} for i in range(P.size)]
     while True:
         yield cls, vecs
-        by_lumped, by_vec, row_cls = {}, {}, []
-        for row in rows:
-            lumped: dict = {}
-            for j, v in row.items():
-                lumped[cls[j]] = lumped.get(cls[j], 0) + v
-            key = frozenset(lumped.items())
-            if key not in by_lumped:
-                vec: dict = {}
-                for a, w in lumped.items():
-                    for k, x in vecs[a]:
-                        vec[k] = vec.get(k, 0) + w * x
-                by_lumped[key] = by_vec.setdefault(frozenset(vec.items()), len(by_vec))
-            row_cls.append(by_lumped[key])
-        cls, vecs = [row_cls[at] for at in P._row_of], list(by_vec)
+        of, lumped = _lumped(rows, cls)
+        at, vecs = _lumped([_push(row.values(), map(vecs.__getitem__, row), defaultdict(int))
+                            for row in lumped])
+        cls = [at[of[r]] for r in P._row_of]
 
 
 def ultrafast_check(P: ChainMatrix, m: int):
@@ -641,8 +637,7 @@ def ultrafast_check(P: ChainMatrix, m: int):
     _, vecs = next(islice(_power_ladder(P), m, None))
     if len(vecs) != 1:
         return False, None
-    common = dict(vecs[0])
-    weights = tuple(Fraction(common.get(j, 0), scale) for j in range(P.size))
+    weights = tuple(Fraction(vecs[0].get(j, 0), scale) for j in range(P.size))
     return True, Distribution(P.states, weights)
 
 
@@ -653,7 +648,7 @@ def nilpotency_check(P: ChainMatrix, n: int) -> bool:
     D = P._denominator
     (cls_n, vecs_n), (cls_next, vecs_next) = islice(_power_ladder(P), n, n + 2)
     # (D·P)^(n+1) = D·(D·P)^n exactly when P^(n+1) = P^n
-    return all(frozenset((k, D * x) for k, x in vecs_n[a]) == vecs_next[b]
+    return all({k: D * x for k, x in vecs_n[a].items()} == vecs_next[b]
                for a, b in set(zip(cls_n, cls_next)))
 
 

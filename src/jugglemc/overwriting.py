@@ -22,8 +22,8 @@ matrix lumping replays each recorded juggler choice onto the same free
 heights, one grid column at a time from the right. `lump_matrices` lumps a
 whole state list in one call: it replays each distinct pair of (lumped
 columns to the right, grid column) once and builds each distinct tableau
-once, where `lump_matrix` replays a single grid without that memo. The
-fiber law (`matrix_fiber_law`) is the word-law sweep one level up: it sums
+once; `lump_matrix` is its call on a single grid. The fiber law
+(`matrix_fiber_law`) is the word-law sweep one level up: it sums
 the matrix law over each tableau's fiber in one right-to-left sweep over the
 grid columns, keeping the summed mass per partial lump, so it lists no
 matrix state. A word step reads w only past its first letter, and a
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -382,13 +381,6 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     return build_matrix(states, successors, key=_matrix_body)
 
 
-def _replay_order(M: MatrixState) -> tuple[list, int]:
-    """M's grid columns, last first, and T; M is checked."""
-    T = len(M.grid) + 1
-    _check_matrix(M, len(M.grid[0]), T)
-    return list(zip(*M.grid))[::-1], T
-
-
 def _replay_column(right: tuple, choices: tuple) -> tuple:
     """Columns k..n of a lump, from its columns k+1..n (`right`) and grid
     column k: type i lands on the pos-th free height of column k, pos being
@@ -404,10 +396,8 @@ def _replay_column(right: tuple, choices: tuple) -> tuple:
 
 def lump_matrix(M: MatrixState) -> Tableau:
     """Replay the juggler choices into a staircase tableau, right column
-    first; one grid shares no replay, so this skips the memo of
-    `lump_matrices`."""
-    columns, T = _replay_order(M)
-    return Tableau._make((reduce(_replay_column, columns, ()), T))
+    first: `lump_matrices` of the one grid."""
+    return lump_matrices((M,))[0]
 
 
 def lump_matrices(states) -> list[Tableau]:
@@ -422,17 +412,21 @@ def lump_matrices(states) -> list[Tableau]:
     tableaux: dict = {}
     out = []
     for M in states:
-        columns, T = _replay_order(M)
+        T = len(M.grid) + 1
+        _check_matrix(M, len(M.grid[0]), T)
         cols = ()
-        for column in columns:
+        for column in reversed(list(zip(*M.grid))):
+            # a tuple key is hashed at each lookup, so look it up once
             key = (cols, column)
-            if key not in replayed:
-                replayed[key] = _replay_column(cols, column)
-            cols = replayed[key]
+            nxt = replayed.get(key)
+            if nxt is None:
+                nxt = replayed[key] = _replay_column(cols, column)
+            cols = nxt
         key = (cols, T)
-        if key not in tableaux:
-            tableaux[key] = Tableau._make(key)
-        out.append(tableaux[key])
+        V = tableaux.get(key)
+        if V is None:
+            V = tableaux[key] = Tableau._make(key)
+        out.append(V)
     return out
 
 

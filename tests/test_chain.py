@@ -556,6 +556,41 @@ def test_overwriting_lumps_to_one_state():
     assert pi.weights == gauss_jordan_stationary(P)
 
 
+def nested_lumpings(P: ChainMatrix) -> tuple[list, list[tuple]]:
+    """_lumpings by dense Fraction rows: the states with equal rows form a
+    class, numbered in order of first state, and the classes are the states
+    of the next level, each holding its row summed over the classes; until
+    the rows are distinct."""
+    rows = [tuple(F(P.rows[i].get(j, 0)) for j in range(P.size)) for i in range(P.size)]
+    levels = []
+    while len(set(rows)) < len(rows):
+        reps = list(dict.fromkeys(rows))
+        cls = [reps.index(row) for row in rows]
+        levels.append((cls, reps))
+        rows = [tuple(sum((x for x, c in zip(rep, cls) if c == d), F(0))
+                      for d in range(len(reps))) for rep in reps]
+    return levels, rows
+
+
+def dense_integer_rows(rows, size: int) -> list[tuple]:
+    """Integer rows as dense tuples over `size` columns; no row holds a zero."""
+    assert all(0 not in row.values() for row in rows)
+    return [tuple(row.get(j, 0) for j in range(size)) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lumpable_chains())
+def test_lumpings_match_the_nested_dense_lumping(P):
+    levels, rows = chain._lumpings(P)
+    ref_levels, ref_rows = nested_lumpings(P)
+    D = P._denominator
+    assert [cls for cls, _ in levels] == [cls for cls, _ in ref_levels]
+    for (cls, reps), (_, ref_reps) in zip(levels, ref_levels):
+        assert dense_integer_rows(reps, len(cls)) == [
+            tuple(D * x for x in rep) for rep in ref_reps]
+    assert dense_integer_rows(rows, len(rows)) == [tuple(D * x for x in row) for row in ref_rows]
+
+
 def test_stationary_power_agrees_with_exact():
     P = two_state(F(1, 3), F(1, 5))
     exact = stationary_exact(P).normalize()
@@ -1003,6 +1038,26 @@ def test_verify_lumping_names_the_first_state_of_a_recurring_failure():
     assert reference_lumping(Pt, f, P) == want
 
 
+def test_verify_lumping_checks_rows_with_equal_class_sums_against_each_base_row():
+    """Rows a and b of Pt differ but have equal class sums (1/2, 1/2), so
+    they share one group: (group ab, A) passes at states 0 and 2, (c, B) at
+    state 1, and (group ab, B) fails at state 3, which holds b while the
+    group's summed row is a's; (c, A) would fail at state 4."""
+    a, b = {0: F(1, 2), 1: F(1, 2)}, {2: F(1, 4), 4: F(1, 4), 3: F(1, 2)}
+    c = {0: F(1, 3), 5: F(2, 3)}
+    held = [a, c, b, b, c, a]
+    Pt = ChainMatrix(range(6), held)
+    P = build_matrix(["A", "B"], lambda s: ({"A": F(1, 2), "B": F(1, 2)} if s == "A"
+                                           else {"A": F(1, 3), "B": F(2, 3)}).items())
+    f = LumpingMap({x: "AB"[x % 2] for x in range(6)}, P.states)
+    of, sums = chain._lumped(Pt._integer_rows, [x % 2 for x in range(6)])
+    assert len(Pt._distinct) == 3 and of == [0, 1, 0] and len(sums) == 2
+    want = (False, (3, "A", F(1, 2), F(1, 3)))
+    copied = ChainMatrix(Pt.states, [dict(row) for row in held])
+    assert verify_lumping(Pt, f, P) == verify_lumping(copied, f, P) == want
+    assert reference_lumping(Pt, f, P) == want
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
@@ -1150,6 +1205,38 @@ def test_power_checks_match_naive_row_powers():
     # overwriting word chain freezes at its horizon
     assert _base_m_probe(two_state(F(1, 3), F(1, 5)), 4) is None
     assert _base_m_probe(overwriting.build_word_chain(2, 3, THIRDS), 4) == 2
+
+
+def power_ladder_chains():
+    rng = random.Random(24)
+    for _ in range(20):
+        yield random_irreducible_chain(rng)
+        yield random_lumpable_chain(rng)
+    yield build_matrix([0, 1], lambda s: {1 - s: F(1)}.items())  # swap, period 2
+    # every row of P^2 is (1/4, 1/4, 1/2), reached from distinct lumped rows
+    yield build_matrix([0, 1, 2], lambda s: (
+        {2: F(1)}, {0: F(1, 2), 1: F(1, 2)}, {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)})[s].items())
+    yield overwriting.build_word_chain(2, 3, THIRDS)
+    yield overwriting.build_tableau_chain(2, 3, THIRDS)
+
+
+def test_power_ladder_matches_dense_integer_powers():
+    for P in power_ladder_chains():
+        n, D = P.size, P._denominator
+        DP = [[D * P.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+        power = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        ladder = chain._power_ladder(P)
+        for k in range(n + 2):
+            cls, vecs = next(ladder)
+            # the classes are the states with equal rows of (D·P)^k, and
+            # each class's vector is that row
+            assert sorted(set(cls)) == list(range(len(vecs))), (P, k)
+            assert all((cls[i] == cls[j]) == (power[i] == power[j])
+                       for i in range(n) for j in range(n)), (P, k)
+            assert dense_integer_rows(vecs, n) == [
+                power[cls.index(c)] for c in range(len(vecs))], (P, k)
+            power = [tuple(sum(a * DP[m][j] for m, a in enumerate(row)) for j in range(n))
+                     for row in power]
 
 
 def test_power_checks_reject_negative_powers():
