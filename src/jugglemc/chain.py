@@ -13,8 +13,13 @@ reconstruction, lifts it back to P's states and returns it, as Fractions,
 only once the one-step certificate `first_unbalanced` proves it on P;
 otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
-D·P, D the lcm of the entry denominators; D·P is computed on first use and
-kept on the chain. They share two kernels: `_lumped` groups rows by their
+D·P, D the lcm of the entry denominators. A chain built from an exact walk
+(`build_matrix` on (num, den) moves) holds only D·P and makes its Fraction
+rows when they are first read; a chain given as values computes D·P on
+first use. Either way the form is kept on the chain, and the breadth-first
+levels, the period and the samplers' floats read whichever form it holds
+(`ChainMatrix._held`) without making the other. The
+D·P readers share two kernels: `_lumped` groups rows by their
 sums over a partition of the columns (the solver's levels, each row power,
 the class sums of `verify_lumping`), and `_push` adds one step of masses
 through rows (the solver's lift, the certificate, power iteration, each
@@ -59,18 +64,69 @@ _mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
 
 
 class ChainMatrix:
-    """An enumerated finite Markov chain with a row-stochastic matrix."""
+    """An enumerated finite Markov chain with a row-stochastic matrix.
 
-    def __init__(self, states: Sequence, rows: Sequence[Mapping[int, object]]):
+    `ChainMatrix(states, rows)` takes each row as values (ints, Fractions or
+    floats) and holds them as given. `ChainMatrix(states, rows,
+    denominators)` takes row i as ints over denominators[i], summing to it,
+    as `build_matrix` hands over an exact walk's rows. It holds the integer
+    form D·P, D reduced to the lcm of the entries' denominators in lowest
+    terms, and makes the Fraction rows (`rows`) only when they are first
+    read, with the values, key order and types a value-built chain has.
+    Either way a row object held by several states is checked, cleaned and
+    stored once: _row_of[i] indexes state i's row among the distinct rows.
+    """
+
+    def __init__(self, states: Sequence, rows: Sequence[Mapping[int, object]],
+                 denominators: Optional[Sequence[int]] = None):
         self.states = tuple(states)
-        if len(rows) != len(self.states):
+        if len(rows) != len(self.states) or (denominators is not None
+                                             and len(denominators) != len(rows)):
             raise ValueError("one row per state required")
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
+        if denominators is None:
+            self._hold_values(rows)
+        else:
+            self._hold_integers(rows, denominators)
+
+    def _hold_integers(self, rows: Sequence[Mapping[int, int]], denominators: Sequence[int]):
         size = len(self.states)
-        # a row object held by several states is checked and cleaned once, at
-        # its first state; _row_of[i] indexes state i's row in _distinct
+        first_use: dict[int, int] = {}
+        distinct: list[dict] = []
+        # each distinct row's gcd g and reduced denominator d / g
+        reduced: list[tuple[int, int]] = []
+        row_of: list[int] = []
+        for i, (row, d) in enumerate(zip(rows, denominators)):
+            at = first_use.get(id(row))
+            if at is None:
+                at = first_use[id(row)] = len(distinct)
+                values = row.values()
+                least = min(values, default=0)
+                if least < 0 or min(row, default=0) < 0 or max(row, default=0) >= size:
+                    _checked_row(i, row, size)  # raises the first bad entry's error
+                if (total := sum(values)) != d:
+                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(total, d)}")
+                if least == 0:
+                    row = {j: v for j, v in row.items() if v}
+                g = gcd(*values)
+                distinct.append(row)
+                reduced.append((g, d // g))
+            row_of.append(at)
+        # D is the lcm of the reduced row denominators: the lcm of every
+        # entry's denominator in lowest terms, as a value-built chain has it
+        D = lcm(*(e for _, e in reduced))
+        ints = [row if g == 1 and e == D else {j: v // g * (D // e) for j, v in row.items()}
+                for row, (g, e) in zip(distinct, reduced)]
+        # fill the caches of _denominator and _integer_rows; `rows` and
+        # _distinct are made from them when first read
+        vars(self).update(_denominator=D, _integer_rows=ints)
+        self._row_of = row_of
+        self.exact = True
+
+    def _hold_values(self, rows: Sequence[Mapping[int, object]]):
+        size = len(self.states)
         first_use: dict[int, int] = {}
         distinct: list[dict] = []
         row_of: list[int] = []
@@ -111,13 +167,26 @@ class ChainMatrix:
             distinct.append(r)
         self._distinct = tuple(distinct)
         self._row_of = row_of
-        self.rows = tuple(distinct[at] for at in row_of)
         self.exact = exact
+
+    @cached_property
+    def rows(self) -> tuple:
+        """One dict per state, successor index -> probability, nonzero
+        entries only; a chain built on integers makes them on first read."""
+        return tuple(self._distinct[at] for at in self._row_of)
+
+    @cached_property
+    def _distinct(self) -> tuple:
+        """The distinct rows as values; a chain built on integers makes them
+        on first read, one Fraction per entry of D·P over D."""
+        D = self._denominator
+        return tuple({j: Fraction(v, D) for j, v in row.items()} for row in self._integer_rows)
 
     @cached_property
     def _denominator(self) -> int:
         """D, the lcm of the entry denominators, so that D·P is a matrix of
-        ints; computed on first use and kept."""
+        ints; given by a chain built on integers, else computed on first use
+        and kept."""
         if not self.exact:
             raise ValueError("the integer form D·P needs exact probabilities")
         return lcm(*(v.denominator for row in self._distinct for v in row.values()))
@@ -125,11 +194,22 @@ class ChainMatrix:
     @cached_property
     def _integer_rows(self) -> list[dict]:
         """The distinct rows of D·P, aligned with _distinct and read through
-        _row_of, with P's keys in P's order; computed on first use and kept,
-        so no caller may change them."""
+        _row_of, with P's keys in P's order; given by a chain built on
+        integers, else computed on first use and kept, so no caller may
+        change them."""
         D = self._denominator
         return [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
                 for row in self._distinct]
+
+    def _held(self) -> tuple[Sequence[Mapping], Optional[int]]:
+        """The distinct rows in a form the chain already holds, with their
+        scale: its values and None, or D·P and D when it was built on
+        integers and has not made its values. Both forms have the same keys
+        in the same order, so a reader of keys or floats makes neither."""
+        held = vars(self)
+        if "_distinct" in held:
+            return held["_distinct"], None
+        return held["_integer_rows"], held["_denominator"]
 
     @cached_property
     def levels(self) -> Optional[list[int]]:
@@ -137,10 +217,12 @@ class ChainMatrix:
         when the nonzero pattern is not strongly connected, that is when a
         sweep from state 0 forward or backward misses a state; computed on
         first use and kept."""
-        if not self.rows or -1 in (level := _levels(self.rows)):
+        distinct, _ = self._held()
+        rows = [distinct[at] for at in self._row_of]
+        if not rows or -1 in (level := _levels(rows)):
             return None
-        back: list[list[int]] = [[] for _ in self.rows]
-        for i, row in enumerate(self.rows):
+        back: list[list[int]] = [[] for _ in rows]
+        for i, row in enumerate(rows):
             for j in row:
                 back[j].append(i)
         return None if -1 in _levels(back) else level
@@ -229,34 +311,61 @@ def build_matrix(states: Sequence, successors: Callable, *,
                  key: Optional[Callable] = None) -> ChainMatrix:
     """Assemble a ChainMatrix from a per-state successor generator.
 
-    successors(state) yields (successor state, probability) pairs; a
-    successor yielded more than once gets the sum of its probabilities, added
-    in the order they come. Successors outside `states` raise
-    UnknownSuccessor, bad row sums RowSumError. With `key`, successors(state)
-    must depend on the state only through key(state): each distinct key's row
-    is built once, from its first state, and the same row object is handed to
-    the others, so ChainMatrix checks, scales and lumps it once.
+    successors(state) yields (successor state, probability) pairs. An exact
+    walk gives each probability as a pair (num, den) of ints: a row of such
+    moves is summed over the lcm of its move denominators, taken as they
+    come, and the chain is built on integers, ChainMatrix(states, rows,
+    denominators), with no Fraction made. Otherwise each probability is a
+    value (int, Fraction or float); a row's moves are all pairs or all
+    values. Either way a successor yielded more than once gets the sum of
+    its probabilities, added in the order they come, and keeps the place of
+    its first move. Successors outside `states` raise UnknownSuccessor, bad
+    row sums RowSumError, and a chain with rows of both kinds ValueError.
+    With `key`, successors(state) must depend on the state only
+    through key(state): each distinct key's row is built once, from its
+    first state, and the same row object is handed to the others, so
+    ChainMatrix checks, scales and lumps it once.
     """
     index = {s: i for i, s in enumerate(states)}
 
-    def row_of(s) -> dict:
-        row = {}
+    def row_of(s) -> tuple[dict, Optional[int]]:
+        """s's row and its denominator, None for a row of values."""
+        row: dict = {}
+        d = None
         for succ, v in successors(s):
             j = index.get(succ)
             if j is None:
                 raise UnknownSuccessor(f"transition {s} -> {succ} leaves the state list")
+            if type(v) is tuple:
+                v, den = v
+                if d is None:
+                    d = den
+                elif den != d:
+                    if d % den:
+                        # the row so far moves to the lcm of the two
+                        m = lcm(d, den)
+                        f = m // d
+                        row = {k: x * f for k, x in row.items()}
+                        d = m
+                    v *= d // den
             row[j] = row[j] + v if j in row else v
-        return row
+        return row, d
 
     if key is None:
-        return ChainMatrix(states, [row_of(s) for s in states])
-    built: dict = {}
-    rows = []
-    for s in states:
-        k = key(s)
-        if k not in built:
-            built[k] = row_of(s)
-        rows.append(built[k])
+        built = [row_of(s) for s in states]
+    else:
+        by_key: dict = {}
+        built = []
+        for s in states:
+            k = key(s)
+            if k not in by_key:
+                by_key[k] = row_of(s)
+            built.append(by_key[k])
+    rows, dens = [row for row, _ in built], [d for _, d in built]
+    if None not in dens:
+        return ChainMatrix(states, rows, dens)
+    if any(dens):
+        raise ValueError("a chain's moves must all be (num, den) pairs or all values")
     return ChainMatrix(states, rows)
 
 
@@ -290,9 +399,10 @@ def chain_period(P: ChainMatrix) -> int:
     level = P.levels
     if level is None:
         raise ReducibleChain("period is defined for irreducible chains only")
+    distinct, _ = P._held()
     g = 0
-    for u, row in enumerate(P.rows):
-        for v in row:
+    for u, at in enumerate(P._row_of):
+        for v in distinct[at]:
             g = gcd(g, level[u] + 1 - level[v])
     return g
 
@@ -358,10 +468,15 @@ def _solve_modulo(rows: Sequence[Mapping[int, int]], D: int, p: int) -> Optional
     variable in the fewest live equations (the lowest on ties), popped from
     a heap in which every column the pivot row touches gets a fresh key,
     and its row is the shortest of those equations, scaled to a leading 1,
-    so an update touches only the pivot row's entries. The one variable
-    left without a pivot is set to 1. Back-substitution runs mod p, and the
-    fractions are read off by rational reconstruction of x_i times a
-    running common denominator, which keeps most of them integers.
+    so an update touches only the pivot row's entries. An update stores
+    and adds its products unreduced; an entry is reduced mod p only when it
+    is read, as a row's factor or in its pivot row. So an entry that
+    cancels to 0 mod p stays in its equation: a factor of 0 skips its row,
+    a pivot row drops its zero entries, and a pivot entry of 0 drops its
+    row from the column, and the next shortest row is tried. The one
+    variable left without a pivot is set to 1. Back-substitution runs mod
+    p, and the fractions are read off by rational reconstruction of x_i
+    times a running common denominator, which keeps most of them integers.
     """
     n = len(rows)
     if D >= p:
@@ -385,27 +500,36 @@ def _solve_modulo(rows: Sequence[Mapping[int, int]], D: int, p: int) -> Optional
         live = col_rows[pv]
         if count != len(live) or not count:
             continue  # a stale key, or a column with no live equation
-        pr = min(live, key=lambda r: len(equations[r]))
-        peq = equations[pr]
-        inv = pow(peq.pop(pv), -1, p)
-        pivot_row = {v: c * inv % p for v, c in peq.items()}
+        while live:
+            pr = min(live, key=lambda r: len(equations[r]))
+            peq = equations[pr]
+            lead = peq.pop(pv) % p
+            if lead:
+                break
+            live.discard(pr)  # the entry cancelled: pv is not in this row
+        else:
+            continue
+        inv = pow(lead, -1, p)
+        pivot_row = {}
+        for v, c in peq.items():
+            col_rows[v].discard(pr)
+            if c := c * inv % p:
+                pivot_row[v] = c
         for r in live:
             if r == pr:
                 continue
             eq = equations[r]
-            factor = p - eq.pop(pv)
+            factor = -eq.pop(pv) % p
+            if not factor:
+                continue
             for v, c in pivot_row.items():
-                if v not in eq:
-                    eq[v] = factor * c % p
-                    col_rows[v].add(r)
-                elif nv := (eq[v] + factor * c) % p:
-                    eq[v] = nv
+                if v in eq:
+                    eq[v] += factor * c
                 else:
-                    del eq[v]
-                    col_rows[v].discard(r)
+                    eq[v] = factor * c
+                    col_rows[v].add(r)
         live.clear()
-        for v in pivot_row:
-            col_rows[v].discard(pr)
+        for v in peq:
             if col_rows[v]:
                 heappush(heap, (len(col_rows[v]), v))
         order.append((pv, pivot_row))
@@ -538,7 +662,7 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
     _require_irreducible(P)
     n = P.size
     vec = [1.0 / n] * n
-    floats = [{j: float(v) for j, v in row.items()} for row in P._distinct]
+    floats = _float_rows(P)
     rows = [floats[at] for at in P._row_of]
     delta = float("inf")
     for _ in range(max_iter):
@@ -565,7 +689,7 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
     scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
     D = P._denominator
     # the states holding one row object step together, with their summed mass
-    mass = [0] * len(P._distinct)
+    mass = [0] * len(P._integer_rows)
     for a, at in zip(scaled, P._row_of):
         mass[at] += a
     inflow = _push(mass, P._integer_rows, [0] * P.size)
@@ -660,6 +784,16 @@ def total_variation(p: Distribution, q: Distribution):
     return diff / 2
 
 
+def _float_rows(P: ChainMatrix) -> list[dict]:
+    """P's distinct rows as floats, from the form P holds: float(v) of each
+    value, or each entry of D·P divided by D, which is the same correctly
+    rounded float of the same rational."""
+    distinct, D = P._held()
+    if D is None:
+        return [{j: float(v) for j, v in row.items()} for row in distinct]
+    return [{j: v / D for j, v in row.items()} for row in distinct]
+
+
 def _check_seed(seed: int) -> None:
     # random.Random seeds from abs(seed), so -5 would replay the stream of 5
     if seed < 0:
@@ -670,9 +804,9 @@ def _cumulative_rows(P: ChainMatrix) -> list[tuple[list[int], list[float], float
     """Per state, the successors of its row in index order, their running
     float sums and the total; made once per distinct row and shared."""
     tables = []
-    for row in P._distinct:
+    for row in _float_rows(P):
         items = sorted(row.items())
-        cum = list(accumulate(float(v) for _, v in items))
+        cum = list(accumulate(v for _, v in items))
         tables.append(([j for j, _ in items], cum, cum[-1]))
     return [tables[at] for at in P._row_of]
 

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, islice, repeat
 from math import isfinite
 from operator import mul
@@ -62,6 +62,12 @@ class ModelSpec:
     balls: Optional[int] = None
     z: Optional[tuple] = None
     activities: Optional[tuple] = None
+
+    @cached_property
+    def params(self) -> ParamSet:
+        """The weights as one ParamSet, built on first use and shared by
+        every step of the command; only add_drop's carries activities."""
+        return ParamSet(self.z, self.activities if self.model == "add_drop" else None)
 
 
 def _is_decimal(text: str) -> bool:
@@ -195,7 +201,7 @@ def _validate(spec: ModelSpec):
                   f"add_drop needs --activities with T = {spec.T} entries")
             _need(spec.z[0] > 0, "add_drop needs z_1 > 0: y_1 = z_1 divides its rates")
         else:
-            _need(ParamSet(spec.z).normalized,
+            _need(spec.params.normalized,
                   f"{spec.model} needs z summing to 1, got {sum(spec.z)}")
     else:
         _need(spec.r is not None and spec.c is not None and spec.balls is not None,
@@ -203,12 +209,6 @@ def _validate(spec: ModelSpec):
         _need(spec.r >= 1 and spec.c >= 1, "need r >= 1 and c >= 1")
         _need(0 <= spec.balls <= spec.r * spec.c,
               f"balls must lie in 0..{spec.r * spec.c}")
-
-
-def _params(spec: ModelSpec) -> ParamSet:
-    if spec.model == "add_drop":
-        return ParamSet(spec.z, spec.activities)
-    return ParamSet(spec.z)
 
 
 def _binomial_run(binomials):
@@ -232,21 +232,21 @@ def _grid(spec: ModelSpec) -> tuple:
 
 
 def _msjmc_law(spec: ModelSpec, states: list) -> Distribution:
-    p = _params(spec)
+    p = spec.params
     # each closed form divides by its normalizer inside the one Fraction it makes
     Z = msjmc.partition_function(TypeCounts(spec.counts), p)
     return Distribution(states, tuple(msjmc.stationary_weight(w, p, Z) for w in states))
 
 
 def _add_drop_law(spec: ModelSpec, states: list) -> Distribution:
-    p = _params(spec)
+    p = spec.params
     Z = fluctuating.add_drop_partition(spec.n, spec.T, p)
     return Distribution(states, tuple(fluctuating.add_drop_stationary_weight(w, p, Z)
                                       for w in states))
 
 
 def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
-    p = _params(spec)
+    p = spec.params
     # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
     if p.y_at(1) == 0 and spec.n >= 2 and spec.T >= 2:
         raise DegenerateParams("y_1 = 0 in a cascade factor")
@@ -280,7 +280,7 @@ class Model(NamedTuple):
 
 MODELS: dict[str, Model] = {
     "msjmc": Model(
-        chain=lambda s: msjmc.build_chain(TypeCounts(s.counts), _params(s)), law=_msjmc_law,
+        chain=lambda s: msjmc.build_chain(TypeCounts(s.counts), s.params), law=_msjmc_law,
         # the multinomial n! / prod n_i! is a product of binomials
         sizes=lambda s: _binomial_run(zip(accumulate(s.counts), s.counts)),
         states=lambda s: enumerate_multiset_words(TypeCounts(s.counts)),
@@ -288,20 +288,20 @@ MODELS: dict[str, Model] = {
                                msjmc.enriched_stationary_weight),
         enriched_size=lambda s, p: msjmc.partition_function(TypeCounts(s.counts), p)),
     "add_drop": Model(
-        chain=lambda s: fluctuating.build_add_drop_chain(s.n, s.T, _params(s)), law=_add_drop_law,
+        chain=lambda s: fluctuating.build_add_drop_chain(s.n, s.T, s.params), law=_add_drop_law,
         enriched=lambda s, p: (fluctuating.build_enriched_add_drop_chain(s.n, s.T, p),
                                fluctuating.enriched_add_drop_weight),
         enriched_size=lambda s, p: fluctuating.add_drop_partition(s.n, s.T, p)),
     "annihilation": Model(
-        chain=lambda s: fluctuating.build_annihilation_chain(s.n, s.T, _params(s)),
+        chain=lambda s: fluctuating.build_annihilation_chain(s.n, s.T, s.params),
         law=_annihilation_law,
         enriched=lambda s, p: (fluctuating.build_enriched_annihilation_chain(s.n, s.T, p),
                                fluctuating.enriched_annihilation_weight),
         enriched_size=lambda s, p: fluctuating.add_drop_partition(s.n, s.T, p)),
     # its enrichment is the tableau and matrix tower, which `verify` checks apart
     "overwriting": Model(
-        chain=lambda s: overwriting.build_word_chain(s.n, s.T, _params(s)),
-        law=lambda s, states: overwriting._word_law(states, s.n, s.T, _params(s)),
+        chain=lambda s: overwriting.build_word_chain(s.n, s.T, s.params),
+        law=lambda s, states: overwriting._word_law(states, s.n, s.T, s.params),
         suites=("lumping", "ultrafast", "spectrum", "marginals")),
     "several_jugglers": Model(
         chain=lambda s: jugglers.build_chain(*_grid(s)), law=_juggler_law,
@@ -433,7 +433,7 @@ def _check(checks: list, name: str, bad) -> None:
 
 
 def _lumping_checks(spec: ModelSpec, model: Model, P: ChainMatrix, checks: list):
-    p = _params(spec)
+    p = spec.params
     if model.enriched is None:  # the overwriting tower
         Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
         Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
@@ -493,7 +493,7 @@ def cmd_verify(spec: ModelSpec, args) -> int:
     if "marginals" in suites and not irr:
         checks.append(("closed-form marginals", False, "no unique stationary law"))
     elif "marginals" in suites:
-        p, n, T = _params(spec), spec.n, spec.T
+        p, n, T = spec.params, spec.n, spec.T
         # the closed-form word law, which one exact step certifies as the
         # unique stationary law, and its last-site and last-two totals
         pi = model.law(spec, P.states)

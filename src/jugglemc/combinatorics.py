@@ -3,7 +3,8 @@
 Exact arithmetic uses fractions.Fraction (or int); the float backend uses
 plain floats with a fixed comparison tolerance. An exact ParamSet also keeps
 its weights over common denominators as ints (`ParamTables`), so the model
-walks and product formulas multiply ints and make one Fraction per entry.
+walks multiply ints and hand their moves on as (num, den) pairs, and the
+product formulas and normalizers make one Fraction per entry.
 All position arguments follow the 1-based convention of the transition
 formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
 operations and never stored.

@@ -9,12 +9,14 @@ once (the add-drop normalizer, the annihilation failure factors) and walk
 the cascades from a(2) with msjmc's walk. For exact weights the insertion
 factor is an integer numerator and denominator over the ParamSet's scaling
 (C_j Z / sum_t C_t Y for add-drop, Z and L - Y over powers of L for
-annihilation), the walk multiplies the cascade's Z and Y onto it and makes
-one Fraction per move; for float weights each tail is multiplied onto its
+annihilation), the walk multiplies the cascade's Z and Y onto it and yields
+each move as that pair of ints, which `build_matrix` sums into the chain's
+integer form; for float weights each tail is multiplied onto its
 insertion factor at the leaf. The walk writes the successor as it goes,
 starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built. The
 product formulas read E_w(i) = J[i][w_i] off the same table and multiply
-ints, making one Fraction per state. A word's row depends only on
+ints, making one Fraction per state, and the add-drop normalizer is a sum
+of products of ints over a power of Lc L. A word's row depends only on
 w^- = w_2 .. w_n (the first letter is dropped before anything is read), so
 each w^-'s row is built once and shared by the T words that end in it; an
 enriched state's row likewise depends only on (w^-, v^-) and is built once
@@ -48,7 +50,7 @@ def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
             yield from _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,), (1, a2),
                                  *lead(z[J[a2][j] - 1]), "cascade factor")
     num, den = lead(z[0])
-    yield w.letters[1:] + (j,), (1, w.n + 1), Fraction(num, den) if tables else den * num
+    yield w.letters[1:] + (j,), (1, w.n + 1), (num, den) if tables else den * num
 
 
 def _need_activities(p: ParamSet, T: int):
@@ -94,21 +96,22 @@ def _compositions(n: int, parts: int):
 
 def add_drop_partition(n: int, T: int, p: ParamSet):
     """Z: sum over type histograms of the activity monomial times the
-    product of complete homogeneous factors."""
+    product of complete homogeneous factors. Over p's integer tables each
+    term is a product of ints over (Lc L)^n (c_t = C_t / Lc and h_k(y) =
+    h_k(Y) / L^k), so Z is one Fraction."""
     _need_activities(p, T)
-    total = p.z_at(1) * 0
+    tables = p.tables
+    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
+    total = 0 if tables else p.z[0] * 0
     for comp in _compositions(n, T):
-        term = p.z_at(1) ** 0
+        term = 1 if tables else p.z[0] ** 0
         prefix = 0
-        for i, ni in enumerate(comp, start=1):
-            term = term * p.c_at(i) ** ni
+        for ci, ni in zip(c, comp):
+            term = term * ci ** ni
             prefix += ni
-            upper = n - prefix + 1
-            term = term * complete_homogeneous(
-                ni, [p.y_at(x) for x in range(1, upper + 1)]
-            )
+            term = term * complete_homogeneous(ni, y[: n - prefix + 1])
         total = total + term
-    return total
+    return Fraction(total, (tables.Lc * tables.L) ** n) if tables else total
 
 
 def _annihilation_moves(w: Word, p: ParamSet):
@@ -126,7 +129,7 @@ def _annihilation_moves(w: Word, p: ParamSet):
             return (h, one ** j) if tables else (1, h)
         yield from _insertions(w, J, p, j, lead)
     yield w.letters[1:] + (w.T,), (1, w.n + 1), \
-        Fraction(prod(fails), one ** (w.T - 1)) if tables else prod(fails, start=p.z[0] ** 0)
+        (prod(fails), one ** (w.T - 1)) if tables else prod(fails, start=p.z[0] ** 0)
 
 
 def _annihilation_mass(w: Word, p: ParamSet, sites):

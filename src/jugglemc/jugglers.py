@@ -12,7 +12,6 @@ crosses pairwise distinct.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -76,15 +75,16 @@ def juggler_stationary_weight(A: BallArray) -> int:
 
 def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
     """The caught balls land on each choice of distinct cells left free by
-    drop_row, every choice equally likely. A row depends only on drop_row
-    of its state, so each distinct one's row is built once."""
+    drop_row, every choice equally likely, each move given to build_matrix
+    as the pair (1, number of choices). A row depends only on drop_row of
+    its state, so each distinct one's row is built once."""
     grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
 
     def successors(A: BallArray):
         kept = drop_row(A).cells
         free = [cell for cell in grid if cell not in kept]
         caught = A.balls - len(kept)
-        prob = Fraction(1, comb(len(free), caught))
+        prob = (1, comb(len(free), caught))
         for landed in combinations(free, caught):
             yield BallArray._make((r, c, kept.union(landed))), prob
 

@@ -13,9 +13,12 @@ successor's letters down the recursion, so every sequence it yields comes
 with its successor already written and valid by construction. For exact
 weights the product is an integer numerator and denominator over the
 ParamSet's scaling (Z_k = L z_k, Y_k = L y_k, so each factor is Z / Y), and
-each sequence makes one Fraction; float weights keep the running float
-product. The product formulas likewise read E_w(i) = J[i][w_i] off the same
-table and multiply ints, making one Fraction per state.
+each sequence yields that pair of ints, which `build_matrix` sums over each
+row's lcm into the chain's integer form, making no Fraction; float weights
+keep the running float product. The product formulas likewise read E_w(i) =
+J[i][w_i] off the same table and multiply ints, making one Fraction per
+state, and the partition function is a sum of products of ints over a power
+of L, one Fraction.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], nu
     letters in between shift one slot left and t fills slot cur-1. Each step
     multiplies the product by z_{J(cur, t)} / y_{J(prev, t)}. Over p's
     integer tables num and den are ints, a step multiplies num by
-    Z_{J(cur, t)} and den by Y_{J(prev, t)}, and a sequence yields
-    Fraction(num, den). For float weights num is the running product
+    Z_{J(cur, t)} and den by Y_{J(prev, t)}, and a sequence yields the
+    pair (num, den). For float weights num is the running product
     num * z / y, taken in sequence order, and den a lead factor: a sequence
     yields den * num. J is _j_table(w); `what` names the denominator in
     errors.
@@ -73,7 +76,7 @@ def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], nu
                                  *step, what)
     # the sentinel: J(n+1, t) = 1
     yield head + letters[prev:] + (t,), a + (n + 1,), \
-        Fraction(num * z[0], den * d) if tables else den * (num * z[0] / d)
+        (num * z[0], den * d) if tables else den * (num * z[0] / d)
 
 
 def _bumps(w: Word, p: ParamSet):
@@ -105,15 +108,17 @@ def stationary_weight(w: Word, p: ParamSet, norm=None):
 
 
 def partition_function(counts: TypeCounts, p: ParamSet):
-    """Z = prod_i h_{n_i}(y_1, ..., y_{n - n_1 - ... - n_i + 1})."""
-    n = counts.n
-    acc = p.z_at(1) ** 0
+    """Z = prod_i h_{n_i}(y_1, ..., y_{n - n_1 - ... - n_i + 1}). Over p's
+    integer tables h_k(y) = h_k(Y) / L^k, so Z is a product of ints over
+    L^n, one Fraction."""
+    n, tables = counts.n, p.tables
+    y = tables.Y if tables else p.y
+    acc = 1 if tables else p.z[0] ** 0
     prefix = 0
     for ni in counts.counts:
         prefix += ni
-        upper = n - prefix + 1
-        acc = acc * complete_homogeneous(ni, [p.y_at(j) for j in range(1, upper + 1)])
-    return acc
+        acc = acc * complete_homogeneous(ni, y[: n - prefix + 1])
+    return Fraction(acc, tables.L ** n) if tables else acc
 
 
 def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:

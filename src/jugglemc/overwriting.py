@@ -28,7 +28,11 @@ the matrix law over each tableau's fiber in one right-to-left sweep over the
 grid columns, keeping the summed mass per partial lump, so it lists no
 matrix state. A word step reads w only past its first letter, and a
 tableau or matrix step keeps only a body of its state, so each builder
-builds the row of each distinct w_2 .. w_n or body once.
+builds the row of each distinct w_2 .. w_n or body once. For exact weights
+the three steps multiply ints over the ParamSet's scaling (Z_k = L z_k,
+L - Y_k = L (1 - y_k)), and each move is a pair (num, den), den a power of
+L, which `build_matrix` sums into the chain's integer form without making a
+Fraction; float weights keep their float products.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .chain import ChainMatrix, Distribution, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
@@ -50,30 +54,39 @@ def _overwrites(w: Word, p: ParamSet):
     """Yield (successor letters, probability) for every overwrite sequence B
     of w, lexicographically on the flattened pair list.
 
-    The walk carries the successor's letters and the running product down
-    the recursion. After a pair (b, t), the failure factors
-    1 - y_{J(b+1, s)} of the types s skipped before the next written type
-    all come from row b+1 of the J table, so each node takes them once for
-    every next site; a written type below T then adds z_{J(b', t')}.
+    The walk carries the successor's letters and the running product, as a
+    numerator and a denominator, down the recursion. After a pair (b, t),
+    the failure factors 1 - y_{J(b+1, s)} of the types s skipped before the
+    next written type all come from row b+1 of the J table, so each node
+    takes them once for every next site; a written type below T then adds
+    z_{J(b', t')}. Over p's integer tables each factor is L - Y or Z over
+    L, and a sequence yields the pair (num, den); for float weights the
+    denominators stay 1 and a sequence yields its float product.
     """
-    J, y, z, n, T = _j_table(w), p.y, p.z, w.n, w.T
+    J, n, T, tables = _j_table(w), w.n, w.T, p.tables
+    one, y, z = (tables.L, tables.Y, tables.Z) if tables else (1, p.y, p.z)
 
-    def walk(head: tuple, last_b: int, last_t: int, acc):
-        # pre[t - last_t - 1]: acc times the failures of types last_t+1..t-1
-        pre = [acc]
+    def walk(head: tuple, last_b: int, last_t: int, num, den: int):
+        # pre[t - last_t - 1]: the product times the failures of types last_t+1..t-1
+        pre = [(num, den)]
         for s in range(last_t + 1, T):
-            pre.append(pre[-1] * (1 - y[J[last_b + 1][s] - 1]))
+            a, d = pre[-1]
+            pre.append((a * (one - y[J[last_b + 1][s] - 1]), d * one))
         for b in range(last_b + 1, n + 1):
             body = head + w.letters[last_b : b - 1]
             for t in range(last_t + 1, w.letters[b - 1]):
-                yield from walk(body + (t,), b, t, pre[t - last_t - 1] * z[J[b][t] - 1])
+                a, d = pre[t - last_t - 1]
+                yield from walk(body + (t,), b, t, a * z[J[b][t] - 1], d * one)
         # site n+1 takes any later type; J(n+1, t) = 1 and T costs no z factor
         body = head + w.letters[last_b:]
         for t in range(last_t + 1, T):
-            yield body + (t,), pre[t - last_t - 1] * z[0]
+            a, d = pre[t - last_t - 1]
+            yield body + (t,), (a * z[0], d * one)
         yield body + (T,), pre[-1]
 
-    return walk((), 1, 0, z[0] ** 0)
+    if tables:
+        return walk((), 1, 0, 1, 1)
+    return ((letters, num) for letters, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
 
 
 def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
@@ -200,14 +213,26 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
     return [Tableau._make((cols, T)) for cols in sorted(partial)]
 
 
-def _column_factor(acc, columns, k: int, T: int, p: ParamSet):
-    """acc times column k's factors of the stationary product, type 1 first:
-    with f the free heights of column k for type i, z_{1+f} when i sits in
-    the column, 1 - y_f when it is absent."""
+def _factors(p: ParamSet, ints: bool = False) -> tuple[tuple, tuple]:
+    """(z, fail) for `_column_factor`: z[f] = z_{f+1} and fail[f] = 1 - y_f
+    for f = 0..n+1 (y_0 = 0), p's values; with `ints` its integer tables,
+    Z_{f+1} and L - Y_f, each a factor over L."""
+    if ints:
+        t = p.tables
+        return t.Z, tuple(t.L - y for y in (0,) + t.Y)
+    return p.z, tuple(1 - p.y_at(f) for f in range(len(p.y) + 1))
+
+
+def _column_factor(acc, columns, k: int, T: int, factors: tuple):
+    """acc times column k's T - 1 factors of the stationary product, type 1
+    first: with f the free heights of column k for type i, z_{1+f} when i
+    sits in the column, 1 - y_f when it is absent; `factors` is _factors(p)
+    or its integer tables."""
+    z, fail = factors
     col = columns[k - 1]
     for i in range(1, T):
         free = len(_free_heights(columns, k, i))
-        acc = acc * (p.z_at(1 + free) if i in col else 1 - p.y_at(free))
+        acc = acc * (z[free] if i in col else fail[free])
     return acc
 
 
@@ -216,9 +241,10 @@ def tableau_stationary(V: Tableau, p: ParamSet):
     factors, column 1 first."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
+    factors = _factors(p)
     acc = p.z_at(1) ** 0
     for k in range(1, V.n + 1):
-        acc = _column_factor(acc, V.columns, k, V.T, p)
+        acc = _column_factor(acc, V.columns, k, V.T, factors)
     return acc
 
 
@@ -245,11 +271,17 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(n)
     states = enumerate_tableaux(n, T)
+    tables = p.tables
+    factors = _factors(p, tables is not None)
+    one = 1 if tables else p.z[0] ** 0
+    # over the integer tables a column's T - 1 factors are over L^(T-1)
+    den = tables and tables.L ** (T - 1)
 
     def successors(V: Tableau):
         # the step draws W's fresh first column with the law's column-1 factors
         for W in tableau_successors(V):
-            yield W, _column_factor(p.z_at(1) ** 0, W.columns, 1, T, p)
+            f = _column_factor(one, W.columns, 1, T, factors)
+            yield W, (f, den) if tables else f
 
     return build_matrix(states, successors, key=_shifted_body)
 
@@ -287,13 +319,15 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     """The word law's masses on `states`, all words of length n over 1..T in
     any order; p is checked by the caller."""
     zero = p.z_at(1) * 0
+    factors = _factors(p)
     masses = {(): p.z_at(1) ** 0}
     for k in range(n, 0, -1):
         swept: dict = {}
         for prof, mass in masses.items():
             for col in _column_fillings(n + 1 - k, T, (prof,)):
                 key = tuple(x or m for x, m in zip(col, prof + (0,)))
-                swept[key] = swept.get(key, zero) + _column_factor(mass, (col, prof), 1, T, p)
+                swept[key] = swept.get(key, zero) + _column_factor(mass, (col, prof), 1, T,
+                                                                   factors)
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
     return Distribution(states, tuple(words.get(w.letters, zero) for w in states))
@@ -345,14 +379,14 @@ def matrix_stationary_weight(M: MatrixState, p: ParamSet):
     return acc
 
 
-def _grid_columns(n: int, T: int, p: ParamSet) -> list:
-    """(column, product of its cells' z) for every grid column, in
-    lexicographic order."""
+def _grid_columns(n: int, T: int, z: Sequence, one) -> list:
+    """(column, one times the product of its cells' z) for every grid
+    column, in lexicographic order; z is p.z, or p's Z table with one = 1."""
     columns = []
     for col in product(range(1, n + 2), repeat=T - 1):
-        prob = p.z_at(1) ** 0
+        prob = one
         for x in col:
-            prob = prob * p.z_at(x)
+            prob = prob * z[x - 1]
         columns.append((col, prob))
     return columns
 
@@ -368,8 +402,14 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
         raise NotNormalized("matrix chain needs z summing to 1")
     p.require_arity(n)
     states = enumerate_matrix_states(n, T)
-    # the fresh column's law is the same from every state
-    columns = _grid_columns(n, T, p)
+    # the fresh column's law is the same from every state; over the integer
+    # tables a column's T - 1 cells are over L^(T-1)
+    tables = p.tables
+    if tables:
+        den = tables.L ** (T - 1)
+        columns = [(col, (num, den)) for col, num in _grid_columns(n, T, tables.Z, 1)]
+    else:
+        columns = _grid_columns(n, T, p.z, p.z[0] ** 0)
 
     def successors(M: MatrixState):
         # shift every row right, dropping the last column, and prepend the
@@ -442,7 +482,7 @@ def matrix_fiber_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     listing a matrix state.
     """
     zero = p.z_at(1) * 0
-    columns = _grid_columns(n, T, p)
+    columns = _grid_columns(n, T, p.z, p.z_at(1) ** 0)
     masses = {(): p.z_at(1) ** 0}
     for _ in range(n):
         swept: dict = {}
