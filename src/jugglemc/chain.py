@@ -13,12 +13,12 @@ reconstruction, lifts it back to P's states and returns it, as Fractions,
 only once the one-step certificate `first_unbalanced` proves it on P;
 otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
-D·P, D the lcm of the entry denominators. A chain built from an exact walk
-(`build_matrix` on (num, den) moves) holds only D·P and makes its Fraction
-rows when they are first read; a chain given as values computes D·P on
-first use. Either way the form is kept on the chain, and the breadth-first
-levels, the period and the samplers' floats read whichever form it holds
-(`ChainMatrix._held`) without making the other. The
+D·P, D the lcm of the entry denominators, and every exact chain holds only
+that form: an exact walk hands it over as ints (`build_matrix` on (num, den)
+moves), and exact values (ints and Fractions) are scaled to ints row by row
+when the chain is made. Its Fraction rows are made when they are first
+read; the breadth-first levels, the period and the samplers' floats read
+D·P and never make them. A float chain holds its values and has no D·P. The
 D·P readers share two kernels: `_lumped` groups rows by their
 sums over a partition of the columns (the solver's levels, each row power,
 the class sums of `verify_lumping`), and `_push` adds one step of masses
@@ -66,15 +66,16 @@ _mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
 class ChainMatrix:
     """An enumerated finite Markov chain with a row-stochastic matrix.
 
-    `ChainMatrix(states, rows)` takes each row as values (ints, Fractions or
-    floats) and holds them as given. `ChainMatrix(states, rows,
-    denominators)` takes row i as ints over denominators[i], summing to it,
-    as `build_matrix` hands over an exact walk's rows. It holds the integer
-    form D·P, D reduced to the lcm of the entries' denominators in lowest
-    terms, and makes the Fraction rows (`rows`) only when they are first
-    read, with the values, key order and types a value-built chain has.
-    Either way a row object held by several states is checked, cleaned and
-    stored once: _row_of[i] indexes state i's row among the distinct rows.
+    `ChainMatrix(states, rows, denominators)` takes row i as ints over
+    denominators[i], summing to it, as `build_matrix` hands over an exact
+    walk's rows. `ChainMatrix(states, rows)` takes each row as values: with
+    no float anywhere, each row is scaled to ints over the lcm of its
+    denominators and held the same way; with a float, the chain is a float
+    chain and holds its values. An exact chain holds only the integer form
+    D·P, D reduced to the lcm of the entries' denominators in lowest terms,
+    and makes its Fraction rows (`rows`) only when they are first read. A row
+    object held by several states is checked, scaled and stored once:
+    _row_of[i] indexes state i's row among the distinct rows.
     """
 
     def __init__(self, states: Sequence, rows: Sequence[Mapping[int, object]],
@@ -86,12 +87,16 @@ class ChainMatrix:
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
-        if denominators is None:
+        if denominators is None and any(isinstance(v, float) for row in rows
+                                        for v in row.values()):
             self._hold_values(rows)
         else:
-            self._hold_integers(rows, denominators)
+            self._hold_integers(rows, denominators or repeat(None))
 
-    def _hold_integers(self, rows: Sequence[Mapping[int, int]], denominators: Sequence[int]):
+    def _hold_integers(self, rows: Sequence[Mapping[int, object]],
+                       denominators: Iterable[Optional[int]]):
+        """Hold D·P from each state's row of ints over its denominator, or
+        of exact values where the denominator is None."""
         size = len(self.states)
         first_use: dict[int, int] = {}
         distinct: list[dict] = []
@@ -102,12 +107,13 @@ class ChainMatrix:
             at = first_use.get(id(row))
             if at is None:
                 at = first_use[id(row)] = len(distinct)
+                if d is None:
+                    row, d = _scaled_row(i, row, size)
                 values = row.values()
                 least = min(values, default=0)
                 if least < 0 or min(row, default=0) < 0 or max(row, default=0) >= size:
                     _checked_row(i, row, size)  # raises the first bad entry's error
-                if (total := sum(values)) != d:
-                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(total, d)}")
+                self._require_sum(i, sum(values), d)
                 if least == 0:
                     row = {j: v for j, v in row.items() if v}
                 g = gcd(*values)
@@ -115,101 +121,58 @@ class ChainMatrix:
                 reduced.append((g, d // g))
             row_of.append(at)
         # D is the lcm of the reduced row denominators: the lcm of every
-        # entry's denominator in lowest terms, as a value-built chain has it
-        D = lcm(*(e for _, e in reduced))
-        ints = [row if g == 1 and e == D else {j: v // g * (D // e) for j, v in row.items()}
-                for row, (g, e) in zip(distinct, reduced)]
-        # fill the caches of _denominator and _integer_rows; `rows` and
-        # _distinct are made from them when first read
-        vars(self).update(_denominator=D, _integer_rows=ints)
+        # entry's denominator in lowest terms
+        D = self._denominator = lcm(*(e for _, e in reduced))
+        self._integer_rows = [row if g == 1 and e == D else
+                              {j: v // g * (D // e) for j, v in row.items()}
+                              for row, (g, e) in zip(distinct, reduced)]
         self._row_of = row_of
         self.exact = True
 
     def _hold_values(self, rows: Sequence[Mapping[int, object]]):
+        """Hold a float chain's rows as values: a row holding a float must sum
+        to 1 within FLOAT_TOL, an exact row passes D·P's integer check."""
         size = len(self.states)
         first_use: dict[int, int] = {}
         distinct: list[dict] = []
         row_of: list[int] = []
-        exact = True
         for i, row in enumerate(rows):
-            if id(row) in first_use:
-                row_of.append(first_use[id(row)])
-                continue
-            values = row.values()
-            if any(isinstance(v, float) for v in values):
-                exact = False
+            at = first_use.get(id(row))
+            if at is None:
+                at = first_use[id(row)] = len(distinct)
                 r = _checked_row(i, row, size)
-                values = r.values()
-                exact_row = all(map(is_exact, values))
-                nums = [v.numerator for v in values] if exact_row else None
-            else:
-                # ints and Fractions: sign and zero are the numerator's
-                nums = [v.numerator for v in values]
-                if min(row, default=0) < 0 or max(row, default=0) >= size or min(nums, default=0) < 0:
-                    _checked_row(i, row, size)  # raises the first bad entry's error
-                r = {j: v for j, v, num in zip(row, values, nums) if num}
-                exact_row = True
-            if exact_row:
-                # one integer sum over the lcm of the denominators
-                dens = [v.denominator for v in values]
-                d = lcm(*dens)
-                num = sum([a * (d // b) for a, b in zip(nums, dens)])
-                if num != d:
-                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(num, d)}")
-            else:
-                total = 0
-                for v in values:
-                    total = total + v
-                if not abs(total - 1) <= FLOAT_TOL:
-                    raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
-            first_use[id(row)] = len(distinct)
-            row_of.append(len(distinct))
-            distinct.append(r)
+                if any(isinstance(v, float) for v in r.values()):
+                    total = 0
+                    for v in r.values():
+                        total = total + v
+                    if not abs(total - 1) <= FLOAT_TOL:
+                        raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
+                else:
+                    ints, d = _scaled_row(i, r, size)
+                    self._require_sum(i, sum(ints.values()), d)
+                distinct.append(r)
+            row_of.append(at)
         self._distinct = tuple(distinct)
         self._row_of = row_of
-        self.exact = exact
+        self.exact = False
+
+    def _require_sum(self, i: int, total: int, d: int) -> None:
+        """The integer check of exact row i: its ints over d sum to d."""
+        if total != d:
+            raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(total, d)}")
 
     @cached_property
     def rows(self) -> tuple:
         """One dict per state, successor index -> probability, nonzero
-        entries only; a chain built on integers makes them on first read."""
+        entries only; an exact chain makes them on first read."""
         return tuple(self._distinct[at] for at in self._row_of)
 
     @cached_property
     def _distinct(self) -> tuple:
-        """The distinct rows as values; a chain built on integers makes them
-        on first read, one Fraction per entry of D·P over D."""
+        """The distinct rows as values; an exact chain makes them on first
+        read, one Fraction per entry of D·P over D, in D·P's key order."""
         D = self._denominator
         return tuple({j: Fraction(v, D) for j, v in row.items()} for row in self._integer_rows)
-
-    @cached_property
-    def _denominator(self) -> int:
-        """D, the lcm of the entry denominators, so that D·P is a matrix of
-        ints; given by a chain built on integers, else computed on first use
-        and kept."""
-        if not self.exact:
-            raise ValueError("the integer form D·P needs exact probabilities")
-        return lcm(*(v.denominator for row in self._distinct for v in row.values()))
-
-    @cached_property
-    def _integer_rows(self) -> list[dict]:
-        """The distinct rows of D·P, aligned with _distinct and read through
-        _row_of, with P's keys in P's order; given by a chain built on
-        integers, else computed on first use and kept, so no caller may
-        change them."""
-        D = self._denominator
-        return [{j: v.numerator * (D // v.denominator) for j, v in row.items()}
-                for row in self._distinct]
-
-    def _held(self) -> tuple[Sequence[Mapping], Optional[int]]:
-        """The distinct rows in a form the chain already holds, with their
-        scale: its values and None, or D·P and D when it was built on
-        integers and has not made its values. Both forms have the same keys
-        in the same order, so a reader of keys or floats makes neither."""
-        held = vars(self)
-        if "_distinct" in held:
-            return held["_distinct"], None
-        return held["_integer_rows"], held["_denominator"]
 
     @cached_property
     def levels(self) -> Optional[list[int]]:
@@ -217,7 +180,7 @@ class ChainMatrix:
         when the nonzero pattern is not strongly connected, that is when a
         sweep from state 0 forward or backward misses a state; computed on
         first use and kept."""
-        distinct, _ = self._held()
+        distinct = self._integer_rows if self.exact else self._distinct
         rows = [distinct[at] for at in self._row_of]
         if not rows or -1 in (level := _levels(rows)):
             return None
@@ -244,6 +207,18 @@ class ChainMatrix:
 
     def __repr__(self):
         return f"ChainMatrix({self.size} states)"
+
+
+def _scaled_row(i: int, row: Mapping[int, object], size: int) -> tuple[dict, int]:
+    """Row i of exact values as (its ints over d, d), d the lcm of the
+    entries' denominators, keys in row order; raises on the first bad entry
+    as _checked_row does."""
+    nums = [v.numerator for v in row.values()]
+    if min(row, default=0) < 0 or max(row, default=0) >= size or min(nums, default=0) < 0:
+        _checked_row(i, row, size)
+    dens = [v.denominator for v in row.values()]
+    d = lcm(*dens)
+    return {j: a * (d // b) for j, a, b in zip(row, nums, dens)}, d
 
 
 def _checked_row(i: int, row: Mapping[int, object], size: int) -> dict:
@@ -383,6 +358,14 @@ def _levels(adj: Sequence[Iterable[int]]) -> list[int]:
     return level
 
 
+def _denominator_of(P: ChainMatrix) -> int:
+    """D of P's integer form D·P, read by every D·P reader first: a float
+    chain has no D·P and is refused here."""
+    if not P.exact:
+        raise ValueError("the integer form D·P needs exact probabilities")
+    return P._denominator
+
+
 def _require_irreducible(P: ChainMatrix) -> None:
     if P.levels is None:
         raise ReducibleChain("transition pattern is not strongly connected; "
@@ -399,7 +382,7 @@ def chain_period(P: ChainMatrix) -> int:
     level = P.levels
     if level is None:
         raise ReducibleChain("period is defined for irreducible chains only")
-    distinct, _ = P._held()
+    distinct = P._integer_rows if P.exact else P._distinct
     g = 0
     for u, at in enumerate(P._row_of):
         for v in distinct[at]:
@@ -639,11 +622,9 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
     variable left free has t_free != 0, and every ratio t_i / t_free fits
     the reconstruction.
     """
-    if not P.exact:
-        raise ValueError("stationary_exact needs exact (rational) probabilities")
+    D = _denominator_of(P)
     _require_irreducible(P)
     levels, rows = _lumpings(P)
-    D = P._denominator
     candidates = ((_solve_modulo(rows, D, p) for p in _prime_ladder()) if len(rows) > 1
                   else ([1],))
     for masses in candidates:
@@ -687,7 +668,7 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
         raise ValueError("a stationarity certificate needs exact masses")
     M = lcm(*(w.denominator for w in masses.weights))
     scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
-    D = P._denominator
+    D = _denominator_of(P)
     # the states holding one row object step together, with their summed mass
     mass = [0] * len(P._integer_rows)
     for a, at in zip(scaled, P._row_of):
@@ -714,7 +695,7 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
     if None in base_of:
         s = Pt.states[base_of.index(None)]
         raise ValueError(f"lumping map sends {s} to {f.mapping[s]}, not a base state")
-    Dt, D = Pt._denominator, P._denominator
+    Dt, D = _denominator_of(Pt), _denominator_of(P)
     of, class_sums = _lumped(Pt._integer_rows, base_of)
     base_rows, base_row_of = P._integer_rows, P._row_of
     # the check reads x only through its pair of (class sums, base row), so
@@ -757,7 +738,7 @@ def ultrafast_check(P: ChainMatrix, m: int):
     """True iff all rows of P^m coincide; returns (flag, common row or None)."""
     if m < 0:
         raise ValueError(f"matrix power {m} is negative")
-    scale = P._denominator ** m
+    scale = _denominator_of(P) ** m
     _, vecs = next(islice(_power_ladder(P), m, None))
     if len(vecs) != 1:
         return False, None
@@ -769,7 +750,7 @@ def nilpotency_check(P: ChainMatrix, n: int) -> bool:
     """True iff P^(n+1) = P^n exactly (spectrum contained in {1, 0})."""
     if n < 0:
         raise ValueError(f"matrix power {n} is negative")
-    D = P._denominator
+    D = _denominator_of(P)
     (cls_n, vecs_n), (cls_next, vecs_next) = islice(_power_ladder(P), n, n + 2)
     # (D·P)^(n+1) = D·(D·P)^n exactly when P^(n+1) = P^n
     return all({k: D * x for k, x in vecs_n[a].items()} == vecs_next[b]
@@ -785,13 +766,13 @@ def total_variation(p: Distribution, q: Distribution):
 
 
 def _float_rows(P: ChainMatrix) -> list[dict]:
-    """P's distinct rows as floats, from the form P holds: float(v) of each
-    value, or each entry of D·P divided by D, which is the same correctly
-    rounded float of the same rational."""
-    distinct, D = P._held()
-    if D is None:
-        return [{j: float(v) for j, v in row.items()} for row in distinct]
-    return [{j: v / D for j, v in row.items()} for row in distinct]
+    """P's distinct rows as floats: each entry of D·P divided by D, the
+    correctly rounded float of its rational, or float(v) of each value of a
+    float chain."""
+    if P.exact:
+        D = P._denominator
+        return [{j: v / D for j, v in row.items()} for row in P._integer_rows]
+    return [{j: float(v) for j, v in row.items()} for row in P._distinct]
 
 
 def _check_seed(seed: int) -> None:

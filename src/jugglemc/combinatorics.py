@@ -16,8 +16,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import inf, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+from .errors import DegenerateParams
 
 FLOAT_TOL = 1e-12
 
@@ -128,6 +130,8 @@ class ParamSet:
         total = ys[-1]
         if is_exact(total):
             norm = total == 1
+        elif total == inf:
+            raise ValueError("the throw weights sum past the float range; scale them down")
         else:
             norm = abs(total - 1) <= FLOAT_TOL
         object.__setattr__(self, "normalized", norm)
@@ -155,13 +159,6 @@ class ParamSet:
         if not 1 <= i <= len(self.y):
             raise ValueError(f"y index {i} outside 0..{len(self.y)}")
         return self.y[i - 1]
-
-    def c_at(self, t: int):
-        if self.c is None:
-            raise ValueError("no activities in this parameter set")
-        if not 1 <= t <= len(self.c):
-            raise ValueError(f"c index {t} outside 1..{len(self.c)}")
-        return self.c[t - 1]
 
     def require_arity(self, n: int) -> "ParamSet":
         if len(self.z) != n + 1:
@@ -210,6 +207,16 @@ def _j_table(w: Word) -> list:
     for x in reversed(w.letters):
         J.append([k + (x > t) for t, k in enumerate(J[-1])])
     return [None] + J[::-1]
+
+
+def _float_normalizer(Z: float) -> float:
+    """A normalizer computed in floats, refused when it left the float range:
+    it is positive in exact arithmetic, so 0 is an underflow and inf (or
+    nan) an overflow."""
+    if not 0 < Z < inf:
+        how = "underflows" if Z == 0 else "overflows"
+        raise DegenerateParams(f"the normalizer Z {how} the float range; use exact weights")
+    return Z
 
 
 def complete_homogeneous(degree: int, values: Sequence):

@@ -26,11 +26,11 @@ per pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 
 from .chain import ChainMatrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, _j_table
+    complete_homogeneous, _float_normalizer, _j_table
 from .errors import DegenerateParams, NotNormalized
 from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, \
     _mass, _word_matrix
@@ -67,8 +67,11 @@ def _add_drop_moves(w: Word, p: ParamSet):
     J, tables = _j_table(w), p.tables
     c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
     den = sum(c[t - 1] * y[J[2][t] - 1] for t in range(1, w.T + 1))
-    if den == 0:
+    if den == 0 and y[0] == 0:
         raise DegenerateParams("insertion normalizer is 0")
+    if not 0 < den < inf:  # activities and y_1 are positive: only floats get here
+        how = "underflows" if den == 0 else "overflows"
+        raise DegenerateParams(f"the insertion normalizer {how} the float range; use exact weights")
     for j, cj in enumerate(c, 1):
         yield from _insertions(w, J, p, j, lambda x: (cj * x, den) if tables
                                else (1, cj * x / den))
@@ -103,15 +106,18 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
     tables = p.tables
     c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
     total = 0 if tables else p.z[0] * 0
-    for comp in _compositions(n, T):
-        term = 1 if tables else p.z[0] ** 0
-        prefix = 0
-        for ci, ni in zip(c, comp):
-            term = term * ci ** ni
-            prefix += ni
-            term = term * complete_homogeneous(ni, y[: n - prefix + 1])
-        total = total + term
-    return Fraction(total, (tables.Lc * tables.L) ** n) if tables else total
+    try:
+        for comp in _compositions(n, T):
+            term = 1 if tables else p.z[0] ** 0
+            prefix = 0
+            for ci, ni in zip(c, comp):
+                term = term * ci ** ni
+                prefix += ni
+                term = term * complete_homogeneous(ni, y[: n - prefix + 1])
+            total = total + term
+    except OverflowError:  # only a float power raises it
+        total = inf
+    return Fraction(total, (tables.Lc * tables.L) ** n) if tables else _float_normalizer(total)
 
 
 def _annihilation_moves(w: Word, p: ParamSet):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, TypeCounts, Word, enumerate_multiset_words, \
-    complete_homogeneous, _j_table
+    complete_homogeneous, _float_normalizer, _j_table
 from .errors import DegenerateParams
 
 
@@ -118,7 +118,7 @@ def partition_function(counts: TypeCounts, p: ParamSet):
     for ni in counts.counts:
         prefix += ni
         acc = acc * complete_homogeneous(ni, y[: n - prefix + 1])
-    return Fraction(acc, tables.L ** n) if tables else acc
+    return Fraction(acc, tables.L ** n) if tables else _float_normalizer(acc)
 
 
 def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:

@@ -145,10 +145,10 @@ def add_drop_prob(w: Word, choice: InsertionChoice, p: ParamSet):
         raise ValueError(f"need {w.T} activities")
     j, a = choice
     W = intermediate_word(w, j)
-    den = sum(p.c_at(t) * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1))
+    den = sum(p.c[t - 1] * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1))
     if den == 0:
         raise DegenerateParams("insertion normalizer is 0")
-    return p.c_at(j) * p.z_at(stat_J(W, a[1], j)) / den * _cascade_tail(W, a, p)
+    return p.c[j - 1] * p.z_at(stat_J(W, a[1], j)) / den * _cascade_tail(W, a, p)
 
 
 def annihilation_choices(w: Word) -> list[InsertionChoice]:

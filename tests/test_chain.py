@@ -98,7 +98,8 @@ def test_exact_row_check_is_one_integer_sum():
     P = ChainMatrix(range(4), rows)
     assert P.exact
     assert list(P.rows[3].items()) == [(2, F(1, 6)), (1, F(5, 6))]
-    assert [type(v) for v in P.rows[2].values()] == [int]
+    # an int entry reads back as the Fraction of D·P over D
+    assert list(P.rows[2].items()) == [(0, F(1))]
     # a mix of int and Fraction entries
     assert ChainMatrix(["a", "b"], [{0: 0, 1: F(1)}, {0: 1, 1: F(0)}]).exact
     bad = [
@@ -167,7 +168,7 @@ def test_stationary_exact_two_state():
 
 def test_stationary_exact_refuses_floats():
     P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5}.items())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact probabilities"):
         stationary_exact(P)
 
 
@@ -849,21 +850,24 @@ class CountedFraction(Fraction):
 
 def test_integer_form_is_computed_once_per_chain():
     Pt, f, P = lumpable_pair()
-    counted = [ChainMatrix(X.states, [{j: CountedFraction(v) for j, v in row.items()}
-                                      for row in X.rows]) for X in (Pt, P)]
+    given = [[{j: CountedFraction(v) for j, v in row.items()} for row in X.rows]
+             for X in (Pt, P)]
+    entries = sum(len(row) for rows in given for row in rows)
     CountedFraction.reads = 0
+    counted = [ChainMatrix(X.states, rows) for X, rows in zip((Pt, P), given)]
+    # D·P is made with the chain, reading each entry's numerator once
+    assert CountedFraction.reads == entries
+    rows = [X._integer_rows for X in counted]
     laws = [stationary_exact(X) for X in counted]
     Pt, P = counted
     assert verify_lumping(Pt, f, P) == (True, None)
-    rows = [X._integer_rows for X in counted]
     for X, pi in zip(counted, laws):
         assert first_unbalanced(X, pi) is None
         for m in range(3):
             ultrafast_check(X, m)
             nilpotency_check(X, m)
-    # D·P, first built by the solver, reads each entry's numerator once per
-    # chain, and every later use gets the same rows
-    assert CountedFraction.reads == sum(len(row) for X in counted for row in X.rows)
+    # every later use gets the same rows and reads no given value again
+    assert CountedFraction.reads == entries
     assert all(X._integer_rows is r for X, r in zip(counted, rows))
     assert [X._denominator for X in counted] == [24, 6]
 
@@ -952,9 +956,31 @@ def test_shared_row_is_read_once():
     CountedFraction.reads = 0
     X = ChainMatrix(shared.states, counted)
     assert CountedFraction.reads == 27 * 27
+    # the numerators are read when the chain is made and never again
     ultrafast_check(X, 2)
-    assert CountedFraction.reads == 2 * 27 * 27
     assert X.rows == shared.rows
+    assert CountedFraction.reads == 27 * 27
+
+
+def test_value_built_exact_chain_holds_only_the_integer_form():
+    shared = {2: F(1, 6), 0: 0, 1: F(5, 6)}
+    P = ChainMatrix("abc", [shared, {0: F(1, 2), 2: F(1, 2)}, shared])
+    held = vars(P)
+    assert {"_denominator", "_integer_rows"} <= set(held)
+    assert not {"rows", "_distinct"} & set(held)
+    assert P._row_of == [0, 1, 0]
+    assert P._denominator == 6
+    assert [list(row.items()) for row in P._integer_rows] == [[(2, 1), (1, 5)], [(0, 3), (2, 3)]]
+    row = {2: F(1, 6), 1: F(5, 6)}
+    assert P.rows == (row, {0: F(1, 2), 2: F(1, 2)}, row)
+    assert P.rows[0] is P.rows[2]
+
+
+def test_exact_row_in_float_chain_keeps_its_exact_check():
+    # the row is 1e-15 off 1, well within the float tolerance
+    with pytest.raises(RowSumError) as info:
+        ChainMatrix("ab", [{0: 0.5, 1: 0.5}, {0: F(1, 2), 1: F(1, 2) + F(1, 10**15)}])
+    assert str(info.value) == "row 1 (b) sums to 1000000000000001/1000000000000000"
 
 
 def test_shared_bad_row_names_its_first_state():
@@ -973,18 +999,18 @@ def test_shared_bad_row_names_its_first_state():
             assert type(info.value) is error and str(info.value) == text
 
 
-def test_power_iteration_and_sampling_never_build_the_integer_form(monkeypatch, capsys):
+def test_power_iteration_and_sampling_make_no_fraction_rows(monkeypatch, capsys):
     def refuse(P):
-        raise AssertionError("D·P computed")
+        raise AssertionError("Fraction rows made")
 
-    monkeypatch.setattr(ChainMatrix, "_denominator", property(refuse))
-    monkeypatch.setattr(ChainMatrix, "_integer_rows", property(refuse))
+    monkeypatch.setattr(ChainMatrix, "rows", property(refuse))
+    monkeypatch.setattr(ChainMatrix, "_distinct", property(refuse))
     P = two_state(F(1, 3), F(1, 5))
     stationary_power(P)
     simulate(P, "a", 100, seed=1)
     simulate_replicas(P, "a", 3, 10, seed=1)
     assert chain_period(P) == 1
-    assert not {"_denominator", "_integer_rows"} & set(vars(P))
+    assert not {"rows", "_distinct"} & set(vars(P))
     args = ["--model", "msjmc", "--counts", "1,1,1", "--z", "1/2,1/3,1/6,1/6"]
     for argv in (["simulate", "--steps", "50"], ["simulate", "--replicas", "5"]):
         assert main(argv + args) == 0, argv
@@ -994,9 +1020,9 @@ def test_power_iteration_and_sampling_never_build_the_integer_form(monkeypatch, 
 def test_verify_lumping_refuses_floats():
     Pt, f, P = lumpable_pair()
     floats = build_matrix([0, 1, 2, 3], lambda s: {0: 0.5, 2: 0.5}.items())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact probabilities"):
         verify_lumping(floats, f, P)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact probabilities"):
         verify_lumping(Pt, f, build_matrix(["A", "B"], lambda s: {"A": 0.5, "B": 0.5}.items()))
 
 
@@ -1249,9 +1275,9 @@ def test_power_checks_reject_negative_powers():
 
 def test_power_checks_refuse_floats():
     P = build_matrix([0, 1], lambda s: {0: 0.5, 1: 0.5}.items())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact probabilities"):
         ultrafast_check(P, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact probabilities"):
         nilpotency_check(P, 1)
 
 

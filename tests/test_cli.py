@@ -797,6 +797,32 @@ def test_each_spec_check_prints_its_error_line(capsys, argv, line):
     assert run(capsys, ["enumerate"] + argv) == (1, "", f"error: {line}\n")
 
 
+_TINY_Z = ["--model", "msjmc", "--counts", "1,1", "--z", "1e-320,1e-320,1"]
+_AD_FLOAT = ["--model", "add_drop", "--n", "2", "--T", "2", "--z", "1,1,1", "--backend", "float"]
+_UNDERFLOW = "the normalizer Z underflows the float range; use exact weights"
+
+
+# float weights whose products or sums leave the float range: the law's
+# normalizer underflows to 0 or overflows, or a row's denominator overflows
+@pytest.mark.parametrize("argv,line", [
+    (["stationary"] + _TINY_Z, _UNDERFLOW),
+    (["stationary", "--method", "formula"] + _TINY_Z, _UNDERFLOW),
+    (["simulate"] + _TINY_Z, _UNDERFLOW),
+    (["stationary"] + _AD_FLOAT + ["--activities", "1e-200,1e-200"], _UNDERFLOW),
+    (["stationary"] + _AD_FLOAT + ["--activities", "1e300,1e300"],
+     "the normalizer Z overflows the float range; use exact weights"),
+    (["stationary"] + _AD_FLOAT + ["--activities", "1e308,1e308"],
+     "the insertion normalizer overflows the float range; use exact weights"),
+    (["stationary", "--model", "add_drop", "--n", "2", "--T", "2", "--z", "1e-10,1,1",
+      "--activities", "1e-320,1e-320"],
+     "the insertion normalizer underflows the float range; use exact weights"),
+    (["stationary", "--model", "msjmc", "--counts", "1,1", "--z", "1e308,1e308,1e308"],
+     "the throw weights sum past the float range; scale them down"),
+])
+def test_float_range_errors_print_one_line(capsys, argv, line):
+    assert run(capsys, argv) == (1, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("argv,line", [
     (["--model", "msjmc", "--counts", "3,3,3", "--z", ",".join(["1/10"] * 10)],
      "2058000 enriched states exceed the verify cap 5000"),

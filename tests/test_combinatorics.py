@@ -72,11 +72,9 @@ def test_paramset_rejects_negative():
 
 def test_paramset_activities():
     p = ParamSet((Fraction(1), Fraction(2)), c=(Fraction(3), Fraction(4)))
-    assert p.c_at(1) == 3 and p.c_at(2) == 4
+    assert p.c == (3, 4)
     with pytest.raises(ValueError):
         ParamSet((Fraction(1),), c=(Fraction(0),))
-    with pytest.raises(ValueError):
-        ParamSet((Fraction(1),)).c_at(1)
 
 
 def test_paramset_arity_guard():

@@ -84,7 +84,7 @@ def test_annihilation_choices_cap_type():
 def add_drop_reference(p: ParamSet):
     z1, z2 = p.z_at(1), p.z_at(2)
     y1, y2 = p.y_at(1), p.y_at(2)
-    c1, c2, c3 = p.c_at(1), p.c_at(2), p.c_at(3)
+    c1, c2, c3 = p.c[0], p.c[1], p.c[2]
     l1 = (c1 + c2 + c3) * y1
     l2 = c1 * y2 + (c2 + c3) * y1
     l3 = (c1 + c2) * y2 + c3 * y1
@@ -97,7 +97,7 @@ def add_drop_reference(p: ParamSet):
 
 def add_drop_reference_eigenvector(p: ParamSet):
     y1, y2 = p.y_at(1), p.y_at(2)
-    c1, c2, c3 = p.c_at(1), p.c_at(2), p.c_at(3)
+    c1, c2, c3 = p.c[0], p.c[1], p.c[2]
     return (
         c1 * c1 * y1 * y1,
         c1 * c2 * y1 * y1,

@@ -37,7 +37,7 @@ def reference_weight(model, w, p):
         if model == "msjmc":
             acc = acc * p.y_at(stat_E(w, i))
         elif model == "add_drop":
-            acc = acc * p.c_at(w.letter(i)) * p.y_at(stat_E(w, i))
+            acc = acc * p.c[w.letter(i) - 1] * p.y_at(stat_E(w, i))
         elif w.letter(i) < w.T:
             acc = acc * p.y_at(stat_E(w, i))
     return _failures(acc, w, p) if model == "annihilation" else acc
@@ -49,7 +49,7 @@ def reference_enriched_weight(model, s, p):
         if model == "msjmc":
             acc = acc * p.z_at(x)
         elif model == "add_drop":
-            acc = acc * p.c_at(letter) * p.z_at(x)
+            acc = acc * p.c[letter - 1] * p.z_at(x)
         elif letter < s.w.T:
             acc = acc * p.z_at(x)
     return _failures(acc, s.w, p) if model == "annihilation" else acc
