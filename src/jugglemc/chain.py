@@ -87,79 +87,54 @@ class ChainMatrix:
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
-        if denominators is None and any(isinstance(v, float) for row in rows
-                                        for v in row.values()):
-            self._hold_values(rows)
-        else:
-            self._hold_integers(rows, denominators or repeat(None))
-
-    def _hold_integers(self, rows: Sequence[Mapping[int, object]],
-                       denominators: Iterable[Optional[int]]):
-        """Hold D·P from each state's row of ints over its denominator, or
-        of exact values where the denominator is None."""
+        exact = self.exact = denominators is not None or not any(
+            isinstance(v, float) for row in rows for v in row.values())
         size = len(self.states)
         first_use: dict[int, int] = {}
         distinct: list[dict] = []
-        # each distinct row's gcd g and reduced denominator d / g
+        # an exact chain's distinct rows as ints, with each one's gcd g and
+        # reduced denominator d / g
         reduced: list[tuple[int, int]] = []
         row_of: list[int] = []
-        for i, (row, d) in enumerate(zip(rows, denominators)):
+        for i, (row, d) in enumerate(zip(rows, denominators or repeat(None))):
             at = first_use.get(id(row))
             if at is None:
                 at = first_use[id(row)] = len(distinct)
-                if d is None:
-                    row, d = _scaled_row(i, row, size)
-                values = row.values()
-                least = min(values, default=0)
-                if least < 0 or min(row, default=0) < 0 or max(row, default=0) >= size:
-                    _checked_row(i, row, size)  # raises the first bad entry's error
-                self._require_sum(i, sum(values), d)
-                if least == 0:
-                    row = {j: v for j, v in row.items() if v}
-                g = gcd(*values)
-                distinct.append(row)
-                reduced.append((g, d // g))
-            row_of.append(at)
-        # D is the lcm of the reduced row denominators: the lcm of every
-        # entry's denominator in lowest terms
-        D = self._denominator = lcm(*(e for _, e in reduced))
-        self._integer_rows = [row if g == 1 and e == D else
-                              {j: v // g * (D // e) for j, v in row.items()}
-                              for row, (g, e) in zip(distinct, reduced)]
-        self._row_of = row_of
-        self.exact = True
-
-    def _hold_values(self, rows: Sequence[Mapping[int, object]]):
-        """Hold a float chain's rows as values: a row holding a float must sum
-        to 1 within FLOAT_TOL, an exact row passes D·P's integer check."""
-        size = len(self.states)
-        first_use: dict[int, int] = {}
-        distinct: list[dict] = []
-        row_of: list[int] = []
-        for i, row in enumerate(rows):
-            at = first_use.get(id(row))
-            if at is None:
-                at = first_use[id(row)] = len(distinct)
-                r = _checked_row(i, row, size)
-                if any(isinstance(v, float) for v in r.values()):
+                if not exact:
+                    row = _checked_row(i, row, size)
+                if exact or not any(isinstance(v, float) for v in row.values()):
+                    # ints over d, or exact values scaled to ints over their lcm;
+                    # a float chain keeps an exact row as values
+                    ints, d = (row, d) if d is not None else _scaled_row(i, row, size)
+                    values = ints.values()
+                    least = min(values, default=0)
+                    if least < 0 or min(ints, default=0) < 0 or max(ints, default=0) >= size:
+                        _checked_row(i, ints, size)  # raises the first bad entry's error
+                    if (total := sum(values)) != d:
+                        raise RowSumError(
+                            f"row {i} ({self.states[i]}) sums to {Fraction(total, d)}")
+                    if exact:
+                        row = ints if least else {j: v for j, v in ints.items() if v}
+                        g = gcd(*values)
+                        reduced.append((g, d // g))
+                else:
                     total = 0
-                    for v in r.values():
+                    for v in row.values():
                         total = total + v
                     if not abs(total - 1) <= FLOAT_TOL:
                         raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
-                else:
-                    ints, d = _scaled_row(i, r, size)
-                    self._require_sum(i, sum(ints.values()), d)
-                distinct.append(r)
+                distinct.append(row)
             row_of.append(at)
-        self._distinct = tuple(distinct)
         self._row_of = row_of
-        self.exact = False
-
-    def _require_sum(self, i: int, total: int, d: int) -> None:
-        """The integer check of exact row i: its ints over d sum to d."""
-        if total != d:
-            raise RowSumError(f"row {i} ({self.states[i]}) sums to {Fraction(total, d)}")
+        if exact:
+            # D is the lcm of the reduced row denominators: the lcm of every
+            # entry's denominator in lowest terms
+            D = self._denominator = lcm(*(e for _, e in reduced))
+            self._integer_rows = [row if g == 1 and e == D else
+                                  {j: v // g * (D // e) for j, v in row.items()}
+                                  for row, (g, e) in zip(distinct, reduced)]
+        else:
+            self._distinct = tuple(distinct)
 
     @cached_property
     def rows(self) -> tuple:

@@ -10,17 +10,18 @@ the cascades from a(2) with msjmc's walk. For exact weights the insertion
 factor is an integer numerator and denominator over the ParamSet's scaling
 (C_j Z / sum_t C_t Y for add-drop, Z and L - Y over powers of L for
 annihilation), the walk multiplies the cascade's Z and Y onto it and yields
-each move as that pair of ints, which `build_matrix` sums into the chain's
-integer form; for float weights each tail is multiplied onto its
-insertion factor at the leaf. The walk writes the successor as it goes,
-starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built. The
-product formulas read E_w(i) = J[i][w_i] off the same table and multiply
-ints, making one Fraction per state, and the add-drop normalizer is a sum
-of products of ints over a power of Lc L. A word's row depends only on
-w^- = w_2 .. w_n (the first letter is dropped before anything is read), so
-each w^-'s row is built once and shared by the T words that end in it; an
-enriched state's row likewise depends only on (w^-, v^-) and is built once
-per pair.
+each move as (successor word, that pair of ints), which `build_matrix` sums
+into the chain's integer form; for float weights each tail is multiplied
+onto its insertion factor at the leaf. The walk writes the successor as it
+goes, starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built,
+and the enriched builders read each move's restarts off the same J table
+of w. The product formulas read E_w(i) = J[i][w_i] off the same table and
+multiply ints, making one Fraction per state, and the add-drop normalizer
+is a sum of products of ints over a power of Lc L. A word's row depends
+only on w^- = w_2 .. w_n (the first letter is dropped before anything is
+read), so each w^-'s row is built once and shared by the T words that end
+in it; an enriched state's row likewise depends only on (w^-, v^-) and is
+built once per pair.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, prod
 
-from .chain import ChainMatrix
+from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
     complete_homogeneous, _float_normalizer, _j_table
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, \
-    _mass, _word_matrix
+from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, _mass
 
 
 def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
-    """Yield (successor letters, a, probability) for every bumping sequence a
-    of j w^-, lexicographically. lead(x), x = z_{J(a(2), j)} (Z over the
+    """Yield (successor word, probability) for every bumping sequence a of
+    j w^-, lexicographically. lead(x), x = z_{J(a(2), j)} (Z over the
     integer tables), is the insertion step's factor as the start (num, den)
     of the _cascades walk, which multiplies in the cascade factors from a(2)
     on. J is _j_table(w), which agrees with the table of j w^- from position
@@ -47,10 +47,10 @@ def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
     z = tables.Z if tables else p.z
     for a2 in range(2, w.n + 1):
         if w.letters[a2 - 1] > j:
-            yield from _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,), (1, a2),
+            yield from _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,),
                                  *lead(z[J[a2][j] - 1]), "cascade factor")
     num, den = lead(z[0])
-    yield w.letters[1:] + (j,), (1, w.n + 1), (num, den) if tables else den * num
+    yield Word._make((w.letters[1:] + (j,), w.T)), (num, den) if tables else den * num
 
 
 def _need_activities(p: ParamSet, T: int):
@@ -59,8 +59,8 @@ def _need_activities(p: ParamSet, T: int):
 
 
 def _add_drop_moves(w: Word, p: ParamSet):
-    """(successor letters, a, probability) for every insertion type j and
-    bumping sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
+    """(successor word, probability) for every insertion type j and bumping
+    sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
     times the cascade; over the integer tables C_j Z_{J(a(2), j)} /
     sum_t C_t Y_{J(2, t)}."""
     _need_activities(p, w.T)
@@ -121,7 +121,7 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
 
 
 def _annihilation_moves(w: Word, p: ParamSet):
-    """(successor letters, a, probability) with cascading attempts: types
+    """(successor word, probability) with cascading attempts: types
     below j all fail, with factors 1 - y_{J(2, t)}, then j lands and bumps;
     type T goes to the top with the leftover mass. Over the integer tables
     the failures are L - Y_{J(2, t)} and j's insertion factor has the
@@ -134,7 +134,7 @@ def _annihilation_moves(w: Word, p: ParamSet):
             h = prod(fails[: j - 1], start=x)
             return (h, one ** j) if tables else (1, h)
         yield from _insertions(w, J, p, j, lead)
-    yield w.letters[1:] + (w.T,), (1, w.n + 1), \
+    yield Word._make((w.letters[1:] + (w.T,), w.T)), \
         (prod(fails), one ** (w.T - 1)) if tables else prod(fails, start=p.z[0] ** 0)
 
 
@@ -164,7 +164,7 @@ def annihilation_stationary(w: Word, p: ParamSet):
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p),
+    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p),
                         key=lambda w: w.letters[1:])
 
 
@@ -172,7 +172,7 @@ def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _word_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p),
+    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p),
                         key=lambda w: w.letters[1:])
 
 

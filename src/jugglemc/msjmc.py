@@ -9,16 +9,19 @@ of the bumping factors z_{J(a(i), t)} / y_{J(a(i-1), t)}, t the type of the
 ball at a(i-1). Sequences with a common prefix share that part of the
 product, so the builders enumerate them with one recursive walk per word
 over a table of J_w. The walk carries the running product and the
-successor's letters down the recursion, so every sequence it yields comes
-with its successor already written and valid by construction. For exact
-weights the product is an integer numerator and denominator over the
-ParamSet's scaling (Z_k = L z_k, Y_k = L y_k, so each factor is Z / Y), and
-each sequence yields that pair of ints, which `build_matrix` sums over each
-row's lcm into the chain's integer form, making no Fraction; float weights
-keep the running float product. The product formulas likewise read E_w(i) =
-J[i][w_i] off the same table and multiply ints, making one Fraction per
-state, and the partition function is a sum of products of ints over a power
-of L, one Fraction.
+successor's letters down the recursion and yields each move as (successor
+word, probability), the pair `build_matrix` takes, so no sequence is kept
+or checked afterwards. For exact weights the product is an integer
+numerator and denominator over the ParamSet's scaling (Z_k = L z_k, Y_k =
+L y_k, so each factor is Z / Y), and each move yields that pair of ints,
+which `build_matrix` sums over each row's lcm into the chain's integer
+form, making no Fraction; float weights keep the running float product.
+The enriched chain reads each move's restarts off the source word's J
+table: a slot a ball landed in restarts at the E of the successor, which
+is J_w one position further up. The product formulas likewise read E_w(i)
+= J[i][w_i] off the same table and multiply ints, making one Fraction per
+state, and the partition function is a sum of products of ints over a
+power of L, one Fraction.
 """
 
 from __future__ import annotations
@@ -43,24 +46,22 @@ class EnrichedState(NamedTuple):
         return f"{self.w}|{''.join(str(x) for x in self.v)}"
 
 
-def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], num, den,
-              what: str):
-    """Yield (successor letters, a', probability) for every bumping sequence
-    a' of w that extends a, lexicographically.
+def _cascades(w: Word, J: list, p: ParamSet, head: tuple, num, den, what: str):
+    """Yield (successor word, probability) for every bumping sequence of w
+    whose first len(head) + 1 positions are fixed, lexicographically.
 
-    head holds the successor's letters before the last position of a, whose
-    ball of type t lands on a heavier ball at cur or at the top n+1: the
-    letters in between shift one slot left and t fills slot cur-1. Each step
-    multiplies the product by z_{J(cur, t)} / y_{J(prev, t)}. Over p's
-    integer tables num and den are ints, a step multiplies num by
-    Z_{J(cur, t)} and den by Y_{J(prev, t)}, and a sequence yields the
-    pair (num, den). For float weights num is the running product
-    num * z / y, taken in sequence order, and den a lead factor: a sequence
-    yields den * num. J is _j_table(w); `what` names the denominator in
-    errors.
+    head holds the successor's letters before prev = len(head) + 1, the last
+    fixed position, whose ball of type t lands on a heavier ball at cur or at
+    the top n+1: the letters in between shift one slot left and t fills slot
+    cur-1. Each step multiplies the product by z_{J(cur, t)} / y_{J(prev, t)}.
+    Over p's integer tables num and den are ints, a step multiplies num by
+    Z_{J(cur, t)} and den by Y_{J(prev, t)}, and a move yields the pair
+    (num, den). For float weights num is the running product num * z / y,
+    taken in sequence order, and den a lead factor: a move yields den * num.
+    J is _j_table(w); `what` names the denominator in errors.
     """
-    prev = a[-1]
     letters = w.letters
+    prev = len(head) + 1
     t = letters[prev - 1]
     k = J[prev][t]
     tables = p.tables
@@ -72,17 +73,16 @@ def _cascades(w: Word, J: list, p: ParamSet, head: tuple, a: tuple[int, ...], nu
         if letters[cur - 1] > t:
             f = z[J[cur][t] - 1]
             step = (num * f, den * d) if tables else (num * f / d, den)
-            yield from _cascades(w, J, p, head + letters[prev : cur - 1] + (t,), a + (cur,),
-                                 *step, what)
+            yield from _cascades(w, J, p, head + letters[prev : cur - 1] + (t,), *step, what)
     # the sentinel: J(n+1, t) = 1
-    yield head + letters[prev:] + (t,), a + (n + 1,), \
+    yield Word._make((head + letters[prev:] + (t,), w.T)), \
         (num * z[0], den * d) if tables else den * (num * z[0] / d)
 
 
 def _bumps(w: Word, p: ParamSet):
-    """(successor letters, a, transition probability) for every bumping
-    sequence a of w."""
-    return _cascades(w, _j_table(w), p, (), (1,), 1, 1, "transition denominator")
+    """(successor word, transition probability) for every bumping sequence
+    of w."""
+    return _cascades(w, _j_table(w), p, (), 1, 1, "transition denominator")
 
 
 def _mass(p: ParamSet, factors, den, norm=None):
@@ -124,7 +124,7 @@ def partition_function(counts: TypeCounts, p: ParamSet):
 def build_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     """Transition matrix on all words with the given letter counts."""
     p.require_arity(counts.n)
-    return _word_matrix(enumerate_multiset_words(counts), lambda w: _bumps(w, p))
+    return build_matrix(enumerate_multiset_words(counts), lambda w: _bumps(w, p))
 
 
 def _enriched_states(words) -> list[EnrichedState]:
@@ -149,36 +149,30 @@ def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     return _mass(p, (z[x - 1] for x in s.v), tables and tables.L ** len(s.v))
 
 
-def _word_matrix(states: list[Word], moves, key=None) -> ChainMatrix:
-    """build_matrix on words: moves(w) yields (successor letters, a,
-    probability) for every bumping sequence a the step can take; `key` as
-    for build_matrix."""
-    return build_matrix(states, lambda w: (
-        (Word._make((letters, w.T)), prob) for letters, _, prob in moves(w)
-    ), key=key)
-
-
-def _restart(w2: Word, a: tuple[int, ...]) -> tuple[int, ...]:
-    """E_{w2}(i) at the slots i a bump along a refills, 0 elsewhere; every
-    E is at least 1."""
-    J, filled = _j_table(w2), {cur - 1 for cur in a[1:]}
-    return tuple(J[i][x] if i in filled else 0 for i, x in enumerate(w2.letters, 1))
+def _restarts(J: list, w: Word, w2: Word) -> tuple[int, ...]:
+    """The restart template of the move w -> w2, J = _j_table(w): E_{w2}(i)
+    at the slots i a ball landed in, 0 elsewhere. A slot i < n nobody landed
+    in holds the shifted w_{i+1}, and a landing ball is strictly lighter
+    than the ball it bumps, so a ball landed in slot i iff w2_i != w_{i+1}.
+    The balls above a landed slot i in w2 are those of w from i+1 on, so
+    E_{w2}(i) = J_w(i+1, w2_i); slot n is always landed in and restarts at
+    1. An insertion move starts from j w^-, whose J table agrees with w's
+    from position 2 on, so w's table serves it too."""
+    return tuple(J[i][x] if x != y else 0
+                 for i, x, y in zip(range(2, w.n + 1), w2.letters, w.letters[1:])) + (1,)
 
 
 def _enriched_matrix(states: list[EnrichedState], moves, key=None) -> ChainMatrix:
     """build_matrix on enriched states, which come grouped by word: moves(w)
-    yields (successor letters, a, probability) as for _word_matrix, and each
-    word's moves are walked once for all its v. A move's successor v' takes
-    its restart template where it is nonzero (the bumped slots restart at
-    E_{w2}) and elsewhere the entries of v shifted left with the balls;
-    `key` as for build_matrix."""
+    yields (successor word, probability) for every move of w, and each
+    word's moves are walked once for all its v, with one J table of w for
+    their restart templates (_restarts). A move's successor v' takes its
+    template where it is nonzero and elsewhere the entries of v shifted left
+    with the balls; `key` as for build_matrix."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
-        out = []
-        for letters, a, prob in moves(w):
-            w2 = Word._make((letters, w.T))
-            out.append((w2, _restart(w2, a), prob))
-        return out
+        J = _j_table(w)
+        return [(w2, _restarts(J, w, w2), prob) for w2, prob in moves(w)]
 
     def successors(s: EnrichedState):
         shifted = s.v[1:] + (0,)

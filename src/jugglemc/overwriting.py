@@ -26,7 +26,9 @@ once; `lump_matrix` is its call on a single grid. The fiber law
 (`matrix_fiber_law`) is the word-law sweep one level up: it sums
 the matrix law over each tableau's fiber in one right-to-left sweep over the
 grid columns, keeping the summed mass per partial lump, so it lists no
-matrix state. A word step reads w only past its first letter, and a
+matrix state. The word walk (`_overwrites`) writes the successor as it
+goes and yields each move as (successor word, probability), the pair
+`build_matrix` takes. A word step reads w only past its first letter, and a
 tableau or matrix step keeps only a body of its state, so each builder
 builds the row of each distinct w_2 .. w_n or body once. For exact weights
 the three steps multiply ints over the ParamSet's scaling (Z_k = L z_k,
@@ -51,8 +53,8 @@ MATRIX_STATE_CAP = 100_000
 
 
 def _overwrites(w: Word, p: ParamSet):
-    """Yield (successor letters, probability) for every overwrite sequence B
-    of w, lexicographically on the flattened pair list.
+    """Yield (successor word, probability) for every overwrite sequence B of
+    w, lexicographically on the flattened pair list.
 
     The walk carries the successor's letters and the running product, as a
     numerator and a denominator, down the recursion. After a pair (b, t),
@@ -81,21 +83,20 @@ def _overwrites(w: Word, p: ParamSet):
         body = head + w.letters[last_b:]
         for t in range(last_t + 1, T):
             a, d = pre[t - last_t - 1]
-            yield body + (t,), (a * z[0], d * one)
-        yield body + (T,), pre[-1]
+            yield Word._make((body + (t,), T)), (a * z[0], d * one)
+        yield Word._make((body + (T,), T)), pre[-1]
 
     if tables:
         return walk((), 1, 0, 1, 1)
-    return ((letters, num) for letters, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
+    return ((w2, num) for w2, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
 
 
 def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("overwriting model needs z summing to 1")
     p.require_arity(n)
-    return build_matrix(enumerate_alphabet_words(n, T), lambda w: (
-        (Word._make((letters, T)), prob) for letters, prob in _overwrites(w, p)
-    ), key=lambda w: w.letters[1:])
+    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _overwrites(w, p),
+                        key=lambda w: w.letters[1:])
 
 
 # ---------------------------------------------------------------- tableaux

@@ -9,7 +9,9 @@ reconstruction, live here too, and so does the rule that writes a successor
 from its bumping sequence (apply_bump), which the builders' walks replace by
 writing the successor as they go, and the rule that refills the bumped
 slots of an auxiliary word with E_{w'} (enriched_update), which the
-enriched builders replace by one restart template per move. The statistics
+enriched builders replace by one restart template per move. The walks
+yield successor words, not choices; bump_choice recovers the choice of a
+move from its source and successor words. The statistics
 J_w(m, t) and E_w(i) are computed here afresh for every factor (stat_J,
 stat_E); the builders and the product formulas read them off one table per
 word.
@@ -72,6 +74,16 @@ def apply_bump(w: Word, a: tuple[int, ...]) -> Word:
     for prev, cur in zip(a, a[1:]):
         res[cur - 2] = w.letters[prev - 1]
     return Word(tuple(res), w.T)
+
+
+def bump_choice(w: Word, w2: Word) -> InsertionChoice:
+    """The choice (j, a) of a move from w to w2, j the type thrown into
+    j w^- (j = w_1 for msjmc) and a its bumping sequence: a ball landed in
+    slot i < n iff w2_i differs from the shifted w_{i+1}, and slot n always
+    takes one; the first landed slot, a(2) - 1, holds j."""
+    n = w.n
+    a = (1,) + tuple(i + 1 for i in range(1, n) if w2.letters[i - 1] != w.letters[i]) + (n + 1,)
+    return InsertionChoice(w2.letters[a[1] - 2], a)
 
 
 def intermediate_word(w: Word, j: int) -> Word:

@@ -268,7 +268,7 @@ def test_criterion_5_overwriting_tower(capsys):
             want = ((1 - p.y_at(6)) * p.z_at(5) * (1 - p.y_at(3)) * p.z_at(2)
                     * (1 - p.y_at(1)))
             # exact weights: each move is a pair (num, den) of ints
-            row = [(letters, F(*prob)) for letters, prob in overwriting._overwrites(w, p)]
+            row = [(w2.letters, F(*prob)) for w2, prob in overwriting._overwrites(w, p)]
             assert len(dict(row)) == len(row)
             assert dict(row)[(1, 2, 6, 2, 4, 3, 6)] == want
 

@@ -1,8 +1,10 @@
-"""The successor letters the bumping walks write against the per-choice
-rule they replaced: on every msjmc and word shape of test_cascades, each
-move the msjmc, add_drop and annihilation walks yield is a valid bumping
-sequence of its intermediate word, and its letters are that word bumped
-along the sequence. So the builders need no second check of a sequence."""
+"""The successor words the bumping walks write against the per-choice rule
+they replaced: on every msjmc and word shape of test_cascades, the choice
+(j, a) that bump_choice recovers from each move the msjmc, add_drop and
+annihilation walks yield is a valid bumping sequence of its intermediate
+word, its successor is that word bumped along the sequence, and the
+recovered choices are the reference's, in its order. So the builders need no
+second check of a sequence."""
 
 from fractions import Fraction
 
@@ -10,10 +12,10 @@ import pytest
 
 from jugglemc import fluctuating, msjmc
 from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words, \
-    enumerate_multiset_words
+    enumerate_multiset_words, _j_table
 
 from cascade_reference import _check_bump, annihilation_choices, apply_bump, \
-    bumping_sequences, insertion_choices
+    bump_choice, bumping_sequences, insertion_choices, stat_E
 from test_cascades import MSJMC_SHAPES, WORD_SHAPES
 
 F = Fraction
@@ -45,11 +47,28 @@ def walk_and_choices(model, shape):
 def test_walked_successors_need_no_recheck(model, shape):
     for w, moves, choices in walk_and_choices(model, shape):
         seen = []
-        for letters, a, _ in moves:
-            # the thrown ball lands in slot a(2) - 1
-            j = letters[a[1] - 2]
+        for w2, _ in moves:
+            j, a = bump_choice(w, w2)
             W = Word((j,) + w.letters[1:], w.T)
             _check_bump(W, a)
-            assert apply_bump(W, a).letters == letters, (w, a)
+            assert apply_bump(W, a) == w2, (w, a)
             seen.append((j, a))
         assert seen == choices, w
+
+
+@pytest.mark.parametrize("model,shape", CASES,
+                         ids=[f"{m}-{'x'.join(map(str, s))}" for m, s in CASES])
+def test_restart_templates_are_stat_E_at_the_landed_slots(model, shape):
+    """The restart template _enriched_matrix reads off the source word's J
+    table for each move, against the reference: E_{w2}(i) (stat_E) at the
+    slots i the reference's bumping sequence lands a ball in, 0 elsewhere."""
+    for w, moves, choices in walk_and_choices(model, shape):
+        J = _j_table(w)
+        for (w2, _), (j, a) in zip(moves, choices, strict=True):
+            assert apply_bump(Word((j,) + w.letters[1:], w.T), a) == w2, (w, a)
+            landed = {cur - 1 for cur in a[1:]}
+            got = msjmc._restarts(J, w, w2)
+            assert len(got) == w.n, (w, w2)
+            for i in range(1, w.n + 1):
+                want = stat_E(w2, i) if i in landed else 0
+                assert got[i - 1] == want, f"{w} -> {w2}, slot {i}: {got[i - 1]} != {want}"

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from jugglemc import fluctuating, msjmc, overwriting
 from jugglemc.chain import build_matrix
-from jugglemc.combinatorics import ParamSet, TypeCounts, Word
+from jugglemc.combinatorics import ParamSet, TypeCounts
 
-from cascade_reference import enriched_update, fluctuating_rows, msjmc_rows
+from cascade_reference import bump_choice, enriched_update, fluctuating_rows, msjmc_rows
 from overwriting_reference import word_rows
 
 F = Fraction
@@ -145,8 +145,7 @@ def test_restart_templates_match_enriched_update(model, shape):
         moves = {"add_drop": fluctuating._add_drop_moves,
                  "annihilation": fluctuating._annihilation_moves}[model]
     ref = build_matrix(P.states, lambda s: (
-        (enriched_update(s.v, Word._make((letters, s.w.T)), a), prob)
-        for letters, a, prob in moves(s.w, p)
+        (enriched_update(s.v, w2, bump_choice(s.w, w2).a), prob) for w2, prob in moves(s.w, p)
     ))
     assert P.states == ref.states
     assert_same_rows(P, ref.rows)

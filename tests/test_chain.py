@@ -34,7 +34,7 @@ from jugglemc.chain import (
     verify_lumping,
 )
 from jugglemc.cli import MODELS, ModelSpec, _base_m_probe, main
-from jugglemc.combinatorics import ParamSet, TypeCounts, Word
+from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
 from test_cascades import SHAPES as CASCADE_SHAPES
@@ -916,12 +916,10 @@ def test_shared_rows_give_the_results_of_copied_rows():
 def unkeyed_word_chain(model: str, n: int, T: int, p: ParamSet) -> ChainMatrix:
     """The model's word chain with every row built from its own word."""
     words = combinatorics.enumerate_alphabet_words(n, T)
-    if model == "overwriting":
-        return build_matrix(words, lambda w: ((Word._make((letters, T)), prob)
-                                              for letters, prob in overwriting._overwrites(w, p)))
     moves = {"add_drop": fluctuating._add_drop_moves,
-             "annihilation": fluctuating._annihilation_moves}[model]
-    return msjmc._word_matrix(words, lambda w: moves(w, p))
+             "annihilation": fluctuating._annihilation_moves,
+             "overwriting": overwriting._overwrites}[model]
+    return build_matrix(words, lambda w: moves(w, p))
 
 
 KEYED_BUILDS = {
