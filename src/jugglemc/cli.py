@@ -435,16 +435,8 @@ def _check(checks: list, name: str, bad) -> None:
 def _lumping_checks(spec: ModelSpec, model: Model, P: ChainMatrix, checks: list):
     p = spec.params
     if model.enriched is None:  # the overwriting tower
-        Pt = overwriting.build_tableau_chain(spec.n, spec.T, p)
-        Pm = overwriting.build_matrix_chain(spec.n, spec.T, p)
-        to_tableau = LumpingMap(zip(Pm.states, overwriting.lump_matrices(Pm.states)), Pt.states)
-        _check(checks, "matrix-to-tableau lumping", verify_lumping(Pm, to_tableau, Pt)[1])
-        _check(checks, "tableau-to-word lumping", verify_lumping(Pt, LumpingMap.from_function(
-            overwriting.lump_tableau, Pt.states, P.states), P)[1])
-        fib = overwriting.matrix_fiber_law(Pt.states, spec.n, spec.T, p)
-        _check(checks, "fiber weight identity", next(
-            (V for V, m in zip(fib.states, fib.weights)
-             if m != overwriting.tableau_stationary(V, p)), None))
+        for name, bad in overwriting.tower_checks(spec.n, spec.T, p, P):
+            _check(checks, name, bad)
         return
     Pt, weight = model.enriched(spec, p)
     _check(checks, "enriched-to-base lumping", verify_lumping(

@@ -58,13 +58,13 @@ def _need_activities(p: ParamSet, T: int):
         raise ValueError(f"need {T} activities")
 
 
-def _add_drop_moves(w: Word, p: ParamSet):
+def _add_drop_moves(w: Word, p: ParamSet, J=None):
     """(successor word, probability) for every insertion type j and bumping
     sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
     times the cascade; over the integer tables C_j Z_{J(a(2), j)} /
-    sum_t C_t Y_{J(2, t)}."""
+    sum_t C_t Y_{J(2, t)}. J is _j_table(w) when the caller has it."""
     _need_activities(p, w.T)
-    J, tables = _j_table(w), p.tables
+    J, tables = _j_table(w) if J is None else J, p.tables
     c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
     den = sum(c[t - 1] * y[J[2][t] - 1] for t in range(1, w.T + 1))
     if den == 0 and y[0] == 0:
@@ -120,13 +120,13 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
     return Fraction(total, (tables.Lc * tables.L) ** n) if tables else _float_normalizer(total)
 
 
-def _annihilation_moves(w: Word, p: ParamSet):
+def _annihilation_moves(w: Word, p: ParamSet, J=None):
     """(successor word, probability) with cascading attempts: types
     below j all fail, with factors 1 - y_{J(2, t)}, then j lands and bumps;
     type T goes to the top with the leftover mass. Over the integer tables
     the failures are L - Y_{J(2, t)} and j's insertion factor has the
-    denominator L^j."""
-    J, tables = _j_table(w), p.tables
+    denominator L^j. J is _j_table(w) when the caller has it."""
+    J, tables = _j_table(w) if J is None else J, p.tables
     one, y = (tables.L, tables.Y) if tables else (1, p.y)
     fails = [one - y[J[2][t] - 1] for t in range(1, w.T)]
     for j in range(1, w.T):
@@ -205,8 +205,8 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
 
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _enriched_matrix(enumerate_enriched_words(n, T), lambda w: _add_drop_moves(w, p),
-                            key=_enriched_tail)
+    return _enriched_matrix(enumerate_enriched_words(n, T),
+                            lambda w, J: _add_drop_moves(w, p, J), key=_enriched_tail)
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
@@ -214,4 +214,4 @@ def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatri
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
     return _enriched_matrix(enumerate_enriched_words(n, T),
-                            lambda w: _annihilation_moves(w, p), key=_enriched_tail)
+                            lambda w, J: _annihilation_moves(w, p, J), key=_enriched_tail)

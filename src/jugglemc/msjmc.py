@@ -79,10 +79,11 @@ def _cascades(w: Word, J: list, p: ParamSet, head: tuple, num, den, what: str):
         (num * z[0], den * d) if tables else den * (num * z[0] / d)
 
 
-def _bumps(w: Word, p: ParamSet):
+def _bumps(w: Word, p: ParamSet, J=None):
     """(successor word, transition probability) for every bumping sequence
-    of w."""
-    return _cascades(w, _j_table(w), p, (), 1, 1, "transition denominator")
+    of w; J is _j_table(w) when the caller has it."""
+    return _cascades(w, _j_table(w) if J is None else J, p, (), 1, 1,
+                     "transition denominator")
 
 
 def _mass(p: ParamSet, factors, den, norm=None):
@@ -163,16 +164,17 @@ def _restarts(J: list, w: Word, w2: Word) -> tuple[int, ...]:
 
 
 def _enriched_matrix(states: list[EnrichedState], moves, key=None) -> ChainMatrix:
-    """build_matrix on enriched states, which come grouped by word: moves(w)
-    yields (successor word, probability) for every move of w, and each
-    word's moves are walked once for all its v, with one J table of w for
-    their restart templates (_restarts). A move's successor v' takes its
-    template where it is nonzero and elsewhere the entries of v shifted left
-    with the balls; `key` as for build_matrix."""
+    """build_matrix on enriched states, which come grouped by word: moves(w,
+    J) yields (successor word, probability) for every move of w, J its J
+    table, and each word's moves are walked once for all its v, with that
+    one table for the walk and for their restart templates (_restarts). A
+    move's successor v' takes its template where it is nonzero and elsewhere
+    the entries of v shifted left with the balls; `key` as for
+    build_matrix."""
     @lru_cache(maxsize=1)
     def word_moves(w: Word) -> list:
         J = _j_table(w)
-        return [(w2, _restarts(J, w, w2), prob) for w2, prob in moves(w)]
+        return [(w2, _restarts(J, w, w2), prob) for w2, prob in moves(w, J)]
 
     def successors(s: EnrichedState):
         shifted = s.v[1:] + (0,)
@@ -184,4 +186,4 @@ def _enriched_matrix(states: list[EnrichedState], moves, key=None) -> ChainMatri
 
 def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
-    return _enriched_matrix(enumerate_enriched(counts), lambda w: _bumps(w, p))
+    return _enriched_matrix(enumerate_enriched(counts), lambda w, J: _bumps(w, p, J))

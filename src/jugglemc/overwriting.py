@@ -22,30 +22,33 @@ matrix lumping replays each recorded juggler choice onto the same free
 heights, one grid column at a time from the right. `lump_matrices` lumps a
 whole state list in one call: it replays each distinct pair of (lumped
 columns to the right, grid column) once and builds each distinct tableau
-once; `lump_matrix` is its call on a single grid. The fiber law
-(`matrix_fiber_law`) is the word-law sweep one level up: it sums
-the matrix law over each tableau's fiber in one right-to-left sweep over the
-grid columns, keeping the summed mass per partial lump, so it lists no
-matrix state. The word walk (`_overwrites`) writes the successor as it
-goes and yields each move as (successor word, probability), the pair
-`build_matrix` takes. A word step reads w only past its first letter, and a
-tableau or matrix step keeps only a body of its state, so each builder
-builds the row of each distinct w_2 .. w_n or body once. For exact weights
-the three steps multiply ints over the ParamSet's scaling (Z_k = L z_k,
-L - Y_k = L (1 - y_k)), and each move is a pair (num, den), den a power of
-L, which `build_matrix` sums into the chain's integer form without making a
-Fraction; float weights keep their float products.
+once; `lump_matrix` is its call on a single grid. `tower_checks` proves the
+tower without listing a matrix state: one right-to-left sweep over the grid
+columns (`_column_sweep`) keeps the summed grid mass per reachable pair of
+partial lumps (of a grid and of its body), which proves the matrix-to-tableau
+lumping for every grid and gives each tableau's fiber mass. The word walk
+(`_overwrites`) writes the successor as it goes and yields each move as
+(successor word, probability), the pair `build_matrix` takes. A word step
+reads w only past its first letter, and a tableau or matrix step keeps only
+a body of its state, so each builder builds the row of each distinct w_2 ..
+w_n or body once. For exact weights the three steps multiply ints over the
+ParamSet's scaling (Z_k = L z_k, L - Y_k = L (1 - y_k)), and each move is a
+pair (num, den), den a power of L, which `build_matrix` sums into the
+chain's integer form without making a Fraction; the tableau and word laws
+multiply the same ints and make one Fraction per state. Float weights keep
+their float products.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .chain import ChainMatrix, Distribution, build_matrix
+from .chain import ChainMatrix, Distribution, LumpingMap, build_matrix, verify_lumping, \
+    _denominator_of
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
 from .errors import NotNormalized
 
@@ -214,21 +217,19 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
     return [Tableau._make((cols, T)) for cols in sorted(partial)]
 
 
-def _factors(p: ParamSet, ints: bool = False) -> tuple[tuple, tuple]:
-    """(z, fail) for `_column_factor`: z[f] = z_{f+1} and fail[f] = 1 - y_f
-    for f = 0..n+1 (y_0 = 0), p's values; with `ints` its integer tables,
-    Z_{f+1} and L - Y_f, each a factor over L."""
-    if ints:
-        t = p.tables
-        return t.Z, tuple(t.L - y for y in (0,) + t.Y)
-    return p.z, tuple(1 - p.y_at(f) for f in range(len(p.y) + 1))
+def _factors(p: ParamSet) -> tuple:
+    """(one, (z, fail)) for `_column_factor`: z[f] = z_{f+1} and fail[f] =
+    1 - y_f for f = 0..n+1 (y_0 = 0), p's values; over p's integer tables
+    Z_{f+1} and L - Y_f, each a factor over L, and one = 1."""
+    if t := p.tables:
+        return 1, (t.Z, tuple(t.L - y for y in (0,) + t.Y))
+    return p.z[0] ** 0, (p.z, tuple(1 - p.y_at(f) for f in range(len(p.y) + 1)))
 
 
 def _column_factor(acc, columns, k: int, T: int, factors: tuple):
     """acc times column k's T - 1 factors of the stationary product, type 1
     first: with f the free heights of column k for type i, z_{1+f} when i
-    sits in the column, 1 - y_f when it is absent; `factors` is _factors(p)
-    or its integer tables."""
+    sits in the column, 1 - y_f when it is absent; `factors` is _factors(p)[1]."""
     z, fail = factors
     col = columns[k - 1]
     for i in range(1, T):
@@ -239,14 +240,14 @@ def _column_factor(acc, columns, k: int, T: int, factors: tuple):
 
 def tableau_stationary(V: Tableau, p: ParamSet):
     """Stationary mass, already normalized: the product of the column
-    factors, column 1 first."""
+    factors, column 1 first; over p's integer tables one Fraction over
+    L^(n(T-1))."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
-    factors = _factors(p)
-    acc = p.z_at(1) ** 0
+    acc, factors = _factors(p)
     for k in range(1, V.n + 1):
         acc = _column_factor(acc, V.columns, k, V.T, factors)
-    return acc
+    return Fraction(acc, p.tables.L ** (V.n * (V.T - 1))) if p.tables else acc
 
 
 def _shifted_body(V: Tableau) -> tuple:
@@ -273,8 +274,7 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     states = enumerate_tableaux(n, T)
     tables = p.tables
-    factors = _factors(p, tables is not None)
-    one = 1 if tables else p.z[0] ** 0
+    one, factors = _factors(p)
     # over the integer tables a column's T - 1 factors are over L^(T-1)
     den = tables and tables.L ** (T - 1)
 
@@ -318,10 +318,11 @@ def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribu
 
 def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     """The word law's masses on `states`, all words of length n over 1..T in
-    any order; p is checked by the caller."""
-    zero = p.z_at(1) * 0
-    factors = _factors(p)
-    masses = {(): p.z_at(1) ** 0}
+    any order; p is checked by the caller. Over p's integer tables the
+    masses are ints over L^(n(T-1)), one Fraction per word."""
+    one, factors = _factors(p)
+    zero = one * 0
+    masses = {(): one}
     for k in range(n, 0, -1):
         swept: dict = {}
         for prof, mass in masses.items():
@@ -331,7 +332,11 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
                                                                    factors)
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
-    return Distribution(states, tuple(words.get(w.letters, zero) for w in states))
+    weights = tuple(words.get(w.letters, zero) for w in states)
+    if p.tables:
+        den = p.tables.L ** (n * (T - 1))
+        weights = tuple(Fraction(m, den) for m in weights)
+    return Distribution(states, weights)
 
 
 # ------------------------------------------------------------ matrix chain
@@ -471,28 +476,78 @@ def lump_matrices(states) -> list[Tableau]:
     return out
 
 
-def matrix_fiber_law(states, n: int, T: int, p: ParamSet) -> Distribution:
-    """The summed matrix masses over each tableau's fiber, on `states`, all
-    tableaux of (n, T) in any order; p is not checked.
-
-    The word-law sweep one level up: columns k..n of a lump depend on grid
-    columns k..n only through the lump's columns k+1..n and grid column k,
-    and a grid's mass is the product of its columns' z products. So the sweep
-    runs over the grid columns right to left, keeps the summed mass per
-    partial lump and extends every partial lump by every grid column, never
-    listing a matrix state.
+def _column_sweep(n: int, T: int, Z: Sequence) -> tuple[dict, dict]:
+    """Every grid of the matrix chain by one right-to-left sweep over its
+    columns, never listing a grid; Z is p's integer z table. A grid's lumped
+    row reads it only through (A, B), A its lump and B the lump of its first
+    n-1 columns as an (n-1)-column grid, whose replays onto the fresh column
+    are the successors' lumps. Returns (pairs, pushes): pairs maps each
+    reachable (A, B) to [mass, witness], the summed products of Z over its
+    grids' cells, over L^(n(T-1)), and one grid's columns; pushes maps each
+    B to the fresh column's law replayed onto it, {lump: int over L^(T-1)}.
     """
-    zero = p.z_at(1) * 0
-    columns = _grid_columns(n, T, p.z, p.z_at(1) ** 0)
-    masses = {(): p.z_at(1) ** 0}
-    for _ in range(n):
+    columns = _grid_columns(n, T, Z, 1)
+    replays: dict = {}
+
+    def replayed(right: tuple) -> list:
+        # partial lump `right` replayed onto every grid column, in order
+        if right not in replays:
+            replays[right] = [_replay_column(right, col) for col, _ in columns]
+        return replays[right]
+
+    pairs = {((), ()): [1, ()]}
+    for k in range(n, 0, -1):
         swept: dict = {}
-        for right, mass in masses.items():
-            for col, prob in columns:
-                key = _replay_column(right, col)
-                swept[key] = swept.get(key, zero) + mass * prob
-        masses = swept
-    return Distribution(states, tuple(masses.get(V.columns, zero) for V in states))
+        for (A, B), (mass, grid) in pairs.items():
+            # grid column n is not in the body B
+            for A2, B2, (col, prob) in zip(replayed(A), replayed(B) if k < n else repeat(B),
+                                           columns):
+                entry = swept.get((A2, B2))
+                if entry is None:
+                    swept[A2, B2] = [mass * prob, (col,) + grid]
+                else:
+                    entry[0] += mass * prob
+        pairs = swept
+    pushes = {B: defaultdict(int) for _, B in pairs}
+    for B, push in pushes.items():
+        for A2, (_, prob) in zip(replayed(B), columns):
+            push[A2] += prob
+    return pairs, pushes
+
+
+def tower_checks(n: int, T: int, p: ParamSet, P: ChainMatrix) -> list:
+    """(name, counterexample or None) of the tower's three checks on exact
+    weights, P the word chain. Every grid's lumped row is the push of its B
+    (_column_sweep) and must be the tableau row of its A (Kemeny and Snell,
+    Finite Markov Chains, 1960, section 6.3): ints cross-multiplied once per
+    distinct (B, row), that is per body. A failure names a witness grid as
+    verify_lumping does: (matrix state, tableau, class sum, expected entry).
+    Each A's fiber mass, summed over its pairs, must be tableau_stationary.
+    """
+    Pt = build_tableau_chain(n, T, p)
+    pairs, pushes = _column_sweep(n, T, p.tables.Z)
+    index = {V.columns: i for i, V in enumerate(Pt.states)}
+    Dt, Lc = _denominator_of(Pt), p.tables.L ** (T - 1)
+    checked, fibers, to_tableau = set(), defaultdict(int), None
+    for (A, B), (mass, grid) in pairs.items():
+        fibers[A] += mass
+        x = index[A]
+        if to_tableau is None and (B, Pt._row_of[x]) not in checked:
+            checked.add((B, Pt._row_of[x]))
+            push = {index[W]: v for W, v in pushes[B].items()}
+            row = Pt._integer_rows[Pt._row_of[x]]
+            off = [j for j in push.keys() | row.keys()
+                   if push.get(j, 0) * Dt != row.get(j, 0) * Lc]
+            if off:
+                b = min(off)
+                to_tableau = (MatrixState(tuple(zip(*grid))), Pt.states[b],
+                              Fraction(push.get(b, 0), Lc), Pt.rows[x].get(b, 0))
+    to_word = LumpingMap.from_function(lump_tableau, Pt.states, P.states)
+    fiber = next((V for V in Pt.states
+                  if Fraction(fibers[V.columns], Lc ** n) != tableau_stationary(V, p)), None)
+    return [("matrix-to-tableau lumping", to_tableau),
+            ("tableau-to-word lumping", verify_lumping(Pt, to_word, P)[1]),
+            ("fiber weight identity", fiber)]
 
 
 # -------------------------------------------------------------- marginals

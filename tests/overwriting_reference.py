@@ -8,7 +8,9 @@ again to apply it and to price it, with J recomputed for every factor. Each
 tableau rule scans the tableau cell by cell: the row block, the column block
 and the shift check are spelled out separately. Every row is accumulated
 from the per-choice step probability. The word law lists every tableau and
-adds its mass to the word it lumps to.
+adds its mass to the word it lumps to. The fiber law `matrix_fiber_law` is
+the Fraction column sweep `verify` ran before `overwriting.tower_checks`
+took the fiber identity into its sweep over pairs of partial lumps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from jugglemc.overwriting import (
     MatrixState,
     Tableau,
     _check_matrix,
+    _grid_columns,
+    _replay_column,
     enumerate_matrix_states,
     enumerate_tableaux,
     tableau_successors,
@@ -265,3 +269,23 @@ def matrix_rows(n: int, T: int, p: ParamSet) -> list[dict]:
             yield matrix_step(M, newcol), prob
 
     return _rows(enumerate_matrix_states(n, T), moves)
+
+
+def matrix_fiber_law(states, n: int, T: int, p: ParamSet) -> Distribution:
+    """The summed matrix masses over each tableau's fiber, on `states`, all
+    tableaux of (n, T) in any order, by one sweep over the grid columns right
+    to left that keeps the summed mass per partial lump: columns k..n of a
+    lump depend on grid columns k..n only through the lump's columns k+1..n
+    and grid column k, and a grid's mass is the product of its columns' z
+    products."""
+    zero = p.z_at(1) * 0
+    columns = _grid_columns(n, T, p.z, p.z_at(1) ** 0)
+    masses = {(): p.z_at(1) ** 0}
+    for _ in range(n):
+        swept: dict = {}
+        for right, mass in masses.items():
+            for col, prob in columns:
+                key = _replay_column(right, col)
+                swept[key] = swept.get(key, zero) + mass * prob
+        masses = swept
+    return Distribution(states, tuple(masses.get(V.columns, zero) for V in states))

@@ -300,7 +300,8 @@ def test_enriched_rows_are_built_once_per_tail(model, moves, params):
         p = params(rng, n, T)
         Pt = BUILDERS[model][1](n, T, p)
         assert len(Pt._distinct) == len({(s.w.letters[1:], s.v[1:]) for s in Pt.states})
-        assert Pt == _enriched_matrix(enumerate_enriched_words(n, T), lambda w: moves(w, p))
+        assert Pt == _enriched_matrix(enumerate_enriched_words(n, T),
+                                      lambda w, J: moves(w, p, J))
     if model == "add_drop":
         assert (Pt.size, len(Pt._distinct)) == (60, 12)
 

@@ -4,6 +4,7 @@ matrices), the lumping tower between them, and the last-site marginals."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -30,16 +31,18 @@ from jugglemc.overwriting import (
     last_site_marginal,
     lump_matrix,
     lump_tableau,
-    matrix_fiber_law,
     matrix_stationary_weight,
     overwriting_stationary,
     overwriting_stationary_distribution,
     tableau_stationary,
     tableau_successors,
+    tower_checks,
+    _grid_columns,
+    _shifted_body,
 )
 
-from overwriting_reference import apply_overwrite, matrix_step, overwrite_prob, \
-    overwrite_sequences, tableau_step_prob
+from overwriting_reference import apply_overwrite, matrix_fiber_law, matrix_step, \
+    overwrite_prob, overwrite_sequences, tableau_step_prob
 
 F = Fraction
 
@@ -272,6 +275,15 @@ def test_matrix_lumps_to_tableau_chain():
         assert ok, witness
 
 
+def weight_sets(rng: random.Random, n: int) -> list:
+    """Random weights, and random weights with a zero among them."""
+    with_zeros = [F(rng.randint(0, 3)) for _ in range(n + 1)]
+    i = rng.randrange(n + 1)
+    with_zeros[i], with_zeros[i - 1] = F(0), with_zeros[i - 1] + 1
+    return [random_normalized_params(rng, n),
+            ParamSet(tuple(x / sum(with_zeros) for x in with_zeros))]
+
+
 # every (n, T) with at most 8,000 matrix states, (3,3), (2,5) and (5,2) among them
 FIBER_SHAPES = [(n, T) for n in range(1, 6) for T in range(2, 14)
                 if (n + 1) ** (n * (T - 1)) <= 8_000]
@@ -287,11 +299,7 @@ def test_fiber_weight_identity():
         lumps = [lump_matrix(M) for M in states]
         tableaux = enumerate_tableaux(n, T)
         rng.shuffle(tableaux)
-        with_zeros = [F(rng.randint(0, 3)) for _ in range(n + 1)]
-        i = rng.randrange(n + 1)
-        with_zeros[i], with_zeros[i - 1] = F(0), with_zeros[i - 1] + 1
-        for p in (random_normalized_params(rng, n),
-                  ParamSet(tuple(x / sum(with_zeros) for x in with_zeros))):
+        for p in weight_sets(rng, n):
             fibers = dict.fromkeys(tableaux, F(0))
             for M, V in zip(states, lumps):
                 fibers[V] += matrix_stationary_weight(M, p)
@@ -299,6 +307,91 @@ def test_fiber_weight_identity():
             assert law.states == tuple(tableaux), (n, T)
             assert law.weights == tuple(fibers[V] for V in tableaux), (n, T)
             assert law.weights == tuple(tableau_stationary(V, p) for V in tableaux), (n, T)
+
+
+# every (n, T) with at most 5,000 matrix states: (3,3), (4,2) and (1,13) among them
+TOWER_SHAPES = [(n, T) for n in range(1, 6) for T in range(2, 14)
+                if (n + 1) ** (n * (T - 1)) <= 5_000]
+
+
+def per_state_checks(n: int, T: int, p: ParamSet) -> list:
+    """The tower's three verdicts from the enumerated chains: verify_lumping
+    on the built matrix chain and its lumps, verify_lumping on the tableau
+    chain, and the fiber sums of the grids, each grid priced column by
+    column with the fresh column's law."""
+    Pw, Pt, Pm = (build(n, T, p) for build in (build_word_chain, build_tableau_chain,
+                                                build_matrix_chain))
+    lumps = overwriting.lump_matrices(Pm.states)
+    to_tableau = verify_lumping(Pm, LumpingMap(zip(Pm.states, lumps), Pt.states), Pt)[0]
+    to_word = verify_lumping(Pt, LumpingMap.from_function(lump_tableau, Pt.states, Pw.states),
+                             Pw)[0]
+    price = dict(overwriting._grid_columns(n, T, p.z, F(1)))
+    fibers = dict.fromkeys(Pt.states, F(0))
+    for M, V in zip(Pm.states, lumps):
+        fibers[V] += prod(price[col] for col in zip(*M.grid))
+    return [to_tableau, to_word, all(fibers[V] == tableau_stationary(V, p) for V in Pt.states)]
+
+
+def sweep_verdicts(n: int, T: int, p: ParamSet) -> list:
+    checks = tower_checks(n, T, p, build_word_chain(n, T, p))
+    assert [name for name, _ in checks] == ["matrix-to-tableau lumping",
+                                            "tableau-to-word lumping", "fiber weight identity"]
+    return [bad is None for _, bad in checks]
+
+
+def test_tower_checks_match_the_per_state_checks():
+    rng = random.Random(59)
+    for n, T in TOWER_SHAPES:
+        for p in weight_sets(rng, n):
+            assert sweep_verdicts(n, T, p) == per_state_checks(n, T, p) == [True] * 3, (n, T)
+
+
+def _shifted_z_columns(n, T, z, one):
+    # cell x priced with z_{x+1}, and n+1 with z_1: still a law on the columns
+    return _grid_columns(n, T, z[1:] + z[:1], one)
+
+
+def _replay_past_the_free_height(right, choices):
+    # type i lands one free height below its recorded one, wrapping to the top
+    col = [0] * (len(right) + 1)
+    for i, pos in enumerate(choices, start=1):
+        free = overwriting._free_heights((col,) + right, 1, i)
+        if pos <= len(free):
+            col[free[pos % len(free)] - 1] = i
+    return (tuple(col),) + right
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("_grid_columns", _shifted_z_columns),
+    ("_replay_column", _replay_past_the_free_height),
+], ids=["shifted-z", "wrong-free-height"])
+def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch, name, broken):
+    """Both paths give the same verdicts and refuse the matrix lumping, and
+    the sweep's counterexample is one verify_lumping would accept as such: its
+    witness grid's row, lumped onto the tableau it names, differs from the
+    tableau row."""
+    rng = random.Random(60)
+    monkeypatch.setattr(overwriting, name, broken)
+    for n, T in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]:
+        p = random_normalized_params(rng, n)
+        verdicts = sweep_verdicts(n, T, p)
+        assert verdicts == per_state_checks(n, T, p) and verdicts[:2] == [False, True], (n, T)
+        (_, (M, W, got, want)), *_ = tower_checks(n, T, p, build_word_chain(n, T, p))
+        Pm, Pt = build_matrix_chain(n, T, p), build_tableau_chain(n, T, p)
+        lumps = overwriting.lump_matrices(Pm.states)
+        row = Pm.rows[Pm.index[M]]
+        assert got == sum((v for j, v in row.items() if lumps[j] == W), F(0)) != want
+        assert want == Pt.rows[Pt.index[lump_matrix(M)]].get(Pt.index[W], 0)
+
+
+def test_column_sweep_keys_are_the_tableaux_with_their_shifted_bodies():
+    for n, T in [(n, T) for n, T in TOWER_SHAPES if n + T <= 6]:
+        p = ParamSet(tuple([F(1, n + 1)] * (n + 1)))
+        pairs, pushes = overwriting._column_sweep(n, T, p.tables.Z)
+        tableaux = enumerate_tableaux(n, T)
+        assert sorted(A for A, _ in pairs) == [V.columns for V in tableaux], (n, T)
+        assert all(B == _shifted_body(V) for (_, B), V in zip(sorted(pairs), tableaux)), (n, T)
+        assert set(pushes) == {_shifted_body(V) for V in tableaux}, (n, T)
 
 
 def test_overwriting_stationary_matches_solver():
