@@ -186,4 +186,5 @@ def _enriched_matrix(states: list[EnrichedState], moves, key=None) -> ChainMatri
 
 def build_enriched_chain(counts: TypeCounts, p: ParamSet) -> ChainMatrix:
     p.require_arity(counts.n)
-    return _enriched_matrix(enumerate_enriched(counts), lambda w, J: _bumps(w, p, J))
+    return _enriched_matrix(enumerate_enriched(counts), lambda w, J: _bumps(w, p, J),
+                            key=lambda s: (s.w, s.v[1:]))

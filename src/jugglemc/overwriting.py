@@ -19,14 +19,22 @@ tableau law is the product of its columns' factors, the tableau step draws
 its fresh first column with the column-1 factors, and the word law sums the
 column factors in one right-to-left sweep over row-minimum profiles. The
 matrix lumping replays each recorded juggler choice onto the same free
-heights, one grid column at a time from the right. `lump_matrices` lumps a
-whole state list in one call: it replays each distinct pair of (lumped
-columns to the right, grid column) once and builds each distinct tableau
-once; `lump_matrix` is its call on a single grid. `tower_checks` proves the
-tower without listing a matrix state: one right-to-left sweep over the grid
-columns (`_column_sweep`) keeps the summed grid mass per reachable pair of
-partial lumps (of a grid and of its body), which proves the matrix-to-tableau
-lumping for every grid and gives each tableau's fiber mass. The word walk
+heights, one grid column at a time from the right. A column's legal
+fillings and its free heights read the columns to its right only through
+their row minima (`_profile`). So the three kernels that depend only on
+the shape, the fillings of a column (`_column_fillings`), the free-height
+counts of its types (`_free_counts`), both keyed on that profile, and the
+replay of a grid column onto a partial lump (`_replay_column`), are pure
+functions of int tuples, kept for the life of the process in caches of at
+most KERNEL_CACHE_SIZE entries; a later call on a shape only multiplies its
+weights in. The caches hold no state objects, so every call still builds
+its own. `lump_matrices` lumps a whole state list in one call and builds
+each distinct tableau once; `lump_matrix` is its call on a single grid.
+`tower_checks` proves the tower without listing a matrix state: one
+right-to-left sweep over the grid columns (`_column_sweep`) keeps the summed
+grid mass per reachable pair of partial lumps (of a grid and of its body),
+which proves the matrix-to-tableau lumping for every grid and gives each
+tableau's fiber mass. The word walk
 (`_overwrites`) writes the successor as it goes and yields each move as
 (successor word, probability), the pair `build_matrix` takes. A word step
 reads w only past its first letter, and a tableau or matrix step keeps only
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product, repeat
 from math import prod
 from typing import NamedTuple, Sequence
@@ -53,6 +62,10 @@ from .combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
 from .errors import NotNormalized
 
 MATRIX_STATE_CAP = 100_000
+# the bound of each shape-only kernel cache (_column_fillings, _free_counts,
+# _replay_column), so that the largest tower `verify` accepts fits whole:
+# (1,13) replays 4,096 grid columns, (3,3) 288
+KERNEL_CACHE_SIZE = 1 << 12
 
 
 def _overwrites(w: Word, p: ParamSet):
@@ -163,6 +176,18 @@ def _row_min(columns, h: int) -> int:
     return 0
 
 
+def _profile(columns) -> tuple:
+    """Row minima (_row_min) of a run of staircase columns at the heights of
+    its first column; () for no columns. Fillings and free heights of the
+    column to the left read the run only through this profile."""
+    return tuple([_row_min(columns, h) for h in range(1, len(columns[0]) + 1)]) if columns else ()
+
+
+def _extend(col: tuple, mins: tuple) -> tuple:
+    """The profile of `col` followed by columns of profile `mins`."""
+    return tuple([x or m for x, m in zip(col, mins + (0,))])
+
+
 def _free_heights(columns, k: int, i: int) -> list[int]:
     """Heights of column k, top to bottom, where type i can land.
 
@@ -179,12 +204,14 @@ def _free_heights(columns, k: int, i: int) -> list[int]:
     return out
 
 
-def _column_fillings(length: int, T: int, right):
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _column_fillings(length: int, T: int, mins: tuple) -> tuple:
     """All ways to fill one column of the given length, bottom to top, left
-    of the columns `right`: each row caps its new entry strictly below the
-    row's minimum, and the column itself increases among filled cells.
+    of columns of profile `mins`: each row caps its new entry strictly below
+    the row's minimum, and the column itself increases among filled cells.
     """
     out: list[tuple[int, ...]] = []
+    caps = mins + (0,)
 
     def rec(h: int, col_floor: int, acc: list[int]):
         if h > length:
@@ -193,13 +220,21 @@ def _column_fillings(length: int, T: int, right):
         acc.append(0)
         rec(h + 1, col_floor, acc)
         acc.pop()
-        for val in range(col_floor + 1, _row_min(right, h) or T):
+        for val in range(col_floor + 1, caps[h - 1] or T):
             acc.append(val)
             rec(h + 1, val, acc)
             acc.pop()
 
     rec(1, 0, [])
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _free_counts(col: tuple, mins: tuple, T: int) -> tuple:
+    """(free, present) for each type i = 1..T-1: the number of free heights
+    of i (_free_heights) in `col`, left of columns of profile `mins`, and
+    whether i sits in col."""
+    return tuple((len(_free_heights((col, mins), 1, i)), i in col) for i in range(1, T))
 
 
 def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
@@ -212,7 +247,7 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
         partial = [
             (col,) + cols
             for cols in partial
-            for col in _column_fillings(n + 1 - k, T, cols)
+            for col in _column_fillings(n + 1 - k, T, _profile(cols))
         ]
     return [Tableau._make((cols, T)) for cols in sorted(partial)]
 
@@ -226,15 +261,14 @@ def _factors(p: ParamSet) -> tuple:
     return p.z[0] ** 0, (p.z, tuple(1 - p.y_at(f) for f in range(len(p.y) + 1)))
 
 
-def _column_factor(acc, columns, k: int, T: int, factors: tuple):
-    """acc times column k's T - 1 factors of the stationary product, type 1
-    first: with f the free heights of column k for type i, z_{1+f} when i
-    sits in the column, 1 - y_f when it is absent; `factors` is _factors(p)[1]."""
+def _column_factor(acc, col: tuple, mins: tuple, T: int, factors: tuple):
+    """acc times the T - 1 factors of the stationary product of column `col`,
+    left of columns of profile `mins`, type 1 first: with f the free heights
+    of col for type i, z_{1+f} when i sits in col, 1 - y_f when it is absent;
+    `factors` is _factors(p)[1]."""
     z, fail = factors
-    col = columns[k - 1]
-    for i in range(1, T):
-        free = len(_free_heights(columns, k, i))
-        acc = acc * (z[free] if i in col else fail[free])
+    for free, present in _free_counts(col, mins, T):
+        acc = acc * (z[free] if present else fail[free])
     return acc
 
 
@@ -244,9 +278,14 @@ def tableau_stationary(V: Tableau, p: ParamSet):
     L^(n(T-1))."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
+    p.require_arity(V.n)
     acc, factors = _factors(p)
-    for k in range(1, V.n + 1):
-        acc = _column_factor(acc, V.columns, k, V.T, factors)
+    # profiles[j]: the profile of the last j columns
+    profiles = [()]
+    for col in reversed(V.columns[1:]):
+        profiles.append(_extend(col, profiles[-1]))
+    for col, mins in zip(V.columns, reversed(profiles)):
+        acc = _column_factor(acc, col, mins, V.T, factors)
     return Fraction(acc, p.tables.L ** (V.n * (V.T - 1))) if p.tables else acc
 
 
@@ -262,7 +301,7 @@ def tableau_successors(V: Tableau) -> list[Tableau]:
     shifted = _shifted_body(V)
     return [
         Tableau._make(((col,) + shifted, V.T))
-        for col in _column_fillings(V.n, V.T, shifted)
+        for col in _column_fillings(V.n, V.T, _profile(shifted))
     ]
 
 
@@ -280,8 +319,9 @@ def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
 
     def successors(V: Tableau):
         # the step draws W's fresh first column with the law's column-1 factors
+        mins = _profile(_shifted_body(V))
         for W in tableau_successors(V):
-            f = _column_factor(one, W.columns, 1, T, factors)
+            f = _column_factor(one, W.columns[0], mins, T, factors)
             yield W, (f, den) if tables else f
 
     return build_matrix(states, successors, key=_shifted_body)
@@ -326,10 +366,9 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     for k in range(n, 0, -1):
         swept: dict = {}
         for prof, mass in masses.items():
-            for col in _column_fillings(n + 1 - k, T, (prof,)):
-                key = tuple(x or m for x, m in zip(col, prof + (0,)))
-                swept[key] = swept.get(key, zero) + _column_factor(mass, (col, prof), 1, T,
-                                                                   factors)
+            for col in _column_fillings(n + 1 - k, T, prof):
+                key = _extend(col, prof)
+                swept[key] = swept.get(key, zero) + _column_factor(mass, col, prof, T, factors)
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
     weights = tuple(words.get(w.letters, zero) for w in states)
@@ -354,6 +393,8 @@ class MatrixState(NamedTuple):
 
 
 def _check_matrix(M: MatrixState, n: int, T: int):
+    if n < 1 or T < 2:
+        raise ValueError("need n >= 1 and T >= 2")
     if len(M.grid) != T - 1 or any(len(row) != n for row in M.grid):
         raise ValueError(f"grid must be {T - 1} x {n}")
     for row in M.grid:
@@ -374,14 +415,19 @@ def enumerate_matrix_states(n: int, T: int) -> list[MatrixState]:
 
 def matrix_stationary_weight(M: MatrixState, p: ParamSet):
     """Product of one z per cell; already normalized over the full grid.
-    Fraction weights reduce once, from the products of their numerators and
-    denominators; other weights multiply cell by cell."""
-    cells = [p.z_at(x) for row in M.grid for x in row]
-    if isinstance(p.z_at(1), Fraction) and all(isinstance(z, Fraction) for z in cells):
-        return Fraction(prod(z.numerator for z in cells), prod(z.denominator for z in cells))
-    acc = p.z_at(1) ** 0
-    for z in cells:
-        acc = acc * z
+    Over p's integer tables one Fraction, the product of the cells' Z over
+    L^(cells); float weights multiply cell by cell."""
+    grid = M.grid
+    n = len(grid[0]) if grid else 0
+    _check_matrix(M, n, len(grid) + 1)
+    p.require_arity(n)
+    if t := p.tables:
+        Z = t.Z
+        return Fraction(prod([Z[x - 1] for row in grid for x in row]), t.L ** (n * len(grid)))
+    acc = p.z[0] ** 0
+    for row in grid:
+        for x in row:
+            acc = acc * p.z[x - 1]
     return acc
 
 
@@ -427,6 +473,7 @@ def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     return build_matrix(states, successors, key=_matrix_body)
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _replay_column(right: tuple, choices: tuple) -> tuple:
     """Columns k..n of a lump, from its columns k+1..n (`right`) and grid
     column k: type i lands on the pos-th free height of column k, pos being
@@ -434,6 +481,8 @@ def _replay_column(right: tuple, choices: tuple) -> tuple:
     col = [0] * (len(right) + 1)
     columns = (col,) + right
     for i, pos in enumerate(choices, start=1):
+        if pos > len(col):
+            continue  # past the column's height, so past its free heights
         free = _free_heights(columns, 1, i)
         if pos <= len(free):
             col[free[pos - 1] - 1] = i
@@ -450,24 +499,19 @@ def lump_matrices(states) -> list[Tableau]:
     """lump_matrix of every grid in `states`, in order.
 
     Columns k..n of a lump depend on grid columns k..n only through the
-    lump's columns k+1..n and grid column k. So one call replays each
-    distinct pair of those once, and builds each distinct Tableau once:
-    equal lumps are one object.
+    lump's columns k+1..n and grid column k, and `_replay_column` keeps its
+    replays for the process. So each distinct pair of those is replayed
+    once, and one call builds each distinct Tableau once: equal lumps are
+    one object.
     """
-    replayed: dict = {}
     tableaux: dict = {}
     out = []
     for M in states:
         T = len(M.grid) + 1
-        _check_matrix(M, len(M.grid[0]), T)
+        _check_matrix(M, len(M.grid[0]) if M.grid else 0, T)
         cols = ()
         for column in reversed(list(zip(*M.grid))):
-            # a tuple key is hashed at each lookup, so look it up once
-            key = (cols, column)
-            nxt = replayed.get(key)
-            if nxt is None:
-                nxt = replayed[key] = _replay_column(cols, column)
-            cols = nxt
+            cols = _replay_column(cols, column)
         key = (cols, T)
         V = tableaux.get(key)
         if V is None:

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from jugglemc import fluctuating
+from jugglemc import fluctuating, msjmc
 from jugglemc.chain import (
     LumpingMap,
     stationary_exact,
     verify_lumping,
 )
-from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
+from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.msjmc import _enriched_matrix
 from jugglemc.fluctuating import (
@@ -304,6 +304,20 @@ def test_enriched_rows_are_built_once_per_tail(model, moves, params):
                                       lambda w, J: moves(w, p, J))
     if model == "add_drop":
         assert (Pt.size, len(Pt._distinct)) == (60, 12)
+
+
+def test_msjmc_enriched_rows_are_built_once_per_word_and_tail():
+    # an msjmc enriched row reads (w, v) only through (w, v^-): one row object
+    # per pair, equal to the rows built state by state
+    rng = random.Random(44)
+    for counts, size, rows in (((1, 1, 1, 1), 180, 72), ((2, 1, 1), 75, 32),
+                               ((1, 2, 1), 70, 31)):
+        p = ParamSet(tuple(F(rng.randint(1, 9)) for _ in range(sum(counts) + 1)))
+        Pt = msjmc.build_enriched_chain(TypeCounts(counts), p)
+        assert len({(s.w, s.v[1:]) for s in Pt.states}) == len(Pt._distinct) == rows, counts
+        assert Pt.size == size, counts
+        assert Pt == _enriched_matrix(msjmc.enumerate_enriched(TypeCounts(counts)),
+                                      lambda w, J: msjmc._bumps(w, p, J))
 
 
 def test_enriched_add_drop_lumps_to_base():

@@ -370,9 +370,15 @@ def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch,
     the sweep's counterexample is one verify_lumping would accept as such: its
     witness grid's row, lumped onto the tableau it names, differs from the
     tableau row."""
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
+    # the kernel caches hold the unbroken replays of every shape first
+    warm = random.Random(62)
+    for n, T in shapes:
+        p = random_normalized_params(warm, n)
+        assert sweep_verdicts(n, T, p) == [True] * 3, (n, T)
     rng = random.Random(60)
     monkeypatch.setattr(overwriting, name, broken)
-    for n, T in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]:
+    for n, T in shapes:
         p = random_normalized_params(rng, n)
         verdicts = sweep_verdicts(n, T, p)
         assert verdicts == per_state_checks(n, T, p) and verdicts[:2] == [False, True], (n, T)
@@ -392,6 +398,64 @@ def test_column_sweep_keys_are_the_tableaux_with_their_shifted_bodies():
         assert sorted(A for A, _ in pairs) == [V.columns for V in tableaux], (n, T)
         assert all(B == _shifted_body(V) for (_, B), V in zip(sorted(pairs), tableaux)), (n, T)
         assert set(pushes) == {_shifted_body(V) for V in tableaux}, (n, T)
+
+
+KERNELS = (overwriting._column_fillings, overwriting._free_counts, overwriting._replay_column)
+
+
+def tower_results(n: int, T: int, p: ParamSet) -> tuple:
+    Pw, Pt = build_word_chain(n, T, p), build_tableau_chain(n, T, p)
+    return (tower_checks(n, T, p, Pw), Pt, [tableau_stationary(V, p) for V in Pt.states],
+            overwriting._word_law(Pw.states, n, T, p),
+            overwriting.lump_matrices(enumerate_matrix_states(n, T)))
+
+
+def test_warm_kernel_caches_give_the_cold_results():
+    """Every result on a shape is the same when the shape-only kernels are
+    computed afresh and when they come from caches filled by every other
+    shape and other weights, zeros among them."""
+    rng = random.Random(61)
+    cases = [(n, T, p) for n, T in TOWER_SHAPES for p in weight_sets(rng, n)]
+    cold = []
+    for n, T, p in cases:
+        for kernel in KERNELS:
+            kernel.cache_clear()
+        cold.append(tower_results(n, T, p))
+    for (n, T, p), want in reversed(list(zip(cases, cold))):
+        assert tower_results(n, T, p) == want, (n, T, p)
+
+
+def test_kernel_caches_hold_the_largest_verify_tower_whole(capsys):
+    assert {kernel.cache_info().maxsize for kernel in KERNELS} == {overwriting.KERNEL_CACHE_SIZE}
+    overwriting._replay_column.cache_clear()
+    assert main(["verify", "--suite", "all", "--model", "overwriting", "--n", "1", "--T", "13",
+                 "--z", "1/2,1/2"]) == 0, capsys.readouterr().err
+    info = overwriting._replay_column.cache_info()
+    # one replay per grid column, 2^12 of them, and none evicted
+    assert info.currsize == info.misses == 4096
+
+
+@pytest.mark.parametrize("n,T,arity", [(3, 3, 2), (2, 3, 4)])
+def test_closed_forms_refuse_weights_of_the_wrong_arity(n, T, arity):
+    p = ParamSet(tuple([F(1, arity)] * arity))
+    text = f"need exactly {n + 1} throw weights for {n} balls, got {arity}"
+    V = enumerate_tableaux(n, T)[-1]
+    M = enumerate_matrix_states(n, T)[-1]
+    for law, state in ((tableau_stationary, V), (matrix_stationary_weight, M)):
+        with pytest.raises(ValueError) as info:
+            law(state, p)
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize("grid", [(), ((), ())], ids=["no-row", "no-column"])
+def test_empty_grids_are_refused(grid):
+    M = MatrixState(grid)
+    p = ParamSet((F(1, 2), F(1, 2)))
+    for call in (lump_matrix, lambda M: overwriting.lump_matrices([M]),
+                 lambda M: matrix_stationary_weight(M, p)):
+        with pytest.raises(ValueError) as info:
+            call(M)
+        assert str(info.value) == "need n >= 1 and T >= 2"
 
 
 def test_overwriting_stationary_matches_solver():
