@@ -9,8 +9,8 @@ lumps the states whose rows are equal, level after level, which is exact:
 equal rows make a lumpable partition, and one step of P from the lumped
 chain's law gives back P's. It eliminates the innermost chain's balance
 equations modulo a large prime, reads its law off by rational
-reconstruction, lifts it back to P's states and returns it, as Fractions,
-only once the one-step certificate `first_unbalanced` proves it on P;
+reconstruction, lifts it back to P's states and returns it, as int masses
+over their sum, only once the one-step certificate proves it on P;
 otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
 D·P, D the lcm of the entry denominators, and every exact chain holds only
@@ -211,13 +211,27 @@ def _checked_row(i: int, row: Mapping[int, object], size: int) -> dict:
 
 
 class Distribution:
-    """Weights aligned with a chain's state order."""
+    """Weights aligned with a chain's state order, or int masses over one scale read lazily."""
 
-    def __init__(self, states: Sequence, weights: Sequence):
+    def __init__(self, states: Sequence, weights: Sequence, scale: Optional[int] = None):
         self.states = tuple(states)
-        self.weights = tuple(weights)
-        if len(self.states) != len(self.weights):
+        if scale is None:
+            self.weights, self.masses = tuple(weights), None
+        else:
+            self.masses, self.scale = tuple(weights), scale
+        if len(self.states) != len(self.masses or self.weights):
             raise ValueError("one weight per state required")
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(Fraction(a, self.scale) for a in self.masses)
+
+    def integer(self) -> tuple[tuple, int]:
+        """(int masses, scale): its own, or its exact weights over their denominators' lcm."""
+        if self.masses is None:
+            self.scale = lcm(*(w.denominator for w in self.weights))
+            self.masses = tuple(w.numerator * (self.scale // w.denominator) for w in self.weights)
+        return self.masses, self.scale
 
     @property
     def total(self):
@@ -229,9 +243,8 @@ class Distribution:
             raise ValueError("cannot normalize a zero distribution")
         if isinstance(t, float):
             return Distribution(self.states, tuple(w / t for w in self.weights))
-        # integer weights must not fall into float division
-        t = Fraction(t)
-        return Distribution(self.states, tuple(Fraction(w) / t for w in self.weights))
+        masses = self.integer()[0]  # exact weights never fall into float division
+        return Distribution(self.states, masses, sum(masses))
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -570,15 +583,15 @@ def _lumpings(P: ChainMatrix) -> tuple[list, list[dict]]:
 
 
 def stationary_exact(P: ChainMatrix) -> Distribution:
-    """The unique normalized solution of pi P = pi, as Fractions.
+    """The unique normalized solution of pi P = pi, int masses over their sum.
 
     Refuses float and reducible chains. States whose rows are equal are
     lumped together (_lumpings), and lumped again while the lumped chain
     has equal rows. Each rung of _prime_ladder gives a candidate law of the
     innermost chain by _solve_modulo (a one-state chain's law is (1), with
     no elimination); it is lifted back to P's states, and the first lifted
-    candidate that first_unbalanced finds balanced on P is returned, scaled
-    to sum 1: on an irreducible chain a balanced law with a positive mass
+    candidate that first_unbalanced finds balanced on P is returned over
+    its sum: on an irreducible chain a balanced law with a positive mass
     is the stationary law up to a positive scale.
 
     The lumping is exact. Equal rows make a partition whose states move to
@@ -607,9 +620,9 @@ def stationary_exact(P: ChainMatrix) -> Distribution:
             continue
         for cls, reps in reversed(levels):
             masses = _push(masses, reps, [0] * len(cls))
-        if first_unbalanced(P, Distribution(P.states, masses)) is None:
-            total = sum(masses)
-            return Distribution(P.states, tuple(Fraction(a, total) for a in masses))
+        law = Distribution(P.states, masses, sum(masses))
+        if first_unbalanced(P, law) is None:
+            return law
 
 
 def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000) -> Distribution:
@@ -634,15 +647,14 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
 def first_unbalanced(P: ChainMatrix, masses: Distribution):
     """The first state, in P's order, whose inflow under one exact step
     differs from its mass, or None; for an irreducible P, None proves the
-    masses proportional to the unique stationary law. With a = M·masses, M
-    the lcm of their denominators, state j balances iff
+    masses proportional to the unique stationary law. With a their int
+    masses (Distribution.integer), state j balances iff
     sum_i a_i (D·P)_ij = D a_j."""
     if masses.states != P.states:
         raise ValueError("masses not aligned with the chain")
-    if not all(map(is_exact, masses.weights)):
+    if masses.masses is None and not all(map(is_exact, masses.weights)):
         raise ValueError("a stationarity certificate needs exact masses")
-    M = lcm(*(w.denominator for w in masses.weights))
-    scaled = [w.numerator * (M // w.denominator) for w in masses.weights]
+    scaled = masses.integer()[0]
     D = _denominator_of(P)
     # the states holding one row object step together, with their summed mass
     mass = [0] * len(P._integer_rows)

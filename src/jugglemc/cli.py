@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, islice, repeat
-from math import isfinite
+from math import gcd, isfinite
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -231,33 +231,43 @@ def _grid(spec: ModelSpec) -> tuple:
     return spec.r, spec.c, spec.balls
 
 
+def _product_law(states: list, p: ParamSet, sweep, per_word, Z=1) -> Distribution:
+    """A closed form over its normalizer Z on `states`, in their model's order:
+    exact, sweep()'s (int masses, denominator) over one scale; else per_word(w, p) / Z."""
+    if p.tables is None:
+        return Distribution(states, tuple(per_word(w, p) / Z for w in states))
+    (masses, den), Z = sweep(), Fraction(Z)
+    g = gcd(den, Z.denominator)
+    return Distribution(states, [a * (Z.denominator // g) for a in masses], den // g * Z.numerator)
+
+
 def _msjmc_law(spec: ModelSpec, states: list) -> Distribution:
-    p = spec.params
-    # each closed form divides by its normalizer inside the one Fraction it makes
-    Z = msjmc.partition_function(TypeCounts(spec.counts), p)
-    return Distribution(states, tuple(msjmc.stationary_weight(w, p, Z) for w in states))
+    p, counts = spec.params, TypeCounts(spec.counts)
+    return _product_law(states, p, lambda: msjmc._law_masses(counts, p.tables),
+                        msjmc.stationary_weight, msjmc.partition_function(counts, p))
 
 
 def _add_drop_law(spec: ModelSpec, states: list) -> Distribution:
-    p = spec.params
-    Z = fluctuating.add_drop_partition(spec.n, spec.T, p)
-    return Distribution(states, tuple(fluctuating.add_drop_stationary_weight(w, p, Z)
-                                      for w in states))
+    p, n, T = spec.params, spec.n, spec.T
+    return _product_law(states, p, lambda: fluctuating._add_drop_masses(n, T, p.tables),
+                        fluctuating.add_drop_stationary_weight,
+                        fluctuating.add_drop_partition(n, T, p))
 
 
 def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
-    p = spec.params
+    p, n, T = spec.params, spec.n, spec.T
     # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
-    if p.y_at(1) == 0 and spec.n >= 2 and spec.T >= 2:
+    if p.y_at(1) == 0 and n >= 2 and T >= 2:
         raise DegenerateParams("y_1 = 0 in a cascade factor")
-    return Distribution(states, tuple(fluctuating.annihilation_stationary(w, p) for w in states))
+    return _product_law(states, p, lambda: fluctuating._annihilation_masses(n, T, p),
+                        fluctuating.annihilation_stationary)
 
 
 def _juggler_law(spec: ModelSpec, states: list) -> Distribution:
-    weights = [jugglers.juggler_stationary_weight(A) for A in states]
+    weights = tuple(jugglers.juggler_stationary_weight(A) for A in states)
     if spec.backend == "float":
-        weights = [float(x) for x in weights]
-    return Distribution(states, tuple(weights)).normalize()
+        return Distribution(states, [float(x) for x in weights]).normalize()
+    return Distribution(states, weights, sum(weights))
 
 
 class Model(NamedTuple):
@@ -317,9 +327,15 @@ def _cap(spec: ModelSpec, model: Model, cap: int):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return x
-    return format_scalar(x)
+    return x if isinstance(x, float) else format_scalar(x)
+
+
+def _entries(law: Distribution) -> list:
+    """A law's entries for output; int masses reduced by one gcd each, no Fraction."""
+    if law.masses is None:
+        return [_fmt(x) for x in law.weights]
+    S = law.scale
+    return [str(a // g) if (g := gcd(a, S)) == S else f"{a // g}/{S // g}" for a in law.masses]
 
 
 def _emit(text: str, args) -> None:
@@ -382,26 +398,25 @@ def cmd_stationary(spec: ModelSpec, args) -> int:
     states = model.states(spec) if P is None else P.states
     out = {"spec_version": SPEC_VERSION, "model": spec.model, "method": args.method,
            "states": [str(s) for s in states]}
-    if args.method != "solve":
-        formula = model.law(spec, states)
-        out["formula"] = [_fmt(x) for x in formula.weights]
-    if P is not None:
-        solved = stationary_exact(P) if P.exact else stationary_power(P)
-        out["solve"] = [_fmt(x) for x in solved.weights]
-    code = 0
-    if args.method == "both":
-        # several_jugglers has no weights, so its chain stays exact while
-        # the float backend gives a float formula
-        if P.exact and spec.backend == "exact":
-            equal = formula.weights == solved.weights
-        else:
-            equal = all(
-                abs(a - b) <= 1e-9 for a, b in zip(formula.weights, solved.weights)
-            )
-        out["verdict"] = "EQUAL" if equal else "DIFFER"
-        code = 0 if equal else 2
+    formula = None if args.method == "solve" else model.law(spec, states)
+    solved = None if P is None else stationary_exact(P) if P.exact else stationary_power(P)
+    if args.method != "both":
+        out[args.method] = _entries(formula or solved)
+        _emit_json(out, args)
+        return 0
+    # several_jugglers has no weights, so its chain stays exact while the
+    # float backend gives a float formula
+    if exact := P.exact and spec.backend == "exact":  # a / S = b / B, cross-multiplied
+        (a, S), (b, B) = formula.integer(), solved.integer()
+        equal = all(x * B == y * S for x, y in zip(a, b))
+    else:
+        equal = all(abs(x - y) <= 1e-9 for x, y in zip(formula.weights, solved.weights))
+    # equal exact laws print the same entries, formatted once for both lists
+    out["formula"] = _entries(solved if equal and exact else formula)
+    out["solve"] = out["formula"] if equal and exact else _entries(solved)
+    out["verdict"] = "EQUAL" if equal else "DIFFER"
     _emit_json(out, args)
-    return code
+    return 0 if equal else 2
 
 
 def _base_m_probe(P: ChainMatrix, limit: int):
@@ -552,7 +567,7 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
         out["steps"] = steps
         out["burn_in"] = steps // 10
     out["empirical"] = [_fmt(x) for x in empirical.weights]
-    out["exact"] = [_fmt(x) for x in exact.weights]
+    out["exact"] = _entries(exact)
     out["tv_distance"] = float(total_variation(empirical, exact))
     _emit_json(out, args)
     return 0

@@ -3,8 +3,8 @@
 Exact arithmetic uses fractions.Fraction (or int); the float backend uses
 plain floats with a fixed comparison tolerance. An exact ParamSet also keeps
 its weights over common denominators as ints (`ParamTables`), so the model
-walks multiply ints and hand their moves on as (num, den) pairs, and the
-product formulas and normalizers make one Fraction per entry.
+walks and closed-form sweeps multiply ints, J rows come from a per-process
+cache of int-tuple steps (`_j_step`), and each normalizer is one Fraction.
 All position arguments follow the 1-based convention of the transition
 formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
 operations and never stored.
@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 from math import inf, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -22,6 +23,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import DegenerateParams
 
 FLOAT_TOL = 1e-12
+# bound of each per-process kernel cache; the largest tower `verify` takes replays 4,096 columns
+KERNEL_CACHE_SIZE = 1 << 12
 
 
 def is_exact(x) -> bool:
@@ -53,9 +56,7 @@ class Word(namedtuple("Word", "letters T")):
         return self.letters[i - 1]
 
     def __str__(self):
-        if self.T <= 9:
-            return "".join(str(x) for x in self.letters)
-        return ".".join(str(x) for x in self.letters)
+        return ("" if self.T <= 9 else ".").join(map(str, self.letters))
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,27 @@ def enumerate_alphabet_words(n: int, T: int) -> list[Word]:
     ]
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _j_step(row: tuple, x: int) -> tuple:
+    """J_w(m, .) from the row J_w(m+1, .) above it and w_m = x."""
+    return tuple([k + (x > t) for t, k in enumerate(row)])
+
+
 def _j_table(w: Word) -> list:
     """J[m][t] = J_w(m, t) = 1 + #{l : m <= l <= n, w_l > t} for m = 1..n+1
-    and t = 0..T, from the top down."""
-    J = [[1] * (w.T + 1)]
-    for x in reversed(w.letters):
-        J.append([k + (x > t) for t, k in enumerate(J[-1])])
+    and t = 0..T, from the top down; each row a tuple."""
+    J = list(accumulate(reversed(w.letters), _j_step, initial=(1,) * (w.T + 1)))
     return [None] + J[::-1]
+
+
+def _suffix_sweep(n: int, T: int, factors) -> list:
+    """(J_w(1, .), product) for each word of enumerate_alphabet_words(n, T), in its order: x put
+    at position i = n..1 multiplies by factors[x-1][E_w(i) - 1], E_w(i) = J_w(i+1, x)."""
+    level = [((1,) * (T + 1), 1)]
+    for _ in range(n):
+        level = [(_j_step(row, x), acc * f[row[x] - 1])
+                 for row, acc in level for x, f in enumerate(factors, 1)]
+    return level
 
 
 def _float_normalizer(Z: float) -> float:

@@ -15,9 +15,9 @@ into the chain's integer form; for float weights each tail is multiplied
 onto its insertion factor at the leaf. The walk writes the successor as it
 goes, starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built,
 and the enriched builders read each move's restarts off the same J table
-of w. The product formulas read E_w(i) = J[i][w_i] off the same table and
-multiply ints, making one Fraction per state, and the add-drop normalizer
-is a sum of products of ints over a power of Lc L. A word's row depends
+of w. For exact weights each law is one suffix sweep of int masses over
+all words, and the add-drop normalizer a sum of products of ints over a
+power of Lc L, one Fraction. A word's row depends
 only on w^- = w_2 .. w_n (the first letter is dropped before anything is
 read), so each w^-'s row is built once and shared by the T words that end
 in it; an enriched state's row likewise depends only on (w^-, v^-) and is
@@ -31,7 +31,7 @@ from math import inf, prod
 
 from .chain import ChainMatrix, build_matrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, _float_normalizer, _j_table
+    complete_homogeneous, _float_normalizer, _j_table, _suffix_sweep
 from .errors import DegenerateParams, NotNormalized
 from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, _mass
 
@@ -77,14 +77,20 @@ def _add_drop_moves(w: Word, p: ParamSet, J=None):
                                else (1, cj * x / den))
 
 
-def add_drop_stationary_weight(w: Word, p: ParamSet, norm=None):
-    """Unnormalized stationary mass prod_i c_{w_i} y_{E_w(i)}; divided by
-    norm when given."""
+def add_drop_stationary_weight(w: Word, p: ParamSet):
+    """Unnormalized stationary mass prod_i c_{w_i} y_{E_w(i)}."""
     _need_activities(p, w.T)
     J, tables = _j_table(w), p.tables
     c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
     return _mass(p, (f for i, x in enumerate(w.letters, 1) for f in (c[x - 1], y[J[i][x] - 1])),
-                 tables and (tables.Lc * tables.L) ** w.n, norm)
+                 tables and (tables.Lc * tables.L) ** w.n)
+
+
+def _add_drop_masses(n: int, T: int, tables) -> tuple[list, int]:
+    """(prod_i C_{w_i} Y_{E_w(i)} for the words of enumerate_alphabet_words(n,
+    T), in its order, by one suffix sweep; (Lc L)^n)."""
+    factors = [[c * y for y in tables.Y] for c in tables.C]
+    return [acc for _, acc in _suffix_sweep(n, T, factors)], (tables.Lc * tables.L) ** n
 
 
 def _compositions(n: int, parts: int):
@@ -160,6 +166,19 @@ def annihilation_stationary(w: Word, p: ParamSet):
     y = tables.Y if tables else p.y
     return _annihilation_mass(w, p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)
                                      if x < w.T))
+
+
+def _annihilation_masses(n: int, T: int, p: ParamSet) -> tuple[list, int]:
+    """As _add_drop_masses, for annihilation_stationary over L^(n(T-1)): a
+    letter x < T has x factors (Y_E and x - 1 failures), T has T - 1, so x
+    takes L^(T-1-x) too; level t+1 fails by fails[J_w(1, t) - 1]."""
+    if not p.normalized:
+        raise NotNormalized("annihilation model needs z summing to 1")
+    L, Y = p.tables.L, p.tables.Y
+    fails = [prod(L - y for y in Y[:q]) for q in range(n + 1)]
+    sites = [[y * L ** (T - 1 - x) for y in Y] for x in range(1, T)] + [[1] * (n + 1)]
+    return [prod((fails[row[t] - 1] for t in range(1, T)), start=acc)
+            for row, acc in _suffix_sweep(n, T, sites)], L ** (n * (T - 1))
 
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:

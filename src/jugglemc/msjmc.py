@@ -18,10 +18,9 @@ which `build_matrix` sums over each row's lcm into the chain's integer
 form, making no Fraction; float weights keep the running float product.
 The enriched chain reads each move's restarts off the source word's J
 table: a slot a ball landed in restarts at the E of the successor, which
-is J_w one position further up. The product formulas likewise read E_w(i)
-= J[i][w_i] off the same table and multiply ints, making one Fraction per
-state, and the partition function is a sum of products of ints over a
-power of L, one Fraction.
+is J_w one position further up. For exact weights the law is one sweep of
+int masses over all words (`_law_masses`), and the partition function is
+a sum of products of ints over a power of L, one Fraction.
 """
 
 from __future__ import annotations
@@ -86,26 +85,30 @@ def _bumps(w: Word, p: ParamSet, J=None):
                      "transition denominator")
 
 
-def _mass(p: ParamSet, factors, den, norm=None):
+def _mass(p: ParamSet, factors, den):
     """The product of `factors`, p's scalars, in order: over the integer
     tables one Fraction, the product over den; for float weights the
-    product itself. Divided by the normalizer norm when one is given."""
+    product itself."""
     acc = prod(factors, start=1 if p.tables else p.z[0] ** 0)
-    if p.tables is None:
-        return acc if norm is None else acc / norm
-    if norm is None:
-        return Fraction(acc, den)
-    norm = Fraction(norm)
-    return Fraction(acc * norm.denominator, den * norm.numerator)
+    return Fraction(acc, den) if p.tables else acc
 
 
-def stationary_weight(w: Word, p: ParamSet, norm=None):
-    """Unnormalized stationary mass prod_i y_{E_w(i)}, E_w(i) = J_w(i, w_i);
-    divided by norm when given."""
+def stationary_weight(w: Word, p: ParamSet):
+    """Unnormalized stationary mass prod_i y_{E_w(i)}, E_w(i) = J_w(i, w_i)."""
     J, tables = _j_table(w), p.tables
     y = tables.Y if tables else p.y
     return _mass(p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)),
-                 tables and tables.L ** w.n, norm)
+                 tables and tables.L ** w.n)
+
+
+def _law_masses(counts: TypeCounts, tables) -> tuple[list, int]:
+    """(prod_i Y_{E_w(i)} for each word of enumerate_multiset_words(counts), in its order,
+    L^n) by one prefix sweep: E_w(i) - 1 counts the letters left after w_i heavier than it."""
+    level, Y = [(counts.counts, 1)], tables.Y
+    for _ in range(counts.n):
+        level = [(left[:x] + (k - 1,) + left[x + 1:], acc * Y[sum(left[x + 1:])])
+                 for left, acc in level for x, k in enumerate(left) if k]
+    return [acc for _, acc in level], tables.L ** counts.n
 
 
 def partition_function(counts: TypeCounts, p: ParamSet):

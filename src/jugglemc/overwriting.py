@@ -58,14 +58,10 @@ from typing import NamedTuple, Sequence
 
 from .chain import ChainMatrix, Distribution, LumpingMap, build_matrix, verify_lumping, \
     _denominator_of
-from .combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
+from .combinatorics import KERNEL_CACHE_SIZE, ParamSet, Word, enumerate_alphabet_words, _j_table
 from .errors import NotNormalized
 
 MATRIX_STATE_CAP = 100_000
-# the bound of each shape-only kernel cache (_column_fillings, _free_counts,
-# _replay_column), so that the largest tower `verify` accepts fits whole:
-# (1,13) replays 4,096 grid columns, (3,3) 288
-KERNEL_CACHE_SIZE = 1 << 12
 
 
 def _overwrites(w: Word, p: ParamSet):

@@ -393,6 +393,68 @@ def test_verify_names_the_first_word_off_the_stationary_law(capsys, monkeypatch)
     ]
 
 
+MIXED_SPECS = {
+    "msjmc": ["--model", "msjmc", "--counts", "2,1,1", "--z", "2/3,1/7,5/9,3/11,1/13"],
+    "add_drop": ["--model", "add_drop", "--n", "3", "--T", "2", "--z", "2/3,1/7,5/9,3/11",
+                 "--activities", "3/4,5/2"],
+    "annihilation": ["--model", "annihilation", "--n", "3", "--T", "3",
+                     "--z", "1/3,1/5,2/7,19/105"],
+    "overwriting": OVERWRITING_ARGS,
+}
+
+
+def _broken_law(model, monkeypatch) -> list:
+    """Break the closed form that `stationary` prints for `model` through a
+    module attribute it reads, and return the broken law's weights on the
+    chain's states, computed apart from the command."""
+    p = cli.load_spec(cli.build_parser().parse_args(["stationary"] + MIXED_SPECS[model])).params
+    if model == "msjmc":  # the normalizer doubled
+        Z = msjmc.partition_function(TypeCounts((2, 1, 1)), p)
+        monkeypatch.setattr(msjmc, "partition_function", lambda *a: 2 * Z)
+        return [msjmc.stationary_weight(w, p) / (2 * Z)
+                for w in enumerate_multiset_words(TypeCounts((2, 1, 1)))]
+    if model == "add_drop":  # the normalizer doubled
+        Z = fluctuating.add_drop_partition(3, 2, p)
+        monkeypatch.setattr(fluctuating, "add_drop_partition", lambda *a: 2 * Z)
+        return [fluctuating.add_drop_stationary_weight(w, p) / (2 * Z)
+                for w in enumerate_alphabet_words(3, 2)]
+    if model == "annihilation":  # every y_{E_w(i)} read one index up, y_{E_w(i) + 1}
+        sweep = fluctuating._suffix_sweep
+        monkeypatch.setattr(fluctuating, "_suffix_sweep",
+                            lambda n, T, factors: sweep(n, T, [f[1:] + f[:1] for f in factors]))
+        law = []
+        for w in enumerate_alphabet_words(3, 3):
+            acc = prod((p.y_at(stat_E(w, i) + 1) for i in (1, 2, 3) if w.letter(i) < 3), start=F(1))
+            for level in (2, 3):
+                acc *= prod(1 - p.y_at(q) for q in range(1, 1 + sum(x >= level for x in w.letters)))
+            law.append(acc)
+        return law
+    # overwriting: the word law moved one word along the state order
+    right = overwriting._word_law
+
+    def shifted(states, n, T, p):
+        law = right(states, n, T, p)
+        return chain.Distribution(law.states, law.weights[1:] + law.weights[:1])
+
+    monkeypatch.setattr(overwriting, "_word_law", shifted)
+    return list(shifted(overwriting.build_word_chain(2, 3, p).states, 2, 3, p).weights)
+
+
+@pytest.mark.parametrize("model", MIXED_SPECS)
+def test_stationary_both_prints_a_broken_closed_form_and_differs(capsys, monkeypatch, model):
+    argv = ["stationary", "--method", "both"] + MIXED_SPECS[model]
+    code, out, err = run(capsys, argv)
+    assert (code, err, json.loads(out)["verdict"]) == (0, "", "EQUAL")
+    solved = json.loads(out)["solve"]
+    law = _broken_law(model, monkeypatch)
+    code, out, err = run(capsys, argv)
+    got = json.loads(out)
+    assert (code, err, got["verdict"]) == (2, "", "DIFFER")
+    # each list holds its own law's entries in lowest terms
+    assert got["formula"] == [str(F(x)) for x in law] != got["solve"]
+    assert got["solve"] == solved
+
+
 def test_verify_size_cap(capsys):
     code, _, err = run(capsys, [
         "verify", "--model", "overwriting", "--n", "8", "--T", "3",

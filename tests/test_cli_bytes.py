@@ -219,3 +219,20 @@ def test_overwriting_33_law_needs_no_elimination(monkeypatch):
     assert digest(argv + ["--z", "1/6,1/3,1/4,1/4"]) == "7f108b65bd586c5a"
     assert digest(argv + ["--z", "2/9,1/9,1/3,1/3"]) == "889eef8f3f74bed7"
     assert calls == []
+
+
+# `stationary --method both` at the sizes of the benchmark's `solve` jobs,
+# with weights whose denominators differ
+BENCHMARK_SIZED = {
+    "f30dd580604d6366": ["--model", "add_drop", "--n", "5", "--T", "3",
+                         "--z", "2/3,1/7,5/9,3/11,1/13,4/5", "--activities", "3/4,5/2,1/6"],
+    "45b5d163749b2916": ["--model", "annihilation", "--n", "4", "--T", "4",
+                         "--z", "1/3,1/5,1/7,2/9,32/315"],
+    "a32f0d209fb0ff89": ["--model", "msjmc", "--counts", "2,2,1,1",
+                         "--z", "2/3,1/7,5/9,3/11,1/13,4/5,7/6"],
+}
+
+
+@pytest.mark.parametrize("want", BENCHMARK_SIZED)
+def test_both_bytes_at_benchmark_size(want):
+    assert digest(["stationary", "--method", "both"] + BENCHMARK_SIZED[want]) == want
