@@ -16,17 +16,17 @@ row powers, lumping checks and the certificate all run on the integer matrix
 D·P, D the lcm of the entry denominators, and every exact chain holds only
 that form: an exact walk hands it over as ints (`build_matrix` on (num, den)
 moves), and exact values (ints and Fractions) are scaled to ints row by row
-when the chain is made. Its Fraction rows are made when they are first
-read; the breadth-first levels, the period and the samplers' floats read
-D·P and never make them. A float chain holds its values and has no D·P. The
-D·P readers share two kernels: `_lumped` groups rows by their
-sums over a partition of the columns (the solver's levels, each row power,
-the class sums of `verify_lumping`), and `_push` adds one step of masses
-through rows (the solver's lift, the certificate, power iteration, each
-row-power vector). A row object that several states hold (as
-`build_matrix(..., key=...)` hands out) is checked, scaled to integers,
-lumped, stepped by the certificate and turned into floats once, not once per
-state.
+when the chain is made. Its Fraction rows are made when first read, and
+nothing here reads them: every exact law returned is int masses over one
+scale, and `_state_rows` hands the command line D·P to print. A float chain
+holds its values and has no D·P. The D·P readers share two kernels:
+`_lumped` groups rows by their sums over a partition of the columns (the
+solver's levels, each row power, the class sums of `verify_lumping`), and
+`_push` adds one step of masses through rows (the solver's lift, the
+certificate, power iteration, each row-power vector). A row object that
+several states hold (as `build_matrix(..., key=...)` hands out) is checked,
+scaled to integers, lumped, stepped by the certificate and turned into
+floats once, not once per state.
 
 A trajectory step from state i takes successor succ[bisect_left(cum, u *
 total)] of i's row, u the next random() of `random.Random(seed)`. `simulate`
@@ -155,8 +155,7 @@ class ChainMatrix:
         when the nonzero pattern is not strongly connected, that is when a
         sweep from state 0 forward or backward misses a state; computed on
         first use and kept."""
-        distinct = self._integer_rows if self.exact else self._distinct
-        rows = [distinct[at] for at in self._row_of]
+        rows = _state_rows(self)[0]
         if not rows or -1 in (level := _levels(rows)):
             return None
         back: list[list[int]] = [[] for _ in rows]
@@ -354,6 +353,13 @@ def _denominator_of(P: ChainMatrix) -> int:
     return P._denominator
 
 
+def _state_rows(P: ChainMatrix) -> tuple[list[Mapping], Optional[int]]:
+    """(each state's row, D): D·P's for an exact chain, the values and None for
+    a float chain; the states that hold one row object share it."""
+    distinct = P._integer_rows if P.exact else P._distinct
+    return [distinct[at] for at in P._row_of], P._denominator if P.exact else None
+
+
 def _require_irreducible(P: ChainMatrix) -> None:
     if P.levels is None:
         raise ReducibleChain("transition pattern is not strongly connected; "
@@ -370,10 +376,9 @@ def chain_period(P: ChainMatrix) -> int:
     level = P.levels
     if level is None:
         raise ReducibleChain("period is defined for irreducible chains only")
-    distinct = P._integer_rows if P.exact else P._distinct
     g = 0
-    for u, at in enumerate(P._row_of):
-        for v in distinct[at]:
+    for u, row in enumerate(_state_rows(P)[0]):
+        for v in row:
             g = gcd(g, level[u] + 1 - level[v])
     return g
 
@@ -668,10 +673,11 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
     """Check sum_{y in class b} Pt[x][y] = P[f(x)][b] for all x, b.
 
     Returns (True, None) or (False, counterexample) where the counterexample
-    is (enriched state, base state, class sum, expected entry). Exact chains
-    only: the class sums of D·Pt are cross-multiplied with the entries of
-    D·P, once per pair of a group of Pt's rows with equal class sums and the
-    distinct row of P it must lump to.
+    is (enriched state, base state, class sum, expected entry), each of the
+    two a Fraction, or 0 off its row. Exact chains only: the class sums of
+    D·Pt are cross-multiplied with the entries of D·P, once per pair of a
+    group of Pt's rows with equal class sums and the distinct row of P it
+    must lump to.
     """
     for s in Pt.states:
         if s not in f.mapping:
@@ -696,8 +702,9 @@ def verify_lumping(Pt: ChainMatrix, f: LumpingMap, P: ChainMatrix):
         sums, brow = class_sums[pair[0]], base_rows[pair[1]]
         for b in set(sums) | set(brow):
             if sums.get(b, 0) * D != brow.get(b, 0) * Dt:
-                got = sum((v for y, v in Pt.rows[x].items() if base_of[y] == b), 0)
-                return False, (Pt.states[x], P.states[b], got, P.rows[base_of[x]].get(b, 0))
+                got = Fraction(sums[b], Dt) if b in sums else 0
+                want = Fraction(brow[b], D) if b in brow else 0
+                return False, (Pt.states[x], P.states[b], got, want)
     return True, None
 
 
@@ -722,15 +729,15 @@ def _power_ladder(P: ChainMatrix):
 
 
 def ultrafast_check(P: ChainMatrix, m: int):
-    """True iff all rows of P^m coincide; returns (flag, common row or None)."""
+    """True iff all rows of P^m coincide; returns (flag, common row of
+    (D·P)^m as int masses over D^m, or None)."""
     if m < 0:
         raise ValueError(f"matrix power {m} is negative")
     scale = _denominator_of(P) ** m
     _, vecs = next(islice(_power_ladder(P), m, None))
     if len(vecs) != 1:
         return False, None
-    weights = tuple(Fraction(vecs[0].get(j, 0), scale) for j in range(P.size))
-    return True, Distribution(P.states, weights)
+    return True, Distribution(P.states, [vecs[0].get(j, 0) for j in range(P.size)], scale)
 
 
 def nilpotency_check(P: ChainMatrix, n: int) -> bool:
@@ -836,10 +843,9 @@ def simulate(
 
     Visits from time `burn_in` on (default steps // 10; at most `steps`, so
     the last state always counts) are tallied as the walk goes, in O(states)
-    memory besides the guides and one chunk of draws; weight
-    c / (steps + 1 - burn_in) per c visits. The steps are those random()
-    would draw (module docstring). Deterministic for a fixed seed; the seed
-    must be >= 0.
+    memory besides the guides and one chunk of draws; the law is the visit
+    counts over steps + 1 - burn_in. The steps are those random() would draw
+    (module docstring). Deterministic for a fixed seed; the seed must be >= 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -883,11 +889,12 @@ def simulate(
                         nxt = succ[bisect_left(cum, u * total)]
                 pos = nxt
                 tally[pos] += 1
-    return Distribution(chain.states, tuple(Fraction(c, steps + 1 - burn_in) for c in counts))
+    return Distribution(chain.states, counts, steps + 1 - burn_in)
 
 
 def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: int) -> Distribution:
-    """Empirical law of the state at time `horizon` over independent replicas.
+    """Empirical law of the state at time `horizon`: the endpoint counts of
+    independent replicas over their number.
 
     One stream `random.Random(seed)` serves the whole run: replica r walks
     with draws r*horizon + 1 .. (r+1)*horizon, so replicas are independent
@@ -908,4 +915,4 @@ def simulate_replicas(P: ChainMatrix, start, horizon: int, replicas: int, seed: 
             succ, cum, total = tables[pos]
             pos = succ[bisect_left(cum, rand() * total)]
         counts[pos] += 1
-    return Distribution(P.states, tuple(Fraction(c, replicas) for c in counts))
+    return Distribution(P.states, counts, replicas)

@@ -23,22 +23,19 @@ from typing import Callable, NamedTuple, Optional
 
 from . import fluctuating, jugglers, msjmc, overwriting
 from .chain import (
-    ChainMatrix, Distribution, LumpingMap, _power_ladder, chain_period,
+    ChainMatrix, Distribution, LumpingMap, _power_ladder, _state_rows, chain_period,
     first_unbalanced, is_irreducible, nilpotency_check, simulate,
     simulate_replicas, stationary_exact, stationary_power, total_variation,
     verify_lumping,
 )
-from .combinatorics import (
-    ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words,
-    format_scalar,
-)
+from .combinatorics import ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words
 from .errors import DegenerateParams, JuggleError
 
 SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica seeds
 DEFAULT_SEED = 1
 STATE_CAP = 100_000
 # json and csv print all n^2 entries; a json table of 1,365 states peaks at
-# ~310 MB of memory, and the cost grows with the square of the state count
+# ~180 MB of memory, and the cost grows with the square of the state count
 DENSE_STATE_CAP = 1_500
 VERIFY_STATE_CAP = 5_000
 
@@ -326,16 +323,14 @@ def _cap(spec: ModelSpec, model: Model, cap: int):
         raise ValueError(f"the state count exceeds the cap {cap}; shrink the model")
 
 
-def _fmt(x):
-    return x if isinstance(x, float) else format_scalar(x)
+def _ratios(masses, S: int) -> list[str]:
+    """Each int mass over S in lowest terms, "a/b" or "a", by one gcd and no Fraction."""
+    return [str(a // g) if (g := gcd(a, S)) == S else f"{a // g}/{S // g}" for a in masses]
 
 
 def _entries(law: Distribution) -> list:
-    """A law's entries for output; int masses reduced by one gcd each, no Fraction."""
-    if law.masses is None:
-        return [_fmt(x) for x in law.weights]
-    S = law.scale
-    return [str(a // g) if (g := gcd(a, S)) == S else f"{a // g}/{S // g}" for a in law.masses]
+    """A law's entries for output: exact masses by _ratios, float weights as they are."""
+    return list(law.weights) if law.masses is None else _ratios(law.masses, law.scale)
 
 
 def _emit(text: str, args) -> None:
@@ -370,23 +365,27 @@ def cmd_matrix(spec: ModelSpec, args) -> int:
                          "states; use --format dot")
     P = model.chain(spec)
     labels = [str(s) for s in P.states]
+    rows, D = _state_rows(P)
+    # each distinct row formatted once: D·P over D by _ratios, a float chain's values as they are
+    distinct = {id(row): row for row in rows}
+    shown = {k: row if D is None else dict(zip(row, _ratios(row.values(), D)))
+             for k, row in distinct.items()}
+    if args.format == "dot":
+        lines = ["digraph chain {", "  rankdir=LR;"]
+        for label, row in zip(labels, rows):
+            lines += (f'  "{label}" -> "{labels[j]}" [label="{x}"];'
+                      for j, x in sorted(shown[id(row)].items()))
+        _emit("\n".join(lines + ["}"]) + "\n", args)
+        return 0
+    # the dense rows, an entry off its row printed as "0"
+    dense = {k: [row.get(j, "0") for j in range(P.size)] for k, row in shown.items()}
     if args.format == "json":
         _emit_json({"spec_version": SPEC_VERSION, "model": spec.model, "backend": spec.backend,
-                    "states": labels, "matrix": [[_fmt(x) for x in row] for row in P.dense()]},
-                   args)
-    elif args.format == "csv":
-        lines = ["state," + ",".join(labels)]
-        for label, row in zip(labels, P.dense()):
-            lines.append(label + "," + ",".join(str(_fmt(x)) for x in row))
-        _emit("\n".join(lines) + "\n", args)
-    else:  # dot
-        lines = ["digraph chain {", "  rankdir=LR;"]
-        for i, row in enumerate(P.rows):
-            for j, prob in sorted(row.items()):
-                lines.append(
-                    f'  "{labels[i]}" -> "{labels[j]}" [label="{_fmt(prob)}"];'
-                )
-        lines.append("}")
+                    "states": labels, "matrix": [dense[id(row)] for row in rows]}, args)
+    else:  # csv
+        joined = {k: ",".join(map(str, row)) for k, row in dense.items()}
+        lines = ["state," + ",".join(labels)] + [
+            f"{label},{joined[id(row)]}" for label, row in zip(labels, rows)]
         _emit("\n".join(lines) + "\n", args)
     return 0
 
@@ -505,18 +504,19 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         # unique stationary law, and its last-site and last-two totals
         pi = model.law(spec, P.states)
         off = first_unbalanced(P, pi)
+        masses, S = pi.integer()  # the marginals are compared times S
         last = [0] * (T + 1)
         pair = [[0] * (T + 1) for _ in range(T + 1)]
-        for w, m in zip(pi.states, pi.weights):
+        for w, m in zip(pi.states, masses):
             last[w.letter(n)] += m
             if n >= 2:
                 pair[w.letter(n - 1)][w.letter(n)] += m
         bad = f"counterexample {off}" if off is not None else next(
             (f"last site {j}" for j in range(1, T + 1)
-             if last[j] != overwriting.last_site_marginal(j, n, T, p)), None)
+             if last[j] != S * overwriting.last_site_marginal(j, n, T, p)), None)
         if bad is None and n >= 2:
             bad = next((f"joint ({i}, {j})" for i in range(1, T + 1) for j in range(1, T + 1)
-                        if pair[i][j] != overwriting.joint_last_two_marginal(i, j, n, T, p)),
+                        if pair[i][j] != S * overwriting.joint_last_two_marginal(i, j, n, T, p)),
                        None)
         checks.append(("closed-form marginals", bad is None, bad))
 
@@ -566,7 +566,7 @@ def cmd_simulate(spec: ModelSpec, args) -> int:
         empirical = simulate(P, start, steps, seed)
         out["steps"] = steps
         out["burn_in"] = steps // 10
-    out["empirical"] = [_fmt(x) for x in empirical.weights]
+    out["empirical"] = _entries(empirical)
     out["exact"] = _entries(exact)
     out["tv_distance"] = float(total_variation(empirical, exact))
     _emit_json(out, args)

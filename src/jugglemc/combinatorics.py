@@ -1,10 +1,12 @@
 """Scalars, words and combinatorial primitives shared by all chain models.
 
-Exact arithmetic uses fractions.Fraction (or int); the float backend uses
-plain floats with a fixed comparison tolerance. An exact ParamSet also keeps
-its weights over common denominators as ints (`ParamTables`), so the model
-walks and closed-form sweeps multiply ints, J rows come from a per-process
-cache of int-tuple steps (`_j_step`), and each normalizer is one Fraction.
+Exact weights are fractions.Fraction (or int); the float backend uses plain
+floats with a fixed comparison tolerance. An exact ParamSet also keeps its
+weights over common denominators as ints (`ParamTables`), so the model walks
+and closed-form sweeps multiply ints, J rows come from a per-process cache
+of int-tuple steps (`_j_step`), and each normalizer is one Fraction. The
+exact numbers a command prints are ints over one scale, formatted by the
+command line.
 All position arguments follow the 1-based convention of the transition
 formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
 operations and never stored.
@@ -258,14 +260,3 @@ def falling_factorial(x, k: int):
         acc = acc * (x - i)
     return acc
 
-
-def format_scalar(x) -> str:
-    """Canonical serialization: 'p/q' for exact values, repr for floats."""
-    if type(x) is int or type(x) is Fraction:
-        return str(x)  # Fraction prints n or n/d in lowest terms already
-    if isinstance(x, float):
-        return repr(x)
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"

@@ -42,9 +42,9 @@ a body of its state, so each builder builds the row of each distinct w_2 ..
 w_n or body once. For exact weights the three steps multiply ints over the
 ParamSet's scaling (Z_k = L z_k, L - Y_k = L (1 - y_k)), and each move is a
 pair (num, den), den a power of L, which `build_matrix` sums into the
-chain's integer form without making a Fraction; the tableau and word laws
-multiply the same ints and make one Fraction per state. Float weights keep
-their float products.
+chain's integer form without making a Fraction. The word law multiplies the
+same ints and keeps them as masses over L^(n(T-1)); the tableau law makes
+one Fraction per tableau. Float weights keep their float products.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribu
 def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     """The word law's masses on `states`, all words of length n over 1..T in
     any order; p is checked by the caller. Over p's integer tables the
-    masses are ints over L^(n(T-1)), one Fraction per word."""
+    masses are ints over the scale L^(n(T-1)), with no Fraction."""
     one, factors = _factors(p)
     zero = one * 0
     masses = {(): one}
@@ -367,11 +367,8 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
                 swept[key] = swept.get(key, zero) + _column_factor(mass, col, prof, T, factors)
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
-    weights = tuple(words.get(w.letters, zero) for w in states)
-    if p.tables:
-        den = p.tables.L ** (n * (T - 1))
-        weights = tuple(Fraction(m, den) for m in weights)
-    return Distribution(states, weights)
+    return Distribution(states, [words.get(w.letters, zero) for w in states],
+                        p.tables and p.tables.L ** (n * (T - 1)))
 
 
 # ------------------------------------------------------------ matrix chain
@@ -581,7 +578,7 @@ def tower_checks(n: int, T: int, p: ParamSet, P: ChainMatrix) -> list:
             if off:
                 b = min(off)
                 to_tableau = (MatrixState(tuple(zip(*grid))), Pt.states[b],
-                              Fraction(push.get(b, 0), Lc), Pt.rows[x].get(b, 0))
+                              Fraction(push.get(b, 0), Lc), Fraction(row[b], Dt) if b in row else 0)
     to_word = LumpingMap.from_function(lump_tableau, Pt.states, P.states)
     fiber = next((V for V in Pt.states
                   if Fraction(fibers[V.columns], Lc ** n) != tableau_stationary(V, p)), None)

@@ -1,5 +1,6 @@
 """Generic chain engine: construction, solving, lumping, power checks, sampling."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -702,21 +703,36 @@ def test_first_unbalanced_matches_one_fraction_step(case):
 
 
 def closed_form(model, shape, enriched):
-    """A chain of the model on one shape and a thunk for its closed-form
-    law, with z_k proportional to k and activities c_t = 1/t."""
+    """(chain, law, p): a chain of the model on one shape with weights p,
+    z_k proportional to k and activities c_t = 1/t, and its closed-form law
+    as a function of the weights it reads, p by default (p is None for
+    several_jugglers, whose law reads none)."""
     m = MODELS[model]
     if model == "several_jugglers":
         spec = ModelSpec(model, "exact", r=shape[0], c=shape[1], balls=shape[2])
-        return m.chain(spec), lambda: m.law(spec, m.states(spec))
+        return m.chain(spec), lambda: m.law(spec, m.states(spec)), None
     n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
     z = tuple(F(2 * k, (n + 1) * (n + 2)) for k in range(1, n + 2))
     c = tuple(F(1, t) for t in range(1, T + 1)) if model == "add_drop" else None
     spec = ModelSpec(model, "exact", counts=shape, n=n, T=T, z=z, activities=c)
+    p = spec.params
     if not enriched:
-        return m.chain(spec), lambda: m.law(spec, m.states(spec))
-    p = ParamSet(z, c)
+        def law(q=p):
+            moved = dataclasses.replace(spec)
+            moved.params = q
+            return m.law(moved, m.states(moved))
+        return m.chain(spec), law, p
     Pt, weight = m.enriched(spec, p)
-    return Pt, lambda: Distribution(Pt.states, [weight(s, p) for s in Pt.states])
+    return Pt, lambda q=p: Distribution(Pt.states, [weight(s, q) for s in Pt.states]), p
+
+
+def index_shifted(p: ParamSet, k: int) -> ParamSet:
+    """A copy of p whose integer tables hold y_{k+1} and z_{k+1} where y_k
+    and z_k belong, which is where the closed forms read them."""
+    q, t = ParamSet(p.z, p.c), p.tables
+    object.__setattr__(q, "tables", t._replace(Y=t.Y[:k - 1] + t.Y[k:k + 1] + t.Y[k:],
+                                                Z=t.Z[:k - 1] + t.Z[k:k + 1] + t.Z[k:]))
+    return q
 
 
 CLOSED_FORMS = CASCADE_SHAPES + [("several_jugglers", s, False) for s in
@@ -726,8 +742,8 @@ CLOSED_FORMS = CASCADE_SHAPES + [("several_jugglers", s, False) for s in
 @pytest.mark.parametrize("model,shape,enriched", CLOSED_FORMS,
                          ids=["-".join([m, "x".join(map(str, s))] + ["enriched"] * e)
                               for m, s, e in CLOSED_FORMS])
-def test_first_unbalanced_certifies_every_closed_form(monkeypatch, model, shape, enriched):
-    P, law = closed_form(model, shape, enriched)
+def test_first_unbalanced_certifies_every_closed_form(model, shape, enriched):
+    P, law, p = closed_form(model, shape, enriched)
     pi = law()
     assert first_unbalanced(P, pi) is None
     assert step_distribution(pi, P) == pi
@@ -736,13 +752,17 @@ def test_first_unbalanced_certifies_every_closed_form(monkeypatch, model, shape,
         weights = list(pi.weights)
         weights[k] = 2 * weights[k] + F(1, 3)
         wrong.append(Distribution(P.states, weights))
-    if model != "several_jugglers":
-        # y_{k+1} read where the formula asks for y_k, for each k in 1..n
-        y_at = ParamSet.y_at
-        for k in range(1, (sum(shape) if model == "msjmc" else shape[0]) + 1):
-            monkeypatch.setattr(ParamSet, "y_at", lambda p, i, k=k: y_at(p, i + (i == k)))
-            wrong.append(law())
-            monkeypatch.undo()
+    if p is not None:
+        # y_{k+1} and z_{k+1} read where the formula asks for y_k and z_k, for
+        # each index k it reads: E_w(i) - 1 counts the letters after w_i that
+        # are heavier, so msjmc reads up to 1 + n - n_1, the others up to n
+        n, T = len(p.z) - 1, len(shape) if model == "msjmc" else shape[1]
+        for k in range(1, n - shape[0] + 2 if model == "msjmc" else n + 1):
+            wrong.append(law(index_shifted(p, k)))
+            # over one letter there is one word, and add_drop's base law on one
+            # site reads y_1 alike in every word: neither tells k apart
+            if T > 1 and (enriched or model != "add_drop" or n > 1):
+                assert wrong[-1] != pi, k
     irreducible = is_irreducible(P)
     for masses in wrong:
         first = first_unbalanced(P, masses)
@@ -1009,8 +1029,18 @@ def test_power_iteration_and_sampling_make_no_fraction_rows(monkeypatch, capsys)
     simulate_replicas(P, "a", 3, 10, seed=1)
     assert chain_period(P) == 1
     assert not {"rows", "_distinct"} & set(vars(P))
+    # a failing lumping reads both entries of its counterexample off D·P
+    Q = two_state(F(1, 2), F(1, 5))
+    assert verify_lumping(P, LumpingMap({"a": "a", "b": "b"}, Q.states), Q) == (
+        False, ("a", "a", F(2, 3), F(1, 2)))
+    rows = {"a": {"b": 1}, "b": {"a": F(1, 2), "b": F(1, 2)}}
+    off = build_matrix("ab", lambda s: rows[s].items())
+    bad = verify_lumping(off, LumpingMap({"a": "a", "b": "b"}, P.states), P)[1]
+    assert repr(bad) == "('a', 'a', 0, Fraction(2, 3))"
     args = ["--model", "msjmc", "--counts", "1,1,1", "--z", "1/2,1/3,1/6,1/6"]
-    for argv in (["simulate", "--steps", "50"], ["simulate", "--replicas", "5"]):
+    for argv in (["simulate", "--steps", "50"], ["simulate", "--replicas", "5"],
+                 ["matrix", "--format", "json"], ["matrix", "--format", "csv"],
+                 ["matrix", "--format", "dot"]):
         assert main(argv + args) == 0, argv
     assert capsys.readouterr().err == ""
 

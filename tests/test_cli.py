@@ -81,6 +81,12 @@ def test_matrix_json_round_trip(capsys):
             assert isinstance(entry, str) and "." not in entry
 
 
+@given(st.lists(st.integers(0, 10 ** 40), max_size=6), st.integers(1, 10 ** 40))
+def test_ratios_print_each_mass_in_lowest_terms(masses, S):
+    assert cli._ratios(masses, S) == [str(F(a, S)) for a in masses]
+    assert cli._ratios([0, 6, 4, 10 ** 40], 6) == ["0", "1", "2/3", f"{5 * 10 ** 39}/3"]
+
+
 def test_matrix_csv(capsys):
     code, out, _ = run(capsys, ["matrix", "--format", "csv"] + JUGGLER_ARGS)
     assert code == 0

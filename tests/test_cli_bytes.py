@@ -1,7 +1,7 @@
 """Pinned CLI bytes: the sha256 of (exit code, stdout, stderr) of every
 subcommand variant on specs covering all five models, exact and float,
-exact weights with mixed denominators, overwriting with T = 1, a reducible
-chain and an invalid spec.
+exact weights with mixed denominators on every word model, overwriting with
+T = 1, a reducible chain and an invalid spec.
 
 A change that claims the same outputs keeps every digest here. To pin a new
 spec or variant, print `digest(argv)` for it and add the first 16 hex digits.
@@ -49,6 +49,8 @@ SPECS = {
                           "--z", "2/3,1/7,5/9,3/11", "--activities", "3/4,5/2,1/6"],
     "annihilation-33-mixed": ["--model", "annihilation", "--n", "3", "--T", "3",
                               "--z", "1/3,1/5,2/7,19/105"],
+    "overwriting-33-mixed": ["--model", "overwriting", "--n", "3", "--T", "3",
+                             "--z", "1/3,1/5,2/7,19/105"],
 }
 
 VARIANTS = {
@@ -171,6 +173,12 @@ PINNED = {
         "272c09a07bd4735b", "fa8b02449afd0518", "3c40939014ffafee", "be3c9b4677ac1501",
         "495fd3a85886f5d7", "a64acb7cc80f46ce", "d798e7c0a435503c", "be3c9b4677ac1501",
         "1ff9557589bb60cb", "35020392e4c3d6c3",
+    ),
+    "overwriting-33-mixed": (
+        "64e9ee1e9fb11b46", "94337de2af653e1b", "6eb5e3bffb8713e8", "035540c75f146bcd",
+        "2416918550c76839", "c7e197041ecd5c8c", "8ab836158741162c", "aaa68d057ed0a364",
+        "5c17b5b2517a9aea", "3f066b2ffa693abb", "9f688427ec7038ad", "4c735a0405849411",
+        "61fe683a03d0f5a6", "7d8b95bbdce19bc0",
     ),
 }
 

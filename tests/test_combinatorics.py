@@ -14,7 +14,6 @@ from jugglemc.combinatorics import (
     enumerate_alphabet_words,
     enumerate_multiset_words,
     falling_factorial,
-    format_scalar,
     is_exact,
 )
 
@@ -162,23 +161,6 @@ def test_falling_factorial():
     assert falling_factorial(Fraction(7, 2), 2) == Fraction(35, 4)
     assert falling_factorial(4, 0) == 1
     assert falling_factorial(2, 3) == 0
-
-
-def test_format_scalar_round_trip():
-    assert format_scalar(Fraction(1, 3)) == "1/3"
-    assert format_scalar(Fraction(4, 2)) == "2"
-    assert Fraction(format_scalar(Fraction(22, 7))) == Fraction(22, 7)
-
-
-@pytest.mark.parametrize("x", [0, 7, -12, 10 ** 40, Fraction(-3, 9), Fraction(10 ** 30, 7),
-                               Fraction(6, 3), True, False])
-def test_format_scalar_prints_exact_values_as_lowest_terms(x):
-    # ints and Fractions print themselves; a bool goes through Fraction, as
-    # every other exact type does
-    f = Fraction(x)
-    expected = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    assert format_scalar(x) == expected
-    assert format_scalar(0.1) == "0.1"
 
 
 def test_is_exact():

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jugglemc import combinatorics, fluctuating, msjmc
-from jugglemc.chain import Distribution
-from jugglemc.cli import MODELS, ModelSpec, main
+from jugglemc.chain import (
+    Distribution, simulate, simulate_replicas, stationary_exact, ultrafast_check,
+)
+from jugglemc.cli import MODELS, ModelSpec, build_parser, load_spec, main
 from jugglemc.combinatorics import TypeCounts, Word, _j_step, _j_table
 
 F = Fraction
@@ -107,9 +109,32 @@ def test_row_cache_stays_small_after_one_pass_over_the_solve_shapes(capsys):
     assert size <= 300 < combinatorics.KERNEL_CACHE_SIZE
 
 
+# one exact spec of each model, with mixed denominators where it has weights
+EXACT_SPECS = {
+    "msjmc": ["--counts", "2,1,1", "--z", "2/3,1/7,5/9,3/11,1/13"],
+    "add_drop": ["--n", "3", "--T", "2", "--z", "2/3,1/7,5/9,3/11", "--activities", "3/4,5/2"],
+    "annihilation": ["--n", "3", "--T", "3", "--z", "1/3,1/5,2/7,19/105"],
+    "overwriting": ["--n", "2", "--T", "3", "--z", "1/3,1/5,7/15"],
+    "several_jugglers": ["--r", "2", "--c", "3", "--balls", "3"],
+}
+
+
 def test_int_masses_read_as_their_fractions():
     law = Distribution("abc", (2, 0, 4), 6)
     assert law.weights == (F(1, 3), F(0), F(2, 3))
     assert law.integer() == ((2, 0, 4), 6)
     assert law == Distribution("abc", (F(1, 3), 0, F(2, 3)))
     assert Distribution("ab", (F(1, 6), F(5, 4))).integer() == ((2, 15), 12)
+    # every exact law the CLI prints holds int masses over one scale
+    for model, args in EXACT_SPECS.items():
+        spec = load_spec(build_parser().parse_args(["stationary", "--model", model] + args))
+        P = MODELS[model].chain(spec)
+        law = MODELS[model].law(spec, P.states)
+        assert law.masses is not None and law == stationary_exact(P), model
+        empirical = [simulate(P, P.states[0], 200, seed=3),
+                     simulate_replicas(P, P.states[0], 4, 30, seed=3)]
+        assert [(len(d.masses), d.scale) for d in empirical] == [(P.size, 181), (P.size, 30)]
+        assert all(sum(d.masses) == d.scale for d in empirical)
+        if model == "overwriting":  # the rows of P^n are the law
+            flat, common = ultrafast_check(P, spec.n)
+            assert flat and common.masses is not None and common == law
