@@ -17,16 +17,18 @@ D·P, D the lcm of the entry denominators, and every exact chain holds only
 that form: an exact walk hands it over as ints (`build_matrix` on (num, den)
 moves), and exact values (ints and Fractions) are scaled to ints row by row
 when the chain is made. Its Fraction rows are made when first read, and
-nothing here reads them: every exact law returned is int masses over one
-scale, and `_state_rows` hands the command line D·P to print. A float chain
-holds its values and has no D·P. The D·P readers share two kernels:
-`_lumped` groups rows by their sums over a partition of the columns (the
-solver's levels, each row power, the class sums of `verify_lumping`), and
-`_push` adds one step of masses through rows (the solver's lift, the
-certificate, power iteration, each row-power vector). A row object that
-several states hold (as `build_matrix(..., key=...)` hands out) is checked,
-scaled to integers, lumped, stepped by the certificate and turned into
-floats once, not once per state.
+nothing here reads them: `_state_rows` hands the command line D·P to print.
+A float chain holds its values and has no D·P. A law (`Distribution`) has
+the same two forms, float weights or int masses over one scale; exact
+weights are scaled to ints once, when the law is made, so every exact law
+returned or certified here is read as ints. The D·P readers share two
+kernels: `_lumped` groups rows by their sums over a partition of the
+columns (the solver's levels, each row power, the class sums of
+`verify_lumping`), and `_push` adds one step of masses through rows (the
+solver's lift, the certificate, power iteration, each row-power vector).
+A row object that several states hold (as `build_matrix(..., key=...)`
+hands out) is checked, scaled to integers, lumped, stepped by the
+certificate and turned into floats once, not once per state.
 
 A trajectory step from state i takes successor succ[bisect_left(cum, u *
 total)] of i's row, u the next random() of `random.Random(seed)`. `simulate`
@@ -210,40 +212,41 @@ def _checked_row(i: int, row: Mapping[int, object], size: int) -> dict:
 
 
 class Distribution:
-    """Weights aligned with a chain's state order, or int masses over one scale read lazily."""
+    """A law aligned with a chain's state order, in one of two forms: float
+    weights, or int masses over one scale. `Distribution(states, masses,
+    scale)` takes the masses as they are; `Distribution(states, weights)`
+    keeps weights with a float among them, and scales exact ones (ints and
+    Fractions) to ints over the lcm of their denominators once, here. An
+    exact law's Fraction weights are made when first read."""
 
     def __init__(self, states: Sequence, weights: Sequence, scale: Optional[int] = None):
-        self.states = tuple(states)
+        self.states, weights = tuple(states), tuple(weights)
+        if scale is None and all(map(is_exact, weights)):
+            dens = [w.denominator for w in weights]
+            scale = lcm(*dens)
+            weights = tuple([w.numerator * (scale // d) for w, d in zip(weights, dens)])
         if scale is None:
-            self.weights, self.masses = tuple(weights), None
+            self.weights, self.masses = weights, None
         else:
-            self.masses, self.scale = tuple(weights), scale
-        if len(self.states) != len(self.masses or self.weights):
+            self.masses, self.scale = weights, scale
+        if len(self.states) != len(weights):
             raise ValueError("one weight per state required")
 
     @cached_property
     def weights(self) -> tuple:
         return tuple(Fraction(a, self.scale) for a in self.masses)
 
-    def integer(self) -> tuple[tuple, int]:
-        """(int masses, scale): its own, or its exact weights over their denominators' lcm."""
-        if self.masses is None:
-            self.scale = lcm(*(w.denominator for w in self.weights))
-            self.masses = tuple(w.numerator * (self.scale // w.denominator) for w in self.weights)
-        return self.masses, self.scale
-
     @property
     def total(self):
-        return sum(self.weights)
+        return sum(self.weights) if self.masses is None else Fraction(sum(self.masses), self.scale)
 
     def normalize(self) -> "Distribution":
-        t = self.total
+        t = sum(self.weights) if self.masses is None else sum(self.masses)
         if t == 0:
             raise ValueError("cannot normalize a zero distribution")
-        if isinstance(t, float):
+        if self.masses is None:
             return Distribution(self.states, tuple(w / t for w in self.weights))
-        masses = self.integer()[0]  # exact weights never fall into float division
-        return Distribution(self.states, masses, sum(masses))
+        return Distribution(self.states, self.masses, t)
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -653,13 +656,12 @@ def first_unbalanced(P: ChainMatrix, masses: Distribution):
     """The first state, in P's order, whose inflow under one exact step
     differs from its mass, or None; for an irreducible P, None proves the
     masses proportional to the unique stationary law. With a their int
-    masses (Distribution.integer), state j balances iff
-    sum_i a_i (D·P)_ij = D a_j."""
+    masses, state j balances iff sum_i a_i (D·P)_ij = D a_j."""
     if masses.states != P.states:
         raise ValueError("masses not aligned with the chain")
-    if masses.masses is None and not all(map(is_exact, masses.weights)):
+    if masses.masses is None:
         raise ValueError("a stationarity certificate needs exact masses")
-    scaled = masses.integer()[0]
+    scaled = masses.masses
     D = _denominator_of(P)
     # the states holding one row object step together, with their summed mass
     mass = [0] * len(P._integer_rows)

@@ -262,9 +262,10 @@ def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
 
 def _juggler_law(spec: ModelSpec, states: list) -> Distribution:
     weights = tuple(jugglers.juggler_stationary_weight(A) for A in states)
-    if spec.backend == "float":
-        return Distribution(states, [float(x) for x in weights]).normalize()
-    return Distribution(states, weights, sum(weights))
+    S = sum(weights)
+    if spec.backend == "float":  # int true division: correctly rounded, where float(w) overflows
+        return Distribution(states, [w / S for w in weights])
+    return Distribution(states, weights, S)
 
 
 class Model(NamedTuple):
@@ -406,7 +407,7 @@ def cmd_stationary(spec: ModelSpec, args) -> int:
     # several_jugglers has no weights, so its chain stays exact while the
     # float backend gives a float formula
     if exact := P.exact and spec.backend == "exact":  # a / S = b / B, cross-multiplied
-        (a, S), (b, B) = formula.integer(), solved.integer()
+        a, S, b, B = formula.masses, formula.scale, solved.masses, solved.scale
         equal = all(x * B == y * S for x, y in zip(a, b))
     else:
         equal = all(abs(x - y) <= 1e-9 for x, y in zip(formula.weights, solved.weights))
@@ -504,7 +505,7 @@ def cmd_verify(spec: ModelSpec, args) -> int:
         # unique stationary law, and its last-site and last-two totals
         pi = model.law(spec, P.states)
         off = first_unbalanced(P, pi)
-        masses, S = pi.integer()  # the marginals are compared times S
+        masses, S = pi.masses, pi.scale  # the marginals are compared times S
         last = [0] * (T + 1)
         pair = [[0] * (T + 1) for _ in range(T + 1)]
         for w, m in zip(pi.states, masses):

@@ -226,13 +226,13 @@ def _suffix_sweep(n: int, T: int, factors) -> list:
     return level
 
 
-def _float_normalizer(Z: float) -> float:
+def _float_normalizer(Z: float, noun: str = "normalizer Z") -> float:
     """A normalizer computed in floats, refused when it left the float range:
     it is positive in exact arithmetic, so 0 is an underflow and inf (or
-    nan) an overflow."""
+    nan) an overflow; the error names it `noun`."""
     if not 0 < Z < inf:
         how = "underflows" if Z == 0 else "overflows"
-        raise DegenerateParams(f"the normalizer Z {how} the float range; use exact weights")
+        raise DegenerateParams(f"the {noun} {how} the float range; use exact weights")
     return Z
 
 

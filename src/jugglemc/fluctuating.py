@@ -69,9 +69,7 @@ def _add_drop_moves(w: Word, p: ParamSet, J=None):
     den = sum(c[t - 1] * y[J[2][t] - 1] for t in range(1, w.T + 1))
     if den == 0 and y[0] == 0:
         raise DegenerateParams("insertion normalizer is 0")
-    if not 0 < den < inf:  # activities and y_1 are positive: only floats get here
-        how = "underflows" if den == 0 else "overflows"
-        raise DegenerateParams(f"the insertion normalizer {how} the float range; use exact weights")
+    _float_normalizer(den, "insertion normalizer")  # activities, y_1 > 0: only floats fail
     for j, cj in enumerate(c, 1):
         yield from _insertions(w, J, p, j, lambda x: (cj * x, den) if tables
                                else (1, cj * x / den))

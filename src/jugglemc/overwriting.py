@@ -28,23 +28,23 @@ replay of a grid column onto a partial lump (`_replay_column`), are pure
 functions of int tuples, kept for the life of the process in caches of at
 most KERNEL_CACHE_SIZE entries; a later call on a shape only multiplies its
 weights in. The caches hold no state objects, so every call still builds
-its own. `lump_matrices` lumps a whole state list in one call and builds
-each distinct tableau once; `lump_matrix` is its call on a single grid.
-`tower_checks` proves the tower without listing a matrix state: one
-right-to-left sweep over the grid columns (`_column_sweep`) keeps the summed
-grid mass per reachable pair of partial lumps (of a grid and of its body),
-which proves the matrix-to-tableau lumping for every grid and gives each
-tableau's fiber mass. The word walk
-(`_overwrites`) writes the successor as it goes and yields each move as
-(successor word, probability), the pair `build_matrix` takes. A word step
+its own. `tower_checks` proves the tower without listing a matrix state:
+one right-to-left sweep over the grid columns (`_column_sweep`) keeps the
+summed grid mass per reachable pair of partial lumps (of a grid and of its
+body), which proves the matrix-to-tableau lumping for every grid and gives
+each tableau's fiber mass, compared with the tableau law's int core
+(`_tableau_mass`). The word walk (`_overwrites`) writes the successor as it
+goes and yields each move as (successor word, probability), the pair
+`build_matrix` takes. A word step
 reads w only past its first letter, and a tableau or matrix step keeps only
 a body of its state, so each builder builds the row of each distinct w_2 ..
 w_n or body once. For exact weights the three steps multiply ints over the
 ParamSet's scaling (Z_k = L z_k, L - Y_k = L (1 - y_k)), and each move is a
 pair (num, den), den a power of L, which `build_matrix` sums into the
 chain's integer form without making a Fraction. The word law multiplies the
-same ints and keeps them as masses over L^(n(T-1)); the tableau law makes
-one Fraction per tableau. Float weights keep their float products.
+same ints and keeps them as masses over L^(n(T-1)), as does the tableau
+law's core; its public wrapper `tableau_stationary` makes one Fraction per
+tableau, which no check reads. Float weights keep their float products.
 """
 
 from __future__ import annotations
@@ -268,21 +268,27 @@ def _column_factor(acc, col: tuple, mins: tuple, T: int, factors: tuple):
     return acc
 
 
+def _tableau_mass(columns: tuple, T: int, acc, factors: tuple):
+    """acc times the column factors of a tableau's columns, column 1 first;
+    (acc, factors) = _factors(p) gives its stationary mass, over p's integer
+    tables an int over L^(n(T-1))."""
+    # profiles[j]: the profile of the last j columns
+    profiles = [()]
+    for col in reversed(columns[1:]):
+        profiles.append(_extend(col, profiles[-1]))
+    for col, mins in zip(columns, reversed(profiles)):
+        acc = _column_factor(acc, col, mins, T, factors)
+    return acc
+
+
 def tableau_stationary(V: Tableau, p: ParamSet):
-    """Stationary mass, already normalized: the product of the column
-    factors, column 1 first; over p's integer tables one Fraction over
-    L^(n(T-1))."""
+    """Stationary mass, already normalized: `_tableau_mass`, over p's
+    integer tables one Fraction over L^(n(T-1))."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(V.n)
-    acc, factors = _factors(p)
-    # profiles[j]: the profile of the last j columns
-    profiles = [()]
-    for col in reversed(V.columns[1:]):
-        profiles.append(_extend(col, profiles[-1]))
-    for col, mins in zip(V.columns, reversed(profiles)):
-        acc = _column_factor(acc, col, mins, V.T, factors)
-    return Fraction(acc, p.tables.L ** (V.n * (V.T - 1))) if p.tables else acc
+    mass = _tableau_mass(V.columns, V.T, *_factors(p))
+    return Fraction(mass, p.tables.L ** (V.n * (V.T - 1))) if p.tables else mass
 
 
 def _shifted_body(V: Tableau) -> tuple:
@@ -484,33 +490,15 @@ def _replay_column(right: tuple, choices: tuple) -> tuple:
 
 def lump_matrix(M: MatrixState) -> Tableau:
     """Replay the juggler choices into a staircase tableau, right column
-    first: `lump_matrices` of the one grid."""
-    return lump_matrices((M,))[0]
-
-
-def lump_matrices(states) -> list[Tableau]:
-    """lump_matrix of every grid in `states`, in order.
-
-    Columns k..n of a lump depend on grid columns k..n only through the
-    lump's columns k+1..n and grid column k, and `_replay_column` keeps its
-    replays for the process. So each distinct pair of those is replayed
-    once, and one call builds each distinct Tableau once: equal lumps are
-    one object.
-    """
-    tableaux: dict = {}
-    out = []
-    for M in states:
-        T = len(M.grid) + 1
-        _check_matrix(M, len(M.grid[0]) if M.grid else 0, T)
-        cols = ()
-        for column in reversed(list(zip(*M.grid))):
-            cols = _replay_column(cols, column)
-        key = (cols, T)
-        V = tableaux.get(key)
-        if V is None:
-            V = tableaux[key] = Tableau._make(key)
-        out.append(V)
-    return out
+    first. Columns k..n of a lump depend on grid columns k..n only through
+    the lump's columns k+1..n and grid column k, and `_replay_column` keeps
+    its replays for the process, so each distinct pair is replayed once."""
+    T = len(M.grid) + 1
+    _check_matrix(M, len(M.grid[0]) if M.grid else 0, T)
+    cols = ()
+    for column in reversed(list(zip(*M.grid))):
+        cols = _replay_column(cols, column)
+    return Tableau._make((cols, T))
 
 
 def _column_sweep(n: int, T: int, Z: Sequence) -> tuple[dict, dict]:
@@ -559,7 +547,8 @@ def tower_checks(n: int, T: int, p: ParamSet, P: ChainMatrix) -> list:
     Finite Markov Chains, 1960, section 6.3): ints cross-multiplied once per
     distinct (B, row), that is per body. A failure names a witness grid as
     verify_lumping does: (matrix state, tableau, class sum, expected entry).
-    Each A's fiber mass, summed over its pairs, must be tableau_stationary.
+    Each A's fiber mass, summed over its pairs, must be its tableau mass,
+    both ints over L^(n(T-1)): a passing check makes no Fraction.
     """
     Pt = build_tableau_chain(n, T, p)
     pairs, pushes = _column_sweep(n, T, p.tables.Z)
@@ -580,8 +569,9 @@ def tower_checks(n: int, T: int, p: ParamSet, P: ChainMatrix) -> list:
                 to_tableau = (MatrixState(tuple(zip(*grid))), Pt.states[b],
                               Fraction(push.get(b, 0), Lc), Fraction(row[b], Dt) if b in row else 0)
     to_word = LumpingMap.from_function(lump_tableau, Pt.states, P.states)
+    factors = _factors(p)[1]
     fiber = next((V for V in Pt.states
-                  if Fraction(fibers[V.columns], Lc ** n) != tableau_stationary(V, p)), None)
+                  if fibers[V.columns] != _tableau_mass(V.columns, T, 1, factors)), None)
     return [("matrix-to-tableau lumping", to_tableau),
             ("tableau-to-word lumping", verify_lumping(Pt, to_word, P)[1]),
             ("fiber weight identity", fiber)]

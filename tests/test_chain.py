@@ -784,6 +784,25 @@ def test_first_unbalanced_refuses_floats_and_misaligned_masses():
         first_unbalanced(P, Distribution(["b", "a"], (F(3, 8), F(5, 8))))
 
 
+def test_exact_weights_are_int_masses_from_construction():
+    for weights, masses, scale in [((3, 0, 5), (3, 0, 5), 1),
+                                   ((F(1, 6), F(0), F(3, 4)), (2, 0, 9), 12),
+                                   ((F(2, 3), 1, F(1, 2)), (4, 6, 3), 6),
+                                   ((0, F(0), 0), (0, 0, 0), 1)]:
+        d = Distribution("abc", weights)
+        assert (d.masses, d.scale) == (masses, scale), weights
+        assert all(type(a) is int for a in d.masses) and d.weights == weights
+    empty = Distribution((), ())
+    assert (empty.masses, empty.scale, empty.weights) == ((), 1, ())
+    P = two_state(F(1, 3), F(1, 5))
+    for weights in [(0.375, 0.625), (F(3, 8), 0.625), (3, 0.625)]:
+        d = Distribution(P.states, weights)
+        assert d.masses is None and d.weights == weights
+        with pytest.raises(ValueError) as info:
+            first_unbalanced(P, d)
+        assert str(info.value) == "a stationarity certificate needs exact masses"
+
+
 def test_distribution_helpers():
     d = Distribution([0, 1], (F(1, 2), F(1, 4)))
     assert d.total == F(3, 4)
@@ -923,7 +942,7 @@ def test_shared_rows_give_the_results_of_copied_rows():
     assert _cumulative_rows(shared) == _cumulative_rows(copied)
     Pt = overwriting.build_tableau_chain(2, 4, p)
     Pt_copied = ChainMatrix(Pt.states, [dict(row) for row in Pt.rows])
-    f = LumpingMap(zip(shared.states, overwriting.lump_matrices(shared.states)), Pt.states)
+    f = LumpingMap(zip(shared.states, [overwriting.lump_matrix(M) for M in shared.states]), Pt.states)
     assert verify_lumping(shared, f, Pt) == verify_lumping(copied, f, Pt_copied) == (True, None)
     # swapping two tableaux' fibers makes a map that is not a lumping
     swap = {Pt.states[3]: Pt.states[7], Pt.states[7]: Pt.states[3]}

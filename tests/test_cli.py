@@ -212,6 +212,25 @@ def test_stationary_jugglers_float_backend(capsys):
     assert all(isinstance(x, float) for x in doc["formula"])
 
 
+def test_float_juggler_law_is_rounded_past_the_float_range(capsys):
+    # 200 states whose int weights pass 1e308: each float entry is w / S
+    # correctly rounded, S the sum of the weights
+    args = ["--model", "several_jugglers", "--r", "1", "--c", "200", "--balls", "199",
+            "--backend", "float"]
+    weights = [jugglers.juggler_stationary_weight(A)
+               for A in jugglers.enumerate_arrays(1, 200, 199)]
+    S = sum(weights)
+    assert S > 10 ** 308
+    want = [float(F(w, S)) for w in weights]
+    for argv, key in [(["stationary", "--method", "formula"], "formula"),
+                      (["stationary", "--method", "both"], "formula"),
+                      (["simulate", "--seed", "1", "--steps", "100"], "exact")]:
+        code, out, err = run(capsys, argv + args)
+        doc = json.loads(out)
+        assert (code, err, doc[key]) == (0, "", want), argv
+        assert doc.get("verdict", "EQUAL") == "EQUAL"
+
+
 def test_verify_overwriting_all(capsys):
     code, out, _ = run(capsys, [
         "verify", "--model", "overwriting", "--n", "2", "--T", "3",
@@ -333,11 +352,26 @@ def test_verify_names_first_tableau_off_the_fiber_sum(capsys, monkeypatch):
         V = overwriting.lump_matrix(M)
         fibers[V] = fibers.get(V, 0) + overwriting.matrix_stationary_weight(M, p)
     first = next(V for V in overwriting.enumerate_tableaux(n, T) if fibers[V] != 1)
-    monkeypatch.setattr(overwriting, "tableau_stationary", lambda V, p: F(1))
+    # the tableau law's int core, over L^(n(T-1)), gives every tableau mass 1
+    monkeypatch.setattr(overwriting, "_tableau_mass",
+                        lambda columns, T, acc, factors: p.tables.L ** (n * (T - 1)))
     code, out, _ = run(capsys, ["verify", "--suite", "lumping", "--model", "overwriting",
                                 "--n", "2", "--T", "3", "--z", "1/2,1/3,1/6"])
     assert code == 2
     assert f"FAIL fiber weight identity (counterexample {first})" in out.splitlines()
+
+
+@pytest.mark.parametrize("args", [["--n", "2", "--T", "3", "--z", "1/2,1/4,1/4"],
+                                  ["--n", "3", "--T", "2", "--z", "1/3,1/5,1/7,34/105"]])
+def test_passing_tower_check_makes_no_fraction(capsys, monkeypatch, args):
+    def refuse(*_):
+        raise AssertionError("a passing tower check made a Fraction")
+
+    monkeypatch.setattr(overwriting, "tableau_stationary", refuse)
+    monkeypatch.setattr(overwriting, "Fraction", refuse)
+    code, out, err = run(capsys, ["verify", "--suite", "lumping", "--model", "overwriting"]
+                         + args)
+    assert (code, err, out.splitlines()[-1]) == (0, "", "OK (5 checks)")
 
 
 ADD_DROP_ARGS = ["--model", "add_drop", "--n", "2", "--T", "3", "--z", "1/2,1/3,1/6",

@@ -203,7 +203,7 @@ def test_tableau_chain_and_lumps_run_no_state_check(monkeypatch):
     assert P.size == 742 and sum(len(row) for row in P.rows) == 6640
     assert len(enumerate_tableaux(3, 4)) == 350
     Pm = build_matrix_chain(2, 4, random_normalized_params(random.Random(59), 2))
-    assert len(set(overwriting.lump_matrices(Pm.states))) == 30
+    assert len({lump_matrix(M) for M in Pm.states}) == 30
     # the enumerator, the steps and the lumps build through Tableau._make
     assert checked[0] == 0
     Tableau(((1, 2), (2,)), 3)
@@ -321,7 +321,7 @@ def per_state_checks(n: int, T: int, p: ParamSet) -> list:
     column with the fresh column's law."""
     Pw, Pt, Pm = (build(n, T, p) for build in (build_word_chain, build_tableau_chain,
                                                 build_matrix_chain))
-    lumps = overwriting.lump_matrices(Pm.states)
+    lumps = [lump_matrix(M) for M in Pm.states]
     to_tableau = verify_lumping(Pm, LumpingMap(zip(Pm.states, lumps), Pt.states), Pt)[0]
     to_word = verify_lumping(Pt, LumpingMap.from_function(lump_tableau, Pt.states, Pw.states),
                              Pw)[0]
@@ -384,7 +384,7 @@ def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch,
         assert verdicts == per_state_checks(n, T, p) and verdicts[:2] == [False, True], (n, T)
         (_, (M, W, got, want)), *_ = tower_checks(n, T, p, build_word_chain(n, T, p))
         Pm, Pt = build_matrix_chain(n, T, p), build_tableau_chain(n, T, p)
-        lumps = overwriting.lump_matrices(Pm.states)
+        lumps = [lump_matrix(M) for M in Pm.states]
         row = Pm.rows[Pm.index[M]]
         assert got == sum((v for j, v in row.items() if lumps[j] == W), F(0)) != want
         assert want == Pt.rows[Pt.index[lump_matrix(M)]].get(Pt.index[W], 0)
@@ -407,7 +407,7 @@ def tower_results(n: int, T: int, p: ParamSet) -> tuple:
     Pw, Pt = build_word_chain(n, T, p), build_tableau_chain(n, T, p)
     return (tower_checks(n, T, p, Pw), Pt, [tableau_stationary(V, p) for V in Pt.states],
             overwriting._word_law(Pw.states, n, T, p),
-            overwriting.lump_matrices(enumerate_matrix_states(n, T)))
+            [lump_matrix(M) for M in enumerate_matrix_states(n, T)])
 
 
 def test_warm_kernel_caches_give_the_cold_results():
@@ -451,8 +451,7 @@ def test_closed_forms_refuse_weights_of_the_wrong_arity(n, T, arity):
 def test_empty_grids_are_refused(grid):
     M = MatrixState(grid)
     p = ParamSet((F(1, 2), F(1, 2)))
-    for call in (lump_matrix, lambda M: overwriting.lump_matrices([M]),
-                 lambda M: matrix_stationary_weight(M, p)):
+    for call in (lump_matrix, lambda M: matrix_stationary_weight(M, p)):
         with pytest.raises(ValueError) as info:
             call(M)
         assert str(info.value) == "need n >= 1 and T >= 2"

@@ -46,8 +46,7 @@ def _generate_every_small_state():
                 overwriting.lump_tableau(V)
             if (n + 1) ** (n * (T - 1)) <= 4096:
                 Pm = overwriting.build_matrix_chain(n, T, p)
-                overwriting.lump_matrices(Pm.states)
-                for M in Pm.states[::7]:
+                for M in Pm.states:
                     overwriting.lump_matrix(M)
     for r, c in product((1, 2, 3), (1, 2, 3)):
         for balls in range(r * c + 1):

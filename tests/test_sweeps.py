@@ -122,9 +122,10 @@ EXACT_SPECS = {
 def test_int_masses_read_as_their_fractions():
     law = Distribution("abc", (2, 0, 4), 6)
     assert law.weights == (F(1, 3), F(0), F(2, 3))
-    assert law.integer() == ((2, 0, 4), 6)
+    assert (law.masses, law.scale) == ((2, 0, 4), 6)
     assert law == Distribution("abc", (F(1, 3), 0, F(2, 3)))
-    assert Distribution("ab", (F(1, 6), F(5, 4))).integer() == ((2, 15), 12)
+    law = Distribution("ab", (F(1, 6), F(5, 4)))
+    assert (law.masses, law.scale) == ((2, 15), 12)
     # every exact law the CLI prints holds int masses over one scale
     for model, args in EXACT_SPECS.items():
         spec = load_spec(build_parser().parse_args(["stationary", "--model", model] + args))
