@@ -15,9 +15,10 @@ otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
 D·P, D the lcm of the entry denominators, and every exact chain holds only
 that form: an exact walk hands it over as ints (`build_matrix` on (num, den)
-moves), and exact values (ints and Fractions) are scaled to ints row by row
-when the chain is made. Its Fraction rows are made when first read, and
-nothing here reads them: `_state_rows` hands the command line D·P to print.
+moves; the cascade chains' evaluator hands ChainMatrix its rows as ints over
+their denominators), and exact values (ints and Fractions) are scaled to
+ints row by row when the chain is made. Its Fraction rows are made when
+first read, and nothing here reads them: `_state_rows` hands the command line D·P to print.
 A float chain holds its values and has no D·P. A law (`Distribution`) has
 the same two forms, float weights or int masses over one scale; exact
 weights are scaled to ints once, when the law is made, so every exact law
@@ -754,11 +755,15 @@ def nilpotency_check(P: ChainMatrix, n: int) -> bool:
 
 
 def total_variation(p: Distribution, q: Distribution):
-    """(1/2) sum |p_i - q_i| over a shared state order."""
+    """(1/2) sum |p_i - q_i| over a shared state order: for two exact laws,
+    masses a over S and b over B, the one Fraction sum |a_i B - b_i S| /
+    (2 S B)."""
     if p.states != q.states:
         raise ValueError("distributions not aligned")
-    diff = sum(abs(a - b) for a, b in zip(p.weights, q.weights))
-    return diff / 2
+    if p.masses is None or q.masses is None:
+        return sum(abs(a - b) for a, b in zip(p.weights, q.weights)) / 2
+    S, B = p.scale, q.scale
+    return Fraction(sum(abs(a * B - b * S) for a, b in zip(p.masses, q.masses)), 2 * S * B)
 
 
 def _float_rows(P: ChainMatrix) -> list[dict]:

@@ -20,13 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import inf, lcm
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateParams
 
 FLOAT_TOL = 1e-12
 # bound of each per-process kernel cache; the largest tower `verify` takes replays 4,096 columns
 KERNEL_CACHE_SIZE = 1 << 12
+# bound of the per-process cache of shape-only chain skeletons (`_shape_cached`):
+# a `solve` pass builds ten shapes, a `verify` pass six others
+SKELETON_CACHE_SIZE = 32
 
 
 def is_exact(x) -> bool:
@@ -214,6 +217,14 @@ def _j_table(w: Word) -> list:
     and t = 0..T, from the top down; each row a tuple."""
     J = list(accumulate(reversed(w.letters), _j_step, initial=(1,) * (w.T + 1)))
     return [None] + J[::-1]
+
+
+@lru_cache(maxsize=SKELETON_CACHE_SIZE)
+def _shape_cached(walk: Callable, *shape):
+    """walk(*shape), kept per process for the SKELETON_CACHE_SIZE shapes last
+    used: walk reads the shape only, never weights, and every caller shares
+    its result, which nobody mutates."""
+    return walk(*shape)
 
 
 def _suffix_sweep(n: int, T: int, factors) -> list:

@@ -4,53 +4,55 @@ Ball counts fluctuate: a transition replaces the first letter by a fresh ball
 of type j (chosen by activities in the add-drop model, by cascading attempts
 in the annihilation model) and then runs the usual bumping cascade on the
 intermediate word j w^-. Past position 1, j w^- agrees with w, so one J table
-of w serves every j: per word, the builders compute the insertion factors
-once (the add-drop normalizer, the annihilation failure factors) and walk
-the cascades from a(2) with msjmc's walk. For exact weights the insertion
-factor is an integer numerator and denominator over the ParamSet's scaling
-(C_j Z / sum_t C_t Y for add-drop, Z and L - Y over powers of L for
-annihilation), the walk multiplies the cascade's Z and Y onto it and yields
-each move as (successor word, that pair of ints), which `build_matrix` sums
-into the chain's integer form; for float weights each tail is multiplied
-onto its insertion factor at the leaf. The walk writes the successor as it
-goes, starting from w_2 .. w_{a(2)-1} j, so j w^- itself is never built,
-and the enriched builders read each move's restarts off the same J table
-of w. For exact weights each law is one suffix sweep of int masses over
-all words, and the add-drop normalizer a sum of products of ints over a
-power of Lc L, one Fraction. A word's row depends
-only on w^- = w_2 .. w_n (the first letter is dropped before anything is
-read), so each w^-'s row is built once and shared by the T words that end
-in it; an enriched state's row likewise depends only on (w^-, v^-) and is
-built once per pair.
+of w serves every j. A word's row depends only on w^- = w_2 .. w_n (the
+first letter is dropped before anything is read), so the skeleton (msjmc's
+`_skeleton`, kept per process for each (n, T)) walks one word per w^-: each
+insertion head (j, x), x + 1 = J(a(2), j), then the cascade from a(2) with
+msjmc's walk, which writes the successor as it goes, starting from w_2 ..
+w_{a(2)-1} j, so j w^- itself is never built. msjmc's evaluator reads the
+weights: the model's lead gives per row the factor of each head (the
+add-drop normalizer, the annihilation failure factors), which multiplies
+the pattern product of each of its moves. For exact weights a head is an
+int over the row's denominator (C_j Z over sum_t C_t Y for add-drop, Z
+times failures L - Y over L^(T-1) for annihilation); for float weights it
+is computed as the walk did and multiplied onto the cascade's running
+product at the leaf. Each w^-'s row is shared by the T words that end in
+it; an enriched state's row likewise depends only on (w^-, v^-) and is
+built once per pair, from the evaluated rows, with each move's restarts
+read off the J table of w. For exact weights each law is one suffix sweep
+of int masses over all words, and the add-drop normalizer a sum of
+products of ints over a power of Lc L, one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import inf, prod
+from operator import mul
 
-from .chain import ChainMatrix, build_matrix
+from .chain import ChainMatrix
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, _float_normalizer, _j_table, _suffix_sweep
+    complete_homogeneous, _float_normalizer, _j_table, _shape_cached, _suffix_sweep
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, _cascades, _enriched_matrix, _enriched_states, _mass
+from .msjmc import EnrichedState, Skeleton, _cascades, _chain, _enriched_matrix, \
+    _enriched_states, _mass, _skeleton
 
 
-def _insertions(w: Word, J: list, p: ParamSet, j: int, lead):
-    """Yield (successor word, probability) for every bumping sequence a of
-    j w^-, lexicographically. lead(x), x = z_{J(a(2), j)} (Z over the
-    integer tables), is the insertion step's factor as the start (num, den)
-    of the _cascades walk, which multiplies in the cascade factors from a(2)
-    on. J is _j_table(w), which agrees with the table of j w^- from position
-    2 on, and the successor starts with w_2 .. w_{a(2)-1} followed by j."""
-    tables = p.tables
-    z = tables.Z if tables else p.z
+def _insertions(w: Word, J: list, j: int):
+    """Yield (x, successor word, slots) for every bumping sequence a of
+    j w^-, lexicographically: x + 1 = J(a(2), j), the index of the insertion
+    step's factor z, and slots the factor slots of the _cascades walk from
+    a(2) on. J is _j_table(w), which agrees with the table of j w^- from
+    position 2 on, and the successor starts with w_2 .. w_{a(2)-1} followed
+    by j."""
+    letters = w.letters
     for a2 in range(2, w.n + 1):
-        if w.letters[a2 - 1] > j:
-            yield from _cascades(w, J, p, w.letters[1 : a2 - 1] + (j,),
-                                 *lead(z[J[a2][j] - 1]), "cascade factor")
-    num, den = lead(z[0])
-    yield Word._make((w.letters[1:] + (j,), w.T)), (num, den) if tables else den * num
+        if letters[a2 - 1] > j:
+            x = J[a2][j] - 1
+            for succ, slots in _cascades(w, J, letters[1 : a2 - 1] + (j,), ()):
+                yield x, succ, slots
+    yield 0, Word._make((letters[1:] + (j,), w.T)), ()
 
 
 def _need_activities(p: ParamSet, T: int):
@@ -58,21 +60,35 @@ def _need_activities(p: ParamSet, T: int):
         raise ValueError(f"need {T} activities")
 
 
-def _add_drop_moves(w: Word, p: ParamSet, J=None):
-    """(successor word, probability) for every insertion type j and bumping
-    sequence a of j w^-: c_j z_{J(a(2), j)} / sum_t c_t y_{J(2, t)}
-    times the cascade; over the integer tables C_j Z_{J(a(2), j)} /
-    sum_t C_t Y_{J(2, t)}. J is _j_table(w) when the caller has it."""
-    _need_activities(p, w.T)
-    J, tables = _j_table(w) if J is None else J, p.tables
-    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
-    den = sum(c[t - 1] * y[J[2][t] - 1] for t in range(1, w.T + 1))
-    if den == 0 and y[0] == 0:
-        raise DegenerateParams("insertion normalizer is 0")
-    _float_normalizer(den, "insertion normalizer")  # activities, y_1 > 0: only floats fail
-    for j, cj in enumerate(c, 1):
-        yield from _insertions(w, J, p, j, lambda x: (cj * x, den) if tables
-                               else (1, cj * x / den))
+def _add_drop_moves(w: Word, J=None):
+    """(j, x, successor word, slots) for every insertion type j and
+    bumping sequence a of j w^-, as _insertions; J is _j_table(w) when the
+    caller has it."""
+    J = _j_table(w) if J is None else J
+    for j in range(1, w.T + 1):
+        for x, succ, slots in _insertions(w, J, j):
+            yield j, x, succ, slots
+
+
+def _add_drop_lead(p: ParamSet, T: int):
+    """add_drop's lead at p: over a row with J_w(2, .) = J2, the insertion
+    head (j, x) has the factor c_j z_{x+1} / sum_t c_t y_{J(2, t)}; over the
+    integer tables C_j Z_{x+1} over the row denominator sum_t C_t Y_{J(2,
+    t)}."""
+    _need_activities(p, T)
+    tables = p.tables
+    c, y, z = (tables.C, tables.Y, tables.Z) if tables else (p.c, p.y, p.z)
+
+    def lead(J2: tuple, heads: tuple):
+        den = sum(c[t - 1] * y[J2[t] - 1] for t in range(1, T + 1))
+        if den == 0 and y[0] == 0:
+            raise DegenerateParams("insertion normalizer is 0")
+        _float_normalizer(den, "insertion normalizer")  # activities, y_1 > 0: only floats fail
+        if tables:
+            return den, [c[j - 1] * z[x] for j, x in heads]
+        return None, [c[j - 1] * z[x] / den for j, x in heads]
+
+    return lead
 
 
 def add_drop_stationary_weight(w: Word, p: ParamSet):
@@ -124,22 +140,43 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
     return Fraction(total, (tables.Lc * tables.L) ** n) if tables else _float_normalizer(total)
 
 
-def _annihilation_moves(w: Word, p: ParamSet, J=None):
-    """(successor word, probability) with cascading attempts: types
-    below j all fail, with factors 1 - y_{J(2, t)}, then j lands and bumps;
-    type T goes to the top with the leftover mass. Over the integer tables
-    the failures are L - Y_{J(2, t)} and j's insertion factor has the
-    denominator L^j. J is _j_table(w) when the caller has it."""
-    J, tables = _j_table(w) if J is None else J, p.tables
-    one, y = (tables.L, tables.Y) if tables else (1, p.y)
-    fails = [one - y[J[2][t] - 1] for t in range(1, w.T)]
+def _annihilation_moves(w: Word, J=None):
+    """(j, x, successor word, slots) with cascading attempts: the moves of
+    _insertions for each type j < T, then type T to the top with x = 0 and
+    no cascade. J is _j_table(w) when the caller has it."""
+    J = _j_table(w) if J is None else J
     for j in range(1, w.T):
-        def lead(x):
-            h = prod(fails[: j - 1], start=x)
-            return (h, one ** j) if tables else (1, h)
-        yield from _insertions(w, J, p, j, lead)
-    yield Word._make((w.letters[1:] + (w.T,), w.T)), \
-        (prod(fails), one ** (w.T - 1)) if tables else prod(fails, start=p.z[0] ** 0)
+        for x, succ, slots in _insertions(w, J, j):
+            yield j, x, succ, slots
+    yield w.T, 0, Word._make((w.letters[1:] + (w.T,), w.T)), ()
+
+
+def _annihilation_lead(p: ParamSet, T: int):
+    """annihilation's lead at p: types below j all fail, with factors 1 -
+    y_{J(2, t)}, then j lands through z_{x+1}; type T takes the leftover
+    mass, the product of all T - 1 failures. Over the integer tables the
+    failures are L - Y_{J(2, t)} and every head is put over the row
+    denominator L^(T-1); for float weights each head multiplies its
+    failures onto z_{x+1} (onto 1 for type T) in type order."""
+    tables = p.tables
+    if tables:
+        L, Y, Z = tables.L, tables.Y, tables.Z
+        powers = [L ** k for k in range(T)]
+
+        def lead(J2: tuple, heads: tuple):
+            # failed[k]: the product of the first k failures
+            failed = list(accumulate((L - Y[J2[t] - 1] for t in range(1, T)), mul, initial=1))
+            return powers[-1], [failed[-1] if j == T else Z[x] * powers[T - 1 - j] * failed[j - 1]
+                                for j, x in heads]
+    else:
+        y, z, one = p.y, p.z, p.z[0] ** 0
+
+        def lead(J2: tuple, heads: tuple):
+            fails = [1 - y[J2[t] - 1] for t in range(1, T)]
+            return None, [prod(fails, start=one) if j == T else prod(fails[: j - 1], start=z[x])
+                          for j, x in heads]
+
+    return lead
 
 
 def _annihilation_mass(w: Word, p: ParamSet, sites):
@@ -179,18 +216,30 @@ def _annihilation_masses(n: int, T: int, p: ParamSet) -> tuple[list, int]:
             for row, acc in _suffix_sweep(n, T, sites)], L ** (n * (T - 1))
 
 
+def _tail(w: Word) -> tuple:
+    return w.letters[1:]
+
+
+def _add_drop_skeleton(n: int, T: int) -> Skeleton:
+    return _skeleton(enumerate_alphabet_words(n, T), _add_drop_moves, key=_tail)
+
+
+def _annihilation_skeleton(n: int, T: int) -> Skeleton:
+    return _skeleton(enumerate_alphabet_words(n, T), _annihilation_moves, key=_tail)
+
+
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _add_drop_moves(w, p),
-                        key=lambda w: w.letters[1:])
+    return _chain(_shape_cached(_add_drop_skeleton, n, T), p, _add_drop_lead(p, T),
+                  "cascade factor")
 
 
 def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _annihilation_moves(w, p),
-                        key=lambda w: w.letters[1:])
+    return _chain(_shape_cached(_annihilation_skeleton, n, T), p, _annihilation_lead(p, T),
+                  "cascade factor")
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
@@ -223,7 +272,8 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
     return _enriched_matrix(enumerate_enriched_words(n, T),
-                            lambda w, J: _add_drop_moves(w, p, J), key=_enriched_tail)
+                            _shape_cached(_add_drop_skeleton, n, T), p,
+                            _add_drop_lead(p, T), "cascade factor", key=_enriched_tail)
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
@@ -231,4 +281,5 @@ def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatri
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
     return _enriched_matrix(enumerate_enriched_words(n, T),
-                            lambda w, J: _annihilation_moves(w, p, J), key=_enriched_tail)
+                            _shape_cached(_annihilation_skeleton, n, T), p,
+                            _annihilation_lead(p, T), "cascade factor", key=_enriched_tail)

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .chain import ChainMatrix, build_matrix
-from .combinatorics import falling_factorial
+from .combinatorics import falling_factorial, _shape_cached
 
 
 class BallArray(namedtuple("BallArray", "r c cells")):
@@ -74,6 +74,13 @@ def juggler_stationary_weight(A: BallArray) -> int:
 
 
 def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
+    """The chain on the placements of `balls` balls in the r x c grid. It
+    has no weights, so it is its own skeleton and is kept per process
+    (`_shape_cached`) like the cascade chains' skeletons."""
+    return _shape_cached(_walk, r, c, balls)
+
+
+def _walk(r: int, c: int, balls: int) -> ChainMatrix:
     """The caught balls land on each choice of distinct cells left free by
     drop_row, every choice equally likely, each move given to build_matrix
     as the pair (1, number of choices). A row depends only on drop_row of

@@ -14,7 +14,9 @@ from jugglemc import fluctuating, msjmc, overwriting
 from jugglemc.chain import build_matrix
 from jugglemc.combinatorics import ParamSet, TypeCounts
 
-from cascade_reference import bump_choice, enriched_update, fluctuating_rows, msjmc_rows
+from cascade_reference import add_drop_prob, annihilation_choices, annihilation_prob, \
+    apply_bump, bump_choice, bumping_sequences, enriched_update, fluctuating_rows, \
+    insertion_choices, intermediate_word, msjmc_rows, transition_prob
 from overwriting_reference import word_rows
 
 F = Fraction
@@ -130,22 +132,27 @@ ENRICHED += [(m, s) for m in ("add_drop", "annihilation") for s in WORD_SHAPES
 @pytest.mark.parametrize("model,shape", ENRICHED,
                          ids=[f"{m}-{'x'.join(map(str, s))}" for m, s in ENRICHED])
 def test_restart_templates_match_enriched_update(model, shape):
-    """The enriched builders against the same walk with every successor's v
-    made by enriched_update: same states, and rows with the same keys in the
-    same order, values of the same type and repr."""
+    """The enriched builders against the per-choice moves of
+    cascade_reference with every successor's v made by enriched_update: same
+    states, and rows with the same keys in the same order, values of the
+    same type and repr."""
     n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
     z = tuple(F(k, k + 2) for k in range(1, n + 2))
     if model == "annihilation":
         z = tuple(F(k, sum(range(1, n + 2))) for k in range(1, n + 2))
     p = ParamSet(z, c=tuple(F(k, 3) for k in range(1, T + 1)))
     if model == "msjmc":
-        P, moves = msjmc.build_enriched_chain(TypeCounts(shape), p), msjmc._bumps
+        P = msjmc.build_enriched_chain(TypeCounts(shape), p)
+        moves = lambda w: ((apply_bump(w, a), transition_prob(w, a, p))
+                           for a in bumping_sequences(w))
     else:
         P = BUILDERS[model, True](n, T, p)
-        moves = {"add_drop": fluctuating._add_drop_moves,
-                 "annihilation": fluctuating._annihilation_moves}[model]
+        choices, prob = {"add_drop": (insertion_choices, add_drop_prob),
+                         "annihilation": (annihilation_choices, annihilation_prob)}[model]
+        moves = lambda w: ((apply_bump(intermediate_word(w, j), a), prob(w, (j, a), p))
+                           for j, a in choices(w))
     ref = build_matrix(P.states, lambda s: (
-        (enriched_update(s.v, w2, bump_choice(s.w, w2).a), prob) for w2, prob in moves(s.w, p)
+        (enriched_update(s.v, w2, bump_choice(s.w, w2).a), prob) for w2, prob in moves(s.w)
     ))
     assert P.states == ref.states
     assert_same_rows(P, ref.rows)

@@ -955,10 +955,12 @@ def test_shared_rows_give_the_results_of_copied_rows():
 def unkeyed_word_chain(model: str, n: int, T: int, p: ParamSet) -> ChainMatrix:
     """The model's word chain with every row built from its own word."""
     words = combinatorics.enumerate_alphabet_words(n, T)
-    moves = {"add_drop": fluctuating._add_drop_moves,
-             "annihilation": fluctuating._annihilation_moves,
-             "overwriting": overwriting._overwrites}[model]
-    return build_matrix(words, lambda w: moves(w, p))
+    if model == "overwriting":
+        return build_matrix(words, lambda w: overwriting._overwrites(w, p))
+    walk, lead = {"add_drop": (fluctuating._add_drop_moves, fluctuating._add_drop_lead),
+                  "annihilation": (fluctuating._annihilation_moves,
+                                   fluctuating._annihilation_lead)}[model]
+    return msjmc._chain(msjmc._skeleton(words, walk), p, lead(p, T), "cascade factor")
 
 
 KEYED_BUILDS = {
@@ -1334,6 +1336,23 @@ def test_total_variation():
     assert total_variation(p, q) == F(1, 4)
     with pytest.raises(ValueError):
         total_variation(p, Distribution([1, 0], (F(1, 2), F(1, 2))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_total_variation_of_exact_laws_equals_the_fraction_sum(data):
+    """Two int-mass laws give one Fraction, equal to the per-state Fraction
+    sum it replaced; a float law keeps that sum over the weights."""
+    size = data.draw(st.integers(1, 12))
+    laws = [Distribution(range(size), data.draw(st.lists(st.integers(0, 50), min_size=size,
+                                                         max_size=size)),
+                         data.draw(st.integers(1, 10 ** 6))) for _ in range(2)]
+    got = total_variation(*laws)
+    assert type(got) is F
+    assert got == sum(abs(a - b) for a, b in zip(laws[0].weights, laws[1].weights)) / 2
+    floats = Distribution(range(size), [float(w) for w in laws[1].weights])
+    assert total_variation(laws[0], floats) == \
+        sum(abs(a - b) for a, b in zip(laws[0].weights, floats.weights)) / 2
 
 
 def test_simulate_is_deterministic():

@@ -244,3 +244,33 @@ BENCHMARK_SIZED = {
 @pytest.mark.parametrize("want", BENCHMARK_SIZED)
 def test_both_bytes_at_benchmark_size(want):
     assert digest(["stationary", "--method", "both"] + BENCHMARK_SIZED[want]) == want
+
+
+# float weights on chains whose cascades run three to four bumps deep, so
+# the float products are taken over many factors in a fixed order
+FLOAT_CASCADES = {
+    "msjmc-2111-float": ["--model", "msjmc", "--counts", "2,1,1,1",
+                         "--z", "0.31,0.17,0.12,0.2,0.13,0.07"],
+    "add_drop-43-float": ["--model", "add_drop", "--n", "4", "--T", "3",
+                          "--z", "0.3,0.1,0.25,0.2,0.15", "--activities", "0.7,1.3,0.45"],
+    "annihilation-43-float": ["--model", "annihilation", "--n", "4", "--T", "3",
+                              "--z", "0.35,0.1,0.3,0.15,0.1"],
+}
+FLOAT_VARIANTS = {
+    "matrix-json": ["matrix", "--format", "json"],
+    "solve": ["stationary", "--method", "solve"],
+    "trajectory": ["simulate", "--steps", "300", "--seed", "5"],
+}
+# first 16 hex digits of each digest, in the order of FLOAT_VARIANTS
+FLOAT_PINNED = {
+    "msjmc-2111-float": ("0daac323dca5e0e7", "684ffb24d6c5161a", "6acd8f6f92dda4f5"),
+    "add_drop-43-float": ("63f1b11ea72f8840", "6cef69c4137da44b", "50d5b8cea15cc94e"),
+    "annihilation-43-float": ("d4b4112aea96abfe", "80c4f04a0b701b02", "23993fda4cdeab3b"),
+}
+
+
+@pytest.mark.parametrize("spec", FLOAT_CASCADES)
+@pytest.mark.parametrize("variant", FLOAT_VARIANTS)
+def test_float_cascade_bytes_are_pinned(spec, variant):
+    want = FLOAT_PINNED[spec][list(FLOAT_VARIANTS).index(variant)]
+    assert digest(FLOAT_VARIANTS[variant] + FLOAT_CASCADES[spec]) == want

@@ -12,7 +12,8 @@ from jugglemc.chain import (
     stationary_exact,
     verify_lumping,
 )
-from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words
+from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words, \
+    enumerate_multiset_words
 from jugglemc.errors import DegenerateParams, NotNormalized
 from jugglemc.msjmc import _enriched_matrix
 from jugglemc.fluctuating import (
@@ -287,6 +288,12 @@ def test_enumerate_enriched_words():
         assert all(1 <= v[i] <= stat_E(w, i + 1) for i in range(w.n))
 
 
+def unkeyed_enriched(states, words, walk, p, lead, what):
+    """_enriched_matrix with every row built from its own state, over the
+    skeleton that walks every word's own moves."""
+    return _enriched_matrix(states, msjmc._skeleton(words, walk), p, lead, what)
+
+
 @pytest.mark.parametrize("model,moves,params", [
     ("add_drop", fluctuating._add_drop_moves, random_activity_params),
     ("annihilation", fluctuating._annihilation_moves,
@@ -295,13 +302,16 @@ def test_enumerate_enriched_words():
 def test_enriched_rows_are_built_once_per_tail(model, moves, params):
     # an enriched row reads (w, v) only through (w^-, v^-): the builders hand
     # out one row object per pair, equal to the rows built state by state
+    lead = {"add_drop": fluctuating._add_drop_lead,
+            "annihilation": fluctuating._annihilation_lead}[model]
     rng = random.Random(43)
     for n, T in ((2, 3), (3, 2), (3, 3)):
         p = params(rng, n, T)
         Pt = BUILDERS[model][1](n, T, p)
         assert len(Pt._distinct) == len({(s.w.letters[1:], s.v[1:]) for s in Pt.states})
-        assert Pt == _enriched_matrix(enumerate_enriched_words(n, T),
-                                      lambda w, J: moves(w, p, J))
+        assert Pt == unkeyed_enriched(enumerate_enriched_words(n, T),
+                                      enumerate_alphabet_words(n, T), moves, p, lead(p, T),
+                                      "cascade factor")
     if model == "add_drop":
         assert (Pt.size, len(Pt._distinct)) == (60, 12)
 
@@ -316,8 +326,9 @@ def test_msjmc_enriched_rows_are_built_once_per_word_and_tail():
         Pt = msjmc.build_enriched_chain(TypeCounts(counts), p)
         assert len({(s.w, s.v[1:]) for s in Pt.states}) == len(Pt._distinct) == rows, counts
         assert Pt.size == size, counts
-        assert Pt == _enriched_matrix(msjmc.enumerate_enriched(TypeCounts(counts)),
-                                      lambda w, J: msjmc._bumps(w, p, J))
+        assert Pt == unkeyed_enriched(msjmc.enumerate_enriched(TypeCounts(counts)),
+                                      enumerate_multiset_words(TypeCounts(counts)),
+                                      msjmc._bumps, p, msjmc._throw, "transition denominator")
 
 
 def test_enriched_add_drop_lumps_to_base():

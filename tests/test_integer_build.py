@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from jugglemc import chain, fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import ChainMatrix, _cumulative_rows, build_matrix, chain_period
 from jugglemc.cli import main
-from jugglemc.combinatorics import ParamSet, TypeCounts
+from jugglemc.combinatorics import ParamSet, TypeCounts, _shape_cached
 from jugglemc.errors import RowSumError
 
 F = Fraction
@@ -49,16 +49,28 @@ BUILDS = list(_builds())
 
 def value_built(build, p) -> ChainMatrix:
     """build(p) with each (num, den) move handed to build_matrix as
-    Fraction(num, den): as the builders made it from values."""
+    Fraction(num, den), and each exact row of a cascade skeleton's evaluator
+    as Fractions over no denominator: as the builders made it from values.
+    No skeleton is kept before or after, so several_jugglers, whose skeleton
+    is its chain, is built here too."""
     def by_values(states, successors, *, key=None):
         def values(s):
             for succ, v in successors(s):
                 yield succ, F(*v) if type(v) is tuple else v
         return build_matrix(states, values, key=key)
 
+    evaluate = msjmc._evaluate
+
+    def value_rows(*args):
+        for den, row in evaluate(*args):
+            yield None, row if den is None else {j: F(v, den) for j, v in row.items()}
+
     with ExitStack() as stack:
         for module in (msjmc, jugglers, overwriting):
             stack.enter_context(mock.patch.object(module, "build_matrix", by_values))
+        stack.enter_context(mock.patch.object(msjmc, "_evaluate", value_rows))
+        _shape_cached.cache_clear()
+        stack.callback(_shape_cached.cache_clear)
         return build(p)
 
 

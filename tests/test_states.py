@@ -28,7 +28,7 @@ def _generate_every_small_state():
     models and the three overwriting levels."""
     rng = random.Random(160)
     for counts in ((1,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1),
-                   (1, 1, 2)):
+                   (1, 1, 2), (2, 2, 1), (1, 1, 1, 1)):
         p = _params(rng, sum(counts))
         msjmc.build_chain(TypeCounts(counts), p)
         msjmc.build_enriched_chain(TypeCounts(counts), p)
