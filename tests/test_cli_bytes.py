@@ -274,3 +274,30 @@ FLOAT_PINNED = {
 def test_float_cascade_bytes_are_pinned(spec, variant):
     want = FLOAT_PINNED[spec][list(FLOAT_VARIANTS).index(variant)]
     assert digest(FLOAT_VARIANTS[variant] + FLOAT_CASCADES[spec]) == want
+
+
+# float weights on overwriting chains deeper than (2, 2), so each move's
+# float product runs over several failure and throw factors in walk order
+FLOAT_OVERWRITING = {
+    "overwriting-33-float": ["--model", "overwriting", "--n", "3", "--T", "3",
+                             "--z", "0.35,0.15,0.3,0.2"],
+    "overwriting-42-float": ["--model", "overwriting", "--n", "4", "--T", "2",
+                             "--z", "0.3,0.1,0.25,0.2,0.15"],
+}
+FLOAT_OVERWRITING_VARIANTS = {
+    "matrix-json": ["matrix", "--format", "json"],
+    "solve": ["stationary", "--method", "solve"],
+    "replicas": ["simulate", "--replicas", "200", "--seed", "5"],
+}
+# first 16 hex digits of each digest, in the order of FLOAT_OVERWRITING_VARIANTS
+FLOAT_OVERWRITING_PINNED = {
+    "overwriting-33-float": ("ba53fa661c07963c", "97342d33e4540ced", "73b4d53553af4f10"),
+    "overwriting-42-float": ("2ea2cb68a768c935", "c255fd0cd3da14ca", "82e98319f07c7c83"),
+}
+
+
+@pytest.mark.parametrize("spec", FLOAT_OVERWRITING)
+@pytest.mark.parametrize("variant", FLOAT_OVERWRITING_VARIANTS)
+def test_float_overwriting_bytes_are_pinned(spec, variant):
+    want = FLOAT_OVERWRITING_PINNED[spec][list(FLOAT_OVERWRITING_VARIANTS).index(variant)]
+    assert digest(FLOAT_OVERWRITING_VARIANTS[variant] + FLOAT_OVERWRITING[spec]) == want
