@@ -14,12 +14,11 @@ over their sum, only once the one-step certificate proves it on P;
 otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
 D·P, D the lcm of the entry denominators, and every exact chain holds only
-that form: an exact walk hands it over as ints (`build_matrix` on (num, den)
-moves; the cascade chains' evaluator hands ChainMatrix its rows as ints over
-their denominators), and exact values (ints and Fractions) are scaled to
-ints row by row when the chain is made. Its Fraction rows are made when
-first read, and nothing here reads them: `_state_rows` hands the command line D·P to print.
-A float chain holds its values and has no D·P. A law (`Distribution`) has
+that form: the evaluator below and `build_matrix` on (num, den) moves hand
+it over as ints, and exact values (ints and Fractions) are scaled to ints
+row by row when the chain is made. Its Fraction rows are made when first
+read, and nothing here reads them: `_state_rows` hands the command line D·P
+to print. A float chain holds its values and has no D·P. A law (`Distribution`) has
 the same two forms, float weights or int masses over one scale; exact
 weights are scaled to ints once, when the law is made, so every exact law
 returned or certified here is read as ints. The D·P readers share two
@@ -30,6 +29,15 @@ solver's lift, the certificate, power iteration, each row-power vector).
 A row object that several states hold (as `build_matrix(..., key=...)`
 hands out) is checked, scaled to integers, lumped, stepped by the
 certificate and turned into floats once, not once per state.
+
+Every weighted model chain is built in two halves. Its `Skeleton`, walked
+once per shape and kept by the models (`combinatorics._shape_cached`),
+holds per row each move's successor index and pattern, the (top, bottom)
+slots of its factors in product order, and the heads the model's lead
+prices per row. `_evaluate` reads the weights: each pattern's product over
+the model's two factor tables once per build, as an int over D, the lcm of
+the pattern denominators (for float weights the running product in slot
+order), each head's factor once per row, and one product per move.
 
 A trajectory step from state i takes successor succ[bisect_left(cum, u *
 total)] of i's row, u the next random() of `random.Random(seed)`. `simulate`
@@ -56,12 +64,12 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from struct import Struct
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .combinatorics import FLOAT_TOL, is_exact
-from .errors import ReducibleChain, RowSumError, UnknownSuccessor
+from .errors import DegenerateParams, ReducibleChain, RowSumError, UnknownSuccessor
 
 _mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
 
@@ -333,6 +341,113 @@ def build_matrix(states: Sequence, successors: Callable, *,
     if any(dens):
         raise ValueError("a chain's moves must all be (num, den) pairs or all values")
     return ChainMatrix(states, rows)
+
+
+class Skeleton(NamedTuple):
+    """The shape-only half of a weighted chain. Row r of `rows` is (its move
+    set, the successor index of each move); move set m of `moves` is (the
+    row datum, heads, head of each move, pattern of each move), in walk
+    order, shared by the rows that have it. A head is a per-row factor the
+    model's lead prices (an insertion type and its z index); a pattern lists
+    a move's factors in product order as (top, bottom) slot pairs, laid
+    flat, into the two factor tables the model supplies. A row's successors
+    are distinct."""
+    states: tuple
+    row_of: tuple  # each state's row
+    rows: tuple
+    moves: tuple
+    patterns: tuple
+
+
+def _skeleton(states, walk, key=None) -> Skeleton:
+    """The skeleton of the chain on `states` whose moves from s are walk(s)
+    = (datum, moves), each move (head, successor, slots). walk depends on s
+    only through key(s), and each distinct key's row is walked once, from
+    its first state; with no key each state has its own row."""
+    index = {s: i for i, s in enumerate(states)}
+    patterns: dict = {}
+    move_sets: dict = {}
+    shared: dict = {}  # move sets repeat heads and head indices: one object for each
+
+    def one(t: tuple) -> tuple:
+        return shared.setdefault(t, t)
+
+    rows, row_of, by_key = [], [], {}
+    for s in states:
+        at = by_key.get(k := s if key is None else key(s))
+        if at is None:
+            datum, moves = walk(s)
+            heads: dict = {}
+            succs, at_head, at_pattern = zip(*[
+                (index[s2], heads.setdefault(head, len(heads)),
+                 patterns.setdefault(slots, len(patterns))) for head, s2, slots in moves])
+            m = move_sets.setdefault((datum, one(tuple(heads)), one(at_head), at_pattern),
+                                     len(move_sets))
+            at = by_key[k] = len(rows)
+            rows.append((m, succs))
+        row_of.append(at)
+    return Skeleton(tuple(states), tuple(row_of), tuple(rows), tuple(move_sets),
+                    tuple(patterns))
+
+
+def _pattern_values(patterns: tuple, tables: tuple, exact: bool) -> tuple:
+    """(each pattern's product over tables = (top, bottom), D, {pattern: k +
+    1} for the patterns with a bottom factor 0, k its first). Exact tables
+    hold ints, and prod top / prod bottom is held as its int over D, the lcm
+    of the denominators; for float weights it is the running product of top
+    / bottom in slot order from top[0] ** 0, so an empty pattern is a float
+    too, and D is None."""
+    top, bottom = tables
+    values, bad = [], {}
+    for at, slots in enumerate(patterns):
+        bottoms = slots[1::2]
+        zero = next((k for k in bottoms if bottom[k] == 0), None)
+        if zero is not None:
+            bad[at] = zero + 1
+            values.append((0, 1) if exact else 0)
+        elif exact:
+            values.append((prod(top[i] for i in slots[::2]), prod(bottom[k] for k in bottoms)))
+        else:
+            acc = top[0] ** 0
+            for i, k in zip(slots[::2], bottoms):
+                acc = acc * top[i] / bottom[k]
+            values.append(acc)
+    if not exact:
+        return values, None, bad
+    D = lcm(*(den for _, den in values))
+    return [num * (D // den) for num, den in values], D, bad
+
+
+def _evaluate(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: str) -> list:
+    """(den, probabilities) of each move set of skel at weights p, in order.
+    lead(datum, heads) gives (d, the factor of each head), which multiplies
+    the pattern product of each of the head's moves; with no lead a move is
+    its pattern product. Over p's integer tables a probability is an int
+    over den = d D (D from _pattern_values); for float weights it is the
+    head's factor times the pattern's running product, and den is None.
+    Rows first use the move sets in order, so the first bottom factor 0 in
+    walk order raises, y_k = 0 for its slot k - 1, the error naming `what`."""
+    values, D, bad = _pattern_values(skel.patterns, tables, p.tables is not None)
+    out = []
+    for datum, heads, at_head, at_pattern in skel.moves:
+        d, factors = (1, None) if lead is None else lead(datum, heads)
+        if bad:
+            first = next((bad[at] for at in at_pattern if at in bad), None)
+            if first is not None:
+                raise DegenerateParams(f"y_{first} = 0 in a {what}")
+        probs = [values[at] for at in at_pattern] if factors is None else [
+            factors[h] * values[at] for h, at in zip(at_head, at_pattern)]
+        out.append((None if D is None else d * D, probs))
+    return out
+
+
+def _chain(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: str) -> ChainMatrix:
+    """The chain of skel at weights p (_evaluate): each distinct row is made
+    once and handed to every state that shares it."""
+    evaluated = _evaluate(skel, p, tables, lead, what)
+    rows = [(evaluated[m][0], dict(zip(succs, evaluated[m][1]))) for m, succs in skel.rows]
+    return ChainMatrix(skel.states, [rows[at][1] for at in skel.row_of],
+                       [rows[at][0] for at in skel.row_of] if p.tables else None)
 
 
 def _levels(adj: Sequence[Iterable[int]]) -> list[int]:

@@ -28,7 +28,8 @@ from .chain import (
     simulate_replicas, stationary_exact, stationary_power, total_variation,
     verify_lumping,
 )
-from .combinatorics import ParamSet, TypeCounts, enumerate_alphabet_words, enumerate_multiset_words
+from .combinatorics import ParamSet, TypeCounts, enumerate_alphabet_words, \
+    enumerate_multiset_words, _shape_cached
 from .errors import DegenerateParams, JuggleError
 
 SPEC_VERSION = 2  # 2: one seeded stream per replica run replaces per-replica seeds
@@ -260,9 +261,16 @@ def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
                         fluctuating.annihilation_stationary)
 
 
+def _juggler_weights(r: int, c: int, balls: int) -> tuple:
+    """Each placement's int weight, in enumerate_arrays order, and their sum;
+    the law has no weights, so it is kept per shape (`_shape_cached`)."""
+    weights = tuple(jugglers.juggler_stationary_weight(A)
+                    for A in jugglers.enumerate_arrays(r, c, balls))
+    return weights, sum(weights)
+
+
 def _juggler_law(spec: ModelSpec, states: list) -> Distribution:
-    weights = tuple(jugglers.juggler_stationary_weight(A) for A in states)
-    S = sum(weights)
+    weights, S = _shape_cached(_juggler_weights, *_grid(spec))
     if spec.backend == "float":  # int true division: correctly rounded, where float(w) overflows
         return Distribution(states, [w / S for w in weights])
     return Distribution(states, weights, S)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import inf, lcm
+from math import inf, lcm, prod
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateParams
@@ -27,9 +27,9 @@ from .errors import DegenerateParams
 FLOAT_TOL = 1e-12
 # bound of each per-process kernel cache; the largest tower `verify` takes replays 4,096 columns
 KERNEL_CACHE_SIZE = 1 << 12
-# bound of the per-process cache of shape-only chain skeletons (`_shape_cached`):
-# a `solve` pass builds ten shapes, a `verify` pass six others
-SKELETON_CACHE_SIZE = 32
+# bound of the per-process cache of shape-only results (`_shape_cached`): twice
+# the 24 skeletons of one benchmark `verify` pass, so a `solve` pass (12) fits too
+SKELETON_CACHE_SIZE = 48
 
 
 def is_exact(x) -> bool:
@@ -221,9 +221,9 @@ def _j_table(w: Word) -> list:
 
 @lru_cache(maxsize=SKELETON_CACHE_SIZE)
 def _shape_cached(walk: Callable, *shape):
-    """walk(*shape), kept per process for the SKELETON_CACHE_SIZE shapes last
-    used: walk reads the shape only, never weights, and every caller shares
-    its result, which nobody mutates."""
+    """walk(*shape), kept per process for the SKELETON_CACHE_SIZE (walk,
+    shape) pairs last used: walk reads the shape only, never weights, and
+    every caller shares its result, which nobody mutates."""
     return walk(*shape)
 
 
@@ -235,6 +235,14 @@ def _suffix_sweep(n: int, T: int, factors) -> list:
         level = [(_j_step(row, x), acc * f[row[x] - 1])
                  for row, acc in level for x, f in enumerate(factors, 1)]
     return level
+
+
+def _mass(p: ParamSet, factors, den):
+    """The product of `factors`, p's scalars, in order: over the integer
+    tables one Fraction, the product over den; for float weights the
+    product itself."""
+    acc = prod(factors, start=1 if p.tables else p.z[0] ** 0)
+    return Fraction(acc, den) if p.tables else acc
 
 
 def _float_normalizer(Z: float, noun: str = "normalizer Z") -> float:

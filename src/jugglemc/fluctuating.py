@@ -4,24 +4,18 @@ Ball counts fluctuate: a transition replaces the first letter by a fresh ball
 of type j (chosen by activities in the add-drop model, by cascading attempts
 in the annihilation model) and then runs the usual bumping cascade on the
 intermediate word j w^-. Past position 1, j w^- agrees with w, so one J table
-of w serves every j. A word's row depends only on w^- = w_2 .. w_n (the
-first letter is dropped before anything is read), so the skeleton (msjmc's
-`_skeleton`, kept per process for each (n, T)) walks one word per w^-: each
-insertion head (j, x), x + 1 = J(a(2), j), then the cascade from a(2) with
-msjmc's walk, which writes the successor as it goes, starting from w_2 ..
-w_{a(2)-1} j, so j w^- itself is never built. msjmc's evaluator reads the
-weights: the model's lead gives per row the factor of each head (the
-add-drop normalizer, the annihilation failure factors), which multiplies
-the pattern product of each of its moves. For exact weights a head is an
-int over the row's denominator (C_j Z over sum_t C_t Y for add-drop, Z
-times failures L - Y over L^(T-1) for annihilation); for float weights it
-is computed as the walk did and multiplied onto the cascade's running
-product at the leaf. Each w^-'s row is shared by the T words that end in
-it; an enriched state's row likewise depends only on (w^-, v^-) and is
-built once per pair, from the evaluated rows, with each move's restarts
-read off the J table of w. For exact weights each law is one suffix sweep
-of int masses over all words, and the add-drop normalizer a sum of
-products of ints over a power of Lc L, one Fraction.
+of w serves every j, and a row depends only on w^- = w_2 .. w_n. The
+skeleton (chain._skeleton, kept per (n, T)) walks one word per w^-: each
+insertion head (j, x), x + 1 = J(a(2), j), then msjmc's cascade walk from
+a(2), started from w_2 .. w_{a(2)-1} j, so j w^- is never built; the row
+datum is J_w(2, .). chain's evaluator multiplies each move's bumping
+product by its head's factor, which the model's lead prices once per row:
+over the integer tables C_j Z over sum_t C_t Y for add-drop, Z times
+failures L - Y over L^(T-1) for annihilation; for float weights as the
+walk did. The enriched skeletons are derived from these
+(msjmc.enriched_skeleton), one row per (w^-, v^-). For exact weights each
+law is one suffix sweep of int masses over all words, and the add-drop
+normalizer a sum of products of ints over a power of Lc L, one Fraction.
 """
 
 from __future__ import annotations
@@ -31,26 +25,25 @@ from itertools import accumulate
 from math import inf, prod
 from operator import mul
 
-from .chain import ChainMatrix
+from .chain import ChainMatrix, Skeleton, _chain, _skeleton
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
-    complete_homogeneous, _float_normalizer, _j_table, _shape_cached, _suffix_sweep
+    complete_homogeneous, _float_normalizer, _j_table, _mass, _shape_cached, _suffix_sweep
 from .errors import DegenerateParams, NotNormalized
-from .msjmc import EnrichedState, Skeleton, _cascades, _chain, _enriched_matrix, \
-    _enriched_states, _mass, _skeleton
+from .msjmc import EnrichedState, bump_tables, cascades, enriched_skeleton, enriched_states
 
 
 def _insertions(w: Word, J: list, j: int):
     """Yield (x, successor word, slots) for every bumping sequence a of
     j w^-, lexicographically: x + 1 = J(a(2), j), the index of the insertion
-    step's factor z, and slots the factor slots of the _cascades walk from
-    a(2) on. J is _j_table(w), which agrees with the table of j w^- from
+    step's factor z, and slots the factor slots of msjmc's cascades walk
+    from a(2) on. J is _j_table(w), which agrees with the table of j w^- from
     position 2 on, and the successor starts with w_2 .. w_{a(2)-1} followed
     by j."""
     letters = w.letters
     for a2 in range(2, w.n + 1):
         if letters[a2 - 1] > j:
             x = J[a2][j] - 1
-            for succ, slots in _cascades(w, J, letters[1 : a2 - 1] + (j,), ()):
+            for succ, slots in cascades(w, J, letters[1 : a2 - 1] + (j,), ()):
                 yield x, succ, slots
     yield 0, Word._make((letters[1:] + (j,), w.T)), ()
 
@@ -60,14 +53,13 @@ def _need_activities(p: ParamSet, T: int):
         raise ValueError(f"need {T} activities")
 
 
-def _add_drop_moves(w: Word, J=None):
-    """(j, x, successor word, slots) for every insertion type j and
-    bumping sequence a of j w^-, as _insertions; J is _j_table(w) when the
-    caller has it."""
-    J = _j_table(w) if J is None else J
-    for j in range(1, w.T + 1):
-        for x, succ, slots in _insertions(w, J, j):
-            yield j, x, succ, slots
+def _add_drop_moves(w: Word):
+    """add_drop's walk for _skeleton: the row datum J_w(2, .), and a move
+    ((j, x), successor word, slots) for every insertion type j and bumping
+    sequence a of j w^-, as _insertions."""
+    J = _j_table(w)
+    return J[2], (((j, x), succ, slots) for j in range(1, w.T + 1)
+                  for x, succ, slots in _insertions(w, J, j))
 
 
 def _add_drop_lead(p: ParamSet, T: int):
@@ -140,15 +132,15 @@ def add_drop_partition(n: int, T: int, p: ParamSet):
     return Fraction(total, (tables.Lc * tables.L) ** n) if tables else _float_normalizer(total)
 
 
-def _annihilation_moves(w: Word, J=None):
-    """(j, x, successor word, slots) with cascading attempts: the moves of
+def _annihilation_moves(w: Word):
+    """annihilation's walk for _skeleton, with cascading attempts: the row
+    datum J_w(2, .), the moves ((j, x), successor word, slots) of
     _insertions for each type j < T, then type T to the top with x = 0 and
-    no cascade. J is _j_table(w) when the caller has it."""
-    J = _j_table(w) if J is None else J
-    for j in range(1, w.T):
-        for x, succ, slots in _insertions(w, J, j):
-            yield j, x, succ, slots
-    yield w.T, 0, Word._make((w.letters[1:] + (w.T,), w.T)), ()
+    no cascade."""
+    J = _j_table(w)
+    moves = [((j, x), w2, slots) for j in range(1, w.T) for x, w2, slots in _insertions(w, J, j)]
+    moves.append(((w.T, 0), Word._make((w.letters[1:] + (w.T,), w.T)), ()))
+    return J[2], moves
 
 
 def _annihilation_lead(p: ParamSet, T: int):
@@ -230,27 +222,21 @@ def _annihilation_skeleton(n: int, T: int) -> Skeleton:
 
 def build_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _chain(_shape_cached(_add_drop_skeleton, n, T), p, _add_drop_lead(p, T),
-                  "cascade factor")
+    return _chain(_shape_cached(_add_drop_skeleton, n, T), p, bump_tables(p),
+                  _add_drop_lead(p, T), "cascade factor")
 
 
 def build_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _chain(_shape_cached(_annihilation_skeleton, n, T), p, _annihilation_lead(p, T),
-                  "cascade factor")
+    return _chain(_shape_cached(_annihilation_skeleton, n, T), p, bump_tables(p),
+                  _annihilation_lead(p, T), "cascade factor")
 
 
 def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
     """All (w, v) over the full alphabet state space, lexicographic."""
-    return _enriched_states(enumerate_alphabet_words(n, T))
-
-
-def _enriched_tail(s: EnrichedState) -> tuple:
-    """(w^-, v^-): an enriched row reads w only through w^- and v only
-    through the shifted v_2 .. v_n."""
-    return s.w.letters[1:], s.v[1:]
+    return enriched_states(enumerate_alphabet_words(n, T))
 
 
 def enriched_add_drop_weight(s: EnrichedState, p: ParamSet):
@@ -269,17 +255,20 @@ def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
     return _annihilation_mass(s.w, p, (z[v - 1] for x, v in zip(s.w.letters, s.v) if x < s.w.T))
 
 
+def _enriched_skeleton(base_walk, n: int, T: int) -> Skeleton:
+    """The enriched skeleton over the word chain base_walk(n, T) builds."""
+    return enriched_skeleton(_shape_cached(base_walk, n, T), enumerate_enriched_words(n, T))
+
+
 def build_enriched_add_drop_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     p.require_arity(n)
-    return _enriched_matrix(enumerate_enriched_words(n, T),
-                            _shape_cached(_add_drop_skeleton, n, T), p,
-                            _add_drop_lead(p, T), "cascade factor", key=_enriched_tail)
+    return _chain(_shape_cached(_enriched_skeleton, _add_drop_skeleton, n, T), p,
+                  bump_tables(p), _add_drop_lead(p, T), "cascade factor")
 
 
 def build_enriched_annihilation_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
     p.require_arity(n)
-    return _enriched_matrix(enumerate_enriched_words(n, T),
-                            _shape_cached(_annihilation_skeleton, n, T), p,
-                            _annihilation_lead(p, T), "cascade factor", key=_enriched_tail)
+    return _chain(_shape_cached(_enriched_skeleton, _annihilation_skeleton, n, T), p,
+                  bump_tables(p), _annihilation_lead(p, T), "cascade factor")

@@ -14,37 +14,33 @@ product-form stationary laws, both project down the tower, and the
 matrix chain reaches stationarity in exactly n steps.
 
 One free-cell rule places a type in a tableau column (`_free_heights`), and
-one column-factor rule (`_column_factor`) prices a column with it: the
+one column-factor rule (`_column_slots`) prices a column with it: the
 tableau law is the product of its columns' factors, the tableau step draws
 its fresh first column with the column-1 factors, and the word law sums the
 column factors in one right-to-left sweep over row-minimum profiles. The
 matrix lumping replays each recorded juggler choice onto the same free
 heights, one grid column at a time from the right. A column's legal
-fillings and its free heights read the columns to its right only through
-their row minima (`_profile`). So the three kernels that depend only on
-the shape, the fillings of a column (`_column_fillings`), the free-height
-counts of its types (`_free_counts`), both keyed on that profile, and the
-replay of a grid column onto a partial lump (`_replay_column`), are pure
-functions of int tuples, kept for the life of the process in caches of at
-most KERNEL_CACHE_SIZE entries; a later call on a shape only multiplies its
-weights in. The caches hold no state objects, so every call still builds
-its own. `tower_checks` proves the tower without listing a matrix state:
-one right-to-left sweep over the grid columns (`_column_sweep`) keeps the
-summed grid mass per reachable pair of partial lumps (of a grid and of its
-body), which proves the matrix-to-tableau lumping for every grid and gives
-each tableau's fiber mass, compared with the tableau law's int core
-(`_tableau_mass`). The word walk (`_overwrites`) writes the successor as it
-goes and yields each move as (successor word, probability), the pair
-`build_matrix` takes. A word step
-reads w only past its first letter, and a tableau or matrix step keeps only
-a body of its state, so each builder builds the row of each distinct w_2 ..
-w_n or body once. For exact weights the three steps multiply ints over the
-ParamSet's scaling (Z_k = L z_k, L - Y_k = L (1 - y_k)), and each move is a
-pair (num, den), den a power of L, which `build_matrix` sums into the
-chain's integer form without making a Fraction. The word law multiplies the
-same ints and keeps them as masses over L^(n(T-1)), as does the tableau
-law's core; its public wrapper `tableau_stationary` makes one Fraction per
-tableau, which no check reads. Float weights keep their float products.
+fillings and its factors read the columns to its right only through their
+row minima (`_profile`). So the three kernels that depend only on the
+shape, the fillings of a column (`_column_fillings`) and its factor slots
+(`_column_slots`), both keyed on that profile, and the replay of a grid
+column onto a partial lump (`_replay_column`), are pure functions of int
+tuples, kept for the life of the process in caches of at most
+KERNEL_CACHE_SIZE entries. `tower_checks` proves the tower without listing
+a matrix state: one right-to-left sweep over the grid columns
+(`_column_sweep`) keeps the summed grid mass per reachable pair of partial
+lumps (of a grid and of its body), which proves the matrix-to-tableau
+lumping for every grid and gives each tableau's fiber mass, compared with
+the tableau law's int core (`_tableau_mass`).
+
+The three chains are built as every weighted chain is (see chain): a
+shape-only step lists each successor's factors, a throw z_f or a failure
+1 - y_f, as (top, bottom) slots into `_tables`. The word walk
+(`_overwrites`) writes the successor as it goes and reads w only past its
+first letter; the tableau and matrix steps keep only a body of their
+state; so each distinct w_2 .. w_n or body is walked once per shape. The
+word law multiplies the same ints, over L^(n(T-1)), as does the tableau
+law's core; its wrapper `tableau_stationary` makes one Fraction per tableau.
 """
 
 from __future__ import annotations
@@ -56,59 +52,75 @@ from itertools import product, repeat
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .chain import ChainMatrix, Distribution, LumpingMap, build_matrix, verify_lumping, \
-    _denominator_of
-from .combinatorics import KERNEL_CACHE_SIZE, ParamSet, Word, enumerate_alphabet_words, _j_table
+from .chain import ChainMatrix, Distribution, LumpingMap, Skeleton, verify_lumping, \
+    _chain, _denominator_of, _skeleton
+from .combinatorics import KERNEL_CACHE_SIZE, ParamSet, Word, enumerate_alphabet_words, \
+    _j_table, _shape_cached
 from .errors import NotNormalized
 
 MATRIX_STATE_CAP = 100_000
 
 
-def _overwrites(w: Word, p: ParamSet):
-    """Yield (successor word, probability) for every overwrite sequence B of
-    w, lexicographically on the flattened pair list.
+def _overwrites(w: Word):
+    """The word step as a walk of _skeleton, with no row datum and no head:
+    a move (None, successor word, slots) for every overwrite sequence B of
+    w, lexicographically on the flattened pair list, its slots listing its
+    factors in product order as (top, bottom) slot pairs into _tables.
 
-    The walk carries the successor's letters and the running product, as a
-    numerator and a denominator, down the recursion. After a pair (b, t),
-    the failure factors 1 - y_{J(b+1, s)} of the types s skipped before the
-    next written type all come from row b+1 of the J table, so each node
-    takes them once for every next site; a written type below T then adds
-    z_{J(b', t')}. Over p's integer tables each factor is L - Y or Z over
-    L, and a sequence yields the pair (num, den); for float weights the
-    denominators stay 1 and a sequence yields its float product.
+    The walk carries the successor's letters and the slots down the
+    recursion. After a pair (b, t), the failure factors 1 - y_{J(b+1, s)} of
+    the types s skipped before the next written type all come from row b+1
+    of the J table, so each node takes them once for every next site; a
+    written type below T then adds z_{J(b', t')}. No weight is read.
     """
-    J, n, T, tables = _j_table(w), w.n, w.T, p.tables
-    one, y, z = (tables.L, tables.Y, tables.Z) if tables else (1, p.y, p.z)
+    J, n, T = _j_table(w), w.n, w.T
 
-    def walk(head: tuple, last_b: int, last_t: int, num, den: int):
-        # pre[t - last_t - 1]: the product times the failures of types last_t+1..t-1
-        pre = [(num, den)]
+    def walk(head: tuple, last_b: int, last_t: int, slots: tuple):
+        # pre[t - last_t - 1]: the slots and the failures of types last_t+1..t-1
+        pre = [slots]
         for s in range(last_t + 1, T):
-            a, d = pre[-1]
-            pre.append((a * (one - y[J[last_b + 1][s] - 1]), d * one))
+            pre.append(pre[-1] + (2 * J[last_b + 1][s], 0))
         for b in range(last_b + 1, n + 1):
             body = head + w.letters[last_b : b - 1]
             for t in range(last_t + 1, w.letters[b - 1]):
-                a, d = pre[t - last_t - 1]
-                yield from walk(body + (t,), b, t, a * z[J[b][t] - 1], d * one)
+                yield from walk(body + (t,), b, t, pre[t - last_t - 1] + (2 * J[b][t] - 1, 0))
         # site n+1 takes any later type; J(n+1, t) = 1 and T costs no z factor
         body = head + w.letters[last_b:]
         for t in range(last_t + 1, T):
-            a, d = pre[t - last_t - 1]
-            yield Word._make((body + (t,), T)), (a * z[0], d * one)
-        yield Word._make((body + (T,), T)), pre[-1]
+            yield None, Word._make((body + (t,), T)), pre[t - last_t - 1] + (1, 0)
+        yield None, Word._make((body + (T,), T)), pre[-1]
 
-    if tables:
-        return walk((), 1, 0, 1, 1)
-    return ((w2, num) for w2, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
+    return None, walk((), 1, 0, ())
+
+
+def _tables(p: ParamSet) -> tuple:
+    """The (top, bottom) factor tables of the overwriting chains: top[2f - 1]
+    = z_f for f = 1..n+1 and top[2f] = 1 - y_f for f = 0..n+1 (y_0 = 0), so a
+    slot needs no n, over bottom = (1,); over p's integer tables Z_f and L -
+    Y_f over (L,)."""
+    if t := p.tables:
+        return (t.L,) + tuple(v for Z, Y in zip(t.Z, t.Y) for v in (Z, t.L - Y)), (t.L,)
+    one = p.z[0] ** 0
+    return (one,) + tuple(v for z, y in zip(p.z, p.y) for v in (z, 1 - y)), (one,)
+
+
+def _evaluated(skeleton, n: int, T: int, p: ParamSet, noun: str) -> ChainMatrix:
+    """The chain of skeleton(n, T), kept per shape, at weights p; `noun`
+    names the chain when z does not sum to 1."""
+    if not p.normalized:
+        raise NotNormalized(f"{noun} needs z summing to 1")
+    p.require_arity(n)
+    return _chain(_shape_cached(skeleton, n, T), p, _tables(p), None, noun)
+
+
+def _word_skeleton(n: int, T: int) -> Skeleton:
+    return _skeleton(enumerate_alphabet_words(n, T), _overwrites, key=lambda w: w.letters[1:])
 
 
 def build_word_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
-    if not p.normalized:
-        raise NotNormalized("overwriting model needs z summing to 1")
-    p.require_arity(n)
-    return build_matrix(enumerate_alphabet_words(n, T), lambda w: _overwrites(w, p),
-                        key=lambda w: w.letters[1:])
+    """The word chain. A step reads w only past its first letter, so each
+    distinct w_2 .. w_n's row is walked once."""
+    return _evaluated(_word_skeleton, n, T, p, "overwriting model")
 
 
 # ---------------------------------------------------------------- tableaux
@@ -226,11 +238,12 @@ def _column_fillings(length: int, T: int, mins: tuple) -> tuple:
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _free_counts(col: tuple, mins: tuple, T: int) -> tuple:
-    """(free, present) for each type i = 1..T-1: the number of free heights
-    of i (_free_heights) in `col`, left of columns of profile `mins`, and
-    whether i sits in col."""
-    return tuple((len(_free_heights((col, mins), 1, i)), i in col) for i in range(1, T))
+def _column_slots(col: tuple, mins: tuple, T: int) -> tuple:
+    """The top slots (_tables) of the T - 1 factors of the stationary
+    product of column `col`, left of columns of profile `mins`, type 1
+    first: with f the free heights of col for type i (_free_heights), z_{1+f}
+    when i sits in col, 1 - y_f when it is absent."""
+    return tuple(2 * len(_free_heights((col, mins), 1, i)) + (i in col) for i in range(1, T))
 
 
 def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
@@ -248,36 +261,25 @@ def enumerate_tableaux(n: int, T: int) -> list[Tableau]:
     return [Tableau._make((cols, T)) for cols in sorted(partial)]
 
 
-def _factors(p: ParamSet) -> tuple:
-    """(one, (z, fail)) for `_column_factor`: z[f] = z_{f+1} and fail[f] =
-    1 - y_f for f = 0..n+1 (y_0 = 0), p's values; over p's integer tables
-    Z_{f+1} and L - Y_f, each a factor over L, and one = 1."""
-    if t := p.tables:
-        return 1, (t.Z, tuple(t.L - y for y in (0,) + t.Y))
-    return p.z[0] ** 0, (p.z, tuple(1 - p.y_at(f) for f in range(len(p.y) + 1)))
-
-
-def _column_factor(acc, col: tuple, mins: tuple, T: int, factors: tuple):
-    """acc times the T - 1 factors of the stationary product of column `col`,
-    left of columns of profile `mins`, type 1 first: with f the free heights
-    of col for type i, z_{1+f} when i sits in col, 1 - y_f when it is absent;
-    `factors` is _factors(p)[1]."""
-    z, fail = factors
-    for free, present in _free_counts(col, mins, T):
-        acc = acc * (z[free] if present else fail[free])
+def _column_factor(acc, col: tuple, mins: tuple, T: int, top: tuple):
+    """acc times the factors of column `col`, left of columns of profile
+    `mins` (_column_slots), read off the top table of _tables(p)."""
+    for k in _column_slots(col, mins, T):
+        acc = acc * top[k]
     return acc
 
 
-def _tableau_mass(columns: tuple, T: int, acc, factors: tuple):
-    """acc times the column factors of a tableau's columns, column 1 first;
-    (acc, factors) = _factors(p) gives its stationary mass, over p's integer
-    tables an int over L^(n(T-1))."""
+def _tableau_mass(columns: tuple, T: int, top: tuple):
+    """The product of the column factors of a tableau's columns, column 1
+    first, from top[0] ** 0; with the top table of _tables(p) it is the
+    stationary mass, over p's integer tables an int over L^(n(T-1))."""
     # profiles[j]: the profile of the last j columns
     profiles = [()]
     for col in reversed(columns[1:]):
         profiles.append(_extend(col, profiles[-1]))
+    acc = top[0] ** 0
     for col, mins in zip(columns, reversed(profiles)):
-        acc = _column_factor(acc, col, mins, T, factors)
+        acc = _column_factor(acc, col, mins, T, top)
     return acc
 
 
@@ -287,7 +289,7 @@ def tableau_stationary(V: Tableau, p: ParamSet):
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(V.n)
-    mass = _tableau_mass(V.columns, V.T, *_factors(p))
+    mass = _tableau_mass(V.columns, V.T, _tables(p)[0])
     return Fraction(mass, p.tables.L ** (V.n * (V.T - 1))) if p.tables else mass
 
 
@@ -307,26 +309,24 @@ def tableau_successors(V: Tableau) -> list[Tableau]:
     ]
 
 
+def _tableau_step(V: Tableau):
+    """The tableau step as a walk of _skeleton, with no row datum and no
+    head: a move (None, W, slots) for each successor W of V
+    (tableau_successors), whose fresh first column has the law's column-1
+    factors."""
+    mins = _profile(_shifted_body(V))
+    return None, ((None, W, tuple([k for s in _column_slots(W.columns[0], mins, V.T)
+                                   for k in (s, 0)])) for W in tableau_successors(V))
+
+
+def _tableau_skeleton(n: int, T: int) -> Skeleton:
+    return _skeleton(enumerate_tableaux(n, T), _tableau_step, key=_shifted_body)
+
+
 def build_tableau_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
     """The tableau chain. A row depends only on the shifted body, so each
-    distinct body's successors and their factors are built once."""
-    if not p.normalized:
-        raise NotNormalized("tableau chain needs z summing to 1")
-    p.require_arity(n)
-    states = enumerate_tableaux(n, T)
-    tables = p.tables
-    one, factors = _factors(p)
-    # over the integer tables a column's T - 1 factors are over L^(T-1)
-    den = tables and tables.L ** (T - 1)
-
-    def successors(V: Tableau):
-        # the step draws W's fresh first column with the law's column-1 factors
-        mins = _profile(_shifted_body(V))
-        for W in tableau_successors(V):
-            f = _column_factor(one, W.columns[0], mins, T, factors)
-            yield W, (f, den) if tables else f
-
-    return build_matrix(states, successors, key=_shifted_body)
+    distinct body's successors and their factors are walked once."""
+    return _evaluated(_tableau_skeleton, n, T, p, "tableau chain")
 
 
 def lump_tableau(V: Tableau) -> Word:
@@ -362,15 +362,15 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     """The word law's masses on `states`, all words of length n over 1..T in
     any order; p is checked by the caller. Over p's integer tables the
     masses are ints over the scale L^(n(T-1)), with no Fraction."""
-    one, factors = _factors(p)
-    zero = one * 0
-    masses = {(): one}
+    top = _tables(p)[0]
+    zero = top[0] * 0
+    masses = {(): top[0] ** 0}
     for k in range(n, 0, -1):
         swept: dict = {}
         for prof, mass in masses.items():
             for col in _column_fillings(n + 1 - k, T, prof):
                 key = _extend(col, prof)
-                swept[key] = swept.get(key, zero) + _column_factor(mass, col, prof, T, factors)
+                swept[key] = swept.get(key, zero) + _column_factor(mass, col, prof, T, top)
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
     return Distribution(states, [words.get(w.letters, zero) for w in states],
@@ -430,16 +430,10 @@ def matrix_stationary_weight(M: MatrixState, p: ParamSet):
     return acc
 
 
-def _grid_columns(n: int, T: int, z: Sequence, one) -> list:
-    """(column, one times the product of its cells' z) for every grid
-    column, in lexicographic order; z is p.z, or p's Z table with one = 1."""
-    columns = []
-    for col in product(range(1, n + 2), repeat=T - 1):
-        prob = one
-        for x in col:
-            prob = prob * z[x - 1]
-        columns.append((col, prob))
-    return columns
+def _grid_columns(n: int, T: int, Z: Sequence) -> list:
+    """(column, the product of its cells' Z) for every grid column, in
+    lexicographic order; Z is p's integer z table."""
+    return [(col, prod(Z[x - 1] for x in col)) for col in product(range(1, n + 2), repeat=T - 1)]
 
 
 def _matrix_body(M: MatrixState) -> tuple:
@@ -447,29 +441,26 @@ def _matrix_body(M: MatrixState) -> tuple:
     return tuple(row[:-1] for row in M.grid)
 
 
+def _matrix_step(M: MatrixState):
+    """The matrix step as a walk of _skeleton, with no row datum and no
+    head: a move (None, successor, slots) for each fresh column of juggler
+    choices, in lexicographic order. Every row shifts right, dropping its
+    last column, the column is prepended, and its cells' z_x are its
+    factors."""
+    grid, body = M.grid, _matrix_body(M)
+    return None, ((None, MatrixState(tuple([(c,) + row for c, row in zip(col, body)])),
+                   tuple([k for x in col for k in (2 * x - 1, 0)]))
+                  for col in product(range(1, len(grid[0]) + 2), repeat=len(grid)))
+
+
+def _matrix_skeleton(n: int, T: int) -> Skeleton:
+    return _skeleton(enumerate_matrix_states(n, T), _matrix_step, key=_matrix_body)
+
+
 def build_matrix_chain(n: int, T: int, p: ParamSet) -> ChainMatrix:
-    """The matrix chain; each distinct body's row is built once."""
-    if not p.normalized:
-        raise NotNormalized("matrix chain needs z summing to 1")
-    p.require_arity(n)
-    states = enumerate_matrix_states(n, T)
-    # the fresh column's law is the same from every state; over the integer
-    # tables a column's T - 1 cells are over L^(T-1)
-    tables = p.tables
-    if tables:
-        den = tables.L ** (T - 1)
-        columns = [(col, (num, den)) for col, num in _grid_columns(n, T, tables.Z, 1)]
-    else:
-        columns = _grid_columns(n, T, p.z, p.z[0] ** 0)
-
-    def successors(M: MatrixState):
-        # shift every row right, dropping the last column, and prepend the
-        # fresh column of juggler choices
-        body = _matrix_body(M)
-        for newcol, prob in columns:
-            yield MatrixState(tuple((c,) + row for c, row in zip(newcol, body))), prob
-
-    return build_matrix(states, successors, key=_matrix_body)
+    """The matrix chain; each distinct body's row is walked once, and the
+    fresh column's law is the same from every state."""
+    return _evaluated(_matrix_skeleton, n, T, p, "matrix chain")
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -511,7 +502,7 @@ def _column_sweep(n: int, T: int, Z: Sequence) -> tuple[dict, dict]:
     grids' cells, over L^(n(T-1)), and one grid's columns; pushes maps each
     B to the fresh column's law replayed onto it, {lump: int over L^(T-1)}.
     """
-    columns = _grid_columns(n, T, Z, 1)
+    columns = _grid_columns(n, T, Z)
     replays: dict = {}
 
     def replayed(right: tuple) -> list:
@@ -569,9 +560,9 @@ def tower_checks(n: int, T: int, p: ParamSet, P: ChainMatrix) -> list:
                 to_tableau = (MatrixState(tuple(zip(*grid))), Pt.states[b],
                               Fraction(push.get(b, 0), Lc), Fraction(row[b], Dt) if b in row else 0)
     to_word = LumpingMap.from_function(lump_tableau, Pt.states, P.states)
-    factors = _factors(p)[1]
-    fiber = next((V for V in Pt.states
-                  if fibers[V.columns] != _tableau_mass(V.columns, T, 1, factors)), None)
+    top = _tables(p)[0]
+    fiber = next((V for V in Pt.states if fibers[V.columns] != _tableau_mass(V.columns, T, top)),
+                 None)
     return [("matrix-to-tableau lumping", to_tableau),
             ("tableau-to-word lumping", verify_lumping(Pt, to_word, P)[1]),
             ("fiber weight identity", fiber)]

@@ -10,7 +10,10 @@ and the shift check are spelled out separately. Every row is accumulated
 from the per-choice step probability. The word law lists every tableau and
 adds its mass to the word it lumps to. The fiber law `matrix_fiber_law` is
 the Fraction column sweep `verify` ran before `overwriting.tower_checks`
-took the fiber identity into its sweep over pairs of partial lumps.
+took the fiber identity into its sweep over pairs of partial lumps. The
+per-move walk `overwrites` is the word walk as it priced each move while it
+walked, before the builder kept only the shape of its moves and the one
+evaluator of chain.py took over the weights.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from itertools import product
 
 from jugglemc import overwriting
 from jugglemc.chain import Distribution
-from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
+from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, _j_table
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
     MatrixState,
     Tableau,
     _check_matrix,
-    _grid_columns,
     _replay_column,
     enumerate_matrix_states,
     enumerate_tableaux,
@@ -99,6 +101,41 @@ def overwrite_prob(w: Word, B: tuple[tuple[int, int], ...], p: ParamSet):
             acc = acc * p.z_at(stat_J(w, b, t))
         prev_b, prev_t = b, t
     return acc
+
+
+def overwrites(w: Word, p: ParamSet):
+    """Yield (successor word, probability) for every overwrite sequence B of
+    w, lexicographically, as the word builder walked them before it kept
+    only the shape: the walk carries the successor's letters and the
+    running product, as a numerator and a denominator, down the recursion.
+    Over p's integer tables each factor is L - Y or Z over L, and a sequence
+    yields the pair (num, den); for float weights it yields its float
+    product, the failures of the skipped types first, in type order, then
+    z."""
+    J, n, T, tables = _j_table(w), w.n, w.T, p.tables
+    one, y, z = (tables.L, tables.Y, tables.Z) if tables else (1, p.y, p.z)
+
+    def walk(head: tuple, last_b: int, last_t: int, num, den: int):
+        # pre[t - last_t - 1]: the product times the failures of types last_t+1..t-1
+        pre = [(num, den)]
+        for s in range(last_t + 1, T):
+            a, d = pre[-1]
+            pre.append((a * (one - y[J[last_b + 1][s] - 1]), d * one))
+        for b in range(last_b + 1, n + 1):
+            body = head + w.letters[last_b : b - 1]
+            for t in range(last_t + 1, w.letters[b - 1]):
+                a, d = pre[t - last_t - 1]
+                yield from walk(body + (t,), b, t, a * z[J[b][t] - 1], d * one)
+        # site n+1 takes any later type; J(n+1, t) = 1 and T costs no z factor
+        body = head + w.letters[last_b:]
+        for t in range(last_t + 1, T):
+            a, d = pre[t - last_t - 1]
+            yield Word._make((body + (t,), T)), (a * z[0], d * one)
+        yield Word._make((body + (T,), T)), pre[-1]
+
+    if tables:
+        return walk((), 1, 0, 1, 1)
+    return ((w2, num) for w2, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
 
 
 def _row_blocked(V: Tableau, h: int, i: int, from_col: int) -> bool:
@@ -278,9 +315,14 @@ def matrix_fiber_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     lump depend on grid columns k..n only through the lump's columns k+1..n
     and grid column k, and a grid's mass is the product of its columns' z
     products."""
-    zero = p.z_at(1) * 0
-    columns = _grid_columns(n, T, p.z, p.z_at(1) ** 0)
-    masses = {(): p.z_at(1) ** 0}
+    one, zero = p.z_at(1) ** 0, p.z_at(1) * 0
+    columns = []
+    for col in product(range(1, n + 2), repeat=T - 1):
+        prob = one
+        for x in col:
+            prob = prob * p.z_at(x)
+        columns.append((col, prob))
+    masses = {(): one}
     for _ in range(n):
         swept: dict = {}
         for right, mass in masses.items():

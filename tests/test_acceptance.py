@@ -7,7 +7,7 @@ the criteria can be read off a test run directly.
 import random
 import time
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 from jugglemc import fluctuating, jugglers, msjmc, overwriting
 from jugglemc.chain import (
@@ -267,8 +267,12 @@ def test_criterion_5_overwriting_tower(capsys):
             p = normalized_params(rng, 8)
             want = ((1 - p.y_at(6)) * p.z_at(5) * (1 - p.y_at(3)) * p.z_at(2)
                     * (1 - p.y_at(1)))
-            # exact weights: each move is a pair (num, den) of ints
-            row = [(w2.letters, F(*prob)) for w2, prob in overwriting._overwrites(w, p)]
+            # the walk lists each move's factors as (top, bottom) slots into
+            # the tables of the exact weights
+            top, bottom = overwriting._tables(p)
+            row = [(w2.letters, F(prod(top[i] for i in slots[::2]),
+                                  prod(bottom[k] for k in slots[1::2])))
+                   for _, w2, slots in overwriting._overwrites(w)[1]]
             assert len(dict(row)) == len(row)
             assert dict(row)[(1, 2, 6, 2, 4, 3, 6)] == want
 

@@ -25,7 +25,7 @@ def walk_and_choices(model, shape):
     choices) per word."""
     if model == "msjmc":
         for w in enumerate_multiset_words(TypeCounts(shape)):
-            yield w, [w2 for _, _, w2, _ in msjmc._bumps(w)], \
+            yield w, [w2 for _, w2, _ in msjmc._bumps(w)[1]], \
                 [(w.letters[0], a) for a in bumping_sequences(w)]
         return
     n, T = shape
@@ -34,7 +34,7 @@ def walk_and_choices(model, shape):
         "annihilation": (fluctuating._annihilation_moves, annihilation_choices),
     }[model]
     for w in enumerate_alphabet_words(n, T):
-        yield w, [w2 for _, _, w2, _ in moves(w)], [tuple(ch) for ch in choices(w)]
+        yield w, [w2 for _, w2, _ in moves(w)[1]], [tuple(ch) for ch in choices(w)]
 
 
 @pytest.mark.parametrize("model,shape", CASES,
@@ -54,7 +54,7 @@ def test_walked_successors_need_no_recheck(model, shape):
 @pytest.mark.parametrize("model,shape", CASES,
                          ids=[f"{m}-{'x'.join(map(str, s))}" for m, s in CASES])
 def test_restart_templates_are_stat_E_at_the_landed_slots(model, shape):
-    """The restart template _enriched_matrix reads off the source word's J
+    """The restart template enriched_skeleton reads off the source word's J
     table for each move, against the reference: E_{w2}(i) (stat_E) at the
     slots i the reference's bumping sequence lands a ball in, 0 elsewhere."""
     for w, successors, choices in walk_and_choices(model, shape):

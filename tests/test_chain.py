@@ -38,6 +38,7 @@ from jugglemc.cli import MODELS, ModelSpec, _base_m_probe, main
 from jugglemc.combinatorics import ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
+import overwriting_reference
 from test_cascades import SHAPES as CASCADE_SHAPES
 
 F = Fraction
@@ -956,11 +957,12 @@ def unkeyed_word_chain(model: str, n: int, T: int, p: ParamSet) -> ChainMatrix:
     """The model's word chain with every row built from its own word."""
     words = combinatorics.enumerate_alphabet_words(n, T)
     if model == "overwriting":
-        return build_matrix(words, lambda w: overwriting._overwrites(w, p))
+        return build_matrix(words, lambda w: overwriting_reference.overwrites(w, p))
     walk, lead = {"add_drop": (fluctuating._add_drop_moves, fluctuating._add_drop_lead),
                   "annihilation": (fluctuating._annihilation_moves,
                                    fluctuating._annihilation_lead)}[model]
-    return msjmc._chain(msjmc._skeleton(words, walk), p, lead(p, T), "cascade factor")
+    return chain._chain(chain._skeleton(words, walk), p, msjmc.bump_tables(p), lead(p, T),
+                        "cascade factor")
 
 
 KEYED_BUILDS = {

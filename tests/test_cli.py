@@ -354,7 +354,7 @@ def test_verify_names_first_tableau_off_the_fiber_sum(capsys, monkeypatch):
     first = next(V for V in overwriting.enumerate_tableaux(n, T) if fibers[V] != 1)
     # the tableau law's int core, over L^(n(T-1)), gives every tableau mass 1
     monkeypatch.setattr(overwriting, "_tableau_mass",
-                        lambda columns, T, acc, factors: p.tables.L ** (n * (T - 1)))
+                        lambda columns, T, top: p.tables.L ** (n * (T - 1)))
     code, out, _ = run(capsys, ["verify", "--suite", "lumping", "--model", "overwriting",
                                 "--n", "2", "--T", "3", "--z", "1/2,1/3,1/6"])
     assert code == 2
@@ -543,9 +543,9 @@ def test_verify_counts_enrichments_before_building_them(capsys, monkeypatch, arg
     def refuse(*args):
         raise AssertionError("enumerated an enrichment past the cap")
 
-    for module, name in [(msjmc, "enumerate_enriched"), (msjmc, "_enriched_states"),
+    for module, name in [(msjmc, "enumerate_enriched"), (msjmc, "enriched_states"),
                          (fluctuating, "enumerate_enriched_words"),
-                         (fluctuating, "_enriched_states"),
+                         (fluctuating, "enriched_states"),
                          (overwriting, "enumerate_tableaux"),
                          (overwriting, "enumerate_matrix_states")]:
         monkeypatch.setattr(module, name, refuse)

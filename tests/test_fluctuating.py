@@ -12,10 +12,9 @@ from jugglemc.chain import (
     stationary_exact,
     verify_lumping,
 )
-from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words, \
-    enumerate_multiset_words
+from jugglemc.combinatorics import ParamSet, TypeCounts, Word, enumerate_alphabet_words
 from jugglemc.errors import DegenerateParams, NotNormalized
-from jugglemc.msjmc import _enriched_matrix
+from jugglemc.chain import _chain, _skeleton
 from jugglemc.fluctuating import (
     add_drop_partition,
     add_drop_stationary_weight,
@@ -37,6 +36,8 @@ from cascade_reference import (
     intermediate_word,
     stat_E,
 )
+from cascade_reference import fluctuating_rows, msjmc_rows
+from test_cascades import assert_same_rows
 from test_chain import project_distribution
 
 F = Fraction
@@ -289,9 +290,10 @@ def test_enumerate_enriched_words():
 
 
 def unkeyed_enriched(states, words, walk, p, lead, what):
-    """_enriched_matrix with every row built from its own state, over the
-    skeleton that walks every word's own moves."""
-    return _enriched_matrix(states, msjmc._skeleton(words, walk), p, lead, what)
+    """The enriched chain over the skeleton that walks every word's own
+    moves, not one row per w^-."""
+    skel = msjmc.enriched_skeleton(_skeleton(words, walk), states)
+    return _chain(skel, p, msjmc.bump_tables(p), lead, what)
 
 
 @pytest.mark.parametrize("model,moves,params", [
@@ -312,6 +314,7 @@ def test_enriched_rows_are_built_once_per_tail(model, moves, params):
         assert Pt == unkeyed_enriched(enumerate_enriched_words(n, T),
                                       enumerate_alphabet_words(n, T), moves, p, lead(p, T),
                                       "cascade factor")
+        assert_same_rows(Pt, fluctuating_rows(model, n, T, p, True))
     if model == "add_drop":
         assert (Pt.size, len(Pt._distinct)) == (60, 12)
 
@@ -326,9 +329,7 @@ def test_msjmc_enriched_rows_are_built_once_per_word_and_tail():
         Pt = msjmc.build_enriched_chain(TypeCounts(counts), p)
         assert len({(s.w, s.v[1:]) for s in Pt.states}) == len(Pt._distinct) == rows, counts
         assert Pt.size == size, counts
-        assert Pt == unkeyed_enriched(msjmc.enumerate_enriched(TypeCounts(counts)),
-                                      enumerate_multiset_words(TypeCounts(counts)),
-                                      msjmc._bumps, p, msjmc._throw, "transition denominator")
+        assert_same_rows(Pt, msjmc_rows(TypeCounts(counts), p, True))
 
 
 def test_enriched_add_drop_lumps_to_base():

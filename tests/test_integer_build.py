@@ -1,6 +1,7 @@
-"""Chains built on integers: every exact walk hands build_matrix its moves as
-pairs (num, den) of ints, and ChainMatrix holds D·P, making Fraction rows
-only when they are read. These tests hold the integer build to the value
+"""Chains built on integers: the skeleton evaluator hands ChainMatrix each
+exact row as ints over its denominator, the juggler walk hands build_matrix
+its moves as pairs (num, den) of ints, and ChainMatrix holds D·P, making
+Fraction rows only when they are read. These tests hold the integer build to the value
 build it replaced, and check that the solver path never makes the Fraction
 rows."""
 
@@ -49,7 +50,7 @@ BUILDS = list(_builds())
 
 def value_built(build, p) -> ChainMatrix:
     """build(p) with each (num, den) move handed to build_matrix as
-    Fraction(num, den), and each exact row of a cascade skeleton's evaluator
+    Fraction(num, den), and each exact move set of a skeleton's evaluator
     as Fractions over no denominator: as the builders made it from values.
     No skeleton is kept before or after, so several_jugglers, whose skeleton
     is its chain, is built here too."""
@@ -59,16 +60,15 @@ def value_built(build, p) -> ChainMatrix:
                 yield succ, F(*v) if type(v) is tuple else v
         return build_matrix(states, values, key=key)
 
-    evaluate = msjmc._evaluate
+    evaluate = chain._evaluate
 
     def value_rows(*args):
-        for den, row in evaluate(*args):
-            yield None, row if den is None else {j: F(v, den) for j, v in row.items()}
+        return [(None, probs if den is None else [F(v, den) for v in probs])
+                for den, probs in evaluate(*args)]
 
     with ExitStack() as stack:
-        for module in (msjmc, jugglers, overwriting):
-            stack.enter_context(mock.patch.object(module, "build_matrix", by_values))
-        stack.enter_context(mock.patch.object(msjmc, "_evaluate", value_rows))
+        stack.enter_context(mock.patch.object(jugglers, "build_matrix", by_values))
+        stack.enter_context(mock.patch.object(chain, "_evaluate", value_rows))
         _shape_cached.cache_clear()
         stack.callback(_shape_cached.cache_clear)
         return build(p)

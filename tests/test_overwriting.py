@@ -17,7 +17,7 @@ from jugglemc.chain import (
     verify_lumping,
 )
 from jugglemc.cli import main
-from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words
+from jugglemc.combinatorics import ParamSet, Word, enumerate_alphabet_words, _shape_cached
 from jugglemc.errors import NotNormalized
 from jugglemc.overwriting import (
     MatrixState,
@@ -325,7 +325,8 @@ def per_state_checks(n: int, T: int, p: ParamSet) -> list:
     to_tableau = verify_lumping(Pm, LumpingMap(zip(Pm.states, lumps), Pt.states), Pt)[0]
     to_word = verify_lumping(Pt, LumpingMap.from_function(lump_tableau, Pt.states, Pw.states),
                              Pw)[0]
-    price = dict(overwriting._grid_columns(n, T, p.z, F(1)))
+    price = {col: F(v, p.tables.L ** (T - 1))
+             for col, v in overwriting._grid_columns(n, T, p.tables.Z)}
     fibers = dict.fromkeys(Pt.states, F(0))
     for M, V in zip(Pm.states, lumps):
         fibers[V] += prod(price[col] for col in zip(*M.grid))
@@ -346,9 +347,21 @@ def test_tower_checks_match_the_per_state_checks():
             assert sweep_verdicts(n, T, p) == per_state_checks(n, T, p) == [True] * 3, (n, T)
 
 
-def _shifted_z_columns(n, T, z, one):
+def _shifted_z_columns(n, T, Z):
     # cell x priced with z_{x+1}, and n+1 with z_1: still a law on the columns
-    return _grid_columns(n, T, z[1:] + z[:1], one)
+    return _grid_columns(n, T, Z[1:] + Z[:1])
+
+
+MATRIX_STEP = overwriting._matrix_step
+
+
+def _shifted_z_step(M):
+    # the matrix chain's fresh column priced as _shifted_z_columns prices it:
+    # the top slot 2x - 1 of z_x becomes that of z_{x+1}, and n+1's that of z_1
+    n = len(M.grid[0])
+    return None, ((None, M2, tuple(2 * ((s + 1) // 2 % (n + 1)) + 1 if i % 2 == 0 else s
+                                   for i, s in enumerate(slots)))
+                  for _, M2, slots in MATRIX_STEP(M)[1])
 
 
 def _replay_past_the_free_height(right, choices):
@@ -361,15 +374,17 @@ def _replay_past_the_free_height(right, choices):
     return (tuple(col),) + right
 
 
-@pytest.mark.parametrize("name,broken", [
-    ("_grid_columns", _shifted_z_columns),
-    ("_replay_column", _replay_past_the_free_height),
+@pytest.mark.parametrize("patches", [
+    [("_grid_columns", _shifted_z_columns), ("_matrix_step", _shifted_z_step)],
+    [("_replay_column", _replay_past_the_free_height)],
 ], ids=["shifted-z", "wrong-free-height"])
-def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch, name, broken):
+def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch, patches):
     """Both paths give the same verdicts and refuse the matrix lumping, and
     the sweep's counterexample is one verify_lumping would accept as such: its
     witness grid's row, lumped onto the tableau it names, differs from the
-    tableau row."""
+    tableau row. The fresh column's law is read by the sweep (_grid_columns)
+    and by the matrix chain's walk (_matrix_step), so a broken law breaks
+    both."""
     shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
     # the kernel caches hold the unbroken replays of every shape first
     warm = random.Random(62)
@@ -377,7 +392,8 @@ def test_tower_checks_refuse_broken_laws_as_the_per_state_checks_do(monkeypatch,
         p = random_normalized_params(warm, n)
         assert sweep_verdicts(n, T, p) == [True] * 3, (n, T)
     rng = random.Random(60)
-    monkeypatch.setattr(overwriting, name, broken)
+    for name, broken in patches:
+        monkeypatch.setattr(overwriting, name, broken)
     for n, T in shapes:
         p = random_normalized_params(rng, n)
         verdicts = sweep_verdicts(n, T, p)
@@ -400,7 +416,7 @@ def test_column_sweep_keys_are_the_tableaux_with_their_shifted_bodies():
         assert set(pushes) == {_shifted_body(V) for V in tableaux}, (n, T)
 
 
-KERNELS = (overwriting._column_fillings, overwriting._free_counts, overwriting._replay_column)
+KERNELS = (overwriting._column_fillings, overwriting._column_slots, overwriting._replay_column)
 
 
 def tower_results(n: int, T: int, p: ParamSet) -> tuple:
@@ -411,14 +427,14 @@ def tower_results(n: int, T: int, p: ParamSet) -> tuple:
 
 
 def test_warm_kernel_caches_give_the_cold_results():
-    """Every result on a shape is the same when the shape-only kernels are
-    computed afresh and when they come from caches filled by every other
-    shape and other weights, zeros among them."""
+    """Every result on a shape is the same when the shape-only kernels and
+    chain skeletons are computed afresh and when they come from caches filled
+    by every other shape and other weights, zeros among them."""
     rng = random.Random(61)
     cases = [(n, T, p) for n, T in TOWER_SHAPES for p in weight_sets(rng, n)]
     cold = []
     for n, T, p in cases:
-        for kernel in KERNELS:
+        for kernel in KERNELS + (_shape_cached,):
             kernel.cache_clear()
         cold.append(tower_results(n, T, p))
     for (n, T, p), want in reversed(list(zip(cases, cold))):
