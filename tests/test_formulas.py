@@ -4,13 +4,15 @@ reference product built on stat_E in the weights' own arithmetic, exact and
 float; the tables themselves; and chains whose value types follow their own
 weights, for plain ints, Fractions and floats that compare equal."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jugglemc import fluctuating, msjmc
+from jugglemc import fluctuating, msjmc, overwriting
+from jugglemc.chain import ChainMatrix, Distribution
 from jugglemc.combinatorics import ParamSet, TypeCounts, enumerate_alphabet_words, \
     enumerate_multiset_words
 
@@ -174,3 +176,99 @@ def test_int_weights_build_the_rows_of_their_fraction_equals():
             assert _items(got) == _items(want) and _value_types([got]) == {Fraction}
     w = enumerate_multiset_words(TypeCounts((1, 1)))[0]
     assert msjmc.stationary_weight(w, ints) == msjmc.stationary_weight(w, fracs) == 3
+
+
+def _key(v) -> str:
+    """A value as its exact bits: float.hex for floats, type and repr else."""
+    return float.hex(v) if isinstance(v, float) else f"{type(v).__name__}:{v!r}"
+
+
+def _outcome(f) -> str:
+    try:
+        got = f()
+    except Exception as e:  # an error is an output too: its type and message
+        return f"{type(e).__name__}: {e}"
+    if isinstance(got, ChainMatrix):
+        return repr([[(j, _key(v)) for j, v in row.items()] for row in got.rows])
+    if isinstance(got, Distribution):
+        return repr([_key(v) for v in got.weights])
+    return _key(got)
+
+
+def _float_sets(n: int, T: int, normalized: bool) -> list:
+    """Float weight sets for n balls and T types, then one mixed set: exact z
+    with float activities. Raw weights 1..11 over their float sum, or over
+    7.0 when unnormalized; the second set has zeros past z_1, the third z_1 =
+    0, which the chains refuse."""
+    raw = [(7 * k) % 11 + 1 for k in range(n + 1)]
+    holes = [a if k % 2 == 0 else 0 for k, a in enumerate(raw)]
+    c = tuple([1.0, 0.5, 2.0, 0.25][:T])
+    out = []
+    for r in (raw, holes, [0] + raw[1:]):
+        out.append(ParamSet(tuple(a / (float(sum(r)) if normalized else 7.0) for a in r), c))
+    out.append(ParamSet(tuple(F(a, sum(raw) if normalized else 7) for a in raw), c))
+    return out
+
+
+def _api_outputs():
+    """Every float and mixed output of the product formulas, the normalizers
+    and the nine builders on small shapes, one line each."""
+    lines = []
+
+    def put(label, f):
+        lines.append(f"{label} {_outcome(f)}")
+
+    for shape in [(2, 1), (1, 1, 2)]:
+        counts = TypeCounts(shape)
+        words, states = _states("msjmc", shape)
+        for i, p in enumerate(_float_sets(counts.n, counts.T, False)
+                              + _float_sets(counts.n, counts.T, True)):
+            tag = f"msjmc {shape} {i}"
+            put(tag, lambda: msjmc.partition_function(counts, p))
+            put(tag, lambda: msjmc.build_chain(counts, p))
+            put(tag, lambda: msjmc.build_enriched_chain(counts, p))
+            for w in words:
+                put(f"{tag} {w}", lambda: msjmc.stationary_weight(w, p))
+            for s in states:
+                put(f"{tag} {s}", lambda: msjmc.enriched_stationary_weight(s, p))
+    for n, T in [(2, 2), (3, 2), (2, 3), (3, 1)]:
+        words, states = _states("add_drop", (n, T))
+        for i, p in enumerate(_float_sets(n, T, False) + _float_sets(n, T, True)):
+            tag = f"add_drop {n} {T} {i}"
+            put(tag, lambda: fluctuating.add_drop_partition(n, T, p))
+            put(tag, lambda: fluctuating.build_add_drop_chain(n, T, p))
+            put(tag, lambda: fluctuating.build_enriched_add_drop_chain(n, T, p))
+            for w in words:
+                put(f"{tag} {w}", lambda: fluctuating.add_drop_stationary_weight(w, p))
+            for s in states:
+                put(f"{tag} {s}", lambda: fluctuating.enriched_add_drop_weight(s, p))
+        for i, p in enumerate(_float_sets(n, T, True)):
+            tag = f"annihilation {n} {T} {i}"
+            put(tag, lambda: fluctuating.build_annihilation_chain(n, T, p))
+            put(tag, lambda: fluctuating.build_enriched_annihilation_chain(n, T, p))
+            for w in words:
+                put(f"{tag} {w}", lambda: fluctuating.annihilation_stationary(w, p))
+            for s in states:
+                put(f"{tag} {s}", lambda: fluctuating.enriched_annihilation_weight(s, p))
+            tag = f"overwriting {n} {T} {i}"
+            put(tag, lambda: overwriting.overwriting_stationary_distribution(n, T, p))
+            put(tag, lambda: overwriting.build_word_chain(n, T, p))
+            put(tag, lambda: overwriting.build_tableau_chain(n, T, p))
+            put(tag, lambda: overwriting.build_matrix_chain(n, T, p))
+            if T == 1:  # no tableau or matrix state
+                continue
+            for V in overwriting.enumerate_tableaux(n, T):
+                put(f"{tag} {V.columns}", lambda: overwriting.tableau_stationary(V, p))
+            for M in overwriting.enumerate_matrix_states(n, T):
+                put(f"{tag} {M}", lambda: overwriting.matrix_stationary_weight(M, p))
+    return lines
+
+
+# sha256 of _api_outputs() as computed before the formulas read their weights
+# only through ParamSet.tables; every float bit and mixed value must stay
+API_DIGEST = "3ba6bc13a38219ba256442e59e461143adb4393463695e1ed5078b755dfa703a"
+
+
+def test_float_and_mixed_api_outputs_are_pinned():
+    lines = _api_outputs()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == API_DIGEST
