@@ -427,7 +427,7 @@ def _evaluate(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: 
     head's factor times the pattern's running product, and den is None.
     Rows first use the move sets in order, so the first bottom factor 0 in
     walk order raises, y_k = 0 for its slot k - 1, the error naming `what`."""
-    values, D, bad = _pattern_values(skel.patterns, tables, p.tables is not None)
+    values, D, bad = _pattern_values(skel.patterns, tables, p.exact)
     out = []
     for datum, heads, at_head, at_pattern in skel.moves:
         d, factors = (1, None) if lead is None else lead(datum, heads)
@@ -447,7 +447,7 @@ def _chain(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: str
     evaluated = _evaluate(skel, p, tables, lead, what)
     rows = [(evaluated[m][0], dict(zip(succs, evaluated[m][1]))) for m, succs in skel.rows]
     return ChainMatrix(skel.states, [rows[at][1] for at in skel.row_of],
-                       [rows[at][0] for at in skel.row_of] if p.tables else None)
+                       [rows[at][0] for at in skel.row_of] if p.exact else None)
 
 
 def _levels(adj: Sequence[Iterable[int]]) -> list[int]:

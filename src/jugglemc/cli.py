@@ -232,7 +232,7 @@ def _grid(spec: ModelSpec) -> tuple:
 def _product_law(states: list, p: ParamSet, sweep, per_word, Z=1) -> Distribution:
     """A closed form over its normalizer Z on `states`, in their model's order:
     exact, sweep()'s (int masses, denominator) over one scale; else per_word(w, p) / Z."""
-    if p.tables is None:
+    if not p.exact:
         return Distribution(states, tuple(per_word(w, p) / Z for w in states))
     (masses, den), Z = sweep(), Fraction(Z)
     g = gcd(den, Z.denominator)
@@ -255,7 +255,7 @@ def _add_drop_law(spec: ModelSpec, states: list) -> Distribution:
 def _annihilation_law(spec: ModelSpec, states: list) -> Distribution:
     p, n, T = spec.params, spec.n, spec.T
     # the chain builder divides by y_1 in a cascade exactly when n, T >= 2
-    if p.y_at(1) == 0 and n >= 2 and T >= 2:
+    if p.tables.Y[0] == 0 and n >= 2 and T >= 2:
         raise DegenerateParams("y_1 = 0 in a cascade factor")
     return _product_law(states, p, lambda: fluctuating._annihilation_masses(n, T, p),
                         fluctuating.annihilation_stationary)

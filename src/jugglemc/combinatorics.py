@@ -1,12 +1,14 @@
 """Scalars, words and combinatorial primitives shared by all chain models.
 
 Exact weights are fractions.Fraction (or int); the float backend uses plain
-floats with a fixed comparison tolerance. An exact ParamSet also keeps its
-weights over common denominators as ints (`ParamTables`), so the model walks
-and closed-form sweeps multiply ints, J rows come from a per-process cache
-of int-tuple steps (`_j_step`), and each normalizer is one Fraction. The
-exact numbers a command prints are ints over one scale, formatted by the
-command line.
+floats with a fixed comparison tolerance. Every ParamSet keeps its weights
+in one table (`ParamTables`), and every formula reads them there: exact
+weights as ints over common denominators, so the model walks and
+closed-form sweeps multiply ints and each normalizer is one Fraction, and
+float weights as themselves over a scale 1; only the last division asks
+which (`ParamSet.exact`). J rows come from a per-process cache of int-tuple
+steps (`_j_step`). The exact numbers a command prints are ints over one
+scale, formatted by the command line.
 All position arguments follow the 1-based convention of the transition
 formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
 operations and never stored.
@@ -84,9 +86,11 @@ class TypeCounts:
 
 
 class ParamTables(NamedTuple):
-    """Exact weights over common denominators: L is the lcm of z's
-    denominators, Z_k = L z_k and Y_k = L y_k; with activities, Lc is the lcm
-    of c's denominators and C_t = Lc c_t (both None without activities)."""
+    """The weights every formula reads, as Z_k = L z_k, Y_k = L y_k and C_t =
+    Lc c_t over the scales L and Lc. Exact weights are ints over common
+    denominators: L is the lcm of z's denominators and Lc that of c's (Lc and
+    C None without activities). Float or mixed weights are themselves, over
+    L = Lc = z_1 ** 0, a 1 of their own type (C None without activities)."""
 
     L: int
     Z: tuple
@@ -107,18 +111,22 @@ class ParamSet:
     """Throw weights z_1..z_m with prefix sums y, plus optional activities c.
 
     The chain on n balls needs exactly m = n+1 weights (the deepest reachable
-    index is n+1); constructors of model matrices enforce that arity. When
-    every weight is exact, `tables` holds them as ints over common
-    denominators; with any float weight it is None. The tables belong to the
-    instance: equal sets may differ in them (ParamSet((1, 0)) equals
-    ParamSet((1.0, 0.0))), so they take no part in equality or hashing.
+    index is n+1); constructors of model matrices enforce that arity. Every
+    formula reads the weights through `tables` (ParamTables): ints over
+    common denominators when every weight is exact, and `exact` is then
+    True; with any float weight the weights themselves over a 1 of z's type,
+    and `exact` is False. Only the last division, the evaluator and the
+    leads' fold order ask `exact`. Both belong to the instance: equal sets
+    may differ in them (ParamSet((1, 0)) equals ParamSet((1.0, 0.0))), so
+    they take no part in equality, hashing or repr.
     """
 
     z: tuple
     c: Optional[tuple] = None
     y: tuple = field(init=False, compare=False)
     normalized: bool = field(init=False, compare=False)
-    tables: Optional[ParamTables] = field(init=False, compare=False, repr=False)
+    tables: ParamTables = field(init=False, compare=False, repr=False)
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         z = tuple(self.z)
@@ -146,12 +154,16 @@ class ParamSet:
             if any(x <= 0 for x in c):
                 raise ValueError("activities must be strictly positive")
             object.__setattr__(self, "c", c)
-        tables = None
-        if all(map(is_exact, z + (self.c or ()))):
+        exact = all(map(is_exact, z + (self.c or ())))
+        if exact:
             L, Z = _scaled(z)
             Lc, C = _scaled(self.c) if self.c is not None else (None, None)
             tables = ParamTables(L, Z, tuple(accumulate(Z)), Lc, C)
+        else:
+            one = z[0] ** 0  # not the int 1: an empty product keeps z's type
+            tables = ParamTables(one, z, self.y, one, self.c)
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "exact", exact)
 
     def z_at(self, i: int):
         if not 1 <= i <= len(self.z):
@@ -238,11 +250,11 @@ def _suffix_sweep(n: int, T: int, factors) -> list:
 
 
 def _mass(p: ParamSet, factors, den):
-    """The product of `factors`, p's scalars, in order: over the integer
-    tables one Fraction, the product over den; for float weights the
-    product itself."""
-    acc = prod(factors, start=1 if p.tables else p.z[0] ** 0)
-    return Fraction(acc, den) if p.tables else acc
+    """The product of `factors`, read off p's tables, in order, over den,
+    their scale: for exact weights one Fraction, for float weights the
+    product itself (den is 1 there)."""
+    acc = prod(factors, start=p.tables.L ** 0)
+    return Fraction(acc, den) if p.exact else acc
 
 
 def _float_normalizer(Z: float, noun: str = "normalizer Z") -> float:

@@ -11,10 +11,11 @@ a(2), started from w_2 .. w_{a(2)-1} j, so j w^- is never built; the row
 datum is J_w(2, .). chain's evaluator multiplies each move's bumping
 product by its head's factor, which the model's lead prices once per row:
 over the integer tables C_j Z over sum_t C_t Y for add-drop, Z times
-failures L - Y over L^(T-1) for annihilation; for float weights as the
-walk did. The enriched skeletons are derived from these
-(msjmc.enriched_skeleton), one row per (w^-, v^-). For exact weights each
-law is one suffix sweep of int masses over all words, and the add-drop
+failures L - Y over L^(T-1) for annihilation; for float weights the
+factor itself, folded in walk order. The enriched skeletons are derived from these
+(msjmc.enriched_skeleton), one row per (w^-, v^-). Every formula reads p's
+tables, whose float form is the weights over 1. For exact weights each law
+is one suffix sweep of int masses over all words, and the add-drop
 normalizer a sum of products of ints over a power of Lc L, one Fraction.
 """
 
@@ -68,15 +69,14 @@ def _add_drop_lead(p: ParamSet, T: int):
     integer tables C_j Z_{x+1} over the row denominator sum_t C_t Y_{J(2,
     t)}."""
     _need_activities(p, T)
-    tables = p.tables
-    c, y, z = (tables.C, tables.Y, tables.Z) if tables else (p.c, p.y, p.z)
+    c, y, z, exact = p.tables.C, p.tables.Y, p.tables.Z, p.exact
 
     def lead(J2: tuple, heads: tuple):
         den = sum(c[t - 1] * y[J2[t] - 1] for t in range(1, T + 1))
         if den == 0 and y[0] == 0:
             raise DegenerateParams("insertion normalizer is 0")
         _float_normalizer(den, "insertion normalizer")  # activities, y_1 > 0: only floats fail
-        if tables:
+        if exact:
             return den, [c[j - 1] * z[x] for j, x in heads]
         return None, [c[j - 1] * z[x] / den for j, x in heads]
 
@@ -86,10 +86,9 @@ def _add_drop_lead(p: ParamSet, T: int):
 def add_drop_stationary_weight(w: Word, p: ParamSet):
     """Unnormalized stationary mass prod_i c_{w_i} y_{E_w(i)}."""
     _need_activities(p, w.T)
-    J, tables = _j_table(w), p.tables
-    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
-    return _mass(p, (f for i, x in enumerate(w.letters, 1) for f in (c[x - 1], y[J[i][x] - 1])),
-                 tables and (tables.Lc * tables.L) ** w.n)
+    J, t = _j_table(w), p.tables
+    return _mass(p, (f for i, x in enumerate(w.letters, 1) for f in (t.C[x - 1], t.Y[J[i][x] - 1])),
+                 (t.Lc * t.L) ** w.n)
 
 
 def _add_drop_masses(n: int, T: int, tables) -> tuple[list, int]:
@@ -111,25 +110,24 @@ def _compositions(n: int, parts: int):
 
 def add_drop_partition(n: int, T: int, p: ParamSet):
     """Z: sum over type histograms of the activity monomial times the
-    product of complete homogeneous factors. Over p's integer tables each
-    term is a product of ints over (Lc L)^n (c_t = C_t / Lc and h_k(y) =
-    h_k(Y) / L^k), so Z is one Fraction."""
+    product of complete homogeneous factors, over p's tables: each term is
+    a product of C and h_k(Y) over (Lc L)^n (c_t = C_t / Lc and h_k(y) =
+    h_k(Y) / L^k), so for exact weights Z is one Fraction."""
     _need_activities(p, T)
-    tables = p.tables
-    c, y = (tables.C, tables.Y) if tables else (p.c, p.y)
-    total = 0 if tables else p.z[0] * 0
+    t = p.tables
+    total = t.L * 0
     try:
         for comp in _compositions(n, T):
-            term = 1 if tables else p.z[0] ** 0
+            term = t.L ** 0
             prefix = 0
-            for ci, ni in zip(c, comp):
+            for ci, ni in zip(t.C, comp):
                 term = term * ci ** ni
                 prefix += ni
-                term = term * complete_homogeneous(ni, y[: n - prefix + 1])
+                term = term * complete_homogeneous(ni, t.Y[: n - prefix + 1])
             total = total + term
     except OverflowError:  # only a float power raises it
         total = inf
-    return Fraction(total, (tables.Lc * tables.L) ** n) if tables else _float_normalizer(total)
+    return Fraction(total, (t.Lc * t.L) ** n) if p.exact else _float_normalizer(total)
 
 
 def _annihilation_moves(w: Word):
@@ -150,9 +148,8 @@ def _annihilation_lead(p: ParamSet, T: int):
     failures are L - Y_{J(2, t)} and every head is put over the row
     denominator L^(T-1); for float weights each head multiplies its
     failures onto z_{x+1} (onto 1 for type T) in type order."""
-    tables = p.tables
-    if tables:
-        L, Y, Z = tables.L, tables.Y, tables.Z
+    L, Y, Z = p.tables.L, p.tables.Y, p.tables.Z
+    if p.exact:
         powers = [L ** k for k in range(T)]
 
         def lead(J2: tuple, heads: tuple):
@@ -161,11 +158,9 @@ def _annihilation_lead(p: ParamSet, T: int):
             return powers[-1], [failed[-1] if j == T else Z[x] * powers[T - 1 - j] * failed[j - 1]
                                 for j, x in heads]
     else:
-        y, z, one = p.y, p.z, p.z[0] ** 0
-
         def lead(J2: tuple, heads: tuple):
-            fails = [1 - y[J2[t] - 1] for t in range(1, T)]
-            return None, [prod(fails, start=one) if j == T else prod(fails[: j - 1], start=z[x])
+            fails = [L - Y[J2[t] - 1] for t in range(1, T)]
+            return None, [prod(fails, start=L) if j == T else prod(fails[: j - 1], start=Z[x])
                           for j, x in heads]
 
     return lead
@@ -174,24 +169,22 @@ def _annihilation_lead(p: ParamSet, T: int):
 def _annihilation_mass(w: Word, p: ParamSet, sites):
     """The annihilation law's mass of w: the factors `sites` (p's scalars at
     the sites below type T) times the failure factors 1 - y_q for q = 1..(the
-    number of balls of type >= level), for every level 2..T; over the
-    integer tables L - Y_q, and one Fraction over a power of L."""
+    number of balls of type >= level), for every level 2..T; over p's
+    tables L - Y_q, and for exact weights one Fraction over a power of L."""
     if not p.normalized:
         raise NotNormalized("annihilation model needs z summing to 1")
-    tables = p.tables
-    one, y = (tables.L, tables.Y) if tables else (1, p.y)
+    L, Y = p.tables.L, p.tables.Y
     factors = list(sites)
     for level in range(2, w.T + 1):
-        factors += (one - y[q] for q in range(sum(1 for x in w.letters if x >= level)))
-    return _mass(p, factors, tables and one ** len(factors))
+        factors += (L - Y[q] for q in range(sum(1 for x in w.letters if x >= level)))
+    return _mass(p, factors, L ** len(factors))
 
 
 def annihilation_stationary(w: Word, p: ParamSet):
     """Stationary mass, already normalized: the heavy product y_{E_w(i)} over
     sites carrying a type below T times the failure factors per type."""
-    J, tables = _j_table(w), p.tables
-    y = tables.Y if tables else p.y
-    return _annihilation_mass(w, p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)
+    J, Y = _j_table(w), p.tables.Y
+    return _annihilation_mass(w, p, (Y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)
                                      if x < w.T))
 
 
@@ -242,17 +235,16 @@ def enumerate_enriched_words(n: int, T: int) -> list[EnrichedState]:
 def enriched_add_drop_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i c_{w_i} z_{v_i}."""
     _need_activities(p, s.w.T)
-    tables = p.tables
-    c, z = (tables.C, tables.Z) if tables else (p.c, p.z)
-    return _mass(p, (f for x, v in zip(s.w.letters, s.v) for f in (c[x - 1], z[v - 1])),
-                 tables and (tables.Lc * tables.L) ** len(s.v))
+    t = p.tables
+    return _mass(p, (f for x, v in zip(s.w.letters, s.v) for f in (t.C[x - 1], t.Z[v - 1])),
+                 (t.Lc * t.L) ** len(s.v))
 
 
 def enriched_annihilation_weight(s: EnrichedState, p: ParamSet):
     """Enriched mass: z_{v_i} only at sites below type T, same failure
     factors as the base law."""
-    z = p.tables.Z if p.tables else p.z
-    return _annihilation_mass(s.w, p, (z[v - 1] for x, v in zip(s.w.letters, s.v) if x < s.w.T))
+    Z = p.tables.Z
+    return _annihilation_mass(s.w, p, (Z[v - 1] for x, v in zip(s.w.letters, s.v) if x < s.w.T))
 
 
 def _enriched_skeleton(base_walk, n: int, T: int) -> Skeleton:

@@ -12,11 +12,12 @@ every weighted chain is: a skeleton walked once per shape and kept per
 process (chain._skeleton, combinatorics._shape_cached), then chain's one
 evaluator at the weights. The walk (`cascades`, over one table of J_w)
 writes each successor as it goes and lists each move's factors as (top,
-bottom) slots into (Z, Y) or (z, y) (`bump_tables`); the add_drop and
+bottom) slots into (Z, Y) of p's tables (`bump_tables`); the add_drop and
 annihilation chains (fluctuating) run it too. An enriched skeleton is
 derived from its base chain's (`enriched_skeleton`): a row keeps its
 word's move set and re-indexes each successor through its restart
-template, read off the word's J table. For exact weights the law is one
+template, read off the word's J table. Every formula reads p's tables,
+whose float form is the weights over 1. For exact weights the law is one
 sweep of int masses over all words (`_law_masses`), and the partition
 function is a sum of products of ints over a power of L, one Fraction.
 """
@@ -72,17 +73,15 @@ def _bumps(w: Word):
 
 
 def bump_tables(p: ParamSet) -> tuple:
-    """The (top, bottom) factor tables of a bumping factor z / y: (Z, Y) over
-    p's integer tables, whose L cancels, and (z, y) for float weights."""
-    return (p.tables.Z, p.tables.Y) if p.tables else (p.z, p.y)
+    """The (top, bottom) factor tables of a bumping factor z / y: (Z, Y) of
+    p's tables, whose L cancels."""
+    return p.tables.Z, p.tables.Y
 
 
 def stationary_weight(w: Word, p: ParamSet):
     """Unnormalized stationary mass prod_i y_{E_w(i)}, E_w(i) = J_w(i, w_i)."""
-    J, tables = _j_table(w), p.tables
-    y = tables.Y if tables else p.y
-    return _mass(p, (y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)),
-                 tables and tables.L ** w.n)
+    J, t = _j_table(w), p.tables
+    return _mass(p, (t.Y[J[i][x] - 1] for i, x in enumerate(w.letters, 1)), t.L ** w.n)
 
 
 def _law_masses(counts: TypeCounts, tables) -> tuple[list, int]:
@@ -96,17 +95,16 @@ def _law_masses(counts: TypeCounts, tables) -> tuple[list, int]:
 
 
 def partition_function(counts: TypeCounts, p: ParamSet):
-    """Z = prod_i h_{n_i}(y_1, ..., y_{n - n_1 - ... - n_i + 1}). Over p's
-    integer tables h_k(y) = h_k(Y) / L^k, so Z is a product of ints over
+    """Z = prod_i h_{n_i}(y_1, ..., y_{n - n_1 - ... - n_i + 1}), with h_k(y)
+    = h_k(Y) / L^k over p's tables: for exact weights a product of ints over
     L^n, one Fraction."""
-    n, tables = counts.n, p.tables
-    y = tables.Y if tables else p.y
-    acc = 1 if tables else p.z[0] ** 0
+    n, t = counts.n, p.tables
+    acc = t.L ** 0
     prefix = 0
     for ni in counts.counts:
         prefix += ni
-        acc = acc * complete_homogeneous(ni, y[: n - prefix + 1])
-    return Fraction(acc, tables.L ** n) if tables else _float_normalizer(acc)
+        acc = acc * complete_homogeneous(ni, t.Y[: n - prefix + 1])
+    return Fraction(acc, t.L ** n) if p.exact else _float_normalizer(acc)
 
 
 def _msjmc_skeleton(counts: TypeCounts) -> Skeleton:
@@ -137,9 +135,8 @@ def enumerate_enriched(counts: TypeCounts) -> list[EnrichedState]:
 
 def enriched_stationary_weight(s: EnrichedState, p: ParamSet):
     """Unnormalized enriched mass: prod_i z_{v_i}."""
-    tables = p.tables
-    z = tables.Z if tables else p.z
-    return _mass(p, (z[x - 1] for x in s.v), tables and tables.L ** len(s.v))
+    t = p.tables
+    return _mass(p, (t.Z[x - 1] for x in s.v), t.L ** len(s.v))
 
 
 def _restarts(J: list, w: Word, w2: Word) -> tuple[int, ...]:

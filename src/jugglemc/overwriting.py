@@ -35,12 +35,14 @@ the tableau law's int core (`_tableau_mass`).
 
 The three chains are built as every weighted chain is (see chain): a
 shape-only step lists each successor's factors, a throw z_f or a failure
-1 - y_f, as (top, bottom) slots into `_tables`. The word walk
-(`_overwrites`) writes the successor as it goes and reads w only past its
-first letter; the tableau and matrix steps keep only a body of their
-state; so each distinct w_2 .. w_n or body is walked once per shape. The
-word law multiplies the same ints, over L^(n(T-1)), as does the tableau
-law's core; its wrapper `tableau_stationary` makes one Fraction per tableau.
+1 - y_f, as (top, bottom) slots into `_tables`, which every law reads too:
+Z_f and L - Y_f off p's tables, whose float form is the weights over 1.
+The word walk (`_overwrites`) writes the successor as it goes and reads w
+only past its first letter; the tableau and matrix steps keep only a body
+of their state; so each distinct w_2 .. w_n or body is walked once per
+shape. For exact weights the word law multiplies the same ints, over
+L^(n(T-1)), as does the tableau law's core; its wrapper
+`tableau_stationary` makes one Fraction per tableau.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import NamedTuple, Sequence
 from .chain import ChainMatrix, Distribution, LumpingMap, Skeleton, verify_lumping, \
     _chain, _denominator_of, _skeleton
 from .combinatorics import KERNEL_CACHE_SIZE, ParamSet, Word, enumerate_alphabet_words, \
-    _j_table, _shape_cached
+    _j_table, _mass, _shape_cached
 from .errors import NotNormalized
 
 MATRIX_STATE_CAP = 100_000
@@ -94,14 +96,12 @@ def _overwrites(w: Word):
 
 
 def _tables(p: ParamSet) -> tuple:
-    """The (top, bottom) factor tables of the overwriting chains: top[2f - 1]
-    = z_f for f = 1..n+1 and top[2f] = 1 - y_f for f = 0..n+1 (y_0 = 0), so a
-    slot needs no n, over bottom = (1,); over p's integer tables Z_f and L -
-    Y_f over (L,)."""
-    if t := p.tables:
-        return (t.L,) + tuple(v for Z, Y in zip(t.Z, t.Y) for v in (Z, t.L - Y)), (t.L,)
-    one = p.z[0] ** 0
-    return (one,) + tuple(v for z, y in zip(p.z, p.y) for v in (z, 1 - y)), (one,)
+    """The (top, bottom) factor tables of the overwriting chains, off p's
+    tables: top[2f - 1] = Z_f for f = 1..n+1 and top[2f] = L - Y_f for f =
+    0..n+1 (Y_0 = 0), so a slot needs no n, over bottom = (L,): z_f and 1 -
+    y_f."""
+    t = p.tables
+    return (t.L,) + tuple(v for Z, Y in zip(t.Z, t.Y) for v in (Z, t.L - Y)), (t.L,)
 
 
 def _evaluated(skeleton, n: int, T: int, p: ParamSet, noun: str) -> ChainMatrix:
@@ -284,13 +284,13 @@ def _tableau_mass(columns: tuple, T: int, top: tuple):
 
 
 def tableau_stationary(V: Tableau, p: ParamSet):
-    """Stationary mass, already normalized: `_tableau_mass`, over p's
-    integer tables one Fraction over L^(n(T-1))."""
+    """Stationary mass, already normalized: `_tableau_mass`, for exact
+    weights one Fraction over L^(n(T-1))."""
     if not p.normalized:
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(V.n)
     mass = _tableau_mass(V.columns, V.T, _tables(p)[0])
-    return Fraction(mass, p.tables.L ** (V.n * (V.T - 1))) if p.tables else mass
+    return Fraction(mass, p.tables.L ** (V.n * (V.T - 1))) if p.exact else mass
 
 
 def _shifted_body(V: Tableau) -> tuple:
@@ -360,8 +360,8 @@ def overwriting_stationary_distribution(n: int, T: int, p: ParamSet) -> Distribu
 
 def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
     """The word law's masses on `states`, all words of length n over 1..T in
-    any order; p is checked by the caller. Over p's integer tables the
-    masses are ints over the scale L^(n(T-1)), with no Fraction."""
+    any order; p is checked by the caller. For exact weights the masses
+    are ints over the scale L^(n(T-1)), with no Fraction."""
     top = _tables(p)[0]
     zero = top[0] * 0
     masses = {(): top[0] ** 0}
@@ -374,7 +374,7 @@ def _word_law(states, n: int, T: int, p: ParamSet) -> Distribution:
         masses = swept
     words = {tuple(x or T for x in prof): m for prof, m in masses.items()}
     return Distribution(states, [words.get(w.letters, zero) for w in states],
-                        p.tables and p.tables.L ** (n * (T - 1)))
+                        p.tables.L ** (n * (T - 1)) if p.exact else None)
 
 
 # ------------------------------------------------------------ matrix chain
@@ -413,21 +413,15 @@ def enumerate_matrix_states(n: int, T: int) -> list[MatrixState]:
 
 
 def matrix_stationary_weight(M: MatrixState, p: ParamSet):
-    """Product of one z per cell; already normalized over the full grid.
-    Over p's integer tables one Fraction, the product of the cells' Z over
-    L^(cells); float weights multiply cell by cell."""
+    """Product of one z per cell, row by row; already normalized over the
+    full grid. For exact weights one Fraction, the product of the cells' Z
+    over L^(cells)."""
     grid = M.grid
     n = len(grid[0]) if grid else 0
     _check_matrix(M, n, len(grid) + 1)
     p.require_arity(n)
-    if t := p.tables:
-        Z = t.Z
-        return Fraction(prod([Z[x - 1] for row in grid for x in row]), t.L ** (n * len(grid)))
-    acc = p.z[0] ** 0
-    for row in grid:
-        for x in row:
-            acc = acc * p.z[x - 1]
-    return acc
+    t = p.tables
+    return _mass(p, (t.Z[x - 1] for row in grid for x in row), t.L ** (n * len(grid)))
 
 
 def _grid_columns(n: int, T: int, Z: Sequence) -> list:

@@ -113,7 +113,7 @@ def overwrites(w: Word, p: ParamSet):
     product, the failures of the skipped types first, in type order, then
     z."""
     J, n, T, tables = _j_table(w), w.n, w.T, p.tables
-    one, y, z = (tables.L, tables.Y, tables.Z) if tables else (1, p.y, p.z)
+    one, y, z = (tables.L, tables.Y, tables.Z) if p.exact else (1, p.y, p.z)
 
     def walk(head: tuple, last_b: int, last_t: int, num, den: int):
         # pre[t - last_t - 1]: the product times the failures of types last_t+1..t-1
@@ -133,7 +133,7 @@ def overwrites(w: Word, p: ParamSet):
             yield Word._make((body + (t,), T)), (a * z[0], d * one)
         yield Word._make((body + (T,), T)), pre[-1]
 
-    if tables:
+    if p.exact:
         return walk((), 1, 0, 1, 1)
     return ((w2, num) for w2, (num, _) in walk((), 1, 0, z[0] ** 0, 1))
 

@@ -1,11 +1,15 @@
 """The product formulas on ParamSet's integer tables: every per-word and
 per-enriched-state law of msjmc, add_drop and annihilation against a
 reference product built on stat_E in the weights' own arithmetic, exact and
-float; the tables themselves; and chains whose value types follow their own
-weights, for plain ints, Fractions and floats that compare equal."""
+float; the tables themselves, exact and float; chains whose value types
+follow their own weights, for plain ints, Fractions and floats that compare
+equal; a digest of every float and mixed-weight output; and a guard that
+every formula reads the weights only through ParamSet.tables."""
 
+import copy
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from jugglemc import fluctuating, msjmc, overwriting
 from jugglemc.chain import ChainMatrix, Distribution
+from jugglemc.cli import MODELS, ModelSpec
 from jugglemc.combinatorics import ParamSet, TypeCounts, enumerate_alphabet_words, \
     enumerate_multiset_words
 
@@ -93,7 +98,7 @@ def test_formulas_match_reference_products(data):
     if model == "add_drop":
         c = tuple(F(data.draw(st.integers(1, 9)), b) for b in data.draw(st.permutations(PRIMES))[:T])
     exact, approx = ParamSet(tuple(z), c), ParamSet(tuple(map(float, z)), c and tuple(map(float, c)))
-    assert exact.tables is not None and approx.tables is None
+    assert exact.exact and not approx.exact
     base, enriched = FORMULAS[model]
     words, states = _states(model, shape)
     for w in words:
@@ -111,15 +116,35 @@ def test_tables_scale_exact_weights_over_common_denominators():
     p = ParamSet((F(2, 3), F(1, 7), 0, F(5, 9)), c=(F(3, 4), 2, F(1, 6)))
     assert p.tables == (63, (42, 9, 0, 35), (42, 51, 51, 86), 12, (9, 24, 2))
     assert ParamSet((1, 2, 3)).tables == (1, (1, 2, 3), (1, 3, 6), None, None)
-    assert ParamSet((F(1, 2), 0.5)).tables is None
-    assert ParamSet((F(1, 2), F(1, 2)), c=(1.0,)).tables is None
+    assert p.exact and ParamSet((1, 2, 3)).exact
+
+
+def _typed(t):
+    return [(type(v), v) for v in t[:1] + t[1] + t[2] + t[3:4] + (t[4] or ())]
+
+
+def test_float_and_mixed_weights_are_their_own_table_over_one():
+    """With any float weight the table is the weights themselves, over L = Lc
+    = z_1 ** 0, a 1 of z's own type, never the int 1 unless z_1 is an int."""
+    floats = ParamSet((0.25, 0.75), c=(2.0, 0.5))
+    assert not floats.exact
+    assert _typed(floats.tables) == _typed((1.0, (0.25, 0.75), (0.25, 1.0), 1.0, (2.0, 0.5)))
+    half = ParamSet((F(1, 2), 0.5))
+    assert not half.exact
+    assert _typed(half.tables) == _typed((F(1), (F(1, 2), 0.5), (F(1, 2), 1.0), F(1), None))
+    mixed = ParamSet((F(1, 2), F(1, 2)), c=(1.0,))
+    assert not mixed.exact
+    assert _typed(mixed.tables) == _typed((F(1), (F(1, 2), F(1, 2)), (F(1, 2), F(1)), F(1),
+                                           (1.0,)))
+    ints = ParamSet((1, 0), c=(0.5,))
+    assert not ints.exact and _typed(ints.tables) == _typed((1, (1, 0), (1, 1), 1, (0.5,)))
 
 
 def test_tables_take_no_part_in_equality_hash_or_repr():
     exact, approx = ParamSet((F(1), F(0), F(0))), ParamSet((1.0, 0.0, 0.0))
     assert exact == approx and hash(exact) == hash(approx)
-    assert "tables" not in repr(exact)
-    assert exact.tables is not None and approx.tables is None
+    assert "tables" not in repr(exact) and "exact" not in repr(exact)
+    assert exact.exact and not approx.exact
 
 
 def _builds(p):
@@ -272,3 +297,84 @@ API_DIGEST = "3ba6bc13a38219ba256442e59e461143adb4393463695e1ed5078b755dfa703a"
 def test_float_and_mixed_api_outputs_are_pinned():
     lines = _api_outputs()
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == API_DIGEST
+
+
+class _Sealed:
+    """A weight tuple that keeps its length but refuses to be read."""
+
+    def __init__(self, values):
+        self.size = len(values)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        raise AssertionError("a weight was read past ParamSet.tables")
+
+    def __iter__(self):
+        raise AssertionError("a weight was read past ParamSet.tables")
+
+
+def _sealed(p):
+    """p with z, y and c sealed; its tables and exact flag are p's."""
+    q = copy.copy(p)
+    for name in ("z", "y", "c"):
+        if getattr(p, name) is not None:
+            object.__setattr__(q, name, _Sealed(getattr(p, name)))
+    return q
+
+
+def _guard_sets(n: int, T: int, normalized: bool) -> list:
+    """Exact weight sets with mixed denominators, the second with zeros past
+    z_1, then the float and mixed sets of _float_sets."""
+    out = []
+    for holes in (False, True):
+        z = [F((7 * k) % 11 + 1 if k % 2 == 0 or not holes else 0, d)
+             for k, d in zip(range(n + 1), PRIMES)]
+        out.append(ParamSet(tuple(x / sum(z) for x in z) if normalized else tuple(z),
+                            (F(3, 4), 2, F(1, 6), F(5, 7))[:T]))
+    return out + _float_sets(n, T, normalized)
+
+
+def _guarded_outputs(model: str, shape: tuple, p) -> list:
+    """Every output p's weights reach on one shape, one string each: the
+    chain and Model.law of the command line's model, and for the cascades the
+    enriched chain, the normalizer and every per-word and enriched weight;
+    for overwriting the word law, the tableau and matrix chains and every
+    word, tableau and matrix weight."""
+    n, T = (sum(shape), len(shape)) if model == "msjmc" else shape
+    spec = ModelSpec(model, "exact" if p.exact else "float", counts=shape, n=n, T=T)
+    spec.__dict__["params"] = p  # in place of the ParamSet that ModelSpec.params builds
+    m = MODELS[model]
+    words = m.states(spec)
+    calls = [lambda: m.chain(spec), lambda: m.law(spec, words)]
+    if model in FORMULAS:
+        base, enriched = FORMULAS[model]
+        calls += [lambda: m.enriched(spec, p)[0], lambda: m.enriched_size(spec, p)]
+        calls += [partial(base, w, p) for w in words]
+        calls += [partial(enriched, s, p) for s in _states(model, shape)[1]]
+    else:
+        calls += [partial(overwriting.overwriting_stationary_distribution, n, T, p),
+                  partial(overwriting.build_tableau_chain, n, T, p),
+                  partial(overwriting.build_matrix_chain, n, T, p)]
+        calls += [partial(overwriting.overwriting_stationary, w, p) for w in words]
+        calls += [partial(overwriting.tableau_stationary, V, p)
+                  for V in overwriting.enumerate_tableaux(n, T)]
+        calls += [partial(overwriting.matrix_stationary_weight, M, p)
+                  for M in overwriting.enumerate_matrix_states(n, T)]
+    return [_outcome(f) for f in calls]
+
+
+@pytest.mark.parametrize("model, shape", [
+    ("msjmc", (2, 1)), ("msjmc", (1, 2, 1)),
+    *((model, shape) for model in ("add_drop", "annihilation", "overwriting")
+      for shape in [(2, 2), (3, 2), (2, 3)])])
+def test_formulas_read_weights_only_through_tables(model, shape):
+    """With z, y and c sealed, every builder, closed form, normalizer and
+    Model.law gives what it gives on p itself, on exact, float and mixed
+    weights: the formulas read the weights only through p.tables. The
+    marginals read z_at and y_at and are not covered."""
+    n = sum(shape) if model == "msjmc" else shape[0]
+    for p in _guard_sets(n, len(shape) if model == "msjmc" else shape[1],
+                         model in ("annihilation", "overwriting")):
+        assert _guarded_outputs(model, shape, _sealed(p)) == _guarded_outputs(model, shape, p)
