@@ -9,7 +9,6 @@ from .chain import (
     ChainMatrix,
     Distribution,
     LumpingMap,
-    build_matrix,
     chain_period,
     first_unbalanced,
     is_irreducible,
@@ -41,7 +40,6 @@ __all__ = [
     "ParamSet",
     "TypeCounts",
     "Word",
-    "build_matrix",
     "chain_period",
     "first_unbalanced",
     "is_irreducible",

@@ -14,10 +14,10 @@ over their sum, only once the one-step certificate proves it on P;
 otherwise it retries with the next prime of an unbounded ladder. The solver,
 row powers, lumping checks and the certificate all run on the integer matrix
 D·P, D the lcm of the entry denominators, and every exact chain holds only
-that form: the evaluator below and `build_matrix` on (num, den) moves hand
-it over as ints, and exact values (ints and Fractions) are scaled to ints
-row by row when the chain is made. Its Fraction rows are made when first
-read, and nothing here reads them: `_state_rows` hands the command line D·P
+that form: the evaluator below and the juggler walk hand it over as ints,
+and exact values (ints and Fractions) are scaled to ints row by row when
+the chain is made. Its Fraction rows are made when first read, and
+nothing here reads them: `_state_rows` hands the command line D·P
 to print. A float chain holds its values and has no D·P. A law (`Distribution`) has
 the same two forms, float weights or int masses over one scale; exact
 weights are scaled to ints once, when the law is made, so every exact law
@@ -26,8 +26,8 @@ kernels: `_lumped` groups rows by their sums over a partition of the
 columns (the solver's levels, each row power, the class sums of
 `verify_lumping`), and `_push` adds one step of masses through rows (the
 solver's lift, the certificate, power iteration, each row-power vector).
-A row object that several states hold (as `build_matrix(..., key=...)`
-hands out) is checked, scaled to integers, lumped, stepped by the
+A row object that several states hold (as the evaluator and the juggler
+walk hand out) is checked, scaled to integers, lumped, stepped by the
 certificate and turned into floats once, not once per state.
 
 Every weighted model chain is built in two halves. Its `Skeleton`, walked
@@ -78,11 +78,11 @@ class ChainMatrix:
     """An enumerated finite Markov chain with a row-stochastic matrix.
 
     `ChainMatrix(states, rows, denominators)` takes row i as ints over
-    denominators[i], summing to it, as `build_matrix` hands over an exact
-    walk's rows. `ChainMatrix(states, rows)` takes each row as values: with
-    no float anywhere, each row is scaled to ints over the lcm of its
-    denominators and held the same way; with a float, the chain is a float
-    chain and holds its values. An exact chain holds only the integer form
+    denominators[i], summing to it, as the evaluator and the juggler walk
+    hand over their rows. `ChainMatrix(states, rows)` takes each row as
+    values: with no float anywhere, each row is scaled to ints over the lcm
+    of its denominators and held the same way; with a float, the chain is a
+    float chain and holds its values. An exact chain holds only the integer form
     D·P, D reduced to the lcm of the entries' denominators in lowest terms,
     and makes its Fraction rows (`rows`) only when they are first read. A row
     object held by several states is checked, scaled and stored once:
@@ -279,68 +279,6 @@ class LumpingMap:
     @classmethod
     def from_function(cls, fn: Callable, states: Iterable, base_states: Sequence):
         return cls({s: fn(s) for s in states}, base_states)
-
-
-def build_matrix(states: Sequence, successors: Callable, *,
-                 key: Optional[Callable] = None) -> ChainMatrix:
-    """Assemble a ChainMatrix from a per-state successor generator.
-
-    successors(state) yields (successor state, probability) pairs. An exact
-    walk gives each probability as a pair (num, den) of ints: a row of such
-    moves is summed over the lcm of its move denominators, taken as they
-    come, and the chain is built on integers, ChainMatrix(states, rows,
-    denominators), with no Fraction made. Otherwise each probability is a
-    value (int, Fraction or float); a row's moves are all pairs or all
-    values. Either way a successor yielded more than once gets the sum of
-    its probabilities, added in the order they come, and keeps the place of
-    its first move. Successors outside `states` raise UnknownSuccessor, bad
-    row sums RowSumError, and a chain with rows of both kinds ValueError.
-    With `key`, successors(state) must depend on the state only
-    through key(state): each distinct key's row is built once, from its
-    first state, and the same row object is handed to the others, so
-    ChainMatrix checks, scales and lumps it once.
-    """
-    index = {s: i for i, s in enumerate(states)}
-
-    def row_of(s) -> tuple[dict, Optional[int]]:
-        """s's row and its denominator, None for a row of values."""
-        row: dict = {}
-        d = None
-        for succ, v in successors(s):
-            j = index.get(succ)
-            if j is None:
-                raise UnknownSuccessor(f"transition {s} -> {succ} leaves the state list")
-            if type(v) is tuple:
-                v, den = v
-                if d is None:
-                    d = den
-                elif den != d:
-                    if d % den:
-                        # the row so far moves to the lcm of the two
-                        m = lcm(d, den)
-                        f = m // d
-                        row = {k: x * f for k, x in row.items()}
-                        d = m
-                    v *= d // den
-            row[j] = row[j] + v if j in row else v
-        return row, d
-
-    if key is None:
-        built = [row_of(s) for s in states]
-    else:
-        by_key: dict = {}
-        built = []
-        for s in states:
-            k = key(s)
-            if k not in by_key:
-                by_key[k] = row_of(s)
-            built.append(by_key[k])
-    rows, dens = [row for row, _ in built], [d for _, d in built]
-    if None not in dens:
-        return ChainMatrix(states, rows, dens)
-    if any(dens):
-        raise ValueError("a chain's moves must all be (num, den) pairs or all values")
-    return ChainMatrix(states, rows)
 
 
 class Skeleton(NamedTuple):

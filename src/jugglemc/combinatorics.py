@@ -106,6 +106,13 @@ def _scaled(values) -> tuple[int, tuple]:
     return m, tuple(f.numerator * (m // f.denominator) for f in fs)
 
 
+def _refuse_nan(name: str, weights: tuple) -> None:
+    """Raise on the first nan weight, which passes every sign check."""
+    k = next((k for k, x in enumerate(weights, 1) if x != x), None)
+    if k is not None:
+        raise ValueError(f"{name}_{k} is nan")
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """Throw weights z_1..z_m with prefix sums y, plus optional activities c.
@@ -134,6 +141,7 @@ class ParamSet:
             raise ValueError("z must be nonempty")
         if any(x < 0 for x in z):
             raise ValueError("throw weights must be nonnegative")
+        _refuse_nan("throw weight z", z)
         object.__setattr__(self, "z", z)
         ys = []
         acc = z[0] * 0
@@ -153,6 +161,7 @@ class ParamSet:
             c = tuple(self.c)
             if any(x <= 0 for x in c):
                 raise ValueError("activities must be strictly positive")
+            _refuse_nan("activity c", c)
             object.__setattr__(self, "c", c)
         exact = all(map(is_exact, z + (self.c or ())))
         if exact:

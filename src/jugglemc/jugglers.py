@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .chain import ChainMatrix, build_matrix
+from .chain import ChainMatrix
 from .combinatorics import falling_factorial, _shape_cached
 
 
@@ -82,17 +82,24 @@ def build_chain(r: int, c: int, balls: int) -> ChainMatrix:
 
 def _walk(r: int, c: int, balls: int) -> ChainMatrix:
     """The caught balls land on each choice of distinct cells left free by
-    drop_row, every choice equally likely, each move given to build_matrix
-    as the pair (1, number of choices). A row depends only on drop_row of
-    its state, so each distinct one's row is built once."""
+    drop_row, every choice equally likely: a row is 1 for each landing set
+    over the number of choices, and distinct landing sets give distinct
+    arrays. A row depends only on drop_row of its state, so each distinct
+    one's row is built once and handed to every state that has it."""
     grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
-
-    def successors(A: BallArray):
+    states = enumerate_arrays(r, c, balls)
+    index = {A: i for i, A in enumerate(states)}
+    built: dict = {}
+    rows, dens = [], []
+    for A in states:
         kept = drop_row(A).cells
-        free = [cell for cell in grid if cell not in kept]
-        caught = A.balls - len(kept)
-        prob = (1, comb(len(free), caught))
-        for landed in combinations(free, caught):
-            yield BallArray._make((r, c, kept.union(landed))), prob
-
-    return build_matrix(enumerate_arrays(r, c, balls), successors, key=drop_row)
+        if kept not in built:
+            free = [cell for cell in grid if cell not in kept]
+            caught = balls - len(kept)
+            built[kept] = ({index[BallArray._make((r, c, kept.union(landed)))]: 1
+                            for landed in combinations(free, caught)},
+                           comb(len(free), caught))
+        row, d = built[kept]
+        rows.append(row)
+        dens.append(d)
+    return ChainMatrix(states, rows, dens)

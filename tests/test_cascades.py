@@ -11,12 +11,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from jugglemc import fluctuating, msjmc, overwriting
-from jugglemc.chain import build_matrix
 from jugglemc.combinatorics import ParamSet, TypeCounts
 
 from cascade_reference import add_drop_prob, annihilation_choices, annihilation_prob, \
     apply_bump, bump_choice, bumping_sequences, enriched_update, fluctuating_rows, \
     insertion_choices, intermediate_word, msjmc_rows, transition_prob
+from chain_reference import build_matrix
 from overwriting_reference import word_rows
 
 F = Fraction

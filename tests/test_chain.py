@@ -21,7 +21,6 @@ from jugglemc.chain import (
     Distribution,
     LumpingMap,
     _cumulative_rows,
-    build_matrix,
     chain_period,
     first_unbalanced,
     is_irreducible,
@@ -35,10 +34,11 @@ from jugglemc.chain import (
     verify_lumping,
 )
 from jugglemc.cli import MODELS, ModelSpec, _base_m_probe, main
-from jugglemc.combinatorics import ParamSet, TypeCounts
+from jugglemc.combinatorics import FLOAT_TOL, ParamSet, TypeCounts
 from jugglemc.errors import ReducibleChain, RowSumError, UnknownSuccessor
 
 import overwriting_reference
+from chain_reference import build_matrix
 from test_cascades import SHAPES as CASCADE_SHAPES
 
 F = Fraction
@@ -61,15 +61,25 @@ def test_build_matrix_and_accessors():
     assert P.index["b"] == 1
 
 
+def test_chain_matrix_rejects_bad_rows():
+    with pytest.raises(RowSumError, match=r"^row 0 \(a\) sums to 1/2$"):
+        ChainMatrix(["a"], [{0: F(1, 2)}])
+    with pytest.raises(RowSumError, match="negative probability -1/2"):
+        ChainMatrix(["a", "b"], [{0: F(3, 2), 1: F(-1, 2)}, {0: F(1)}])
+    with pytest.raises(UnknownSuccessor, match="successor index 1"):
+        ChainMatrix(["a"], [{1: F(1)}])
+    with pytest.raises(UnknownSuccessor, match="successor index -1"):
+        ChainMatrix(["a", "b"], [{-1: F(1)}, {0: F(1)}])
+    with pytest.raises(ValueError, match="duplicate states"):
+        ChainMatrix(["a", "a"], [{0: F(1)}, {0: F(1)}])
+
+
 def test_build_matrix_rejects_bad_rows():
+    # the reference builder looks a successor up in the state list itself
+    with pytest.raises(UnknownSuccessor, match="leaves the state list"):
+        build_matrix(["a"], lambda s: {"elsewhere": F(1)}.items())
     with pytest.raises(RowSumError):
         build_matrix(["a"], lambda s: {"a": F(1, 2)}.items())
-    with pytest.raises(RowSumError):
-        build_matrix(["a", "b"], lambda s: {"a": F(3, 2), "b": F(-1, 2)}.items())
-    with pytest.raises(UnknownSuccessor):
-        build_matrix(["a"], lambda s: {"elsewhere": F(1)}.items())
-    with pytest.raises(ValueError):
-        ChainMatrix(["a", "a"], [{0: F(1)}, {0: F(1)}])
 
 
 def test_build_matrix_adds_repeated_successors():
@@ -84,8 +94,11 @@ def test_build_matrix_adds_repeated_successors():
 
 
 def test_float_rows_accepted_within_tolerance():
-    P = build_matrix([0, 1], lambda s: {0: 0.25, 1: 0.75}.items())
+    P = ChainMatrix([0, 1], [{0: 0.25, 1: 0.75}] * 2)
     assert not P.exact
+    ChainMatrix([0, 1], [{0: 0.5, 1: 0.5 + FLOAT_TOL / 2}, {0: 1 - FLOAT_TOL / 2}])
+    with pytest.raises(RowSumError, match="sums to"):
+        ChainMatrix([0], [{0: 1 + 2 * FLOAT_TOL}])
 
 
 def test_exact_row_check_is_one_integer_sum():

@@ -1,5 +1,6 @@
 """Shared vocabulary: words, parameter sets, the J/E statistics, h polynomials."""
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -67,6 +68,19 @@ def test_paramset_normalized_flag():
 def test_paramset_rejects_negative():
     with pytest.raises(ValueError):
         ParamSet((Fraction(-1, 2), Fraction(1, 2)))
+
+
+def test_paramset_rejects_a_nan_throw_weight():
+    # nan < 0 is False, so only a nan check names it; before, msjmc.build_chain
+    # raised "row 0 (12) sums to nan"
+    with pytest.raises(ValueError, match=r"^throw weight z_1 is nan$"):
+        ParamSet((math.nan, 0.5, 0.5))
+
+
+def test_paramset_rejects_a_nan_activity():
+    # before, the normalizers of add_drop said the nan overflowed the float range
+    with pytest.raises(ValueError, match=r"^activity c_1 is nan$"):
+        ParamSet((0.5, 0.5, 0.0), (math.nan, 1.0))
 
 
 def test_paramset_activities():

@@ -1,6 +1,6 @@
 """Chains built on integers: the skeleton evaluator hands ChainMatrix each
-exact row as ints over its denominator, the juggler walk hands build_matrix
-its moves as pairs (num, den) of ints, and ChainMatrix holds D·P, making
+exact row as ints over its denominator, the juggler walk hands it each row
+as ones over the number of landing choices, and ChainMatrix holds D·P, making
 Fraction rows only when they are read. These tests hold the integer build to the value
 build it replaced, and check that the solver path never makes the Fraction
 rows."""
@@ -14,10 +14,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from jugglemc import chain, fluctuating, jugglers, msjmc, overwriting
-from jugglemc.chain import ChainMatrix, _cumulative_rows, build_matrix, chain_period
+from jugglemc.chain import ChainMatrix, _cumulative_rows, chain_period
 from jugglemc.cli import main
 from jugglemc.combinatorics import ParamSet, TypeCounts, _shape_cached
 from jugglemc.errors import RowSumError
+
+from chain_reference import build_matrix
 
 F = Fraction
 
@@ -49,16 +51,17 @@ BUILDS = list(_builds())
 
 
 def value_built(build, p) -> ChainMatrix:
-    """build(p) with each (num, den) move handed to build_matrix as
-    Fraction(num, den), and each exact move set of a skeleton's evaluator
-    as Fractions over no denominator: as the builders made it from values.
-    No skeleton is kept before or after, so several_jugglers, whose skeleton
-    is its chain, is built here too."""
-    def by_values(states, successors, *, key=None):
-        def values(s):
-            for succ, v in successors(s):
-                yield succ, F(*v) if type(v) is tuple else v
-        return build_matrix(states, values, key=key)
+    """build(p) with each juggler row handed to ChainMatrix as Fractions
+    over no denominator, one value row per row object, and each exact move
+    set of a skeleton's evaluator as Fractions over no denominator: as the
+    builders made it from values. No skeleton is kept before or after, so
+    several_jugglers, whose skeleton is its chain, is built here too."""
+    def by_values(states, rows, denominators):
+        values: dict = {}
+        for row, d in zip(rows, denominators):
+            if id(row) not in values:
+                values[id(row)] = {j: F(v, d) for j, v in row.items()}
+        return ChainMatrix(states, [values[id(row)] for row in rows])
 
     evaluate = chain._evaluate
 
@@ -67,7 +70,7 @@ def value_built(build, p) -> ChainMatrix:
                 for den, probs in evaluate(*args)]
 
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(jugglers, "build_matrix", by_values))
+        stack.enter_context(mock.patch.object(jugglers, "ChainMatrix", by_values))
         stack.enter_context(mock.patch.object(chain, "_evaluate", value_rows))
         _shape_cached.cache_clear()
         stack.callback(_shape_cached.cache_clear)
@@ -195,5 +198,5 @@ def test_a_pivot_entry_that_cancels_mod_p_hands_its_column_to_the_next_row():
     assert F(-3) + F(2) * F(1, 3) == F(-7, 3)
     for p in (7, 2 ** 127 - 1):
         assert chain._solve_modulo(rows, 3, p) == [1, 1, 1, 1]
-    P = build_matrix(range(4), lambda s: ((j, (v, 3)) for j, v in rows[s].items()))
+    P = ChainMatrix(range(4), rows, [3] * 4)
     assert chain.stationary_exact(P).weights == (F(1, 4),) * 4

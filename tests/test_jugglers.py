@@ -9,7 +9,6 @@ from math import comb
 import pytest
 
 from jugglemc.chain import (
-    build_matrix,
     chain_period,
     is_irreducible,
     stationary_exact,
@@ -21,6 +20,8 @@ from jugglemc.jugglers import (
     enumerate_arrays,
     juggler_stationary_weight,
 )
+
+from chain_reference import build_matrix
 
 F = Fraction
 
@@ -131,6 +132,34 @@ def test_keyed_rows_equal_an_unkeyed_build():
                 assert P.states == Q.states
                 assert [[(j, type(v), v) for j, v in row.items()] for row in P.rows] == \
                     [[(j, type(v), v) for j, v in row.items()] for row in Q.rows]
+
+
+@pytest.mark.parametrize("r, c, balls", [(3, 2, 3), (3, 3, 4), (3, 3, 5), (5, 3, 4)])
+def test_direct_rows_equal_the_successor_build(r, c, balls):
+    # the walk's successor generator as it was, each move (1, number of
+    # choices), built one row per drop_row key
+    grid = [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
+
+    def successors(A):
+        kept = drop_row(A).cells
+        free = [cell for cell in grid if cell not in kept]
+        caught = A.balls - len(kept)
+        for landed in combinations(free, caught):
+            yield BallArray(r, c, kept.union(landed)), (1, comb(len(free), caught))
+
+    P = build_chain(r, c, balls)
+    Q = build_matrix(enumerate_arrays(r, c, balls), successors, key=drop_row)
+    assert P.states == Q.states and P._row_of == Q._row_of
+    assert P._denominator == Q._denominator
+    # dict == ignores key order; the rows must keep it
+    assert [list(row.items()) for row in P._integer_rows] == \
+        [list(row.items()) for row in Q._integer_rows]
+    # ChainMatrix shares rows by object, so one row per drop_row key means
+    # the walk handed every state of a key the same row object
+    row_of_key: dict = {}
+    for A, at in zip(P.states, P._row_of):
+        assert row_of_key.setdefault(drop_row(A), at) == at
+    assert len(set(row_of_key.values())) == len(row_of_key) == len(P._integer_rows)
 
 
 # 6x6 matrix in the display order: both balls low, the four mixed states,

@@ -8,7 +8,6 @@ import pytest
 
 from jugglemc.chain import (
     LumpingMap,
-    build_matrix,
     stationary_exact,
     verify_lumping,
 )
@@ -31,6 +30,7 @@ from jugglemc.msjmc import (
 
 from cascade_reference import apply_bump, bumping_sequences, enriched_step, \
     enumerate_predecessors, reconstruct_predecessor, stat_E, transition_prob
+from chain_reference import build_matrix
 from test_chain import project_distribution
 
 F = Fraction

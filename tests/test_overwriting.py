@@ -11,7 +11,6 @@ import pytest
 from jugglemc import overwriting
 from jugglemc.chain import (
     LumpingMap,
-    build_matrix,
     stationary_exact,
     total_variation,
     verify_lumping,
@@ -41,6 +40,7 @@ from jugglemc.overwriting import (
     _shifted_body,
 )
 
+from chain_reference import build_matrix
 from overwriting_reference import apply_overwrite, matrix_fiber_law, matrix_step, \
     overwrite_prob, overwrite_sequences, tableau_step_prob
 

@@ -203,7 +203,7 @@ def test_a_warm_build_walks_and_enumerates_nothing(monkeypatch, model):
         (overwriting, ["enumerate_alphabet_words", "enumerate_tableaux", "enumerate_matrix_states",
                        "tableau_successors", "_overwrites", "_tableau_step", "_matrix_step",
                        "_skeleton"]),
-        (jugglers, ["enumerate_arrays", "build_matrix"]),
+        (jugglers, ["enumerate_arrays", "drop_row", "ChainMatrix"]),
     ]:
         for name in names:
             monkeypatch.setattr(module, name, refuse)
