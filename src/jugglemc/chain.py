@@ -37,7 +37,9 @@ slots of its factors in product order, and the heads the model's lead
 prices per row. `_evaluate` reads the weights: each pattern's product over
 the model's two factor tables once per build, as an int over D, the lcm of
 the pattern denominators (for float weights the running product in slot
-order), each head's factor once per row, and one product per move.
+order), each head's numerator over its row denominator once per row
+(divided there for float weights, the one division of a head), and one
+product per move.
 
 A trajectory step from state i takes successor succ[bisect_left(cum, u *
 total)] of i's row, u the next random() of `random.Random(seed)`. `simulate`
@@ -61,10 +63,11 @@ import random
 from bisect import bisect_left
 from collections import defaultdict, deque
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt, lcm, prod
+from operator import add
 from struct import Struct
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -72,6 +75,13 @@ from .combinatorics import FLOAT_TOL, is_exact
 from .errors import DegenerateParams, ReducibleChain, RowSumError, UnknownSuccessor
 
 _mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
+
+
+def _fold(values):
+    """values added left to right from 0. Builtin sum adds floats with
+    compensation since Python 3.12, so a float sum that sets printed bits is
+    folded here to give the same bits on every Python."""
+    return reduce(add, values, 0)
 
 
 class ChainMatrix:
@@ -129,9 +139,7 @@ class ChainMatrix:
                         g = gcd(*values)
                         reduced.append((g, d // g))
                 else:
-                    total = 0
-                    for v in row.values():
-                        total = total + v
+                    total = _fold(row.values())
                     if not abs(total - 1) <= FLOAT_TOL:
                         raise RowSumError(f"row {i} ({self.states[i]}) sums to {total}")
                 distinct.append(row)
@@ -247,10 +255,10 @@ class Distribution:
 
     @property
     def total(self):
-        return sum(self.weights) if self.masses is None else Fraction(sum(self.masses), self.scale)
+        return _fold(self.weights) if self.masses is None else Fraction(sum(self.masses), self.scale)
 
     def normalize(self) -> "Distribution":
-        t = sum(self.weights) if self.masses is None else sum(self.masses)
+        t = _fold(self.weights) if self.masses is None else sum(self.masses)
         if t == 0:
             raise ValueError("cannot normalize a zero distribution")
         if self.masses is None:
@@ -286,7 +294,8 @@ class Skeleton(NamedTuple):
     set, the successor index of each move); move set m of `moves` is (the
     row datum, heads, head of each move, pattern of each move), in walk
     order, shared by the rows that have it. A head is a per-row factor the
-    model's lead prices (an insertion type and its z index); a pattern lists
+    model's lead prices, as a numerator over the row's denominator (an
+    insertion type and its z index); a pattern lists
     a move's factors in product order as (top, bottom) slot pairs, laid
     flat, into the two factor tables the model supplies. A row's successors
     are distinct."""
@@ -358,13 +367,16 @@ def _pattern_values(patterns: tuple, tables: tuple, exact: bool) -> tuple:
 
 def _evaluate(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: str) -> list:
     """(den, probabilities) of each move set of skel at weights p, in order.
-    lead(datum, heads) gives (d, the factor of each head), which multiplies
-    the pattern product of each of the head's moves; with no lead a move is
-    its pattern product. Over p's integer tables a probability is an int
-    over den = d D (D from _pattern_values); for float weights it is the
-    head's factor times the pattern's running product, and den is None.
-    Rows first use the move sets in order, so the first bottom factor 0 in
-    walk order raises, y_k = 0 for its slot k - 1, the error naming `what`."""
+    lead(datum, heads) gives (d, the numerator of each head) over p's
+    tables, on either backend; a head's factor, numerator / d, multiplies
+    the pattern product of each of the head's moves, and with no lead a
+    move is its pattern product. Over p's integer tables a probability is
+    the numerator times the pattern's int, over den = d D (D from
+    _pattern_values); for float weights each numerator is divided by d
+    here, the one division of a head, and then multiplies the pattern's
+    running product, and den is None. Rows first use the move sets in
+    order, so the first bottom factor 0 in walk order raises, y_k = 0 for
+    its slot k - 1, the error naming `what`."""
     values, D, bad = _pattern_values(skel.patterns, tables, p.exact)
     out = []
     for datum, heads, at_head, at_pattern in skel.moves:
@@ -373,6 +385,8 @@ def _evaluate(skel: Skeleton, p, tables: tuple, lead: Optional[Callable], what: 
             first = next((bad[at] for at in at_pattern if at in bad), None)
             if first is not None:
                 raise DegenerateParams(f"y_{first} = 0 in a {what}")
+        if factors is not None and D is None:
+            factors = [f / d for f in factors]
         probs = [values[at] for at in at_pattern] if factors is None else [
             factors[h] * values[at] for h, at in zip(at_head, at_pattern)]
         out.append((None if D is None else d * D, probs))
@@ -698,7 +712,7 @@ def stationary_power(P: ChainMatrix, tol: float = 1e-13, max_iter: int = 100000)
     delta = float("inf")
     for _ in range(max_iter):
         nxt = _push(vec, rows, [0.0] * n)
-        delta = sum(abs(a - b) for a, b in zip(vec, nxt)) / 2
+        delta = _fold(abs(a - b) for a, b in zip(vec, nxt)) / 2
         vec = nxt
         if delta < tol:
             return Distribution(P.states, tuple(vec))
@@ -814,7 +828,7 @@ def total_variation(p: Distribution, q: Distribution):
     if p.states != q.states:
         raise ValueError("distributions not aligned")
     if p.masses is None or q.masses is None:
-        return sum(abs(a - b) for a, b in zip(p.weights, q.weights)) / 2
+        return _fold(abs(a - b) for a, b in zip(p.weights, q.weights)) / 2
     S, B = p.scale, q.scale
     return Fraction(sum(abs(a * B - b * S) for a, b in zip(p.masses, q.masses)), 2 * S * B)
 

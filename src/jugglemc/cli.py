@@ -76,20 +76,20 @@ def _is_decimal(text: str) -> bool:
 def _parse_weight(raw, backend: str):
     if isinstance(raw, bool):  # Fraction() would read JSON true as 1
         raise ValueError(f"weight {raw!r} is not a number")
-    if isinstance(raw, float) or (isinstance(raw, str) and _is_decimal(raw)):
-        value = float(raw)
-        if not isfinite(value):
-            raise ValueError(f"weight {raw!r} is not a finite number")
-        if backend == "exact":
-            raise ValueError(
-                f"decimal weight {raw!r} is not exact; use --backend float"
-            )
-        return value
+    decimal = isinstance(raw, float) or (isinstance(raw, str) and _is_decimal(raw))
     try:
-        value = Fraction(raw)
-        return float(value) if backend == "float" else value
+        value = float(raw) if decimal else Fraction(raw)
+        if not decimal and backend == "float":
+            value = float(value)
+    except ValueError:  # text that float() or Fraction() cannot read, such as 0x10
+        raise ValueError(f"weight {raw!r} is not a number") from None
     except (ZeroDivisionError, OverflowError, TypeError):
         raise ValueError(f"weight {raw!r} is not a finite number") from None
+    if decimal and not isfinite(value):
+        raise ValueError(f"weight {raw!r} is not a finite number")
+    if decimal and backend == "exact":
+        raise ValueError(f"decimal weight {raw!r} is not exact; use --backend float")
+    return value
 
 
 def _int(name: str, raw) -> int:
@@ -200,7 +200,7 @@ def _validate(spec: ModelSpec):
             _need(spec.z[0] > 0, "add_drop needs z_1 > 0: y_1 = z_1 divides its rates")
         else:
             _need(spec.params.normalized,
-                  f"{spec.model} needs z summing to 1, got {sum(spec.z)}")
+                  f"{spec.model} needs z summing to 1, got {spec.params.y[-1]}")
     else:
         _need(spec.r is not None and spec.c is not None and spec.balls is not None,
               "several_jugglers needs --r, --c and --balls")

@@ -5,10 +5,10 @@ floats with a fixed comparison tolerance. Every ParamSet keeps its weights
 in one table (`ParamTables`), and every formula reads them there: exact
 weights as ints over common denominators, so the model walks and
 closed-form sweeps multiply ints and each normalizer is one Fraction, and
-float weights as themselves over a scale 1; only the last division asks
-which (`ParamSet.exact`). J rows come from a per-process cache of int-tuple
-steps (`_j_step`). The exact numbers a command prints are ints over one
-scale, formatted by the command line.
+float weights as themselves over a scale 1; only the last division and the
+chain evaluator ask which (`ParamSet.exact`). J rows come from a
+per-process cache of int-tuple steps (`_j_step`). The exact numbers a
+command prints are ints over one scale, formatted by the command line.
 All position arguments follow the 1-based convention of the transition
 formulas; the virtual sentinel w_{n+1} = +infinity is handled by the
 operations and never stored.
@@ -122,10 +122,10 @@ class ParamSet:
     formula reads the weights through `tables` (ParamTables): ints over
     common denominators when every weight is exact, and `exact` is then
     True; with any float weight the weights themselves over a 1 of z's type,
-    and `exact` is False. Only the last division, the evaluator and the
-    leads' fold order ask `exact`. Both belong to the instance: equal sets
-    may differ in them (ParamSet((1, 0)) equals ParamSet((1.0, 0.0))), so
-    they take no part in equality, hashing or repr.
+    and `exact` is False. Only the last division and the evaluator ask
+    `exact`; no model's chain builder does. Both belong to the instance:
+    equal sets may differ in them (ParamSet((1, 0)) equals ParamSet((1.0,
+    0.0))), so they take no part in equality, hashing or repr.
     """
 
     z: tuple
@@ -290,13 +290,4 @@ def complete_homogeneous(degree: int, values: Sequence):
             h[k] = h[k] + v * h[k - 1]
     return h[degree]
 
-
-def falling_factorial(x, k: int):
-    """(x)_k = x (x-1) ... (x-k+1); (x)_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    acc = x ** 0 if not isinstance(x, int) else 1
-    for i in range(k):
-        acc = acc * (x - i)
-    return acc
 

@@ -9,10 +9,11 @@ skeleton (chain._skeleton, kept per (n, T)) walks one word per w^-: each
 insertion head (j, x), x + 1 = J(a(2), j), then msjmc's cascade walk from
 a(2), started from w_2 .. w_{a(2)-1} j, so j w^- is never built; the row
 datum is J_w(2, .). chain's evaluator multiplies each move's bumping
-product by its head's factor, which the model's lead prices once per row:
-over the integer tables C_j Z over sum_t C_t Y for add-drop, Z times
-failures L - Y over L^(T-1) for annihilation; for float weights the
-factor itself, folded in walk order. The enriched skeletons are derived from these
+product by its head's factor, which the model's lead prices once per row
+as numerators over one row denominator, the same expression on every
+backend: C_j Z over sum_t C_t Y for add-drop, Z times failures L - Y
+over L^(T-1) for annihilation. The evaluator alone divides, for float
+weights. The enriched skeletons are derived from these
 (msjmc.enriched_skeleton), one row per (w^-, v^-). Every formula reads p's
 tables, whose float form is the weights over 1. For exact weights each law
 is one suffix sweep of int masses over all words, and the add-drop
@@ -22,11 +23,9 @@ normalizer a sum of products of ints over a power of Lc L, one Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import inf, prod
-from operator import mul
 
-from .chain import ChainMatrix, Skeleton, _chain, _skeleton
+from .chain import ChainMatrix, Skeleton, _chain, _fold, _skeleton
 from .combinatorics import ParamSet, Word, enumerate_alphabet_words, \
     complete_homogeneous, _float_normalizer, _j_table, _mass, _shape_cached, _suffix_sweep
 from .errors import DegenerateParams, NotNormalized
@@ -65,20 +64,19 @@ def _add_drop_moves(w: Word):
 
 def _add_drop_lead(p: ParamSet, T: int):
     """add_drop's lead at p: over a row with J_w(2, .) = J2, the insertion
-    head (j, x) has the factor c_j z_{x+1} / sum_t c_t y_{J(2, t)}; over the
-    integer tables C_j Z_{x+1} over the row denominator sum_t C_t Y_{J(2,
-    t)}."""
+    head (j, x) has the factor c_j z_{x+1} / sum_t c_t y_{J(2, t)}, given as
+    the numerator C_j Z_{x+1} over the row denominator sum_t C_t Y_{J(2, t)},
+    both read off p's tables; the denominator is folded left, so its float
+    bits do not depend on how builtin sum adds floats."""
     _need_activities(p, T)
-    c, y, z, exact = p.tables.C, p.tables.Y, p.tables.Z, p.exact
+    c, y, z = p.tables.C, p.tables.Y, p.tables.Z
 
     def lead(J2: tuple, heads: tuple):
-        den = sum(c[t - 1] * y[J2[t] - 1] for t in range(1, T + 1))
+        den = _fold(c[t - 1] * y[J2[t] - 1] for t in range(1, T + 1))
         if den == 0 and y[0] == 0:
             raise DegenerateParams("insertion normalizer is 0")
         _float_normalizer(den, "insertion normalizer")  # activities, y_1 > 0: only floats fail
-        if exact:
-            return den, [c[j - 1] * z[x] for j, x in heads]
-        return None, [c[j - 1] * z[x] / den for j, x in heads]
+        return den, [c[j - 1] * z[x] for j, x in heads]
 
     return lead
 
@@ -144,24 +142,18 @@ def _annihilation_moves(w: Word):
 def _annihilation_lead(p: ParamSet, T: int):
     """annihilation's lead at p: types below j all fail, with factors 1 -
     y_{J(2, t)}, then j lands through z_{x+1}; type T takes the leftover
-    mass, the product of all T - 1 failures. Over the integer tables the
-    failures are L - Y_{J(2, t)} and every head is put over the row
-    denominator L^(T-1); for float weights each head multiplies its
-    failures onto z_{x+1} (onto 1 for type T) in type order."""
+    mass, the product of all T - 1 failures. Over p's tables the failures
+    are L - Y_{J(2, t)}, and each head is its numerator over the row
+    denominator L^(T-1): Z_{x+1} times its failures times L^(T-1-j), and
+    the product of all failures for type T."""
     L, Y, Z = p.tables.L, p.tables.Y, p.tables.Z
-    if p.exact:
-        powers = [L ** k for k in range(T)]
+    powers = [L ** k for k in range(T)]
 
-        def lead(J2: tuple, heads: tuple):
-            # failed[k]: the product of the first k failures
-            failed = list(accumulate((L - Y[J2[t] - 1] for t in range(1, T)), mul, initial=1))
-            return powers[-1], [failed[-1] if j == T else Z[x] * powers[T - 1 - j] * failed[j - 1]
-                                for j, x in heads]
-    else:
-        def lead(J2: tuple, heads: tuple):
-            fails = [L - Y[J2[t] - 1] for t in range(1, T)]
-            return None, [prod(fails, start=L) if j == T else prod(fails[: j - 1], start=Z[x])
-                          for j, x in heads]
+    def lead(J2: tuple, heads: tuple):
+        fails = [L - Y[J2[t] - 1] for t in range(1, T)]
+        return powers[-1], [prod(fails, start=powers[0]) if j == T else
+                            prod(fails[: j - 1], start=Z[x]) * powers[T - 1 - j]
+                            for j, x in heads]
 
     return lead
 

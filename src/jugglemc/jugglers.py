@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import comb
+from math import comb, perm
 
 from .chain import ChainMatrix
-from .combinatorics import falling_factorial, _shape_cached
+from .combinatorics import _shape_cached
 
 
 class BallArray(namedtuple("BallArray", "r c cells")):
@@ -68,7 +68,7 @@ def juggler_stationary_weight(A: BallArray) -> int:
     above = 0
     for i in range(1, A.r + 1):
         k = A.row_count(i)
-        acc *= falling_factorial(A.c * i - above, k)
+        acc *= perm(A.c * i - above, k)
         above += k
     return acc
 

@@ -19,7 +19,9 @@ word.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from jugglemc.combinatorics import (
@@ -157,7 +159,8 @@ def add_drop_prob(w: Word, choice: InsertionChoice, p: ParamSet):
         raise ValueError(f"need {w.T} activities")
     j, a = choice
     W = intermediate_word(w, j)
-    den = sum(p.c[t - 1] * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1))
+    # folded left, as the builder does: builtin sum compensates floats since 3.12
+    den = reduce(add, (p.c[t - 1] * p.y_at(stat_J(W, 2, t)) for t in range(1, w.T + 1)), 0)
     if den == 0:
         raise DegenerateParams("insertion normalizer is 0")
     return p.c[j - 1] * p.z_at(stat_J(W, a[1], j)) / den * _cascade_tail(W, a, p)

@@ -853,6 +853,15 @@ def test_validation_errors_exit_one(capsys, monkeypatch, tmp_path):
         1, "", "error: JUGGLE_SEED must be a non-negative integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("text", ["0x10", "abc", "1e"])
+def test_unreadable_weight_text_is_named(capsys, backend, text):
+    # text neither float() nor Fraction() reads names the weight, not the parser
+    assert run(capsys, ["stationary", "--model", "msjmc", "--counts", "1,1", "--backend",
+                        backend, "--z", f"{text},1,1"]) == (
+        1, "", f"error: weight '{text}' is not a number\n")
+
+
 _Z3 = "1/3,1/3,1/3"
 _AD = ["--model", "add_drop", "--n", "1", "--T", "2"]
 

@@ -14,7 +14,6 @@ from jugglemc.combinatorics import (
     complete_homogeneous,
     enumerate_alphabet_words,
     enumerate_multiset_words,
-    falling_factorial,
     is_exact,
 )
 
@@ -168,13 +167,6 @@ def test_complete_homogeneous_rejects_bad_input():
         complete_homogeneous(-1, (Fraction(1),))
     with pytest.raises(ValueError):
         complete_homogeneous(2, ())
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(Fraction(7, 2), 2) == Fraction(35, 4)
-    assert falling_factorial(4, 0) == 1
-    assert falling_factorial(2, 3) == 0
 
 
 def test_is_exact():
