@@ -71,7 +71,7 @@ from operator import add
 from struct import Struct
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .combinatorics import FLOAT_TOL, is_exact
+from .combinatorics import FLOAT_TOL, _scaled, is_exact
 from .errors import DegenerateParams, ReducibleChain, RowSumError, UnknownSuccessor
 
 _mpq = None  # read by perfbench/run.py's report until ROADMAP item 1 drops it
@@ -206,12 +206,10 @@ def _scaled_row(i: int, row: Mapping[int, object], size: int) -> tuple[dict, int
     """Row i of exact values as (its ints over d, d), d the lcm of the
     entries' denominators, keys in row order; raises on the first bad entry
     as _checked_row does."""
-    nums = [v.numerator for v in row.values()]
-    if min(row, default=0) < 0 or max(row, default=0) >= size or min(nums, default=0) < 0:
+    d, ints = _scaled(row.values())
+    if min(row, default=0) < 0 or max(row, default=0) >= size or min(ints, default=0) < 0:
         _checked_row(i, row, size)
-    dens = [v.denominator for v in row.values()]
-    d = lcm(*dens)
-    return {j: a * (d // b) for j, a, b in zip(row, nums, dens)}, d
+    return dict(zip(row, ints)), d
 
 
 def _checked_row(i: int, row: Mapping[int, object], size: int) -> dict:
@@ -239,9 +237,7 @@ class Distribution:
     def __init__(self, states: Sequence, weights: Sequence, scale: Optional[int] = None):
         self.states, weights = tuple(states), tuple(weights)
         if scale is None and all(map(is_exact, weights)):
-            dens = [w.denominator for w in weights]
-            scale = lcm(*dens)
-            weights = tuple([w.numerator * (scale // d) for w, d in zip(weights, dens)])
+            scale, weights = _scaled(weights)
         if scale is None:
             self.weights, self.masses = weights, None
         else:

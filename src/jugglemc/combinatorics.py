@@ -90,7 +90,8 @@ class ParamTables(NamedTuple):
     Lc c_t over the scales L and Lc. Exact weights are ints over common
     denominators: L is the lcm of z's denominators and Lc that of c's (Lc and
     C None without activities). Float or mixed weights are themselves, over
-    L = Lc = z_1 ** 0, a 1 of their own type (C None without activities)."""
+    L = Lc = z_1 ** 0 (C None without activities): 1.0 when z holds a float,
+    since ParamSet then stores all of z as floats, else an exact 1."""
 
     L: int
     Z: tuple
@@ -100,10 +101,11 @@ class ParamTables(NamedTuple):
 
 
 def _scaled(values) -> tuple[int, tuple]:
-    """(lcm of the denominators, the values times it as ints)."""
-    fs = [Fraction(x) for x in values]
-    m = lcm(*(f.denominator for f in fs))
-    return m, tuple(f.numerator * (m // f.denominator) for f in fs)
+    """(lcm of the denominators, the values times it as ints), read off the
+    numerator and denominator that ints and Fractions both carry; `values`
+    is read twice, so it is a collection, not an iterator."""
+    m = lcm(*(x.denominator for x in values))
+    return m, tuple([x.numerator * (m // x.denominator) for x in values])
 
 
 def _refuse_nan(name: str, weights: tuple) -> None:
@@ -121,11 +123,12 @@ class ParamSet:
     index is n+1); constructors of model matrices enforce that arity. Every
     formula reads the weights through `tables` (ParamTables): ints over
     common denominators when every weight is exact, and `exact` is then
-    True; with any float weight the weights themselves over a 1 of z's type,
-    and `exact` is False. Only the last division and the evaluator ask
-    `exact`; no model's chain builder does. Both belong to the instance:
-    equal sets may differ in them (ParamSet((1, 0)) equals ParamSet((1.0,
-    0.0))), so they take no part in equality, hashing or repr.
+    True; with any float weight the weights themselves over z_1 ** 0 (one
+    float in z makes all of z floats, over 1.0), and `exact` is False. Only
+    the last division and the evaluator ask `exact`; no model's chain
+    builder does. Both belong to the instance: equal sets may differ in
+    them (ParamSet((1, 0)) equals ParamSet((1.0, 0.0))), so they take no
+    part in equality, hashing or repr.
     """
 
     z: tuple
@@ -142,6 +145,8 @@ class ParamSet:
         if any(x < 0 for x in z):
             raise ValueError("throw weights must be nonnegative")
         _refuse_nan("throw weight z", z)
+        if not all(map(is_exact, z)):  # one float makes z all floats, so its scale is 1.0
+            z = tuple(map(float, z))
         object.__setattr__(self, "z", z)
         ys = []
         acc = z[0] * 0
@@ -169,7 +174,7 @@ class ParamSet:
             Lc, C = _scaled(self.c) if self.c is not None else (None, None)
             tables = ParamTables(L, Z, tuple(accumulate(Z)), Lc, C)
         else:
-            one = z[0] ** 0  # not the int 1: an empty product keeps z's type
+            one = z[0] ** 0  # 1.0 for float z; exact z with float activities keeps z_1's type
             tables = ParamTables(one, z, self.y, one, self.c)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "exact", exact)
@@ -196,26 +201,14 @@ class ParamSet:
 
 
 def enumerate_multiset_words(counts: TypeCounts) -> list[Word]:
-    """All words with letter multiplicities `counts`, in lexicographic order."""
-    T = counts.T
-    remaining = list(counts.counts)
-    out: list[Word] = []
-    prefix: list[int] = []
-
-    def rec(depth: int):
-        if depth == counts.n:
-            out.append(Word._make((tuple(prefix), T)))
-            return
-        for letter in range(1, T + 1):
-            if remaining[letter - 1] > 0:
-                remaining[letter - 1] -= 1
-                prefix.append(letter)
-                rec(depth + 1)
-                prefix.pop()
-                remaining[letter - 1] += 1
-
-    rec(0)
-    return out
+    """All words with letter multiplicities `counts`, in lexicographic order:
+    a level sweep that extends each prefix, with the counts it leaves, by
+    every letter still left, smallest first."""
+    level = [((), counts.counts)]
+    for _ in range(counts.n):
+        level = [(w + (x + 1,), left[:x] + (k - 1,) + left[x + 1:])
+                 for w, left in level for x, k in enumerate(left) if k]
+    return [Word._make((w, counts.T)) for w, _ in level]
 
 
 def enumerate_alphabet_words(n: int, T: int) -> list[Word]:

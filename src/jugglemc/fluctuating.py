@@ -96,14 +96,14 @@ def _add_drop_masses(n: int, T: int, tables) -> tuple[list, int]:
     return [acc for _, acc in _suffix_sweep(n, T, factors)], (tables.Lc * tables.L) ** n
 
 
-def _compositions(n: int, parts: int):
-    # weak compositions of n into `parts` nonnegative parts
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+def _compositions(n: int, parts: int) -> list:
+    """The weak compositions of n into `parts` nonnegative parts, in
+    lexicographic order: a level sweep that extends each prefix by every
+    next part that fits, smallest first, and closes it with what is left."""
+    level = [()]
+    for _ in range(parts - 1):
+        level = [c + (f,) for c in level for f in range(n - sum(c) + 1)]
+    return [c + (n - sum(c),) for c in level]
 
 
 def add_drop_partition(n: int, T: int, p: ParamSet):

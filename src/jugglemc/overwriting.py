@@ -42,7 +42,7 @@ only past its first letter; the tableau and matrix steps keep only a body
 of their state; so each distinct w_2 .. w_n or body is walked once per
 shape. For exact weights the word law multiplies the same ints, over
 L^(n(T-1)), as does the tableau law's core; its wrapper
-`tableau_stationary` makes one Fraction per tableau.
+`tableau_stationary` divides it by `_mass`, one Fraction per tableau.
 """
 
 from __future__ import annotations
@@ -217,24 +217,13 @@ def _column_fillings(length: int, T: int, mins: tuple) -> tuple:
     """All ways to fill one column of the given length, bottom to top, left
     of columns of profile `mins`: each row caps its new entry strictly below
     the row's minimum, and the column itself increases among filled cells.
-    """
-    out: list[tuple[int, ...]] = []
-    caps = mins + (0,)
-
-    def rec(h: int, col_floor: int, acc: list[int]):
-        if h > length:
-            out.append(tuple(acc))
-            return
-        acc.append(0)
-        rec(h + 1, col_floor, acc)
-        acc.pop()
-        for val in range(col_floor + 1, caps[h - 1] or T):
-            acc.append(val)
-            rec(h + 1, val, acc)
-            acc.pop()
-
-    rec(1, 0, [])
-    return tuple(out)
+    A level sweep over the heights, each partial column kept with its last
+    entry; each height tries an empty cell first, then the values upward."""
+    level = [((), 0)]
+    for cap in (mins + (0,))[:length]:
+        level = [(col + (v,), v or floor) for col, floor in level
+                 for v in (0, *range(floor + 1, cap or T))]
+    return tuple([col for col, _ in level])
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -290,7 +279,7 @@ def tableau_stationary(V: Tableau, p: ParamSet):
         raise NotNormalized("tableau chain needs z summing to 1")
     p.require_arity(V.n)
     mass = _tableau_mass(V.columns, V.T, _tables(p)[0])
-    return Fraction(mass, p.tables.L ** (V.n * (V.T - 1))) if p.exact else mass
+    return _mass(p, (mass,), p.tables.L ** (V.n * (V.T - 1)))
 
 
 def _shifted_body(V: Tableau) -> tuple:

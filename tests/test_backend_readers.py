@@ -29,7 +29,6 @@ BACKEND_READERS = [
     "fluctuating.add_drop_partition",
     "msjmc.partition_function",
     "overwriting._word_law",
-    "overwriting.tableau_stationary",
 ]
 
 

@@ -125,13 +125,14 @@ def _typed(t):
 
 def test_float_and_mixed_weights_are_their_own_table_over_one():
     """With any float weight the table is the weights themselves, over L = Lc
-    = z_1 ** 0, a 1 of z's own type, never the int 1 unless z_1 is an int."""
+    = z_1 ** 0: a float in z makes all of z floats, over 1.0, and exact z
+    with float activities keeps the exact 1 of z_1's type."""
     floats = ParamSet((0.25, 0.75), c=(2.0, 0.5))
     assert not floats.exact
     assert _typed(floats.tables) == _typed((1.0, (0.25, 0.75), (0.25, 1.0), 1.0, (2.0, 0.5)))
     half = ParamSet((F(1, 2), 0.5))
     assert not half.exact
-    assert _typed(half.tables) == _typed((F(1), (F(1, 2), 0.5), (F(1, 2), 1.0), F(1), None))
+    assert _typed(half.tables) == _typed((1.0, (0.5, 0.5), (0.5, 1.0), 1.0, None))
     mixed = ParamSet((F(1, 2), F(1, 2)), c=(1.0,))
     assert not mixed.exact
     assert _typed(mixed.tables) == _typed((F(1), (F(1, 2), F(1, 2)), (F(1, 2), F(1)), F(1),
@@ -201,6 +202,53 @@ def test_int_weights_build_the_rows_of_their_fraction_equals():
             assert _items(got) == _items(want) and _value_types([got]) == {Fraction}
     w = enumerate_multiset_words(TypeCounts((1, 1)))[0]
     assert msjmc.stationary_weight(w, ints) == msjmc.stationary_weight(w, fracs) == 3
+
+
+def _int_z1_outputs(z: tuple) -> list:
+    """Every per-state weight, builder row entry and Model.law entry on n = 2:
+    of msjmc and add_drop (with int activities) under z, and of annihilation
+    and the overwriting tower under z_1 alone, which is normalized."""
+    zq = (z[0], 0.0, 0.0)
+    p, q = ParamSet(z, c=(1, 2)), ParamSet(zq)
+    out = []
+    for counts in (TypeCounts((1, 1)), TypeCounts((2,))):
+        spec = ModelSpec("msjmc", "float", counts=counts.counts, z=z)
+        words, states = _states("msjmc", counts.counts)
+        out += [msjmc.stationary_weight(w, p) for w in words]
+        out += [msjmc.enriched_stationary_weight(s, p) for s in states]
+        out += [msjmc.build_chain(counts, p), msjmc.build_enriched_chain(counts, p),
+                MODELS["msjmc"].law(spec, words)]
+    for model, raw, r in (("add_drop", z, p), ("annihilation", zq, q)):
+        spec = ModelSpec(model, "float", n=2, T=2, z=raw, activities=(1, 2))
+        base, enriched = FORMULAS[model]
+        words, states = _states(model, (2, 2))
+        out += [base(w, r) for w in words] + [enriched(s, r) for s in states]
+        out += [MODELS[model].chain(spec), MODELS[model].enriched(spec, r)[0],
+                MODELS[model].law(spec, words)]
+    words = enumerate_alphabet_words(2, 2)
+    out += [overwriting.overwriting_stationary(w, q) for w in words]
+    out += [overwriting.tableau_stationary(V, q) for V in overwriting.enumerate_tableaux(2, 2)]
+    out += [overwriting.matrix_stationary_weight(M, q)
+            for M in overwriting.enumerate_matrix_states(2, 2)]
+    out += [overwriting.build_word_chain(2, 2, q), overwriting.build_tableau_chain(2, 2, q),
+            overwriting.build_matrix_chain(2, 2, q), overwriting._word_law(words, 2, 2, q)]
+    values = []
+    for v in out:
+        if isinstance(v, ChainMatrix):
+            values += [x for row in v.rows for x in row.values()]
+        elif isinstance(v, Distribution):
+            values += v.weights
+        else:
+            values.append(v)
+    return values
+
+
+def test_float_results_do_not_depend_on_the_type_of_z1():
+    """A float in z makes every result a float: z_1 given as the int 1 or as
+    1.0 gives the same float bits, per state, per row entry and per law."""
+    got, want = _int_z1_outputs((1, 0.5, 0.5)), _int_z1_outputs((1.0, 0.5, 0.5))
+    assert {type(v) for v in got + want} == {float}
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def _key(v) -> str:
